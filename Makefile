@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-full examples lint clean
+.PHONY: install test bench bench-full ledger-smoke examples lint clean
 
 PYTHON ?= python
 
@@ -16,6 +16,11 @@ bench:
 
 bench-full:
 	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# All four perf-ledger workloads at a tenth of the size (< 30 s); exits
+# non-zero on a failed correctness check or a leaked process / shm segment.
+ledger-smoke:
+	$(PYTHON) benchmarks/ledger/run.py --smoke
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -54,7 +54,6 @@ from repro.streamml.serialize import (
     model_to_dict,
 )
 from repro.streamml.instance import ClassifiedInstance, Instance
-from repro.streamml.stats import P2Quantile
 
 CHECKPOINT_VERSION = 2
 
@@ -121,27 +120,30 @@ def atomic_write_json(path: PathLike, payload: Any) -> int:
 # Normalizers
 # ----------------------------------------------------------------------
 
-def _p2_to_dict(sketch: P2Quantile) -> Dict[str, Any]:
+def _no_outliers_state_from_p2(
+    lower: List[Dict[str, Any]], upper: List[Dict[str, Any]]
+) -> Dict[str, Any]:
+    """Block-sketch state from the previous (per-feature P²) payload.
+
+    Kept one format back so existing checkpoints and serve snapshots
+    load: each sketch's middle marker ``q[2]`` is its quantile estimate,
+    ``q[0]``/``q[4]`` the observed extremes and ``count`` the rows it
+    summarised. A sketch still buffering (< 5 rows, empty ``q``) hands
+    its ``initial`` samples back as pending rows.
+    """
+    if not lower[0]["q"]:
+        return {
+            "folded": 0,
+            "pending": [list(row) for row in zip(*(s["initial"] for s in lower))],
+        }
     return {
-        "quantile": sketch.quantile,
-        "count": sketch.count,
-        "initial": list(sketch._initial),
-        "q": list(sketch._q),
-        "n": list(sketch._n),
-        "np": list(sketch._np),
-        "dn": list(sketch._dn),
+        "folded": int(lower[0]["count"]),
+        "lo": [s["q"][2] for s in lower],
+        "hi": [s["q"][2] for s in upper],
+        "min": [min(a["q"][0], b["q"][0]) for a, b in zip(lower, upper)],
+        "max": [max(a["q"][4], b["q"][4]) for a, b in zip(lower, upper)],
+        "pending": [],
     }
-
-
-def _p2_from_dict(payload: Dict[str, Any]) -> P2Quantile:
-    sketch = P2Quantile(float(payload["quantile"]))
-    sketch.count = int(payload["count"])
-    sketch._initial = [float(v) for v in payload["initial"]]
-    sketch._q = [float(v) for v in payload["q"]]
-    sketch._n = [float(v) for v in payload["n"]]
-    sketch._np = [float(v) for v in payload["np"]]
-    sketch._dn = [float(v) for v in payload["dn"]]
-    return sketch
 
 
 def normalizer_to_dict(normalizer: Normalizer) -> Dict[str, Any]:
@@ -159,8 +161,7 @@ def normalizer_to_dict(normalizer: Normalizer) -> Dict[str, Any]:
             kind="minmax_no_outliers",
             lower_quantile=normalizer.lower_quantile,
             upper_quantile=normalizer.upper_quantile,
-            lower=[_p2_to_dict(s) for s in normalizer._lower],
-            upper=[_p2_to_dict(s) for s in normalizer._upper],
+            **normalizer.sketch_state(),
         )
     if isinstance(normalizer, MinMaxNormalizer):
         return dict(
@@ -189,8 +190,11 @@ def normalizer_from_dict(payload: Dict[str, Any]) -> Normalizer:
             lower_quantile=float(payload["lower_quantile"]),
             upper_quantile=float(payload["upper_quantile"]),
         )
-        normalizer._lower = [_p2_from_dict(s) for s in payload["lower"]]
-        normalizer._upper = [_p2_from_dict(s) for s in payload["upper"]]
+        normalizer.restore_sketch(
+            _no_outliers_state_from_p2(payload["lower"], payload["upper"])
+            if "lower" in payload
+            else payload
+        )
     elif kind == "minmax":
         normalizer = MinMaxNormalizer(n_features)
         normalizer._trackers = [

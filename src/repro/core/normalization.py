@@ -5,8 +5,10 @@ Three incremental normalizers, matching the paper:
 * :class:`MinMaxNormalizer` — scales each feature into [0, 1] using the
   running min/max;
 * :class:`MinMaxNoOutliersNormalizer` — same, but the bounds are robust
-  streaming quantile estimates (P² algorithm), so statistical outliers
-  do not stretch the range (§V-B finds this variant ~2% better);
+  quantile estimates from a block-quantile sketch (one sort per
+  :data:`BLOCK_ROWS` rows, block quantiles folded by a count-weighted
+  mean), so statistical outliers do not stretch the range (§V-B finds
+  this variant ~2% better);
 * :class:`ZScoreNormalizer` — zero mean, unit standard deviation using
   running moments.
 
@@ -17,47 +19,51 @@ the partition observes its own raw vectors locally, and the driver folds
 the small per-partition statistics into the global normalizer with
 ``merge()`` — O(partitions) driver work instead of O(tweets).
 
-Each normalizer carries two batch-kernel implementations. The default
-scalar ``*_many`` kernels are bit-identical to the per-row path (the
-property suite compares with ``==``). With ``fast_math=True`` the
-kernels switch to numpy columnar implementations that reassociate
+Min-max, z-score and identity carry two batch-kernel implementations.
+The default scalar ``*_many`` kernels are bit-identical to the per-row
+path (the property suite compares with ``==``). With ``fast_math=True``
+the kernels switch to numpy columnar implementations that reassociate
 floating-point reductions — results agree with the scalar path within a
 documented per-kernel tolerance (DESIGN.md §9), not bitwise. The flag
 travels through ``fresh()`` so partition-local normalizers inherit it.
-The no-outliers variant vectorizes only ``transform_many``: its P²
-sketch updates are sequentially dependent across rows and measured
-faster scalar at this pipeline's feature widths (see the batch-kernels
-note on :class:`MinMaxNoOutliersNormalizer`).
+
+The no-outliers variant has one kernel regardless of the flag. Its
+contract (DESIGN.md §9) is: row path ``==`` batch path under any
+chunking, runner ``==`` runner, resume ``==`` uninterrupted — all bit
+for bit — while the bounds themselves are an estimate pinned only by
+accuracy (within 10% of the true 5%/95% span on stationary streams, the
+Fig. 7/8 benches and the F1 band).
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as _np
 
 from repro.streamml.instance import Instance
-from repro.streamml.stats import P2Quantile, RunningMinMax, RunningStats
-
-try:  # numpy backs the optional fast-math kernels only
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    _np = None  # type: ignore[assignment]
+from repro.streamml.stats import RunningMinMax, RunningStats
 
 MINMAX = "minmax"
 MINMAX_NO_OUTLIERS = "minmax_no_outliers"
 ZSCORE = "zscore"
 KINDS = (MINMAX, MINMAX_NO_OUTLIERS, ZSCORE)
 
+#: Rows per block of the no-outliers quantile sketch. A constant of the
+#: estimator, not a knob: every caller must cut blocks at the same row
+#: counts for the row and batch paths to agree bit for bit.
+BLOCK_ROWS = 256
+
 
 def _as_matrix(xs: Sequence[Sequence[float]], n_features: int):
     """Batch rows as a float64 matrix, or ``None`` to use the scalar path.
 
-    ``None`` (numpy missing, empty batch, ragged rows, or width
-    mismatch) sends the caller down the scalar kernel, which raises the
+    ``None`` (empty batch, ragged rows, or width mismatch) sends the caller down the scalar kernel, which raises the
     usual per-row errors — the fast path never changes error behaviour.
     """
-    if _np is None or len(xs) == 0:
+    if len(xs) == 0:
         return None
     if isinstance(xs, _np.ndarray):
         matrix = xs
@@ -111,6 +117,13 @@ class Normalizer(abc.ABC):
         #: scalar ones. Set via ``make_normalizer(..., fast_math=True)``
         #: and inherited by :meth:`fresh`.
         self.fast_math = False
+
+    @property
+    def columnar(self) -> bool:
+        """Whether the ``*_many`` kernels want a float64 matrix (they
+        accept row sequences either way; a caller holding both passes
+        the matrix to save the per-call conversion)."""
+        return self.fast_math
 
     @property
     def clip_ratio(self) -> float:
@@ -367,11 +380,46 @@ class MinMaxNormalizer(Normalizer):
         return out
 
 
+def _column_quantiles(ordered, quantile: float):
+    """Per-column quantile of a column-sorted matrix.
+
+    Linear interpolation between the two bracketing order statistics
+    (``numpy.quantile``'s default), so a one-row block yields the row
+    and small cold-start buffers are not biased toward either tail.
+    """
+    position = quantile * (len(ordered) - 1)
+    index = int(position)
+    if index + 1 == len(ordered):
+        return ordered[index]
+    below = ordered[index]
+    return below + (position - index) * (ordered[index + 1] - below)
+
+
 class MinMaxNoOutliersNormalizer(Normalizer):
     """Min-max over robust quantile bounds instead of the raw extremes.
 
-    Bounds default to the 5th/95th percentile, estimated online with
-    the P² algorithm; values beyond the bounds clip to 0/1.
+    Bounds default to the 5th/95th percentile, estimated with a
+    block-quantile sketch; values beyond the bounds clip to 0/1.
+
+    ``observe`` appends the row to a pending buffer. Every
+    :data:`BLOCK_ROWS` rows the buffer is sorted once per feature and
+    the block's quantiles are folded into the running estimates by a
+    count-weighted mean; ``transform`` scales against the ``(lo,
+    span)`` pairs cached at the last fold. Two cases differ from that
+    steady state:
+
+    * cold start — until anything has been folded or merged in, the
+      bounds are the exact quantiles of the pending rows, recomputed
+      per row (at most ``BLOCK_ROWS - 1`` small sorts per normalizer
+      lifetime), so the first tweets are not scaled to zeros;
+    * degenerate span — a feature whose quantile span is not positive
+      (a count that is zero for >95% of tweets) scales against the
+      tracked min/max instead, so it survives as an indicator.
+
+    The row path and the ``*_many`` kernels cut blocks at the same row
+    counts and run the same IEEE operations per value, so they are
+    ``==``-identical for any chunking of the stream; ``fast_math`` does
+    not select a different kernel here.
     """
 
     def __init__(
@@ -385,46 +433,152 @@ class MinMaxNoOutliersNormalizer(Normalizer):
             raise ValueError("need 0 < lower_quantile < upper_quantile < 1")
         self.lower_quantile = lower_quantile
         self.upper_quantile = upper_quantile
-        self._lower: List[P2Quantile] = [
-            P2Quantile(lower_quantile) for _ in range(n_features)
+        #: Rows summarised by the running estimates below (folded
+        #: blocks plus everything merged in); 0 means cold start.
+        self._folded = 0
+        self._lo = _np.zeros(n_features)
+        self._hi = _np.zeros(n_features)
+        self._min = _np.full(n_features, _np.inf)
+        self._max = _np.full(n_features, -_np.inf)
+        #: Observed rows not yet folded (always < BLOCK_ROWS of them).
+        self._pending: List[Tuple[float, ...]] = []
+        # Cached scaling bounds in both layouts: per-feature ``(lo,
+        # span)`` or None for the row path, ``(los, spans, valid)``
+        # arrays for the batch path. ``_pairs is None`` marks both
+        # stale; whatever changes the bounds resets it.
+        self._pairs: Optional[List[Optional[Tuple[float, float]]]] = None
+        self._arrays: Tuple[Any, Any, Any] = (None, None, None)
+
+    columnar = True  # one numpy kernel, whatever fast_math says
+
+    # -- sketch --------------------------------------------------------
+
+    def _fold(self, count: int, lo, hi, low, high) -> None:
+        """Fold a ``count``-row summary into the running estimates."""
+        self._folded += count
+        weight = count / self._folded  # 1.0 into an empty sketch: exact copy
+        self._lo += weight * (lo - self._lo)
+        self._hi += weight * (hi - self._hi)
+        self._min = _np.minimum(self._min, low)
+        self._max = _np.maximum(self._max, high)
+        self._pairs = None
+
+    def _summary(self, rows):
+        """``(lo, hi, min, max)`` per feature of a block of rows."""
+        ordered = _np.sort(_np.asarray(rows, dtype=_np.float64), axis=0)
+        return (
+            _column_quantiles(ordered, self.lower_quantile),
+            _column_quantiles(ordered, self.upper_quantile),
+            ordered[0],
+            ordered[-1],
+        )
+
+    def _fold_block(self, rows) -> None:
+        self._fold(len(rows), *self._summary(rows))
+
+    def _fold_pending(self) -> None:
+        self._fold_block(self._pending)
+        self._pending.clear()
+
+    def _refresh_bounds(self) -> None:
+        if self._folded or not self._pending:
+            lo, hi, low, high = self._lo, self._hi, self._min, self._max
+        else:
+            # Cold start: the pending rows' exact quantiles.
+            lo, hi, low, high = self._summary(self._pending)
+        span = hi - lo
+        degenerate = ~(span > 0)
+        los = _np.where(degenerate, low, lo)
+        spans = _np.where(degenerate, high - low, span)
+        valid = spans > 0
+        self._arrays = (los, spans, valid)
+        self._pairs = [
+            (lo_f, span_f) if ok else None
+            for lo_f, span_f, ok in zip(
+                los.tolist(), spans.tolist(), valid.tolist()
+            )
         ]
-        self._upper: List[P2Quantile] = [
-            P2Quantile(upper_quantile) for _ in range(n_features)
+
+    def sketch_state(self) -> Dict[str, Any]:
+        """JSON-ready sketch state (checkpoints, serve snapshots)."""
+        return {
+            "folded": self._folded,
+            "lo": self._lo.tolist(),
+            "hi": self._hi.tolist(),
+            "min": self._min.tolist(),
+            "max": self._max.tolist(),
+            "pending": [list(row) for row in self._pending],
+        }
+
+    def restore_sketch(self, state: Dict[str, Any]) -> None:
+        """Load :meth:`sketch_state` output; the estimates only matter
+        (and are only read) once something has been folded."""
+        self._folded = int(state["folded"])
+        if self._folded:
+            self._lo = _np.array(state["lo"], dtype=_np.float64)
+            self._hi = _np.array(state["hi"], dtype=_np.float64)
+            self._min = _np.array(state["min"], dtype=_np.float64)
+            self._max = _np.array(state["max"], dtype=_np.float64)
+        self._pending = [
+            tuple(float(v) for v in row) for row in state["pending"]
         ]
+        self._pairs = None
+
+    @property
+    def bounds(self) -> List[Optional[Tuple[float, float]]]:
+        """Per-feature ``(lo, hi)`` currently scaled against (``None``
+        where the feature has no positive span yet)."""
+        if self._pairs is None:
+            self._refresh_bounds()
+        return [
+            None if pair is None else (pair[0], pair[0] + pair[1])
+            for pair in self._pairs
+        ]
+
+    # -- row path ------------------------------------------------------
 
     def observe(self, x: Sequence[float]) -> None:
         self._check(x)
         self.observed += 1
-        for lower, upper, value in zip(self._lower, self._upper, x):
-            lower.update(value)
-            upper.update(value)
+        pending = self._pending
+        pending.append(x if type(x) is tuple else tuple(x))
+        if len(pending) == BLOCK_ROWS:
+            self._fold_pending()
+        elif not self._folded:
+            self._pairs = None
 
     def transform(self, x: Sequence[float]) -> Tuple[float, ...]:
         self._check(x)
+        if self._pairs is None:
+            self._refresh_bounds()
         self.n_transformed += len(x)
-        result = []
-        for lower, upper, value in zip(self._lower, self._upper, x):
-            lo = lower.value
-            hi = upper.value
-            if lo is None or hi is None or hi - lo <= 0:
-                result.append(0.0)
+        n_clipped = 0
+        row = []
+        for pair, value in zip(self._pairs, x):
+            if pair is None:
+                row.append(0.0)
                 continue
-            scaled = (value - lo) / (hi - lo)
-            if scaled < 0.0 or scaled > 1.0:
-                self.n_clipped += 1
-            result.append(min(max(scaled, 0.0), 1.0))
-        return tuple(result)
+            scaled = (value - pair[0]) / pair[1]
+            if scaled < 0.0:
+                n_clipped += 1
+                scaled = 0.0
+            elif scaled > 1.0:
+                n_clipped += 1
+                scaled = 1.0
+            row.append(scaled)
+        self.n_clipped += n_clipped
+        return tuple(row)
 
     def merge(self, other: Normalizer) -> None:
-        """Approximate merge via count-weighted P² sketch combination.
+        """Count-weighted fold of the other side's sketch into this one.
 
-        P² sketches are not exactly mergeable; each per-feature bound is
-        combined by blending marker heights weighted by observation count
-        (see :meth:`repro.streamml.stats.P2Quantile.merge`). Within a
-        micro-batch the partitions are round-robin splits of the same
-        stream, so the blend is a tight approximation of a single-pass
-        estimate — and, unlike keeping one side, it never discards a
-        partition's data.
+        The other side's running estimates go in weighted by its folded
+        count and its not-yet-folded rows go in as one block, so no
+        observation is dropped; this side's own pending rows stay
+        pending. Merging into an empty normalizer copies the estimates
+        exactly. Partitions of a micro-batch are round-robin splits of
+        one stream, so the weighted mean of their block quantiles is a
+        tight estimate of the single-pass bounds.
         """
         if not isinstance(other, MinMaxNoOutliersNormalizer):
             raise TypeError(
@@ -436,14 +590,12 @@ class MinMaxNoOutliersNormalizer(Normalizer):
         ):
             raise ValueError("cannot merge normalizers with different bounds")
         self._merge_counts(other)
-        self._lower = [
-            mine.merge(theirs)
-            for mine, theirs in zip(self._lower, other._lower)
-        ]
-        self._upper = [
-            mine.merge(theirs)
-            for mine, theirs in zip(self._upper, other._upper)
-        ]
+        if other._folded:
+            self._fold(
+                other._folded, other._lo, other._hi, other._min, other._max
+            )
+        if other._pending:
+            self._fold_block(other._pending)
 
     def fresh(self) -> "MinMaxNoOutliersNormalizer":
         out = MinMaxNoOutliersNormalizer(
@@ -453,125 +605,82 @@ class MinMaxNoOutliersNormalizer(Normalizer):
         return out
 
     # -- batch kernels -------------------------------------------------
-    # No numpy fast path for the observing kernels, deliberately: the
-    # P² marker update has a sequential dependence across rows (each
-    # row reads the markers the previous one wrote), so the only
-    # vectorization axis is across the 2F sketch lanes. A marker-major
-    # columnar implementation was built and measured — at this
-    # pipeline's feature widths (~2x17 lanes) the fixed per-row cost of
-    # ~30 numpy ops loses ~1.6x to the scalar update, whose early exits
-    # make real (spiky, mostly-in-range) feature streams cheap. Only
-    # transform_many vectorizes, where the bounds are batch constants.
+    # Same sketch, same block boundaries: a batch is cut wherever the
+    # row path would have folded, each cut's rows are scaled in one
+    # numpy expression against the bounds in force, and the row that
+    # completes a block is scaled after the fold it triggers — exactly
+    # as observe() then transform() would.
+
+    def _scale_into(self, X, out: List[Tuple[float, ...]]) -> None:
+        if len(X) == 0:
+            return
+        if self._pairs is None:
+            self._refresh_bounds()
+        self.n_transformed += X.size
+        rows, clipped = _scale_clip(X, *self._arrays)
+        self.n_clipped += clipped
+        out.extend(_rows_as_tuples(rows))
+
+    def _observe_from(
+        self, X, start: int, out: Optional[List[Tuple[float, ...]]]
+    ) -> None:
+        """Observe ``X[start:]``; with ``out``, also scale each row."""
+        pending = self._pending
+        n = len(X)
+        self.observed += n - start
+        done = at = start
+        while at < n:
+            take = min(BLOCK_ROWS - len(pending), n - at)
+            chunk = X[at:at + take]
+            at += take
+            if take < BLOCK_ROWS:
+                pending.extend(map(tuple, chunk.tolist()))
+                if len(pending) < BLOCK_ROWS:
+                    break
+            if out is not None:
+                self._scale_into(X[done:at - 1], out)
+                done = at - 1
+            if pending:
+                self._fold_pending()
+            else:
+                self._fold_block(chunk)
+        if out is not None:
+            self._scale_into(X[done:], out)
 
     def observe_many(self, xs: Sequence[Sequence[float]]) -> None:
-        if _np is not None and isinstance(xs, _np.ndarray):
-            xs = xs.tolist()
-        lowers = self._lower
-        uppers = self._upper
-        for x in xs:
-            self._check(x)
-            self.observed += 1
-            for lower, upper, value in zip(lowers, uppers, x):
-                lower.update(value)
-                upper.update(value)
+        X = _as_matrix(xs, self.n_features)
+        if X is None:
+            return super().observe_many(xs)
+        self._observe_from(X, 0, None)
+        if not self._folded:
+            self._pairs = None
 
     def transform_many(
         self, xs: Sequence[Sequence[float]]
     ) -> List[Tuple[float, ...]]:
-        if self.fast_math:
-            X = _as_matrix(xs, self.n_features)
-            if X is not None:
-                nan = float("nan")
-                los = _np.array(
-                    [
-                        v if (v := lower.value) is not None else nan
-                        for lower in self._lower
-                    ]
-                )
-                his = _np.array(
-                    [
-                        v if (v := upper.value) is not None else nan
-                        for upper in self._upper
-                    ]
-                )
-                spans = his - los
-                valid = spans > 0  # NaN compares False: unseen -> 0.0
-                self.n_transformed += X.size
-                rows, clipped = _scale_clip(X, los, spans, valid)
-                self.n_clipped += clipped
-                return _rows_as_tuples(rows)
-        # Pure transform: the quantile estimates are batch constants.
-        bounds = []
-        for lower, upper in zip(self._lower, self._upper):
-            lo = lower.value
-            hi = upper.value
-            if lo is None or hi is None or hi - lo <= 0:
-                bounds.append(None)
-            else:
-                bounds.append((lo, hi - lo))
+        X = _as_matrix(xs, self.n_features)
+        if X is None:
+            return super().transform_many(xs)
         out: List[Tuple[float, ...]] = []
-        n_clipped = 0
-        for x in xs:
-            self._check(x)
-            self.n_transformed += len(x)
-            row = []
-            for bound, value in zip(bounds, x):
-                if bound is None:
-                    row.append(0.0)
-                else:
-                    scaled = (value - bound[0]) / bound[1]
-                    if scaled < 0.0:
-                        n_clipped += 1
-                        scaled = 0.0
-                    elif scaled > 1.0:
-                        n_clipped += 1
-                        scaled = 1.0
-                    row.append(scaled)
-            out.append(tuple(row))
-        self.n_clipped += n_clipped
+        self._scale_into(X, out)
         return out
 
     def observe_and_transform_many(
         self, xs: Sequence[Sequence[float]]
     ) -> List[Tuple[float, ...]]:
-        if _np is not None and isinstance(xs, _np.ndarray):
-            # The self-inclusive bounds advance with the sketches row
-            # by row (see the batch-kernels note above: P² does not
-            # vectorize profitably here), so an ndarray batch just
-            # converts back to plain floats for the scalar kernel.
-            xs = xs.tolist()
-        # Self-inclusive: the sketches advance row by row, so the bounds
-        # cannot be hoisted — but each row fuses its observe and
-        # transform walks (feature-local statistics make that exact) and
-        # reads the post-warmup quantile estimate without property
-        # dispatch.
-        lowers = self._lower
-        uppers = self._upper
+        X = _as_matrix(xs, self.n_features)
+        if X is None:
+            return super().observe_and_transform_many(xs)
         out: List[Tuple[float, ...]] = []
-        n_clipped = 0
-        for x in xs:
-            self._check(x)
-            self.observed += 1
-            self.n_transformed += len(x)
-            row = []
-            for lower, upper, value in zip(lowers, uppers, x):
-                lower.update(value)
-                upper.update(value)
-                lo = lower._q[2] if len(lower._initial) >= 5 else lower.value
-                hi = upper._q[2] if len(upper._initial) >= 5 else upper.value
-                if lo is None or hi is None or hi - lo <= 0:
-                    row.append(0.0)
-                    continue
-                scaled = (value - lo) / (hi - lo)
-                if scaled < 0.0:
-                    n_clipped += 1
-                    scaled = 0.0
-                elif scaled > 1.0:
-                    n_clipped += 1
-                    scaled = 1.0
-                row.append(scaled)
-            out.append(tuple(row))
-        self.n_clipped += n_clipped
+        cold = 0
+        if not self._folded:
+            # Cold start: the bounds move with every row.
+            for x in X[:BLOCK_ROWS].tolist():
+                out.append(self.observe_and_transform(tuple(x)))
+                cold += 1
+                if self._folded:
+                    break
+        self._observe_from(X, cold, out)
         return out
 
 
@@ -803,8 +912,6 @@ def make_normalizer(
         fast_math: use the numpy columnar batch kernels (tolerance
             contract) instead of the bit-exact scalar ones.
     """
-    if fast_math and _np is None:
-        raise RuntimeError("fast_math=True requires numpy")
     normalizer: Optional[Normalizer] = None
     if kind == MINMAX:
         normalizer = MinMaxNormalizer(n_features)

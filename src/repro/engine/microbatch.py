@@ -588,16 +588,13 @@ class _PartitionTask:
                     append_instance(extract(tweet))  # op #1 (extract)
                     hist_extract.observe(perf_counter() - t_start)
                 block = InstanceBlock(instances)
-            # Under fast_math, hand the kernels the block's cached
-            # float64 matrix so the two normalizer calls share one
-            # rows->matrix conversion; otherwise (or for ragged rows)
-            # the scalar kernels take the tuple columns as before.
+            # Columnar kernels (fast_math, and the no-outliers sketch
+            # always) get the block's cached float64 matrix so `seen`
+            # and the local normalizer share one rows->matrix
+            # conversion; scalar kernels (and ragged rows) take the
+            # tuple columns.
             with _maybe_span(tracer, "normalize"):
-                xs_in = (
-                    block.matrix()
-                    if getattr(seen, "fast_math", False)
-                    else None
-                )
+                xs_in = block.matrix() if seen.columnar else None
                 if xs_in is None:
                     xs_in = block.xs
                 t_start = perf_counter()

@@ -72,7 +72,9 @@ class OpsConsole:
                 use_ansi = False
         self.use_ansi = use_ansi
         self.n_frames = 0
-        self._last_draw = 0.0
+        # None until the first frame: time.monotonic() has an arbitrary
+        # origin (often boot), so no numeric sentinel means "never".
+        self._last_draw: Optional[float] = None
         self._last_rate_t: Optional[float] = None
         self._last_processed = 0.0
 
@@ -170,7 +172,11 @@ class OpsConsole:
         if self._stream is None:
             return False
         now = time.monotonic()
-        if not force and now - self._last_draw < self.min_interval_s:
+        if (
+            not force
+            and self._last_draw is not None
+            and now - self._last_draw < self.min_interval_s
+        ):
             return False
         frame = self.render(fields)
         try:

@@ -9,9 +9,9 @@ primitives:
 * :class:`Counter` — monotonically increasing float;
 * :class:`Gauge` — point-in-time value (BoW lexicon size, clip ratio);
 * :class:`Histogram` — count/sum/min/max plus streaming p50/p95/p99
-  estimated with the same P² machinery the "minmax without outliers"
-  normalizer uses (:class:`repro.streamml.stats.P2Quantile`), so no
-  samples are ever stored;
+  estimated with P² sketches
+  (:class:`repro.streamml.stats.P2Quantile`), so no samples are ever
+  stored;
 * :class:`MetricsRegistry` — labeled children keyed by
   ``(name, labels)``, e.g. ``stage_seconds{engine="microbatch",
   stage="drain"}``;

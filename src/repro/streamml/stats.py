@@ -139,9 +139,8 @@ class RunningMinMax:
 class P2Quantile:
     """Streaming quantile estimate via the P² algorithm (Jain & Chlamtac).
 
-    Used by the "minmax without outliers" normalizer to estimate robust
-    lower/upper feature bounds (e.g. the 5th/95th percentiles) in a single
-    pass without storing observations.
+    Used by the ``repro.obs`` histograms to estimate p50/p95/p99 in a
+    single pass without storing observations.
     """
 
     def __init__(self, quantile: float) -> None:
@@ -159,8 +158,7 @@ class P2Quantile:
     def update(self, value: float) -> None:
         """Fold one observation.
 
-        This is the hottest function of the normalization stage (34
-        sketch updates per tweet under minmax_no_outliers), so the
+        Histograms call this on hot per-tweet paths, so the
         marker-adjustment loop binds the marker lists to locals and
         inlines :meth:`_parabolic`/:meth:`_linear` — the arithmetic and
         branch order are identical to the textbook form those helper

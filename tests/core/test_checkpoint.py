@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.checkpoint import (
@@ -37,6 +39,105 @@ class TestNormalizerRoundTrip:
             assert restored.transform(probe) == pytest.approx(
                 normalizer.transform(probe)
             )
+
+
+#: A ``minmax_no_outliers`` payload exactly as the previous (per-feature
+#: P² sketch) format wrote it: feature 0 warm, 7 rows in.
+_P2_PAYLOAD = {
+    "n_features": 1,
+    "observed": 7,
+    "transformed": 7,
+    "clipped": 2,
+    "fast_math": False,
+    "kind": "minmax_no_outliers",
+    "lower_quantile": 0.05,
+    "upper_quantile": 0.95,
+    "lower": [
+        {
+            "quantile": 0.05,
+            "count": 7,
+            "initial": [1.0, 2.0, 3.0, 4.0, 5.0],
+            "q": [0.5, 1.25, 2.0, 3.5, 9.0],
+            "n": [1.0, 2.0, 3.0, 5.0, 7.0],
+            "np": [1.0, 1.3, 1.6, 4.3, 7.0],
+            "dn": [0.0, 0.025, 0.05, 0.525, 1.0],
+        }
+    ],
+    "upper": [
+        {
+            "quantile": 0.95,
+            "count": 7,
+            "initial": [1.0, 2.0, 3.0, 4.0, 5.0],
+            "q": [0.5, 3.0, 8.0, 8.5, 9.0],
+            "n": [1.0, 3.0, 5.0, 6.0, 7.0],
+            "np": [1.0, 3.85, 6.7, 6.85, 7.0],
+            "dn": [0.0, 0.475, 0.95, 0.975, 1.0],
+        }
+    ],
+}
+
+#: The same format while the sketches were still buffering (< 5 rows).
+_P2_WARMUP_PAYLOAD = {
+    "n_features": 2,
+    "observed": 2,
+    "kind": "minmax_no_outliers",
+    "lower_quantile": 0.05,
+    "upper_quantile": 0.95,
+    "lower": [
+        {"quantile": 0.05, "count": 2, "initial": [1.0, 3.0],
+         "q": [], "n": [], "np": [], "dn": []},
+        {"quantile": 0.05, "count": 2, "initial": [10.0, 30.0],
+         "q": [], "n": [], "np": [], "dn": []},
+    ],
+    "upper": [
+        {"quantile": 0.95, "count": 2, "initial": [1.0, 3.0],
+         "q": [], "n": [], "np": [], "dn": []},
+        {"quantile": 0.95, "count": 2, "initial": [10.0, 30.0],
+         "q": [], "n": [], "np": [], "dn": []},
+    ],
+}
+
+
+class TestNoOutliersSketchState:
+    def test_mid_block_round_trip_continues_identically(self):
+        import random
+
+        rng = random.Random(1)
+        rows = [
+            (rng.lognormvariate(0, 1), float(rng.randint(0, 9)))
+            for _ in range(700)
+        ]
+        for cut in (0, 3, 255, 256, 300, 512, 650):
+            uninterrupted = make_normalizer("minmax_no_outliers", 2)
+            expected = [uninterrupted.observe_and_transform(x) for x in rows]
+            first = make_normalizer("minmax_no_outliers", 2)
+            got = [first.observe_and_transform(x) for x in rows[:cut]]
+            payload = json.loads(json.dumps(normalizer_to_dict(first)))
+            resumed = normalizer_from_dict(payload)
+            got += resumed.observe_and_transform_many(rows[cut:])
+            assert got == expected
+            assert normalizer_to_dict(resumed) == normalizer_to_dict(
+                uninterrupted
+            )
+
+    def test_previous_p2_payload_still_loads(self):
+        normalizer = normalizer_from_dict(_P2_PAYLOAD)
+        assert (normalizer.observed, normalizer.n_clipped) == (7, 2)
+        # q[2] of each sketch is its estimate; q[0]/q[4] the extremes.
+        assert normalizer.bounds == [(2.0, 8.0)]
+        assert normalizer.transform((5.0,)) == (0.5,)
+        state = normalizer.sketch_state()
+        assert (state["folded"], state["min"], state["max"]) == (7, [0.5], [9.0])
+        assert state["pending"] == []
+        # And it re-saves in the current format only.
+        assert "lower" not in normalizer_to_dict(normalizer)
+
+    def test_previous_p2_warmup_payload_becomes_pending_rows(self):
+        normalizer = normalizer_from_dict(_P2_WARMUP_PAYLOAD)
+        state = normalizer.sketch_state()
+        assert state["folded"] == 0
+        assert state["pending"] == [[1.0, 10.0], [3.0, 30.0]]
+        assert normalizer.transform((2.0, 20.0)) == pytest.approx((0.5, 0.5))
 
 
 class TestResumeEquivalence:

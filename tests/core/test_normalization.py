@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.normalization import (
+    BLOCK_ROWS,
     IdentityNormalizer,
     MinMaxNoOutliersNormalizer,
     MinMaxNormalizer,
@@ -147,6 +148,61 @@ class TestMinMaxNoOutliers:
         a.merge(b)
         assert a.observed == 1003
         assert a.transform((100.5,))[0] == pytest.approx(0.5, abs=0.15)
+
+    def test_cold_start_uses_exact_quantiles_of_pending_rows(self):
+        """Before the first fold the first tweets are not scaled to 0."""
+        normalizer = MinMaxNoOutliersNormalizer(1)
+        assert normalizer.transform((3.0,)) == (0.0,)  # nothing seen yet
+        values = [float(v) for v in range(21)]
+        random.Random(0).shuffle(values)
+        outputs = [normalizer.observe_and_transform((v,)) for v in values]
+        # 21 rows 0..20: exact 5%/95% quantiles are 1 and 19.
+        assert normalizer.bounds == [(1.0, 19.0)]
+        assert normalizer.transform((10.0,)) == (0.5,)
+        assert sum(0.0 < out[0] < 1.0 for out in outputs[2:]) >= 10
+
+    def test_cold_start_ends_at_first_fold_or_merge(self):
+        normalizer = MinMaxNoOutliersNormalizer(1)
+        for v in range(BLOCK_ROWS - 1):
+            normalizer.observe((float(v),))
+        assert normalizer.sketch_state()["folded"] == 0
+        normalizer.observe((float(BLOCK_ROWS - 1),))
+        state = normalizer.sketch_state()
+        assert (state["folded"], state["pending"]) == (BLOCK_ROWS, [])
+        frozen = normalizer.bounds
+
+        local = normalizer.fresh()
+        local.observe((5.0,))
+        local.observe((6.0,))
+        assert local.sketch_state()["folded"] == 0  # never folds a tiny block
+        local.merge(normalizer)
+        assert local.bounds == frozen  # merged-in estimates end cold start
+        assert len(local.sketch_state()["pending"]) == 2
+
+        normalizer.observe((1e9,))  # pending rows no longer move bounds
+        assert normalizer.bounds == frozen
+
+    def test_rare_feature_falls_back_to_min_max(self):
+        """A 97%-zero count has 5%/95% quantiles 0/0; it must survive
+        as an indicator instead of being erased."""
+        rng = random.Random(4)
+        normalizer = MinMaxNoOutliersNormalizer(2)
+        for _ in range(4 * BLOCK_ROWS):
+            rare = float(rng.randint(1, 3)) if rng.random() < 0.03 else 0.0
+            normalizer.observe((rare, rng.uniform(0, 1)))
+        lo, hi = normalizer.bounds[0]
+        assert (lo, hi) == (0.0, 3.0)
+        assert normalizer.transform((0.0, 0.5))[0] == 0.0
+        assert normalizer.transform((3.0, 0.5))[0] == 1.0
+        assert 0.0 < normalizer.transform((1.0, 0.5))[0] < 1.0
+
+    def test_constant_feature_scales_to_zero(self):
+        normalizer = MinMaxNoOutliersNormalizer(1)
+        for _ in range(BLOCK_ROWS + 5):
+            normalizer.observe((7.0,))
+        assert normalizer.bounds == [None]
+        assert normalizer.transform((7.0,)) == (0.0,)
+        assert normalizer.n_clipped == 0
 
     def test_merge_rejects_mismatched_bounds(self):
         a = MinMaxNoOutliersNormalizer(1, 0.05, 0.95)

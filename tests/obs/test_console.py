@@ -76,6 +76,19 @@ class TestDraw:
         assert console.draw({"processed": 3}, force=True) is True
         assert console.n_frames == 2
 
+    def test_first_frame_drawn_on_freshly_booted_host(self, monkeypatch):
+        """monotonic() may start near 0; the first frame is never throttled."""
+        clock = iter([0.5, 1.0, 2.0, 3601.0])
+        monkeypatch.setattr(
+            "repro.obs.console.time.monotonic", lambda: next(clock)
+        )
+        console = OpsConsole(stream=io.StringIO(), min_interval_s=3600.0)
+        assert console.draw({"processed": 1}) is True
+        assert console.draw({"processed": 2}) is False
+        assert console.draw({"processed": 3}) is False
+        assert console.draw({"processed": 4}) is True
+        assert console.n_frames == 2
+
     def test_broken_pipe_disables_console_permanently(self):
         console = OpsConsole(stream=_BrokenStream(), min_interval_s=0.0)
         assert console.draw({"processed": 1}) is False

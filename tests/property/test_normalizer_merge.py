@@ -2,7 +2,8 @@
 
 The micro-batch engine relies on ``merge(split_a, split_b)`` being
 equivalent to a single-pass ``observe`` over the concatenated stream —
-exactly for min-max and z-score, approximately for the P² variant.
+exactly for min-max and z-score; the no-outliers block sketch merges
+approximately and is covered in ``test_block_sketch.py``.
 """
 
 from __future__ import annotations
