@@ -89,7 +89,7 @@ class AdaptiveBagOfWords:
 
     def count_matches(self, tokens: Sequence[str]) -> int:
         """Number of tokens present in the current list."""
-        return sum(1 for token in tokens if token in self.words)
+        return sum(map(self.words.__contains__, tokens))
 
     # ------------------------------------------------------------------
     # Updating
@@ -221,7 +221,7 @@ class FixedBagOfWords:
 
     def count_matches(self, tokens: Sequence[str]) -> int:
         """Number of tokens present in the fixed list."""
-        return sum(1 for token in tokens if token in self.words)
+        return sum(map(self.words.__contains__, tokens))
 
     def update(self, tokens: Sequence[str], is_aggressive: bool) -> None:
         """No-op: the fixed list never changes."""

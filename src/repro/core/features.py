@@ -27,7 +27,6 @@ from repro.data.tweet import Tweet
 from repro.streamml.instance import Instance
 from repro.text.analysis import TextAnalysis, analyze
 from repro.text.lexicons import SWEAR_WORDS
-from repro.text.pos import PosTagger
 from repro.text.sentiment import SentimentAnalyzer
 from repro.text.tokenizer import Token, tokenize
 
@@ -176,7 +175,6 @@ class FeatureExtractor:
             from repro.text.deobfuscate import Deobfuscator
 
             self._deobfuscator = Deobfuscator()
-        self._tagger = PosTagger()
         self._sentiment = SentimentAnalyzer()
 
     def extract(self, tweet: Tweet, update_bow: bool = True) -> Instance:
@@ -198,18 +196,21 @@ class FeatureExtractor:
             sentiment=self._sentiment,
         )
         lower_words = analysis.lower_words
+        n_swear = analysis.n_swear
         if self._deobfuscator is not None and tier < DegradeTier.TEXT_ONLY:
             # Normalize disguised profanity ("sh1t", "i.d.i.o.t") back
-            # to canonical forms before lexicon/BoW matching.
-            lower_words = [
-                self._deobfuscator.deobfuscate(w) for w in lower_words
-            ]
+            # to canonical forms before lexicon/BoW matching. The
+            # records' swear flags describe the original spellings, so
+            # the count is retaken over the rewritten ones.
+            deobfuscate = self._deobfuscator.deobfuscate
+            lower_words = [deobfuscate(w) for w in lower_words]
+            n_swear = sum(1 for w in lower_words if w in SWEAR_WORDS)
         label = self.encoder.encode(tweet.label)
         if update_bow and label is not None:
             self.bag_of_words.update(
                 lower_words, is_aggressive=self.encoder.is_aggressive(label)
             )
-        x = self._feature_vector(tweet, analysis, lower_words)
+        x = self._feature_vector(tweet, analysis, lower_words, n_swear)
         return Instance(
             x=x,
             y=label,
@@ -227,6 +228,7 @@ class FeatureExtractor:
         tweet: Tweet,
         analysis: TextAnalysis,
         lower_words: Sequence[str],
+        n_swear: int,
     ) -> Tuple[float, ...]:
         user = tweet.user
         if analysis.n_adjectives is None:
@@ -244,7 +246,6 @@ class FeatureExtractor:
             sentiment_scores = (
                 float(sentiment.positive), float(sentiment.negative)
             )
-        n_swear = sum(1 for w in lower_words if w in SWEAR_WORDS)
         n_bow = self.bag_of_words.count_matches(lower_words)
         return (
             user.account_age_days(tweet.created_at),

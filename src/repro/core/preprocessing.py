@@ -11,31 +11,20 @@ step runs.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Sequence
+from typing import List, Sequence
 
+from repro.text.lexicons import TWITTER_ABBREVIATIONS  # noqa: F401  (re-export)
 from repro.text.tokenizer import Token, TokenType, tokenize
-
-#: Twitter-specific abbreviations removed during preprocessing.
-TWITTER_ABBREVIATIONS: FrozenSet[str] = frozenset(
-    ("rt", "mt", "ht", "via", "cc", "dm", "ff", "icymi", "tbt", "smh",
-     "imo", "imho", "fyi", "btw", "irl", "ikr")
-)
-
-_KEPT_TYPES = (TokenType.WORD,)
 
 
 def preprocess_tokens(tokens: Sequence[Token]) -> List[Token]:
     """Filter a token stream down to clean word tokens.
 
     Drops URLs, mentions, hashtags, numbers, punctuation, emoticons,
-    symbols, and known Twitter abbreviations.
+    symbols, and known Twitter abbreviations — one ``kept`` flag read
+    per token; the flag is computed when the token's record is built.
     """
-    return [
-        token
-        for token in tokens
-        if token.type in _KEPT_TYPES
-        and token.lower not in TWITTER_ABBREVIATIONS
-    ]
+    return [token for token in tokens if token.kept]
 
 
 def preprocess(text: str) -> str:

@@ -20,7 +20,7 @@ lexicon/BoW evidence) against the snapshot state.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.checkpoint import _bow_from_dict, normalizer_from_dict
 from repro.core.config import PipelineConfig
@@ -119,6 +119,15 @@ class ServingModel:
         probabilities, the tier used, and whether the request was
         degraded below FULL fidelity.
         """
+        return self._classify(tweet, budget_s, tier)[0]
+
+    def _classify(
+        self,
+        tweet: Tweet,
+        budget_s: Optional[float],
+        tier: Optional[DegradeTier],
+    ) -> Tuple[Dict[str, Any], Tuple[float, ...]]:
+        """:meth:`classify` plus the normalized vector the model saw."""
         chosen = tier if tier is not None else self.choose_tier(budget_s)
         start = time.perf_counter()
         self.extractor.tier = chosen
@@ -132,7 +141,7 @@ class ServingModel:
         self._observe_cost(chosen, elapsed)
         self.n_classified += 1
         predicted = max(range(len(proba)), key=proba.__getitem__)
-        return {
+        result = {
             "tweet_id": tweet.tweet_id,
             "predicted": self.encoder.decode(predicted),
             "proba": {
@@ -144,6 +153,7 @@ class ServingModel:
             "degraded": chosen != DegradeTier.FULL,
             "elapsed_s": elapsed,
         }
+        return result, x
 
     def explain(
         self,
@@ -151,7 +161,7 @@ class ServingModel:
         budget_s: Optional[float] = None,
     ) -> Dict[str, Any]:
         """Classification plus moderator-facing evidence (JSON-safe)."""
-        result = self.classify(tweet, budget_s=budget_s)
+        result, x = self._classify(tweet, budget_s, None)
         tweet_words = words(tweet.text)
         result["matched_swear_words"] = sorted(
             {w for w in tweet_words if w in SWEAR_WORDS}
@@ -162,11 +172,13 @@ class ServingModel:
                 if w in self.bag_of_words and w not in SWEAR_WORDS
             }
         )
-        # Model-structure evidence needs the (normalized) vector the
-        # model actually saw; recompute at FULL fidelity so the
-        # explanation is about the best available evidence.
-        instance = self.extractor.extract(tweet, update_bow=False)
-        x = self.normalizer.transform(instance.x)
+        # Model-structure evidence is about the best available
+        # evidence: the FULL-fidelity vector. Extraction without a BoW
+        # update is pure, so an undegraded request reuses the vector it
+        # was classified on; only a degraded one pays a second pass.
+        if result["degraded"]:
+            instance = self.extractor.extract(tweet, update_bow=False)
+            x = self.normalizer.transform(instance.x)
         decision_path: List[Dict[str, Any]] = []
         contributions: List[Dict[str, Any]] = []
         if isinstance(self.model, HoeffdingTree):

@@ -16,9 +16,10 @@ containing digits ("2nd", "covid19") pass through untouched.
 from __future__ import annotations
 
 import re
-from typing import FrozenSet, Iterable, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from repro.text.lexicons import SWEAR_WORDS
+from repro.text.tokenizer import remember
 
 #: Common visually-similar substitutions used to dodge word filters.
 CHARACTER_MAP = {
@@ -79,13 +80,17 @@ class Deobfuscator:
 
     Args:
         vocabulary: canonical words worth recovering (defaults to the
-            swear lexicon — the filter-evasion target).
+            swear lexicon — the filter-evasion target). Fixed for the
+            instance's lifetime: answers are memoized per word.
     """
 
     def __init__(self, vocabulary: Optional[Iterable[str]] = None) -> None:
         self.vocabulary: FrozenSet[str] = frozenset(
             vocabulary if vocabulary is not None else SWEAR_WORDS
         )
+        #: word → canonical form, under the tokenizer's memo rule
+        #: (bounded, cleared when full, oversize words not stored).
+        self._memo: Dict[str, str] = {}
 
     def deobfuscate(self, word: str) -> str:
         """Canonical form of a word if one hits the vocabulary.
@@ -93,6 +98,12 @@ class Deobfuscator:
         Returns the lowercased original when no candidate matches, so
         the transformation never invents matches for clean words.
         """
+        form = self._memo.get(word)
+        if form is None:
+            form = remember(self._memo, word, self._resolve(word))
+        return form
+
+    def _resolve(self, word: str) -> str:
         for form in candidate_forms(word):
             if form in self.vocabulary:
                 return form

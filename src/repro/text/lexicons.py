@@ -208,6 +208,13 @@ def negation_words() -> FrozenSet[str]:
     )
 
 
+#: Twitter-specific abbreviations removed during preprocessing.
+TWITTER_ABBREVIATIONS: FrozenSet[str] = frozenset(
+    ("rt", "mt", "ht", "via", "cc", "dm", "ff", "icymi", "tbt", "smh",
+     "imo", "imho", "fyi", "btw", "irl", "ikr")
+)
+
+
 # ----------------------------------------------------------------------
 # POS word lists (used by repro.text.pos alongside suffix rules)
 # ----------------------------------------------------------------------

@@ -17,11 +17,12 @@ closely enough for the feature distributions in Fig. 4c.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.text import lexicons
-from repro.text.tokenizer import Token, TokenType, tokenize
+
+if TYPE_CHECKING:
+    from repro.text.tokenizer import Token
 
 
 class PosTag(enum.Enum):
@@ -48,14 +49,12 @@ _VERB_SUFFIXES = ("ize", "ise", "ate", "ify", "en")
 _VERB_INFLECTIONS = ("ing", "ed")
 
 
-@lru_cache(maxsize=65536)
 def tag_lower_word(lower: str) -> PosTag:
-    """Tag one already-lowercased word (memoized).
+    """Tag one already-lowercased word.
 
-    Tweet vocabularies are heavily repetitive, so the lexicon + suffix
-    cascade runs once per distinct word instead of once per occurrence.
-    The cascade is pure (module-level lexicons only), which is what
-    makes the module-wide cache safe; :class:`PosTagger` delegates here.
+    Pure in the word and the module-level lexicons. Not memoized here:
+    the tokenizer runs the cascade once per distinct surface form when
+    it builds the word's record and stores the tag as ``Token.pos``.
     """
     if lower in lexicons.PRONOUNS:
         return PosTag.PRONOUN
@@ -88,10 +87,6 @@ def _tag_by_suffix(lower: str) -> PosTag:
             return PosTag.VERB
     for suffix in _VERB_INFLECTIONS:
         if lower.endswith(suffix) and len(lower) > len(suffix) + 2:
-            # "-ed"/"-ing" forms whose stem looks verbal.
-            stem = lower[: -len(suffix)]
-            if stem in lexicons.VERBS or stem + "e" in lexicons.VERBS:
-                return PosTag.VERB
             return PosTag.VERB
     return PosTag.NOUN
 
@@ -99,36 +94,20 @@ def _tag_by_suffix(lower: str) -> PosTag:
 class PosTagger:
     """Tags word tokens with coarse POS categories."""
 
-    def __init__(self) -> None:
-        self._adjectives = lexicons.ADJECTIVES
-        self._adverbs = lexicons.ADVERBS
-        self._verbs = lexicons.VERBS
-        self._pronouns = lexicons.PRONOUNS
-        self._determiners = lexicons.DETERMINERS
-        self._prepositions = lexicons.PREPOSITIONS
-        self._conjunctions = lexicons.CONJUNCTIONS
-
     def tag_word(self, word: str) -> PosTag:
         """Tag a single word (case-insensitive)."""
         return tag_lower_word(word.lower())
 
-    def _tag_by_suffix(self, lower: str) -> PosTag:
-        return _tag_by_suffix(lower)
-
     def tag_tokens(self, tokens: Sequence[Token]) -> List[PosTag]:
         """Tag a token sequence; non-word tokens get NUMBER/OTHER."""
-        tags: List[PosTag] = []
-        for token in tokens:
-            if token.type is TokenType.NUMBER:
-                tags.append(PosTag.NUMBER)
-            elif token.is_word:
-                tags.append(tag_lower_word(token.lower))
-            else:
-                tags.append(PosTag.OTHER)
-        return tags
+        return [token.pos for token in tokens]
 
     def tag_text(self, text: str) -> List[PosTag]:
         """Tokenize and tag raw text."""
+        # Imported here: the tokenizer builds its word records from
+        # this module's cascade, so it sits above us at import time.
+        from repro.text.tokenizer import tokenize
+
         return self.tag_tokens(tokenize(text))
 
     def count(self, text: str, tag: PosTag) -> int:

@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.text.lexicons import booster_words, negation_words, sentiment_lexicon
-from repro.text.tokenizer import Token, tokenize
+from repro.text.lexicons import sentiment_lexicon
+
+if TYPE_CHECKING:
+    from repro.text.tokenizer import Token
 
 _REPEATED_LETTERS = re.compile(r"(\w)\1{2,}")
+_LEXICON = sentiment_lexicon()
 
 
 @dataclass(frozen=True)
@@ -54,32 +56,25 @@ def _squeeze_repeats(word: str) -> str:
     return _REPEATED_LETTERS.sub(r"\1", word)
 
 
-@lru_cache(maxsize=65536)
 def word_strength_lower(lower: str) -> int:
-    """Base strength of an already-lowercased word (memoized).
+    """Base strength of an already-lowercased word (0 if unknown).
 
-    The lexicon lookup plus repeated-letter squeeze runs once per
-    distinct word; the module-level sentiment lexicons are themselves
-    cached singletons, so the result is pure.
+    Pure in the word and the sentiment lexicon. Not memoized here: the
+    tokenizer evaluates it once per distinct surface form when it
+    builds the word's record and stores it as ``Token.strength``.
     """
-    lexicon = sentiment_lexicon()
-    if lower in lexicon:
-        return lexicon[lower]
+    if lower in _LEXICON:
+        return _LEXICON[lower]
     squeezed = _squeeze_repeats(lower)
-    if squeezed != lower and squeezed in lexicon:
+    if squeezed != lower and squeezed in _LEXICON:
         # Letter repetition signals emphasis: one level stronger.
-        base = lexicon[squeezed]
+        base = _LEXICON[squeezed]
         return _clamp(base + (1 if base > 0 else -1))
     return 0
 
 
 class SentimentAnalyzer:
     """Scores short texts on the SentiStrength [-5, 5] dual scale."""
-
-    def __init__(self) -> None:
-        self._lexicon = sentiment_lexicon()
-        self._boosters = booster_words()
-        self._negations = negation_words()
 
     def word_strength(self, word: str) -> int:
         """Base strength of a word (0 if not in the lexicon)."""
@@ -101,20 +96,30 @@ class SentimentAnalyzer:
         The fused text analyzer extracts the word list and exclamation
         flag in its single token walk and scores through this entry
         point; :meth:`score_tokens` derives both itself. Results are
-        identical either way.
+        identical either way. Every per-word fact (base strength, the
+        previous word's negator/booster role, shouting) is a field of
+        the token's record, so the walk touches no lexicon.
         """
         max_positive = 1
         min_negative = -1
-        for index, token in enumerate(words):
-            strength = word_strength_lower(token.lower)
-            if strength == 0:
-                continue
-            strength = self._apply_modifiers(words, index, token, strength)
-            if strength > 0:
-                if strength > max_positive:
-                    max_positive = min(strength, 5)
-            elif strength < min_negative:
-                min_negative = max(strength, -5)
+        previous: Optional[Token] = None
+        for token in words:
+            strength = token.strength
+            if strength:
+                if previous is not None:
+                    if previous.negator:
+                        strength = -strength
+                    elif previous.boost:
+                        delta = previous.boost
+                        strength += delta if strength > 0 else -delta
+                if token.is_uppercase_word:
+                    strength += 1 if strength > 0 else -1
+                if strength > 0:
+                    if strength > max_positive:
+                        max_positive = min(strength, 5)
+                elif strength < min_negative:
+                    min_negative = max(strength, -5)
+            previous = token
         if has_exclamation:
             if max_positive > -min_negative and max_positive < 5:
                 max_positive += 1
@@ -122,27 +127,13 @@ class SentimentAnalyzer:
                 min_negative -= 1
         return SentimentScore(positive=max_positive, negative=min_negative)
 
-    def _apply_modifiers(
-        self,
-        words: Sequence[Token],
-        index: int,
-        token: Token,
-        strength: int,
-    ) -> int:
-        previous: Optional[Token] = words[index - 1] if index > 0 else None
-        if previous is not None:
-            prev_lower = previous.lower
-            if prev_lower in self._negations:
-                strength = -strength
-            elif prev_lower in self._boosters:
-                delta = self._boosters[prev_lower]
-                strength += delta if strength > 0 else -delta
-        if token.is_uppercase_word:
-            strength += 1 if strength > 0 else -1
-        return _clamp(strength)
-
     def score(self, text: str) -> SentimentScore:
         """Tokenize and score raw text."""
+        # Imported here: the tokenizer builds its word records from
+        # this module's word strengths, so it sits above us at import
+        # time.
+        from repro.text.tokenizer import tokenize
+
         return self.score_tokens(tokenize(text))
 
 

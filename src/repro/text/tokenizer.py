@@ -1,19 +1,49 @@
-"""Tweet-aware tokenizer.
+"""Tweet-aware tokenizer and the interned word records it hands out.
 
 Splits raw tweet text into typed tokens: URLs, user mentions, hashtags,
 emoticons, words, numbers, and punctuation. Downstream consumers rely on
 the types — e.g. preprocessing removes URL/MENTION/HASHTAG tokens, the
 feature extractor counts them first, and the sentence splitter uses
 terminal punctuation.
+
+A :class:`Token` is also the *record* of every per-type fact the feature
+path reads (lowercase form, POS tag, sentiment strength, ...), computed
+once in the constructor. Tweet vocabulary is Zipfian, so
+:func:`tokenize` interns word tokens by surface text in one bounded
+module-level table: a repeated word costs one ``dict.get``.
+
+The table is a pure cache — a record is a function of the surface string
+and the import-time lexicons only — so it is never part of a checkpoint,
+snapshot, broadcast or digest, and clearing it changes no result.
+Threads share it without a lock: ``dict.get`` and item assignment are
+atomic under the GIL, and a lost race merely builds an identical record
+twice. DESIGN.md §9 has the full contract.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from functools import cached_property
-from typing import List
+from typing import Dict, List
+
+from repro.text.lexicons import (
+    SWEAR_WORDS,
+    TWITTER_ABBREVIATIONS,
+    booster_words,
+    negation_words,
+)
+from repro.text.pos import PosTag, tag_lower_word
+from repro.text.sentiment import word_strength_lower
+
+#: Entries a memo keyed by surface form may hold (the word table here,
+#: each ``Deobfuscator``'s memo). A full memo is cleared and refills from
+#: the stream, so a burst of unique strings costs one re-warm rather than
+#: a permanently poisoned cache.
+WORD_TABLE_LIMIT = 65536
+
+#: Longer surface forms are never stored, so the bound on entries is
+#: also a bound on bytes.
+MAX_INTERNED_LENGTH = 64
 
 
 class TokenType(enum.Enum):
@@ -29,34 +59,82 @@ class TokenType(enum.Enum):
     SYMBOL = "symbol"
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single token with its surface text and category."""
+_WORD = TokenType.WORD
+_PUNCTUATION = TokenType.PUNCTUATION
+_NEGATIONS = negation_words()
+_BOOSTERS = booster_words()
+_fill = object.__setattr__
 
-    text: str
-    type: TokenType
+
+class Token:
+    """A token and the per-type facts the feature path reads off it.
+
+    Immutable, and compared/hashed by ``(text, type)`` only — every
+    other field is derived from those two. The word facts stay at their
+    neutral value on any other token type.
+    """
+
+    __slots__ = (
+        "text",
+        "type",
+        "lower",  # text.lower()
+        "length",  # len(text)
+        "swear",  # lower is in the base swear lexicon
+        "is_uppercase_word",  # all-caps word of length >= 2 ('shouting')
+        "kept",  # a word preprocessing keeps (not a Twitter abbreviation)
+        "pos",  # PosTag of a word; NUMBER/OTHER for anything else
+        "strength",  # base sentiment strength in [-5, 5], 0 if unknown
+        "negator",  # flips the polarity of the next sentiment word
+        "boost",  # level added to the next sentiment word, 0 if none
+    )
+
+    def __init__(self, text: str, type: TokenType) -> None:
+        lower = text.lower()
+        is_word = type is _WORD
+        _fill(self, "text", text)
+        _fill(self, "type", type)
+        _fill(self, "lower", lower)
+        _fill(self, "length", len(text))
+        _fill(self, "swear", lower in SWEAR_WORDS)
+        _fill(
+            self, "is_uppercase_word",
+            is_word and len(text) >= 2 and text.isupper(),
+        )
+        _fill(self, "kept", is_word and lower not in TWITTER_ABBREVIATIONS)
+        if is_word:
+            _fill(self, "pos", tag_lower_word(lower))
+        else:
+            _fill(
+                self, "pos",
+                PosTag.NUMBER if type is TokenType.NUMBER else PosTag.OTHER,
+            )
+        _fill(self, "strength", word_strength_lower(lower) if is_word else 0)
+        _fill(self, "negator", is_word and lower in _NEGATIONS)
+        _fill(self, "boost", _BOOSTERS.get(lower, 0) if is_word else 0)
 
     @property
     def is_word(self) -> bool:
-        return self.type is TokenType.WORD
+        return self.type is _WORD
 
-    # ``lower``/``is_uppercase_word`` are asked for several times per
-    # token along the feature path (preprocessing, POS, sentiment, BoW),
-    # so both memoize on first access. Tokens are frozen, making the
-    # cache safe; equality/hash still compare only (text, type).
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Token is immutable (tried to set {name!r})")
 
-    @cached_property
-    def lower(self) -> str:
-        return self.text.lower()
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Token is immutable (tried to delete {name!r})")
 
-    @cached_property
-    def is_uppercase_word(self) -> bool:
-        """All-caps word of length >= 2 (the 'shouting' signal)."""
-        return (
-            self.type is TokenType.WORD
-            and len(self.text) >= 2
-            and self.text.isupper()
-        )
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Token:
+            return NotImplemented
+        return self.text == other.text and self.type is other.type
+
+    def __hash__(self) -> int:
+        return hash((self.text, self.type))
+
+    def __repr__(self) -> str:
+        return f"Token(text={self.text!r}, type={self.type!r})"
+
+    def __reduce__(self):
+        return (Token, (self.text, self.type))
 
 
 _EMOTICONS = (
@@ -65,49 +143,94 @@ _EMOTICONS = (
     ":'(", ":')",
 )
 
+_URL = r"https?://\S+|www\.\S+"
+
+# Alternatives are tried in order, so the order is the priority. WORD —
+# six tokens in seven — is tried first and therefore carries, as a
+# negative lookahead, the two higher-priority kinds that can start with
+# a letter (URLs and the letter-initial emoticons); everything it
+# rejects falls through to them. The leading ``\s*`` skips inter-token
+# whitespace inside one match instead of one failed match per blank;
+# :func:`tokenize` strips trailing whitespace first, so that run is
+# always followed by a character some alternative (SYMBOL at the least)
+# accepts and never backtracks.
 _TOKEN_PATTERN = re.compile(
     r"""
-    (?P<URL>https?://\S+|www\.\S+)
+    \s*(?:
+    (?P<WORD>(?!%(url)s|%(letter_emoticon)s)
+             [A-Za-z](?:[A-Za-z'*$0-9-]*[A-Za-z*$0-9])?)
+  | (?P<URL>%(url)s)
   | (?P<MENTION>@\w+)
   | (?P<HASHTAG>\#\w+)
-  | (?P<EMOTICON>%s)
+  | (?P<EMOTICON>%(emoticon)s)
   | (?P<NUMBER>\d+(?:[.,]\d+)*)
-  | (?P<WORD>[A-Za-z](?:[A-Za-z'*$0-9-]*[A-Za-z*$0-9])?)
   | (?P<PUNCTUATION>[.!?,;:"'()\[\]{}…-]+)
   | (?P<SYMBOL>\S)
+    )
     """
-    % "|".join(re.escape(e) for e in _EMOTICONS),
+    % {
+        "url": _URL,
+        "emoticon": "|".join(re.escape(e) for e in _EMOTICONS),
+        "letter_emoticon": "|".join(
+            re.escape(e) for e in _EMOTICONS if e[0].isalpha()
+        ),
+    },
     re.VERBOSE,
 )
 
-_GROUP_TO_TYPE = {
-    "URL": TokenType.URL,
-    "MENTION": TokenType.MENTION,
-    "HASHTAG": TokenType.HASHTAG,
-    "EMOTICON": TokenType.EMOTICON,
-    "NUMBER": TokenType.NUMBER,
-    "WORD": TokenType.WORD,
-    "PUNCTUATION": TokenType.PUNCTUATION,
-    "SYMBOL": TokenType.SYMBOL,
+#: ``match.lastindex`` → token type (the groups are named after them).
+_TYPE_BY_GROUP = {
+    index: TokenType[name] for name, index in _TOKEN_PATTERN.groupindex.items()
 }
 
 _SENTENCE_TERMINATORS = re.compile(r"[.!?…]+")
 
+#: Surface text → the shared token, for words and for punctuation runs
+#: (a closed alphabet no word can start with, so the two never share a
+#: key). URLs, mentions, hashtags and numbers are unbounded by nature and
+#: are built per occurrence, as are the rare emoticons and symbols.
+_WORD_TABLE: Dict[str, Token] = {}
+
+
+def remember(memo: dict, key: str, value):
+    """Store ``value`` under the shared memo rule and return it.
+
+    Keys longer than :data:`MAX_INTERNED_LENGTH` are not stored; a memo
+    that has reached :data:`WORD_TABLE_LIMIT` entries is cleared first.
+    """
+    if len(key) <= MAX_INTERNED_LENGTH:
+        if len(memo) >= WORD_TABLE_LIMIT:
+            memo.clear()
+        memo[key] = value
+    return value
+
 
 def tokenize(text: str) -> List[Token]:
-    """Tokenize tweet text into typed tokens."""
+    """Tokenize tweet text into typed tokens.
+
+    Word and punctuation tokens are shared instances from the interned
+    table — treat every token as read-only (they enforce it).
+    """
     tokens: List[Token] = []
-    for match in _TOKEN_PATTERN.finditer(text):
-        group = match.lastgroup
-        if group is None:
-            continue
-        tokens.append(Token(text=match.group(), type=_GROUP_TO_TYPE[group]))
+    append = tokens.append
+    lookup = _WORD_TABLE.get
+    for match in _TOKEN_PATTERN.finditer(text.rstrip()):
+        group = match.lastindex
+        surface = match.group(group)
+        kind = _TYPE_BY_GROUP[group]
+        if kind is _WORD or kind is _PUNCTUATION:
+            token = lookup(surface)
+            if token is None:
+                token = remember(_WORD_TABLE, surface, Token(surface, kind))
+        else:
+            token = Token(surface, kind)
+        append(token)
     return tokens
 
 
 def words(text: str) -> List[str]:
     """Lowercased word tokens only."""
-    return [t.lower for t in tokenize(text) if t.is_word]
+    return [t.lower for t in tokenize(text) if t.type is _WORD]
 
 
 def split_sentences(text: str) -> List[str]:
@@ -126,8 +249,8 @@ def count_sentences(text: str) -> int:
     Feature extraction only needs the count, so this skips building the
     stripped fragment list.
     """
-    return sum(
-        1
-        for part in _SENTENCE_TERMINATORS.split(text)
-        if part and not part.isspace()
-    )
+    count = 0
+    for part in _SENTENCE_TERMINATORS.split(text):
+        if part and not part.isspace():
+            count += 1
+    return count

@@ -72,3 +72,34 @@ class TestDeobfuscator:
         deobfuscator = Deobfuscator()
         result = deobfuscator.deobfuscate(word)
         assert result == result.lower()
+
+
+class TestMemo:
+    def test_hit_miss_and_overflow(self, monkeypatch):
+        from repro.text import deobfuscate as module, tokenizer
+
+        calls = []
+        candidate_forms = module.candidate_forms
+        monkeypatch.setattr(
+            module, "candidate_forms",
+            lambda word: calls.append(word) or candidate_forms(word),
+        )
+        monkeypatch.setattr(tokenizer, "WORD_TABLE_LIMIT", 3)
+        deobfuscator = Deobfuscator()
+        assert deobfuscator.deobfuscate("sh1t") == "shit"  # miss
+        assert deobfuscator.deobfuscate("sh1t") == "shit"  # hit
+        assert deobfuscator.deobfuscate("Sh1t") == "shit"  # keyed by surface
+        assert calls == ["sh1t", "Sh1t"]
+        for word in ("table", "id1ot", "chair", "lamp"):
+            deobfuscator.deobfuscate(word)
+            assert len(deobfuscator._memo) <= 3
+        # Cleared on reaching the bound: the early words resolve again,
+        # to the same answers.
+        assert "sh1t" not in deobfuscator._memo
+        assert deobfuscator.deobfuscate("sh1t") == "shit"
+        assert calls.count("sh1t") == 2
+
+    def test_memos_are_per_instance(self):
+        swears, secrets = Deobfuscator(), Deobfuscator(vocabulary=["secret"])
+        assert swears.deobfuscate("s3cr3t") == "s3cr3t"
+        assert secrets.deobfuscate("s3cr3t") == "secret"

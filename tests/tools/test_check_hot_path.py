@@ -1,0 +1,86 @@
+"""The hot-path lint flags what it says it flags, and nothing else."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+
+_spec = importlib.util.spec_from_file_location(
+    "check_hot_path", ROOT / "tools" / "check_hot_path.py"
+)
+check_hot_path = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_hot_path)
+
+OFFENDING = '''
+import functools
+import re
+from functools import cached_property, lru_cache
+
+
+class Token:
+    @cached_property
+    def lower(self):
+        return self.text.lower()
+
+    @functools.lru_cache(maxsize=None)
+    def tag(self):
+        return re.compile("x")
+
+
+@lru_cache(maxsize=65536)
+def word_strength_lower(lower):
+    return 0
+'''
+
+CLEAN = '''
+import re
+from functools import lru_cache
+
+_PATTERN = re.compile("x")
+
+
+@lru_cache(maxsize=None)
+def sentiment_lexicon():
+    """Zero-argument singleton: built once, not a per-word memo."""
+    return {}
+
+
+class Token:
+    __slots__ = ("text", "lower")
+'''
+
+
+def _messages(source: str, filename: str):
+    return [
+        message
+        for _, _, message in check_hot_path.find_hot_path_offenses(
+            source, filename
+        )
+    ]
+
+
+def test_offending_snippet_is_flagged_on_the_text_path():
+    messages = _messages(OFFENDING, "src/repro/text/tokenizer.py")
+    assert sum("cached_property" in m for m in messages) == 1
+    assert sum("lru_cache" in m for m in messages) == 2
+    assert sum("re.compile" in m for m in messages) == 1
+    assert len(messages) == 4
+    assert len(_messages(OFFENDING, "src/repro/core/features.py")) == 4
+
+
+def test_memo_rule_is_scoped_to_the_record_paths():
+    messages = _messages(OFFENDING, "src/repro/data/vocab.py")
+    assert messages == [
+        "re.compile in function body (compile at module level)"
+    ]
+
+
+def test_clean_snippet_passes():
+    assert _messages(CLEAN, "src/repro/text/lexicons.py") == []
+
+
+def test_the_tree_is_clean():
+    for root in check_hot_path.DEFAULT_ROOTS:
+        assert check_hot_path.check_tree(ROOT / root) == []

@@ -29,6 +29,16 @@ two patterns that are harmless elsewhere are throughput bugs there:
   re-introduces the per-partition (or per-batch-per-task) serialization
   this transport exists to remove.
 
+* ``functools.cached_property`` anywhere, and ``functools.lru_cache``
+  / ``cache`` on a function that takes arguments, under
+  ``src/repro/text`` and in ``src/repro/core/features.py`` — on
+  Python 3.11 every ``cached_property`` fill takes an ``RLock`` and an
+  ``lru_cache`` is a call frame plus a hash per *occurrence*; per-word
+  facts are fields of the interned ``Token`` record (one table lookup
+  per token, DESIGN.md §9). The zero-argument lexicon accessors in
+  ``text/lexicons.py`` are import-time singletons, not per-call memos,
+  and stay legal.
+
 Walks the AST so occurrences in docstrings and comments don't
 false-positive, and exits non-zero listing any offending call sites.
 
@@ -107,16 +117,54 @@ def _is_numpy_allocation(node: ast.Call) -> bool:
     )
 
 
+def _decorator_name(node: ast.expr) -> str:
+    """``cached_property`` for ``@functools.cached_property`` and
+    ``lru_cache`` for ``@lru_cache(maxsize=...)`` alike."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def _memo_decorator_offenses(
+    tree: ast.AST,
+) -> Iterator[Tuple[int, int, str]]:
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        takes_arguments = bool(
+            node.args.posonlyargs or node.args.args or node.args.vararg
+            or node.args.kwonlyargs or node.args.kwarg
+        )
+        for decorator in node.decorator_list:
+            name = _decorator_name(decorator)
+            if name == "cached_property" or (
+                name in ("lru_cache", "cache") and takes_arguments
+            ):
+                yield (
+                    decorator.lineno,
+                    decorator.col_offset,
+                    f"{name} on the text path (make it a field of the "
+                    "interned Token record)",
+                )
+
+
 def find_hot_path_offenses(
     source: str, filename: str = ""
 ) -> Iterator[Tuple[int, int, str]]:
     """Yield (line, column, message) for every offending call.
 
     ``filename`` gates the file-scoped rules: shared-memory attach is
-    legal only in :data:`SHM_ALLOWED_FILES`, and direct pickling inside
-    an ``engine/`` directory only in :data:`PICKLE_ALLOWED_FILES`.
+    legal only in :data:`SHM_ALLOWED_FILES`, direct pickling inside
+    an ``engine/`` directory only in :data:`PICKLE_ALLOWED_FILES`, and
+    memo decorators are banned in a ``text/`` directory and in
+    ``core/features.py`` (there the record is the memo).
     """
     tree = ast.parse(source)
+    parts = Path(filename).parts
+    if "text" in parts or parts[-2:] == ("core", "features.py"):
+        yield from _memo_decorator_offenses(tree)
     # re.compile is only an offense inside a function body; module-level
     # compiles are exactly the fix this lint wants.
     function_nodes = [
