@@ -154,6 +154,7 @@ METRIC_HELP: Dict[str, str] = {
     "requests_shed_total": "Requests shed by admission control (429s).",
     "admission_queue_depth": "Requests waiting in the admission room.",
     "inflight_requests": "Requests currently being handled.",
+    "connections_refused_total": "Connections refused at the wire, by reason.",
     "snapshots_published_total": "Model snapshots published to the store.",
     "snapshot_rejected_total": "Snapshots refused (checksum/structure).",
     "snapshot_swaps_total": "Hot model swaps completed by the server.",

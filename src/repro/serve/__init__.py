@@ -14,9 +14,12 @@ live. It is split along the process boundary:
 * :mod:`repro.serve.admission` — bounded-waiting-room admission
   control with the shared shed-policy vocabulary, plus the rolling
   per-endpoint circuit breaker;
-* :mod:`repro.serve.server` — :class:`AggressionServer`, the asyncio
-  HTTP/JSONL front end with hot swap, graceful drain, and full
-  observability wiring.
+* :mod:`repro.serve.wire` — the socket layer: one selector-driven
+  connection object per accepted socket, one bounded framer for HTTP
+  and JSONL, pre-encoded reply heads;
+* :mod:`repro.serve.server` — :class:`AggressionServer`, the
+  HTTP/JSONL front end routing and scoring what ``wire`` frames, with
+  hot swap, graceful drain, and full observability wiring.
 
 Run one with ``python -m repro serve SNAPSHOT_DIR`` against a store
 fed by ``repro run ... --publish-snapshot SNAPSHOT_DIR`` or

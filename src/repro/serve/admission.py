@@ -35,7 +35,7 @@ from __future__ import annotations
 import asyncio
 import random
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.obs.logconfig import get_logger
 from repro.obs.metrics import MetricsRegistry
@@ -162,12 +162,19 @@ class AdmissionController:
 
     # -- admission ------------------------------------------------------
 
-    async def acquire(self, endpoint: str = "") -> None:
-        """Admit one request, waiting if the room allows; sheds with
-        :class:`RequestShed` otherwise."""
+    def try_acquire(self) -> bool:
+        """Admit one request only if that takes no waiting: a free slot
+        and nobody queued ahead. The server's inline path."""
         if self._inflight < self.max_inflight and not self._waiters:
             self._inflight += 1
             self.n_admitted += 1
+            return True
+        return False
+
+    async def acquire(self, endpoint: str = "") -> None:
+        """Admit one request, waiting if the room allows; sheds with
+        :class:`RequestShed` otherwise."""
+        if self.try_acquire():
             return
         if len(self._waiters) >= self.queue_capacity:
             admit, shed_oldest = ADMISSION_POLICY_REGISTRY[self.policy](self)
@@ -255,6 +262,7 @@ class RollingBreaker:
         self.min_events = min_events
         self.probe_every = probe_every
         self._outcomes: Deque[bool] = deque(maxlen=window)
+        self._n_failed = 0  # == sum(self._outcomes), kept by record()
         self._rejected_since_probe = 0
         self.n_opens = 0
         self._was_open = False
@@ -263,7 +271,7 @@ class RollingBreaker:
     def failure_rate(self) -> float:
         if not self._outcomes:
             return 0.0
-        return sum(self._outcomes) / len(self._outcomes)
+        return self._n_failed / len(self._outcomes)
 
     @property
     def is_open(self) -> bool:
@@ -288,21 +296,7 @@ class RollingBreaker:
 
     def record(self, failed: bool) -> None:
         """Record one request outcome into the rolling window."""
+        if len(self._outcomes) == self.window:
+            self._n_failed -= self._outcomes[0]  # about to be evicted
         self._outcomes.append(bool(failed))
-
-
-def endpoint_breakers(
-    endpoints: Any,
-    window: int = 64,
-    max_failure_rate: float = 0.5,
-    min_events: int = 8,
-) -> Dict[str, RollingBreaker]:
-    """One independent breaker per endpoint name."""
-    return {
-        name: RollingBreaker(
-            window=window,
-            max_failure_rate=max_failure_rate,
-            min_events=min_events,
-        )
-        for name in endpoints
-    }
+        self._n_failed += bool(failed)

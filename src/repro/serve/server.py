@@ -1,4 +1,4 @@
-"""Fault-tolerant real-time serving: asyncio HTTP/JSONL on one port.
+"""Fault-tolerant real-time serving: HTTP/JSONL on one port.
 
 :class:`AggressionServer` answers "is this tweet aggressive?" while
 the conversation is still live (the paper's red-handed goal) and is
@@ -25,7 +25,9 @@ built to keep answering through overload, corrupt state, and restarts:
   cleanly.
 
 Wire format — both speak on the same port, sniffed per connection
-from the first byte:
+from the first byte (:mod:`repro.serve.wire` frames and bounds them;
+this module routes and scores — inside the socket's read callback
+unless the request has to wait for admission):
 
 * HTTP/1.1: ``GET /health | /ready | /metrics``,
   ``POST /classify | /explain`` with a Twitter-style JSON tweet (or
@@ -49,21 +51,23 @@ import json
 import math
 import signal
 import time
-from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any, Awaitable, Callable, Dict, List, Optional, Set, Tuple, Union,
+)
 
 from repro.data.tweet import Tweet
 from repro.obs.export import prometheus_exposition
 from repro.obs.logconfig import get_logger
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import SLO, SLOTracker
 from repro.serve.admission import (
     AdmissionController,
     RequestShed,
     RollingBreaker,
-    endpoint_breakers,
 )
+from repro.serve import wire
 from repro.serve.model import ServingModel
 from repro.serve.snapshot import (
     SnapshotInfo,
@@ -79,15 +83,8 @@ ENDPOINTS = ("classify", "explain", "health", "ready", "metrics")
 #: Endpoints subject to admission control and deadline budgets.
 SCORING_ENDPOINTS = ("classify", "explain")
 
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
+#: What a handler returns: the reply, or the coroutine that will.
+Answer = Union[wire.Reply, Awaitable[wire.Reply]]
 
 
 def default_serve_slos(
@@ -156,14 +153,11 @@ class _LoadedSnapshot:
     n_served: int = 0
 
 
-@dataclass
-class _Response:
-    """One endpoint reply, protocol-agnostic."""
-
-    status: int
-    body: Any  # dict (JSON) or str (text exposition)
-    headers: Dict[str, str] = field(default_factory=dict)
-    content_type: str = "application/json"
+def _json_object(data: bytes, what: str) -> Dict[str, Any]:
+    payload = json.loads(data.decode("utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return payload
 
 
 class AggressionServer:
@@ -232,16 +226,17 @@ class AggressionServer:
             policy=shed_policy,
             metrics=self.metrics,
         )
-        self.breakers: Dict[str, RollingBreaker] = endpoint_breakers(
-            SCORING_ENDPOINTS,
-            window=breaker_window,
-            max_failure_rate=breaker_max_failure_rate,
-        )
+        self.breakers: Dict[str, RollingBreaker] = {
+            endpoint: RollingBreaker(breaker_window, breaker_max_failure_rate)
+            for endpoint in SCORING_ENDPOINTS
+        }
         self._current: Optional[_LoadedSnapshot] = None
         self._rejected_versions: set = set()
-        self._server: Optional[asyncio.base_events.Server] = None
+        self._listener: Optional[wire.Listener] = None
         self._poll_task: Optional[asyncio.Task] = None
-        self._writers: set = set()
+        self._connections: Set[wire.Connection] = set()
+        #: (endpoint, status) -> (requests_total child, request_seconds child)
+        self._handles: Dict[Tuple[str, int], Tuple[Counter, Histogram]] = {}
         self._inflight_requests = 0
         self._draining = False
         self._shutdown_event: Optional[asyncio.Event] = None
@@ -340,8 +335,10 @@ class AggressionServer:
             )
 
     async def _poll_loop(self) -> None:
+        loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(self.poll_interval_s)
+            wire.sweep_stalled(self._connections, loop.time(), self)
             try:
                 self.check_for_update()
             except Exception:  # pragma: no cover - defensive
@@ -372,11 +369,13 @@ class AggressionServer:
 
     async def start(self) -> Tuple[str, int]:
         """Bind, load the initial snapshot if one exists, start polling."""
-        self._shutdown_event = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        if self._shutdown_event is None:
+            self._shutdown_event = asyncio.Event()
+        self._listener = wire.Listener(
+            asyncio.get_running_loop(), self.host, self.port,
+            self, self._connections,
         )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self.port = self._listener.port
         try:
             self.check_for_update()
         except Exception:  # pragma: no cover - defensive
@@ -406,14 +405,17 @@ class AggressionServer:
 
     async def serve_forever(self) -> None:
         """Start, serve until SIGTERM/SIGINT, drain, return."""
-        await self.start()
+        # Handlers first: a SIGTERM that lands right after the "serving
+        # on" line must drain, not kill.
+        self._shutdown_event = asyncio.Event()
         self.install_signal_handlers()
-        assert self._shutdown_event is not None
+        await self.start()
         await self._shutdown_event.wait()
         await self.shutdown()
 
     async def shutdown(self) -> None:
-        """Graceful drain: stop accepting, finish in-flight, close."""
+        """Graceful drain: stop accepting, let waiting requests finish
+        and unsent replies flush, then close every connection."""
         if self._draining:
             return
         self._draining = True
@@ -421,9 +423,10 @@ class AggressionServer:
             "drain: stopped accepting (%d in flight)",
             self._inflight_requests,
         )
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        if self._listener is not None:
+            self._listener.close()
+        for conn in self._connections:
+            conn.draining = True
         if self._poll_task is not None:
             self._poll_task.cancel()
             try:
@@ -431,14 +434,14 @@ class AggressionServer:
             except asyncio.CancelledError:
                 pass
         deadline = time.monotonic() + self.drain_timeout_s
-        while self._inflight_requests > 0 and time.monotonic() < deadline:
+        while time.monotonic() < deadline and (
+            self._inflight_requests > 0
+            or any(conn.out for conn in self._connections)
+        ):
             await asyncio.sleep(0.01)
         leaked = self._inflight_requests
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - defensive
-                pass
+        for conn in list(self._connections):
+            conn.close()
         if self.telemetry is not None:
             self.telemetry.snapshot(self.metrics, reason="drain")
             self.telemetry.event(
@@ -457,208 +460,80 @@ class AggressionServer:
                 self.n_requests,
             )
 
-    # -- connection handling --------------------------------------------
+    # -- routing (the wire handler protocol) ------------------------------
 
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self._writers.add(writer)
-        try:
-            first = await reader.readline()
-            if not first:
-                return
-            if first.lstrip().startswith(b"{"):
-                await self._serve_jsonl(first, reader, writer)
-            else:
-                await self._serve_http(first, reader, writer)
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.IncompleteReadError,
-        ):
-            pass
-        finally:
-            self._writers.discard(writer)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
-
-    async def _serve_jsonl(
-        self,
-        first: bytes,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """Persistent one-JSON-per-line session."""
-        line: Optional[bytes] = first
-        while line:
-            response = await self._dispatch_jsonl_line(line)
-            body = dict(response.body) if isinstance(
-                response.body, dict
-            ) else {"text": response.body}
-            body.setdefault("status", response.status)
-            if "retry-after" in {k.lower() for k in response.headers}:
-                body.setdefault(
-                    "retry_after_s",
-                    float(response.headers.get("Retry-After", 0)),
-                )
-            writer.write(
-                json.dumps(body, separators=(",", ":")).encode("utf-8")
-                + b"\n"
+    def handle_http(self, method: str, target: str, body: bytes) -> Answer:
+        """Route one framed HTTP request."""
+        endpoint = target.split("?", 1)[0].strip("/") or "health"
+        if endpoint not in ENDPOINTS:
+            return self._count(
+                "health", 404, {"error": f"no such endpoint /{endpoint}"}
             )
-            await writer.drain()
-            if self._draining:
-                break
-            line = await reader.readline()
+        if endpoint in SCORING_ENDPOINTS and method.upper() != "POST":
+            return 405, {"error": f"/{endpoint} requires POST"}, None
+        payload: Dict[str, Any] = {}
+        if body:
+            try:
+                payload = _json_object(body, "request body")
+            except (ValueError, UnicodeDecodeError) as exc:
+                return self._count(
+                    endpoint, 400, {"error": f"bad request: {exc}"}
+                )
+        return self._dispatch(endpoint, payload)
 
-    async def _dispatch_jsonl_line(self, line: bytes) -> _Response:
+    def handle_jsonl(self, line: bytes) -> Answer:
+        """Route one line of a JSONL session."""
         try:
-            payload = json.loads(line.decode("utf-8"))
-            if not isinstance(payload, dict):
-                raise ValueError("request must be a JSON object")
+            payload = _json_object(line, "request")
         except (ValueError, UnicodeDecodeError) as exc:
             return self._count(
-                "classify",
-                _Response(400, {"error": f"bad request: {exc}"}),
-                elapsed=0.0,
+                "classify", 400, {"error": f"bad request: {exc}"}
             )
         endpoint = payload.get("op", "classify")
         if endpoint not in ENDPOINTS:
             return self._count(
-                "classify",
-                _Response(404, {"error": f"unknown op {endpoint!r}"}),
-                elapsed=0.0,
+                "classify", 404, {"error": f"unknown op {endpoint!r}"}
             )
-        return await self._dispatch(endpoint, payload)
+        return self._dispatch(endpoint, payload)
 
-    async def _serve_http(
-        self,
-        first: bytes,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """One HTTP/1.1 request, ``Connection: close`` semantics."""
-        try:
-            method, path, _ = first.decode("latin-1").split(None, 2)
-        except ValueError:
-            await self._write_http(
-                writer, _Response(400, {"error": "malformed request line"})
-            )
-            return
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        body = b""
-        try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
-            length = 0
-        if length > 0:
-            try:
-                body = await reader.readexactly(length)
-            except asyncio.IncompleteReadError:
-                return
-        endpoint = path.split("?", 1)[0].strip("/") or "health"
-        if endpoint not in ENDPOINTS:
-            await self._write_http(
-                writer,
-                self._count(
-                    "health",
-                    _Response(404, {"error": f"no such endpoint /{endpoint}"}),
-                    elapsed=0.0,
-                ),
-            )
-            return
-        if endpoint in SCORING_ENDPOINTS and method.upper() != "POST":
-            await self._write_http(
-                writer,
-                _Response(405, {"error": f"/{endpoint} requires POST"}),
-            )
-            return
-        payload: Dict[str, Any] = {}
-        if body:
-            try:
-                parsed = json.loads(body.decode("utf-8"))
-                if not isinstance(parsed, dict):
-                    raise ValueError("request body must be a JSON object")
-                payload = parsed
-            except (ValueError, UnicodeDecodeError) as exc:
-                await self._write_http(
-                    writer,
-                    self._count(
-                        endpoint,
-                        _Response(400, {"error": f"bad request: {exc}"}),
-                        elapsed=0.0,
-                    ),
-                )
-                return
-        response = await self._dispatch(endpoint, payload)
-        await self._write_http(writer, response)
-
-    async def _write_http(
-        self, writer: asyncio.StreamWriter, response: _Response
-    ) -> None:
-        if isinstance(response.body, str):
-            data = response.body.encode("utf-8")
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        else:
-            data = json.dumps(
-                response.body, separators=(",", ":")
-            ).encode("utf-8")
-            content_type = response.content_type
-        reason = _REASONS.get(response.status, "Unknown")
-        head = [
-            f"HTTP/1.1 {response.status} {reason}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(data)}",
-            "Connection: close",
-        ]
-        head.extend(f"{k}: {v}" for k, v in response.headers.items())
-        writer.write(
-            ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + data
-        )
-        await writer.drain()
+    def refused(self, reason: str) -> None:
+        """A connection the wire layer refused (over a bound, stalled)."""
+        self.metrics.counter("connections_refused_total", reason=reason).inc()
 
     # -- dispatch -------------------------------------------------------
 
-    async def _dispatch(
-        self, endpoint: str, payload: Dict[str, Any]
-    ) -> _Response:
-        start = time.perf_counter()
-        self._inflight_requests += 1
+    def _track_inflight(self, delta: int) -> None:
+        self._inflight_requests += delta
         self._g_inflight.set(self._inflight_requests)
+
+    def _dispatch(self, endpoint: str, payload: Dict[str, Any]) -> Answer:
+        start = time.perf_counter()
+        self._track_inflight(+1)
+        waiting = False
         try:
             if endpoint == "health":
-                return self._count(endpoint, self._health(), start=start)
+                return self._count(endpoint, 200, self._health(), start)
             if endpoint == "ready":
-                return self._count(endpoint, self._ready(), start=start)
+                return self._count(endpoint, *self._ready(), start)
             if endpoint == "metrics":
                 return self._count(
-                    endpoint,
-                    _Response(200, prometheus_exposition(self.metrics)),
-                    start=start,
+                    endpoint, 200, prometheus_exposition(self.metrics), start
                 )
-            return await self._score(endpoint, payload, start)
+            answer = self._score(endpoint, payload, start)
+            waiting = not isinstance(answer, tuple)
+            return answer
         finally:
-            self._inflight_requests -= 1
-            self._g_inflight.set(self._inflight_requests)
+            if not waiting:  # a waiting request leaves when it finishes
+                self._track_inflight(-1)
 
-    def _health(self) -> _Response:
+    def _health(self) -> Dict[str, Any]:
         if self._draining:
             status = "draining"
         elif self._current is None:
             status = "waiting_for_snapshot"
         else:
             status = "serving"
-        return _Response(200, {
+        return {
             "status": status,
             "snapshot_version": self.snapshot_version,
             "n_requests": self.n_requests,
@@ -666,52 +541,83 @@ class AggressionServer:
             "n_swaps": self.n_swaps,
             "snapshots_rejected": self.store.n_rejected,
             "uptime_s": time.time() - self.started_at,
-        })
+        }
 
-    def _ready(self) -> _Response:
+    def _ready(self) -> Tuple[int, Dict[str, Any]]:
         if self.ready:
-            return _Response(
-                200, {"ready": True, "snapshot_version": self.snapshot_version}
-            )
+            return 200, {
+                "ready": True, "snapshot_version": self.snapshot_version
+            }
         reason = "draining" if self._draining else "no verified snapshot"
-        return _Response(503, {"ready": False, "reason": reason})
+        return 503, {"ready": False, "reason": reason}
 
-    async def _score(
+    def _score(
         self, endpoint: str, payload: Dict[str, Any], start: float
-    ) -> _Response:
+    ) -> Answer:
+        """Breaker → ready → admission. An uncontended request is scored
+        right here, inside the read callback; one that has to wait
+        (no free slot, or a chaos hook to await) comes back as the
+        coroutine that will score it."""
         breaker = self.breakers[endpoint]
         if not breaker.allow():
-            retry = self.admission.retry_after_s()
-            return self._count(endpoint, _Response(
-                503,
-                {"error": "circuit open", "retry_after_s": retry},
-                headers={"Retry-After": str(max(1, math.ceil(retry)))},
-            ), start=start)
+            return self._back_off(
+                endpoint, 503, "circuit open",
+                self.admission.retry_after_s(), start,
+            )
         if not self.ready:
-            return self._count(endpoint, _Response(
-                503,
-                {
-                    "error": (
-                        "draining" if self._draining
-                        else "no verified snapshot loaded"
-                    )
-                },
-            ), start=start)
+            error = (
+                "draining" if self._draining else "no verified snapshot loaded"
+            )
+            return self._count(endpoint, 503, {"error": error}, start)
+        if self.chaos_hook is None and self.admission.try_acquire():
+            return self._score_admitted(
+                endpoint, payload, start, breaker, self._pin()
+            )
+        return self._score_waiting(endpoint, payload, start, breaker)
+
+    async def _score_waiting(
+        self,
+        endpoint: str,
+        payload: Dict[str, Any],
+        start: float,
+        breaker: RollingBreaker,
+    ) -> wire.Reply:
         try:
-            await self.admission.acquire(endpoint)
-        except RequestShed as shed:
-            return self._count(endpoint, _Response(
-                429,
-                {"error": "overloaded", "retry_after_s": shed.retry_after_s},
-                headers={
-                    "Retry-After": str(max(1, math.ceil(shed.retry_after_s)))
-                },
-            ), start=start)
-        snap = self._pin()
+            try:
+                await self.admission.acquire(endpoint)
+            except RequestShed as shed:
+                return self._back_off(
+                    endpoint, 429, "overloaded", shed.retry_after_s, start
+                )
+            snap = self._pin()
+            hook_error: Optional[Exception] = None
+            try:
+                if self.chaos_hook is not None:
+                    await self.chaos_hook(endpoint)
+            except Exception as exc:
+                hook_error = exc
+            return self._score_admitted(
+                endpoint, payload, start, breaker, snap, hook_error
+            )
+        finally:
+            self._track_inflight(-1)
+
+    def _score_admitted(
+        self,
+        endpoint: str,
+        payload: Dict[str, Any],
+        start: float,
+        breaker: RollingBreaker,
+        snap: _LoadedSnapshot,
+        hook_error: Optional[Exception] = None,
+    ) -> wire.Reply:
+        """Score one admitted, pinned request; shared by the inline path
+        and the waiting task (``hook_error``: what its chaos hook raised,
+        handled like any other handler failure)."""
         failed = False
         try:
-            if self.chaos_hook is not None:
-                await self.chaos_hook(endpoint)
+            if hook_error is not None:
+                raise hook_error
             tweet = tweet_from_payload(payload)
             deadline_s = self.default_deadline_s
             if "deadline_ms" in payload:
@@ -731,11 +637,9 @@ class AggressionServer:
             if result.get("degraded"):
                 self._m_degraded.inc()
             result["snapshot_version"] = snap.info.version
-            return self._count(endpoint, _Response(200, result), start=start)
+            return self._count(endpoint, 200, result, start)
         except ValueError as exc:
-            return self._count(
-                endpoint, _Response(400, {"error": str(exc)}), start=start
-            )
+            return self._count(endpoint, 400, {"error": str(exc)}, start)
         except Exception as exc:
             failed = True
             self._m_errors.inc()
@@ -745,9 +649,7 @@ class AggressionServer:
                     "handler_error", endpoint=endpoint, error=repr(exc)
                 )
             return self._count(
-                endpoint,
-                _Response(500, {"error": f"{type(exc).__name__}: {exc}"}),
-                start=start,
+                endpoint, 500, {"error": f"{type(exc).__name__}: {exc}"}, start
             )
         finally:
             elapsed = time.perf_counter() - start
@@ -756,23 +658,44 @@ class AggressionServer:
             self.admission.note_service_time(elapsed)
             breaker.record(failed)
 
+    def _back_off(
+        self, endpoint: str, status: int, error: str, retry_s: float,
+        start: float,
+    ) -> wire.Reply:
+        return self._count(
+            endpoint, status, {"error": error, "retry_after_s": retry_s},
+            start, max(1, math.ceil(retry_s)),
+        )
+
+    def _request_handles(
+        self, endpoint: str, status: int
+    ) -> Tuple[Counter, Histogram]:
+        handles = self._handles[endpoint, status] = (
+            self.metrics.counter(
+                "requests_total", endpoint=endpoint, status=str(status)
+            ),
+            self.metrics.histogram("request_seconds", endpoint=endpoint),
+        )
+        return handles
+
     def _count(
         self,
         endpoint: str,
-        response: _Response,
+        status: int,
+        body: Any,
         start: Optional[float] = None,
-        elapsed: Optional[float] = None,
-    ) -> _Response:
-        """Per-response bookkeeping: counters, latency, SLO cadence."""
-        if elapsed is None:
-            elapsed = time.perf_counter() - start if start is not None else 0.0
+        retry_after: Optional[int] = None,
+    ) -> wire.Reply:
+        """Per-response bookkeeping (counters, latency, SLO cadence);
+        returns the reply. ``start=None`` books a zero latency."""
+        handles = self._handles.get((endpoint, status))
+        if handles is None:
+            handles = self._request_handles(endpoint, status)
         self.n_requests += 1
-        self.metrics.counter(
-            "requests_total", endpoint=endpoint, status=str(response.status)
-        ).inc()
-        self.metrics.histogram(
-            "request_seconds", endpoint=endpoint
-        ).observe(elapsed)
+        handles[0].inc()
+        handles[1].observe(
+            time.perf_counter() - start if start is not None else 0.0
+        )
         self._responses_since_slo += 1
         if (
             self.slo_tracker is not None
@@ -780,4 +703,4 @@ class AggressionServer:
         ):
             self._responses_since_slo = 0
             self.slo_tracker.observe(self.metrics)
-        return response
+        return status, body, retry_after

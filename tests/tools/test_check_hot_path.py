@@ -52,6 +52,35 @@ class Token:
 '''
 
 
+SERVE_OFFENDING = '''
+import asyncio
+
+
+class Server:
+    async def start(self):
+        self._server = await asyncio.start_server(self._handle, "", 0)
+
+    async def _handle(self, reader: asyncio.StreamReader, writer):
+        pass
+
+    def _count(self, endpoint, status):
+        self.metrics.counter(
+            "requests_total", endpoint=endpoint, status=str(status)
+        ).inc()
+        self.metrics.histogram("request_seconds", endpoint=endpoint)
+'''
+
+SERVE_CLEAN = '''
+class Server:
+    def _request_handles(self, endpoint, status):
+        return self.metrics.counter("requests_total", endpoint=endpoint)
+
+    def _count(self, endpoint, status):
+        self._handles[endpoint, status][0].inc()
+        self.metrics.counter("responses_total").inc()
+'''
+
+
 def _messages(source: str, filename: str):
     return [
         message
@@ -75,6 +104,17 @@ def test_memo_rule_is_scoped_to_the_record_paths():
     assert messages == [
         "re.compile in function body (compile at module level)"
     ]
+
+
+def test_stream_layer_and_labelled_count_lookups_flagged_in_serve():
+    messages = _messages(SERVE_OFFENDING, "src/repro/serve/server.py")
+    assert sum("start_server" in m for m in messages) == 1
+    assert sum("StreamReader" in m for m in messages) == 1
+    assert sum("in _count" in m for m in messages) == 2
+    assert len(messages) == 4
+    # The serve rules stop at the serve directory.
+    assert _messages(SERVE_OFFENDING, "src/repro/engine/microbatch.py") == []
+    assert _messages(SERVE_CLEAN, "src/repro/serve/server.py") == []
 
 
 def test_clean_snippet_passes():

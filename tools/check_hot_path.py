@@ -39,12 +39,21 @@ two patterns that are harmless elsewhere are throughput bugs there:
   ``text/lexicons.py`` are import-time singletons, not per-call memos,
   and stay legal.
 
+* under ``src/repro/serve``: ``asyncio.start_server`` /
+  ``asyncio.open_connection`` / ``StreamReader`` / ``StreamWriter`` —
+  the wire path is one selector-driven connection object on raw
+  sockets (``serve/wire.py``, DESIGN.md §9 "Serving wire path"); the
+  stream layer costs a Task, a transport and ~4 loop iterations per
+  request — and keyword-labelled ``metrics.counter(...)`` /
+  ``metrics.histogram(...)`` inside ``_count``, which runs once per
+  response and must use the cached ``(endpoint, status)`` handles.
+
 Walks the AST so occurrences in docstrings and comments don't
 false-positive, and exits non-zero listing any offending call sites.
 
 Usage: python tools/check_hot_path.py [root ...]
        (default: src/repro/core src/repro/text src/repro/streamml
-       src/repro/engine)
+       src/repro/engine src/repro/serve)
 """
 
 from __future__ import annotations
@@ -59,6 +68,7 @@ DEFAULT_ROOTS = (
     "src/repro/text",
     "src/repro/streamml",
     "src/repro/engine",
+    "src/repro/serve",
 )
 
 #: The one module allowed to attach shared-memory segments.
@@ -150,6 +160,41 @@ def _memo_decorator_offenses(
                 )
 
 
+#: The asyncio stream layer, banned from the serving wire path.
+SERVE_BANNED_NAMES = {
+    "start_server", "open_connection", "StreamReader", "StreamWriter",
+}
+
+
+def _serve_offenses(tree: ast.AST) -> Iterator[Tuple[int, int, str]]:
+    for node in ast.walk(tree):
+        name = (
+            node.attr if isinstance(node, ast.Attribute)
+            else node.id if isinstance(node, ast.Name) else ""
+        )
+        if name in SERVE_BANNED_NAMES:
+            yield (
+                node.lineno,
+                node.col_offset,
+                f"{name} on the serving wire path (use the selector-"
+                "driven Connection in serve/wire.py)",
+            )
+        if isinstance(node, ast.FunctionDef) and node.name == "_count":
+            for call in ast.walk(node):
+                if (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr in ("counter", "histogram")
+                    and call.keywords
+                ):
+                    yield (
+                        call.lineno,
+                        call.col_offset,
+                        f"labelled metrics.{call.func.attr}() lookup per "
+                        "response in _count (cache the handle)",
+                    )
+
+
 def find_hot_path_offenses(
     source: str, filename: str = ""
 ) -> Iterator[Tuple[int, int, str]]:
@@ -159,12 +204,16 @@ def find_hot_path_offenses(
     legal only in :data:`SHM_ALLOWED_FILES`, direct pickling inside
     an ``engine/`` directory only in :data:`PICKLE_ALLOWED_FILES`, and
     memo decorators are banned in a ``text/`` directory and in
-    ``core/features.py`` (there the record is the memo).
+    ``core/features.py`` (there the record is the memo); the asyncio
+    stream layer and per-response labelled metric lookups are banned
+    in a ``serve/`` directory.
     """
     tree = ast.parse(source)
     parts = Path(filename).parts
     if "text" in parts or parts[-2:] == ("core", "features.py"):
         yield from _memo_decorator_offenses(tree)
+    if "serve" in parts:
+        yield from _serve_offenses(tree)
     # re.compile is only an offense inside a function body; module-level
     # compiles are exactly the fix this lint wants.
     function_nodes = [
