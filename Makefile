@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-full ledger-smoke examples lint clean
+.PHONY: install test bench bench-full ledger-smoke ledger-pairs examples lint clean
 
 PYTHON ?= python
 
@@ -21,6 +21,14 @@ bench-full:
 # non-zero on a failed correctness check or a leaked process / shm segment.
 ledger-smoke:
 	$(PYTHON) benchmarks/ledger/run.py --smoke
+
+# The evidence a perf PR owes: alternating parent/change whole-ledger
+# pairs (~6 min a pair), compare.py's verdicts, per-pair wins for CLAIM.
+PARENT ?= HEAD~1
+PAIRS ?= 10
+CLAIM ?= train_seq:tweets_per_s
+ledger-pairs:
+	$(PYTHON) tools/ledger_pairs.py --parent $(PARENT) --pairs $(PAIRS) --claim $(CLAIM)
 
 examples:
 	$(PYTHON) examples/quickstart.py

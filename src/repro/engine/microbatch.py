@@ -177,6 +177,9 @@ class _NullHistogram:
     def observe(self, value: float) -> None:
         pass
 
+    def observe_repeated(self, value: float, n: int) -> None:
+        pass
+
 
 _NULL_HIST = _NullHistogram()
 
@@ -604,29 +607,23 @@ class _PartitionTask:
                 local_normalizer.observe_many(xs_in)
                 t_normalize = perf_counter()
             with _maybe_span(tracer, "predict"):
-                pred_in = (
-                    normalized_block.matrix()
-                    if getattr(model, "fast_math", False)
-                    else None
-                )
+                pred_in = normalized_block.matrix() if model.columnar else None
                 if pred_in is None:
                     pred_in = normalized_block.xs
                 probas = model.predict_proba_many(pred_in)  # op #4
                 t_predict = perf_counter()
             with _maybe_span(tracer, "collect"):
                 n = len(block)
+                # The kernels ran once for the whole partition; book the
+                # amortized per-tweet cost so the histograms still count
+                # one observation per tweet.
                 if n:
-                    # The kernels ran once for the whole partition; book
-                    # the amortized per-tweet cost so the histogram still
-                    # counts one observation per tweet (sum stays the
-                    # true total).
-                    per_normalize = (t_normalize - t_start) / n
-                    per_predict = (t_predict - t_normalize) / n
-                    hist_normalize = stage_hists["normalize"]
-                    hist_predict = stage_hists["predict"]
-                    for _ in range(n):
-                        hist_normalize.observe(per_normalize)
-                        hist_predict.observe(per_predict)
+                    stage_hists["normalize"].observe_repeated(
+                        (t_normalize - t_start) / n, n
+                    )
+                    stage_hists["predict"].observe_repeated(
+                        (t_predict - t_normalize) / n, n
+                    )
                 m_processed.inc(n)
                 for normalized, proba, tweet in zip(
                     normalized_block, probas, tweets

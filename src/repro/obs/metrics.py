@@ -131,6 +131,30 @@ class Histogram:
             for sketch in self._sketches:
                 sketch.update(value)
 
+    def observe_repeated(self, value: float, n: int) -> None:
+        """Fold ``n`` observations of one ``value`` in one call.
+
+        For a cost measured once per block and booked per row (the
+        amortised share). ``count``, ``min``/``max`` and the sketch
+        cadence are what ``n`` :meth:`observe` calls would leave;
+        ``sum`` grows by ``value * n`` — one rounding instead of ``n``
+        (DESIGN.md §9 "Histogram amortisation").
+        """
+        if n <= 0:
+            return
+        self.count += n
+        self.sum += value * n
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        feeds, self._since_sketch = divmod(
+            self._since_sketch + n, self.sketch_every
+        )
+        for _ in range(feeds):
+            for sketch in self._sketches:
+                sketch.update(value)
+
     @property
     def mean(self) -> float:
         """Arithmetic mean of all observations.

@@ -25,6 +25,11 @@ from repro.streamml.instance import Instance
 class StreamClassifier(abc.ABC):
     """Abstract incremental classifier over dense numeric instances."""
 
+    #: Whether ``predict_proba_many`` wants a float64 matrix (it accepts
+    #: row sequences either way; a caller holding both passes the matrix
+    #: to save the conversion) — ``Normalizer.columnar``'s convention.
+    columnar = False
+
     def __init__(self, n_classes: int) -> None:
         if n_classes < 2:
             raise ValueError(f"n_classes must be >= 2, got {n_classes}")
@@ -99,7 +104,7 @@ class StreamClassifier(abc.ABC):
         if total <= 0:
             n = len(votes)
             return tuple(1.0 / n for _ in range(n))
-        return tuple(v / total for v in votes)
+        return tuple([v / total for v in votes])
 
 
 class ClassifierSnapshot:

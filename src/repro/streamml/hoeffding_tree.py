@@ -1,7 +1,8 @@
 """Hoeffding Tree (VFDT) for numeric data streams (Domingos & Hulten, 2000).
 
 A Hoeffding Tree grows a decision tree incrementally: each leaf keeps
-per-class Gaussian sufficient statistics per feature, and is split as
+per-class Gaussian sufficient statistics per feature (one flat
+:class:`~repro.streamml.naive_bayes.GaussianTable`), and is split as
 soon as the Hoeffding bound guarantees (with confidence ``1 - delta``)
 that the best split candidate truly beats the runner-up. Supported
 hyperparameters mirror Table I of the paper:
@@ -28,14 +29,11 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.streamml.base import StreamClassifier
-from repro.streamml.instance import Instance
-from repro.streamml.naive_bayes import (
-    _MIN_STD,
-    _SQRT_2PI,
-    GaussianClassObserver,
-)
-from repro.streamml.stats import RunningMinMax
+from repro.streamml.instance import Instance, as_matrix
+from repro.streamml.naive_bayes import GaussianTable
 
 INFO_GAIN = "infogain"
 GINI = "gini"
@@ -124,12 +122,12 @@ class _SplitNode(_Node):
 
 
 class _LeafNode(_Node):
-    """Learning leaf holding per-class Gaussian attribute statistics."""
+    """Learning leaf: class counts plus one flat Gaussian statistics table
+    (``None`` until the leaf learns or merges its first row)."""
 
     __slots__ = (
         "class_counts",
-        "observers",
-        "ranges",
+        "table",
         "weight_at_last_attempt",
         "nb_correct",
         "mc_correct",
@@ -139,8 +137,7 @@ class _LeafNode(_Node):
     def __init__(self, node_id: int, depth: int, n_classes: int) -> None:
         super().__init__(node_id, depth)
         self.class_counts: List[float] = [0.0] * n_classes
-        self.observers: List[GaussianClassObserver] = []
-        self.ranges: List[RunningMinMax] = []
+        self.table: Optional[GaussianTable] = None
         self.weight_at_last_attempt = 0.0
         self.nb_correct = 0.0
         self.mc_correct = 0.0
@@ -150,55 +147,29 @@ class _LeafNode(_Node):
     def total_weight(self) -> float:
         return sum(self.class_counts)
 
-    def ensure_observers(self, n_features: int, n_classes: int) -> None:
-        if not self.observers:
-            self.observers = [
-                GaussianClassObserver(n_classes) for _ in range(n_features)
-            ]
-            self.ranges = [RunningMinMax() for _ in range(n_features)]
-
     def majority_votes(self) -> List[float]:
         return list(self.class_counts)
 
+    def naive_bayes_weight(self, width: int) -> float:
+        """Total class weight behind a naive-Bayes vote on a
+        ``width``-feature row; 0 when the leaf has no statistics of that
+        width and silently answers with the class counts instead."""
+        table = self.table
+        if table is None or table.n_features != width:
+            return 0.0
+        return sum(self.class_counts)
+
     def naive_bayes_votes(self, x: Sequence[float]) -> List[float]:
-        total = self.total_weight
-        n_classes = len(self.class_counts)
-        observers = self.observers
-        if total <= 0 or not observers or len(x) != len(observers):
+        total = self.naive_bayes_weight(len(x))
+        if total <= 0:
             return self.majority_votes()
-        # Hottest model function: called on every predict *and* every
-        # learn (adaptive-counter bookkeeping). The per-feature Gaussian
-        # density is inlined from stats.std/gaussian_pdf with identical
-        # arithmetic order, trading method/property dispatch for locals.
-        log = math.log
-        exp = math.exp
-        sqrt = math.sqrt
-        log_scores: List[float] = []
-        for label in range(n_classes):
-            score = log((self.class_counts[label] + 1.0) / (total + n_classes))
-            for observer, value in zip(observers, x):
-                stats = observer.per_class[label]
-                count = stats.count
-                if count > 0:
-                    if count <= 1:
-                        std = _MIN_STD
-                    else:
-                        variance = stats._m2 / count
-                        if variance < 0.0:
-                            variance = 0.0
-                        std = sqrt(variance)
-                        if std < _MIN_STD:
-                            std = _MIN_STD
-                    z = (value - stats.mean) / std
-                    pdf = exp(-0.5 * z * z) / (std * _SQRT_2PI)
-                    score += log(pdf if pdf > 1e-300 else 1e-300)
-            log_scores.append(score)
-        max_score = max(log_scores)
-        return [exp(s - max_score) for s in log_scores]
+        return self.table.votes(x, self.class_counts, total)
 
 
 class HoeffdingTree(StreamClassifier):
     """Incremental decision tree for evolving numeric data streams."""
+
+    columnar = True  # predict_proba_many is one numpy kernel, no flag
 
     def __init__(
         self,
@@ -265,19 +236,18 @@ class HoeffdingTree(StreamClassifier):
     def learn_one(self, instance: Instance) -> None:
         label = self._check_labeled(instance)
         self.instances_seen += 1
-        leaf = self._sort_to_leaf(instance.x)
-        leaf.ensure_observers(len(instance.x), self.n_classes)
-        if len(leaf.observers) != len(instance.x):
+        x = instance.x
+        leaf = self._sort_to_leaf(x)
+        table = leaf.table
+        if table is None:
+            table = leaf.table = GaussianTable(self.n_classes, len(x))
+        elif table.n_features != len(x):
             raise ValueError(
-                f"expected {len(leaf.observers)} features, got {len(instance.x)}"
+                f"expected {table.n_features} features, got {len(x)}"
             )
-        self._update_adaptive_counters(leaf, instance.x, label, instance.weight)
+        self._update_adaptive_counters(leaf, x, label, instance.weight)
         leaf.class_counts[label] += instance.weight
-        for observer, range_tracker, value in zip(
-            leaf.observers, leaf.ranges, instance.x
-        ):
-            observer.update(value, label, instance.weight)
-            range_tracker.update(value)
+        table.update(x, label, instance.weight)
         if self.defer_splits or not leaf.is_active:
             return
         if leaf.depth >= self.max_depth:
@@ -336,26 +306,28 @@ class HoeffdingTree(StreamClassifier):
         total = leaf.total_weight
         if total <= 0:
             return candidates
-        for feature, (observer, range_tracker) in enumerate(
-            zip(leaf.observers, leaf.ranges)
-        ):
-            if range_tracker.count == 0 or range_tracker.range <= 0:
+        table = leaf.table
+        if table is None or table.n_ranged == 0:
+            return candidates
+        labels = range(self.n_classes)
+        for feature, (lo, hi) in enumerate(zip(table.lo, table.hi)):
+            if hi - lo <= 0:
                 continue
-            lo, hi = range_tracker.min, range_tracker.max
             step = (hi - lo) / (self.n_split_points + 1)
+            means = [table.means[label][feature] for label in labels]
+            stds = [table.std(label, feature) for label in labels]
             for point in range(1, self.n_split_points + 1):
                 threshold = lo + step * point
                 left_counts: List[float] = []
                 right_counts: List[float] = []
-                for label in range(self.n_classes):
-                    stats = observer.per_class[label]
-                    if stats.count <= 0:
+                for count, mean, std in zip(table.weights, means, stds):
+                    if count <= 0:
                         left_counts.append(0.0)
                         right_counts.append(0.0)
                         continue
-                    frac_left = _normal_cdf(threshold, stats.mean, stats.std)
-                    left_counts.append(stats.count * frac_left)
-                    right_counts.append(stats.count * (1.0 - frac_left))
+                    frac_left = _normal_cdf(threshold, mean, std)
+                    left_counts.append(count * frac_left)
+                    right_counts.append(count * (1.0 - frac_left))
                 left_total = sum(left_counts)
                 right_total = sum(right_counts)
                 if left_total <= 0 or right_total <= 0:
@@ -430,18 +402,69 @@ class HoeffdingTree(StreamClassifier):
     # Prediction
     # ------------------------------------------------------------------
 
+    def _answers_with_naive_bayes(self, leaf: _LeafNode) -> bool:
+        if self.leaf_prediction == "nba":
+            # whichever rule has been more accurate at this leaf
+            return leaf.nb_correct >= leaf.mc_correct
+        return self.leaf_prediction == "nb"
+
     def predict_proba_one(self, x: Sequence[float]) -> Tuple[float, ...]:
         leaf = self._sort_to_leaf(x)
-        if self.leaf_prediction == "mc":
-            votes = leaf.majority_votes()
-        elif self.leaf_prediction == "nb":
-            votes = leaf.naive_bayes_votes(x)
-        else:  # nba: use whichever rule has been more accurate at this leaf
-            if leaf.nb_correct >= leaf.mc_correct:
-                votes = leaf.naive_bayes_votes(x)
+        if self._answers_with_naive_bayes(leaf):
+            return self._normalize(leaf.naive_bayes_votes(x))
+        return self._normalize(leaf.majority_votes())
+
+    def predict_proba_many(
+        self, xs: Sequence[Sequence[float]]
+    ) -> List[Tuple[float, ...]]:
+        """Routed batch kernel, ``==`` the scalar loop row for row.
+
+        One boolean mask per split node sorts the block's rows to their
+        leaves; a leaf that answers with naive Bayes votes on its rows
+        in one vectorised pass (:meth:`GaussianTable.votes_many`), a
+        leaf that answers with its class counts broadcasts one tuple.
+        A ragged, empty or wrong-width batch takes the scalar loop, so
+        per-row errors and the width-mismatch fallback are unchanged.
+        """
+        matrix = as_matrix(xs)
+        width = next(
+            (
+                leaf.table.n_features
+                for leaf in self.leaves()
+                if leaf.table is not None
+            ),
+            None,
+        )
+        if matrix is None or matrix.shape[1] != width:
+            return super().predict_proba_many(xs)
+        normalize = self._normalize
+        out: List[Tuple[float, ...]] = [()] * len(matrix)
+        work = np.empty((self.n_classes, width + 1, len(matrix)))
+        pending = [(self._root, np.arange(len(matrix)))]
+        while pending:
+            node, rows = pending.pop()
+            if isinstance(node, _SplitNode):
+                goes_left = matrix[rows, node.feature] <= node.threshold
+                pending.append((node.right, rows[~goes_left]))
+                pending.append((node.left, rows[goes_left]))
+                continue
+            assert isinstance(node, _LeafNode)
+            total = 0.0
+            if len(rows) and self._answers_with_naive_bayes(node):
+                total = node.naive_bayes_weight(width)
+            if total > 0:
+                for row, votes in zip(
+                    rows.tolist(),
+                    node.table.votes_many(
+                        matrix[rows].T, node.class_counts, total, work
+                    ),
+                ):
+                    out[row] = normalize(votes)
             else:
-                votes = leaf.majority_votes()
-        return self._normalize(votes)
+                proba = normalize(node.majority_votes())
+                for row in rows.tolist():
+                    out[row] = proba
+        return out
 
     # ------------------------------------------------------------------
     # Introspection
@@ -545,24 +568,19 @@ class HoeffdingTree(StreamClassifier):
         self.instances_seen += other.instances_seen
         for other_leaf in theirs:
             leaf = mine[other_leaf.node_id]
-            if not other_leaf.observers:
+            if other_leaf.table is None:
                 continue
-            leaf.ensure_observers(len(other_leaf.observers), self.n_classes)
             leaf.class_counts = [
                 a + b
                 for a, b in zip(leaf.class_counts, other_leaf.class_counts)
             ]
             leaf.nb_correct += other_leaf.nb_correct
             leaf.mc_correct += other_leaf.mc_correct
-            for observer, other_observer in zip(
-                leaf.observers, other_leaf.observers
-            ):
-                observer.merge(other_observer)
-            for range_tracker, other_range in zip(leaf.ranges, other_leaf.ranges):
-                merged = range_tracker.merge(other_range)
-                range_tracker.count = merged.count
-                range_tracker.min = merged.min
-                range_tracker.max = merged.max
+            if leaf.table is None:
+                leaf.table = GaussianTable(
+                    self.n_classes, other_leaf.table.n_features
+                )
+            leaf.table.merge(other_leaf.table)
 
     def attempt_deferred_splits(self) -> int:
         """Try to split every eligible leaf; returns number of splits made.
@@ -580,6 +598,6 @@ class HoeffdingTree(StreamClassifier):
             weight = leaf.total_weight
             if weight - leaf.weight_at_last_attempt >= self.grace_period:
                 leaf.weight_at_last_attempt = weight
-                if leaf.observers and self._attempt_split(leaf):
+                if leaf.table is not None and self._attempt_split(leaf):
                     n_splits += 1
         return n_splits

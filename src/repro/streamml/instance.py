@@ -13,14 +13,21 @@ without materializing per-row objects until a caller asks for them.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-try:  # numpy backs the optional fast-math kernels only
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    _np = None  # type: ignore[assignment]
+import numpy as np
+
+
+def as_matrix(xs: Sequence[Sequence[float]]) -> Optional[np.ndarray]:
+    """``xs`` as a non-empty 2-D float64 matrix, or ``None`` when it is
+    empty, ragged or not numeric (the scalar kernels then take the rows
+    and raise the usual per-row errors)."""
+    try:
+        matrix = np.asarray(xs, dtype=np.float64)
+    except (TypeError, ValueError):
+        return None
+    return matrix if matrix.ndim == 2 and len(matrix) else None
 
 
 @dataclass
@@ -59,11 +66,11 @@ class Instance:
 
     def with_label(self, y: int) -> "Instance":
         """Return a copy of this instance carrying label ``y``."""
-        return dataclasses.replace(self, y=y)
+        return Instance(self.x, y, self.weight, self.timestamp, self.tweet_id)
 
     def with_weight(self, weight: float) -> "Instance":
         """Return a copy of this instance with sample weight ``weight``."""
-        return dataclasses.replace(self, weight=weight)
+        return Instance(self.x, self.y, weight, self.timestamp, self.tweet_id)
 
     def with_features(self, x: Sequence[float]) -> "Instance":
         """Return a copy of this instance with a replaced feature vector.
@@ -72,9 +79,7 @@ class Instance:
         of floats) is adopted as-is — re-tupling every vector was
         measurable allocation churn in the per-tweet loop.
         """
-        if not isinstance(x, tuple):
-            x = tuple(float(v) for v in x)
-        return dataclasses.replace(self, x=x)
+        return Instance(x, self.y, self.weight, self.timestamp, self.tweet_id)
 
 
 @dataclass
@@ -128,25 +133,14 @@ class InstanceBlock:
     def matrix(self):
         """Columnar float64 matrix of the feature rows, built lazily.
 
-        Shape is ``(len(block), n_features)``. The fast-math kernels
+        Shape is ``(len(block), n_features)``. The columnar kernels
         consume this layout directly; it is cached so normalization and
-        prediction share one conversion. Returns ``None`` when numpy is
-        unavailable, the block is empty, or the rows are ragged (the
-        scalar kernels then handle the batch and raise the usual
-        per-row errors).
+        prediction share one conversion. ``None`` for an empty or ragged
+        block (see :func:`as_matrix`).
         """
-        if self._matrix is not None:
-            return self._matrix
-        if _np is None or not self.xs:
-            return None
-        try:
-            matrix = _np.asarray(self.xs, dtype=_np.float64)
-        except (TypeError, ValueError):
-            return None
-        if matrix.ndim != 2:
-            return None
-        self._matrix = matrix
-        return matrix
+        if self._matrix is None:
+            self._matrix = as_matrix(self.xs)
+        return self._matrix
 
     def __len__(self) -> int:
         return len(self.instances)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.streamml.arf import AdaptiveRandomForest, _ForestMember
 from repro.streamml.base import StreamClassifier
@@ -29,7 +29,7 @@ from repro.streamml.hoeffding_tree import (
     _SplitNode,
 )
 from repro.streamml.majority import MajorityClassClassifier, NoChangeClassifier
-from repro.streamml.naive_bayes import GaussianClassObserver, GaussianNaiveBayes
+from repro.streamml.naive_bayes import GaussianNaiveBayes, GaussianTable
 from repro.streamml.slr import StreamingLogisticRegression
 from repro.streamml.stats import RunningMinMax, RunningStats
 
@@ -58,19 +58,6 @@ def _stats_from_dict(payload: Dict[str, float]) -> RunningStats:
     return stats
 
 
-def _observer_to_dict(observer: GaussianClassObserver) -> Dict[str, Any]:
-    return {
-        "n_classes": observer.n_classes,
-        "per_class": [_stats_to_dict(s) for s in observer.per_class],
-    }
-
-
-def _observer_from_dict(payload: Dict[str, Any]) -> GaussianClassObserver:
-    observer = GaussianClassObserver(n_classes=int(payload["n_classes"]))
-    observer.per_class = [_stats_from_dict(s) for s in payload["per_class"]]
-    return observer
-
-
 def _minmax_to_dict(tracker: RunningMinMax) -> Dict[str, float]:
     return {"count": tracker.count, "min": tracker.min, "max": tracker.max}
 
@@ -81,6 +68,62 @@ def _minmax_from_dict(payload: Dict[str, float]) -> RunningMinMax:
     tracker.min = float(payload["min"])
     tracker.max = float(payload["max"])
     return tracker
+
+
+def _observers_to_list(table: Optional[GaussianTable]) -> List[Dict[str, Any]]:
+    """One ``{n_classes, per_class: [{count, mean, m2}]}`` per feature —
+    the observer-object schema, written from the flat table."""
+    if table is None:
+        return []
+    return [
+        {
+            "n_classes": len(table.weights),
+            "per_class": [
+                {"count": count, "mean": means[feature], "m2": m2s[feature]}
+                for count, means, m2s in zip(
+                    table.weights, table.means, table.m2s
+                )
+            ],
+        }
+        for feature in range(table.n_features)
+    ]
+
+
+def _ranges_to_list(table: Optional[GaussianTable]) -> List[Dict[str, float]]:
+    if table is None:
+        return []
+    return [
+        {"count": table.n_ranged, "min": lo, "max": hi}
+        for lo, hi in zip(table.lo, table.hi)
+    ]
+
+
+def _table_from_lists(
+    n_classes: int,
+    observers: List[Dict[str, Any]],
+    ranges: List[Dict[str, float]],
+) -> Optional[GaussianTable]:
+    """Rebuild the flat table from per-feature observers (+ ranges)."""
+    if not observers:
+        return None
+    table = GaussianTable(n_classes, len(observers))
+    for feature, observer in enumerate(observers):
+        for label, stats in enumerate(observer["per_class"]):
+            count = float(stats["count"])
+            if feature == 0:
+                table.weights[label] = count
+            elif count != table.weights[label]:
+                raise SerializationError(
+                    f"class {label} count differs across features "
+                    f"({count} != {table.weights[label]})"
+                )
+            table.means[label][feature] = float(stats["mean"])
+            table.m2s[label][feature] = float(stats["m2"])
+    for feature, tracker in enumerate(ranges):
+        table.n_ranged = int(tracker["count"])
+        table.lo[feature] = float(tracker["min"])
+        table.hi[feature] = float(tracker["max"])
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -104,8 +147,8 @@ def _node_to_dict(node: _Node) -> Dict[str, Any]:
         "node_id": node.node_id,
         "depth": node.depth,
         "class_counts": list(node.class_counts),
-        "observers": [_observer_to_dict(o) for o in node.observers],
-        "ranges": [_minmax_to_dict(r) for r in node.ranges],
+        "observers": _observers_to_list(node.table),
+        "ranges": _ranges_to_list(node.table),
         "weight_at_last_attempt": node.weight_at_last_attempt,
         "nb_correct": node.nb_correct,
         "mc_correct": node.mc_correct,
@@ -125,8 +168,9 @@ def _node_from_dict(payload: Dict[str, Any], n_classes: int) -> _Node:
         )
     leaf = _LeafNode(int(payload["node_id"]), int(payload["depth"]), n_classes)
     leaf.class_counts = [float(c) for c in payload["class_counts"]]
-    leaf.observers = [_observer_from_dict(o) for o in payload["observers"]]
-    leaf.ranges = [_minmax_from_dict(r) for r in payload["ranges"]]
+    leaf.table = _table_from_lists(
+        n_classes, payload["observers"], payload["ranges"]
+    )
     leaf.weight_at_last_attempt = float(payload["weight_at_last_attempt"])
     leaf.nb_correct = float(payload["nb_correct"])
     leaf.mc_correct = float(payload["mc_correct"])
@@ -210,7 +254,7 @@ def _gnb_to_dict(model: GaussianNaiveBayes) -> Dict[str, Any]:
         "n_classes": model.n_classes,
         "instances_seen": model.instances_seen,
         "class_counts": list(model.class_counts),
-        "observers": [_observer_to_dict(o) for o in model._observers],
+        "observers": _observers_to_list(model._table),
     }
 
 
@@ -218,7 +262,7 @@ def _gnb_from_dict(payload: Dict[str, Any]) -> GaussianNaiveBayes:
     model = GaussianNaiveBayes(n_classes=int(payload["n_classes"]))
     model.instances_seen = int(payload["instances_seen"])
     model.class_counts = [float(c) for c in payload["class_counts"]]
-    model._observers = [_observer_from_dict(o) for o in payload["observers"]]
+    model._table = _table_from_lists(model.n_classes, payload["observers"], [])
     return model
 
 

@@ -74,6 +74,10 @@ class StreamingLogisticRegression(StreamClassifier):
         self._weights: List[List[float]] = []  # [class][feature]
         self._bias: List[float] = [0.0] * n_classes
 
+    @property
+    def columnar(self) -> bool:
+        return self.fast_math
+
     def _ensure_weights(self, n_features: int) -> None:
         if not self._weights:
             self._weights = [[0.0] * n_features for _ in range(self.n_classes)]

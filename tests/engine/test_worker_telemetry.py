@@ -15,12 +15,17 @@ count.
 
 from __future__ import annotations
 
+import collections
 import os
+
+import pytest
 
 from repro.core.config import PipelineConfig
 from repro.data.synthetic import AbusiveDatasetGenerator
+from repro.engine import microbatch
 from repro.engine.microbatch import MicroBatchEngine
 from repro.engine.runners import ProcessPoolRunner
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.tracing import WORKER_STAGE_SECONDS
 from repro.reliability.faults import FaultInjectingRunner, FaultInjector
 from repro.reliability.supervisor import RetryPolicy
@@ -97,6 +102,54 @@ class TestSerialStitching:
         # Metrics still ship: telemetry is the spans, not the counters.
         assert engine.metrics.total("tweets_processed_total") == 300
         assert result.n_processed == 300
+
+
+class TestTelemetryBudget:
+    """ROADMAP 4a, counted not timed: histogram calls per partition."""
+
+    def test_fast_path_partition_books_amortised_stages_once(
+        self, monkeypatch
+    ):
+        partition_histograms = set()
+        calls = collections.Counter()
+
+        class PartitionRegistry(MetricsRegistry):
+            def histogram(self, name, **kwargs):
+                child = super().histogram(name, **kwargs)
+                partition_histograms.add(child)
+                return child
+
+        def counted(method):
+            def wrapper(self, *args):
+                if self in partition_histograms:
+                    calls[method.__name__] += 1
+                return method(self, *args)
+
+            return wrapper
+
+        engine = MicroBatchEngine(
+            PipelineConfig(n_classes=3), n_partitions=1, batch_size=500
+        )
+        # Only registries built from here on are counted: the one the
+        # partition task creates for itself, not the driver's.
+        monkeypatch.setattr(microbatch, "MetricsRegistry", PartitionRegistry)
+        monkeypatch.setattr(Histogram, "observe", counted(Histogram.observe))
+        monkeypatch.setattr(
+            Histogram, "observe_repeated", counted(Histogram.observe_repeated)
+        )
+        result = engine.run(_tweets(n=500, seed=3))
+        assert result.n_processed == 500
+        # normalize + predict, once each for the whole block.
+        assert calls["observe_repeated"] == 2
+        # One per tweet for extract (timed row by row), one for the
+        # learn stage, eight worker spans closing. Before
+        # observe_repeated this partition made 1 509 calls.
+        assert calls["observe"] == 500 + 1 + 8
+        stages = engine.metrics.histogram(
+            "tweet_stage_seconds", engine="microbatch", stage="predict"
+        )
+        assert stages.count == 500
+        assert stages.sum == pytest.approx(stages.max * 500)
 
 
 class TestProcessStitching:

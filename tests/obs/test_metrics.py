@@ -90,6 +90,35 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram(sketch_every=0)
 
+    @pytest.mark.parametrize("sketch_every", [1, 8])
+    def test_observe_repeated_matches_a_loop_of_observes(self, sketch_every):
+        # Interleaved with plain observes so the sketch cadence has to
+        # carry its remainder across calls in both directions.
+        schedule = [(0.25, 3), (0.5, 0), (0.125, 21), (2.0, 1), (0.75, 500)]
+        looped = Histogram(sketch_every=sketch_every)
+        booked = Histogram(sketch_every=sketch_every)
+        for value, n in schedule:
+            for _ in range(n):
+                looped.observe(value)
+            looped.observe(1.5)
+            booked.observe_repeated(value, n)
+            booked.observe(1.5)
+        assert booked.count == looped.count == 525 + len(schedule)
+        assert (booked.min, booked.max) == (looped.min, looped.max)
+        assert booked._since_sketch == looped._since_sketch
+        assert booked.quantile_estimates() == looped.quantile_estimates()
+        assert [s.count for s in booked._sketches] == [
+            s.count for s in looped._sketches
+        ]
+        # One rounding per call instead of n: the block's measured total.
+        assert booked.sum == pytest.approx(looped.sum, rel=1e-12)
+
+    def test_observe_repeated_books_the_measured_total(self):
+        histogram = Histogram()
+        histogram.observe_repeated(0.3 / 7, 7)
+        assert histogram.sum == pytest.approx(0.3, rel=1e-15)
+        assert histogram.mean == pytest.approx(0.3 / 7)
+
 
 class TestRegistry:
     def test_children_keyed_by_labels(self):

@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import copy
 import pickle
+import random
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,6 +171,120 @@ class TestModelKernels:
             assert scalar.weights == batch.weights
             assert scalar.bias == batch.bias
             assert scalar.instances_seen == batch.instances_seen
+
+
+def _split_tree(leaf_prediction):
+    """A tree with several leaves over N_FEATURES features."""
+    rng = random.Random(7)
+    tree = HoeffdingTree(
+        n_classes=3, grace_period=30, tie_threshold=0.2,
+        leaf_prediction=leaf_prediction,
+    )
+    for _ in range(600):
+        label = rng.randrange(3)
+        tree.learn_one(
+            Instance(
+                x=tuple(rng.gauss(label * 2.0, 1.0) for _ in range(N_FEATURES)),
+                y=label,
+            )
+        )
+    assert tree.n_leaves >= 3
+    return tree
+
+
+class TestTreeBatchKernel:
+    """HT's routed numpy ``predict_proba_many`` ≡ the scalar loop, with
+    ``==``, in every leaf mode, on tuples and on a float64 matrix."""
+
+    @pytest.mark.parametrize("leaf_prediction", ["mc", "nb", "nba"])
+    @given(xs=rows)
+    @settings(max_examples=25, deadline=None)
+    def test_after_splits_on_tuples_and_on_a_matrix(self, leaf_prediction, xs):
+        tree = _split_tree(leaf_prediction)
+        # Probes near the training data (so NB leaves vote on unfloored
+        # terms) plus whatever hypothesis sends, far out.
+        rng = random.Random(len(xs))
+        probe = [tuple(x) for x in xs] + [
+            tuple(rng.gauss(2.0, 2.5) for _ in range(N_FEATURES))
+            for _ in range(40)
+        ]
+        expected = [tree.predict_proba_one(x) for x in probe]
+        assert tree.predict_proba_many(probe) == expected
+        assert tree.predict_proba_many(np.asarray(probe)) == expected
+
+    def test_arf_on_tuples_and_on_a_matrix(self):
+        rng = random.Random(3)
+        forest = AdaptiveRandomForest(
+            n_classes=3, ensemble_size=3, seed=11, grace_period=30
+        )
+        for _ in range(400):
+            label = rng.randrange(3)
+            forest.learn_one(
+                Instance(
+                    x=tuple(rng.gauss(label * 2.0, 1.0) for _ in range(N_FEATURES)),
+                    y=label,
+                )
+            )
+        assert max(m.tree.n_leaves for m in forest.members) >= 2
+        probe = [
+            tuple(rng.gauss(2.0, 2.5) for _ in range(N_FEATURES))
+            for _ in range(60)
+        ]
+        expected = [forest.predict_proba_one(x) for x in probe]
+        assert forest.predict_proba_many(probe) == expected
+        assert forest.predict_proba_many(np.asarray(probe)) == expected
+
+    def test_nan_and_inf_route_and_vote_like_the_scalar_loop(self):
+        tree = _split_tree("nb")
+        nan, inf = float("nan"), float("inf")
+        probe = [
+            (nan,) * N_FEATURES,
+            (inf, -inf, nan, 0.0, 1e200),
+            (-inf,) * N_FEATURES,
+            (0.0, nan, 2.0, inf, 1.0),
+        ]
+        expected = [tree.predict_proba_one(x) for x in probe]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tree.predict_proba_many(probe) == expected
+
+    @pytest.mark.parametrize("leaf_prediction", ["mc", "nb", "nba"])
+    def test_ragged_empty_and_wrong_width_take_the_scalar_path(
+        self, leaf_prediction
+    ):
+        tree = _split_tree(leaf_prediction)
+        assert tree.predict_proba_many([]) == []
+        assert tree.predict_proba_many(np.empty((0, N_FEATURES))) == []
+        good = (0.5,) * N_FEATURES
+        # Wider rows: routed by the features they do have, then the
+        # silent majority-class fallback at the leaf — today's answer.
+        wide = [good + (1.0,), good + (2.0,)]
+        expected = [tree.predict_proba_one(x) for x in wide]
+        assert tree.predict_proba_many(wide) == expected
+        assert tree.predict_proba_many(np.asarray(wide)) == expected
+        leaf = tree._sort_to_leaf(wide[0])
+        assert expected[0] == tree._normalize(leaf.majority_votes())
+        # Narrower and ragged rows: today's per-row IndexError.
+        with pytest.raises(IndexError, match="tuple index out of range"):
+            tree.predict_proba_many([(0.5,), (0.5,)])
+        with pytest.raises(IndexError, match="tuple index out of range"):
+            tree.predict_proba_many([good, (0.5,)])
+
+    def test_untrained_tree_and_unsplit_tree(self):
+        probe = [(0.5,) * N_FEATURES, (1.5,) * N_FEATURES]
+        fresh = HoeffdingTree(n_classes=3)
+        assert fresh.predict_proba_many(probe) == [(1 / 3,) * 3] * 2
+        fresh.learn_one(Instance(x=probe[0], y=1))
+        expected = [fresh.predict_proba_one(x) for x in probe]
+        assert fresh.predict_proba_many(np.asarray(probe)) == expected
+
+    def test_columnar_is_the_dispatch_attribute(self):
+        assert HoeffdingTree(n_classes=2).columnar is True
+        assert AdaptiveRandomForest(n_classes=2, ensemble_size=2).columnar is False
+        assert StreamingLogisticRegression(n_classes=2).columnar is False
+        assert StreamingLogisticRegression(
+            n_classes=2, fast_math=True
+        ).columnar is True
 
 
 class TestInstanceBlock:

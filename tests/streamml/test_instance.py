@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.streamml.instance import ClassifiedInstance, Instance
@@ -41,6 +43,38 @@ class TestInstance:
         inst = Instance(x=(1.0, 2.0), y=1).with_features([9, 8])
         assert inst.x == (9.0, 8.0)
         assert inst.y == 1
+
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            Instance(x=(1.0, 2.0)),
+            Instance(x=(1.0, 2.0), y=2, weight=0.5, timestamp=7.5, tweet_id="t9"),
+            Instance(x=[3, 4], y=0, weight=0.0),
+        ],
+    )
+    def test_copies_equal_dataclasses_replace_field_for_field(self, base):
+        copies = [
+            (base.with_label(1), dataclasses.replace(base, y=1)),
+            (base.with_weight(4.0), dataclasses.replace(base, weight=4.0)),
+            (base.with_features((9.0, 8.0)), dataclasses.replace(base, x=(9.0, 8.0))),
+            (base.with_features([9, 8]), dataclasses.replace(base, x=[9, 8])),
+        ]
+        for got, want in copies:
+            assert dataclasses.astuple(got) == dataclasses.astuple(want)
+            assert type(got) is Instance and got is not base
+            assert isinstance(got.x, tuple)
+            assert all(isinstance(v, float) for v in got.x)
+
+    def test_with_features_adopts_a_tuple_as_is(self):
+        x = (9.0, 8.0)
+        assert Instance(x=(1.0, 2.0)).with_features(x).x is x
+
+    def test_copies_still_validate(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Instance(x=(1.0,)).with_weight(-1.0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(Instance(x=(1.0,)), weight=-1.0)
 
 
 class TestClassifiedInstance:

@@ -1,4 +1,4 @@
-"""Tests for Gaussian naive Bayes (standalone + observers)."""
+"""Tests for Gaussian naive Bayes (standalone + the statistics table)."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ import pytest
 
 from repro.streamml.instance import Instance
 from repro.streamml.naive_bayes import (
-    GaussianClassObserver,
     GaussianNaiveBayes,
+    GaussianTable,
     gaussian_pdf,
 )
 
@@ -31,25 +31,35 @@ class TestGaussianPdf:
         assert gaussian_pdf(0.0, 0.0, 0.0) > 0
 
 
-class TestGaussianClassObserver:
-    def test_likelihood_unseen_class_is_one(self):
-        observer = GaussianClassObserver(n_classes=2)
-        assert observer.likelihood(1.0, 0) == 1.0
-
-    def test_likelihood_higher_near_mean(self):
-        observer = GaussianClassObserver(n_classes=2)
+class TestGaussianTable:
+    def test_unseen_class_votes_with_its_prior_alone(self):
+        table = GaussianTable(n_classes=2, n_features=1)
         for v in (4.0, 5.0, 6.0):
-            observer.update(v, label=0)
-        assert observer.likelihood(5.0, 0) > observer.likelihood(0.0, 0)
+            table.update((v,), label=0, weight=1.0)
+        # Equal priors: class 1 has no density to multiply in, so its
+        # vote is the prior itself and beats any density below 1.
+        near, far = table.votes((5.0,), [1.0, 1.0], 2.0)
+        assert near == pytest.approx(gaussian_pdf(5.0, 5.0, math.sqrt(2 / 3)))
+        assert far == 1.0
+
+    def test_vote_higher_near_mean(self):
+        table = GaussianTable(n_classes=2, n_features=1)
+        for v in (4.0, 5.0, 6.0):
+            table.update((v,), label=0, weight=1.0)
+            table.update((v - 5.0,), label=1, weight=1.0)
+        counts = [3.0, 3.0]
+        assert table.votes((5.0,), counts, 6.0)[0] == 1.0
+        assert table.votes((0.0,), counts, 6.0)[1] == 1.0
 
     def test_merge_combines_counts(self):
-        a = GaussianClassObserver(n_classes=2)
-        b = GaussianClassObserver(n_classes=2)
-        a.update(1.0, 0)
-        b.update(3.0, 0)
+        a = GaussianTable(n_classes=2, n_features=1)
+        b = GaussianTable(n_classes=2, n_features=1)
+        a.update((1.0,), 0, 1.0)
+        b.update((3.0,), 0, 1.0)
         a.merge(b)
-        assert a.per_class[0].count == 2
-        assert a.per_class[0].mean == pytest.approx(2.0)
+        assert a.weights[0] == 2
+        assert a.means[0][0] == pytest.approx(2.0)
+        assert (a.lo, a.hi, a.n_ranged) == ([1.0], [3.0], 2)
 
 
 class TestGaussianNaiveBayes:

@@ -81,6 +81,29 @@ class Server:
 '''
 
 
+STREAMML_OFFENDING = '''
+import dataclasses
+from dataclasses import replace
+
+
+class Instance:
+    def with_label(self, y):
+        return dataclasses.replace(self, y=y)
+
+    def with_weight(self, weight):
+        return replace(self, weight=weight)
+'''
+
+STREAMML_CLEAN = '''
+class Instance:
+    def with_label(self, y):
+        return Instance(self.x, y, self.weight, self.timestamp, self.tweet_id)
+
+    def describe(self):
+        return self.name.replace("_", " ")
+'''
+
+
 def _messages(source: str, filename: str):
     return [
         message
@@ -115,6 +138,14 @@ def test_stream_layer_and_labelled_count_lookups_flagged_in_serve():
     # The serve rules stop at the serve directory.
     assert _messages(SERVE_OFFENDING, "src/repro/engine/microbatch.py") == []
     assert _messages(SERVE_CLEAN, "src/repro/serve/server.py") == []
+
+
+def test_dataclasses_replace_flagged_under_streamml_only():
+    messages = _messages(STREAMML_OFFENDING, "src/repro/streamml/instance.py")
+    assert len(messages) == 2
+    assert all("dataclasses.replace" in m for m in messages)
+    assert _messages(STREAMML_OFFENDING, "src/repro/data/tweet.py") == []
+    assert _messages(STREAMML_CLEAN, "src/repro/streamml/instance.py") == []
 
 
 def test_clean_snippet_passes():

@@ -48,6 +48,12 @@ two patterns that are harmless elsewhere are throughput bugs there:
   ``metrics.histogram(...)`` inside ``_count``, which runs once per
   response and must use the cached ``(endpoint, status)`` handles.
 
+* under ``src/repro/streamml``: ``dataclasses.replace(...)`` /
+  ``replace(...)`` — ``Instance`` copies are made once per tweet (and
+  once per ensemble member per learn); ``replace`` walks ``fields()``
+  and builds a kwargs dict before calling the same constructor, twice
+  the cost of calling it directly (``Instance.with_*``).
+
 Walks the AST so occurrences in docstrings and comments don't
 false-positive, and exits non-zero listing any offending call sites.
 
@@ -195,6 +201,22 @@ def _serve_offenses(tree: ast.AST) -> Iterator[Tuple[int, int, str]]:
                     )
 
 
+def _dataclass_replace_offenses(
+    tree: ast.AST,
+) -> Iterator[Tuple[int, int, str]]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (
+            _is_attr_call(node, "dataclasses", "replace")
+            or (isinstance(node.func, ast.Name) and node.func.id == "replace")
+        ):
+            yield (
+                node.lineno,
+                node.col_offset,
+                "dataclasses.replace on the instance path (call the "
+                "constructor, as Instance.with_* do)",
+            )
+
+
 def find_hot_path_offenses(
     source: str, filename: str = ""
 ) -> Iterator[Tuple[int, int, str]]:
@@ -206,7 +228,8 @@ def find_hot_path_offenses(
     memo decorators are banned in a ``text/`` directory and in
     ``core/features.py`` (there the record is the memo); the asyncio
     stream layer and per-response labelled metric lookups are banned
-    in a ``serve/`` directory.
+    in a ``serve/`` directory, ``dataclasses.replace`` in a
+    ``streamml/`` directory.
     """
     tree = ast.parse(source)
     parts = Path(filename).parts
@@ -214,6 +237,8 @@ def find_hot_path_offenses(
         yield from _memo_decorator_offenses(tree)
     if "serve" in parts:
         yield from _serve_offenses(tree)
+    if "streamml" in parts:
+        yield from _dataclass_replace_offenses(tree)
     # re.compile is only an offense inside a function body; module-level
     # compiles are exactly the fix this lint wants.
     function_nodes = [
