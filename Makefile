@@ -24,11 +24,14 @@ ledger-smoke:
 
 # The evidence a perf PR owes: alternating parent/change whole-ledger
 # pairs (~6 min a pair), compare.py's verdicts, per-pair wins for CLAIM.
+# WORKLOAD=train_seq runs that workload only (~40 s a side): development
+# pairs, not the PR's claim.
 PARENT ?= HEAD~1
 PAIRS ?= 10
 CLAIM ?= train_seq:tweets_per_s
 ledger-pairs:
-	$(PYTHON) tools/ledger_pairs.py --parent $(PARENT) --pairs $(PAIRS) --claim $(CLAIM)
+	$(PYTHON) tools/ledger_pairs.py --parent $(PARENT) --pairs $(PAIRS) --claim $(CLAIM) \
+		$(if $(WORKLOAD),--workload $(WORKLOAD))
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -19,16 +19,16 @@ throughout a degradation episode.
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from repro.core.adaptive_bow import AdaptiveBagOfWords, FixedBagOfWords
 from repro.core.preprocessing import preprocess_tokens, raw_word_tokens
 from repro.data.tweet import Tweet
 from repro.streamml.instance import Instance
-from repro.text.analysis import TextAnalysis, analyze
+from repro.text.analysis import analyze
 from repro.text.lexicons import SWEAR_WORDS
 from repro.text.sentiment import SentimentAnalyzer
-from repro.text.tokenizer import Token, tokenize
+from repro.text.tokenizer import tokenize
 
 #: Feature order. The first 16 are the paper's features (Fig. 5); the
 #: 17th is the (adaptive or fixed) bag-of-words match count.
@@ -185,19 +185,25 @@ class FeatureExtractor:
         path of Fig. 1).
         """
         tier = self.tier
-        raw_tokens = tokenize(tweet.text)
-        word_tokens = self._word_view(raw_tokens)
-        analysis = analyze(
-            tweet.text,
+        want_pos = tier < DegradeTier.NO_POS
+        want_sentiment = tier < DegradeTier.TEXT_ONLY
+        text = tweet.text
+        raw_tokens = tokenize(text)
+        (
+            n_hashtags, n_urls, n_uppercase, lower_words, total_word_chars,
+            n_sentences, n_adjectives, n_adverbs, n_verbs, n_swear,
+            positive, negative,
+        ) = analyze(
+            text,
             raw_tokens,
-            word_tokens,
-            want_pos=tier < DegradeTier.NO_POS,
-            want_sentiment=tier < DegradeTier.TEXT_ONLY,
-            sentiment=self._sentiment,
+            preprocess_tokens(raw_tokens) if self.preprocessing
+            else raw_word_tokens(raw_tokens),
+            want_pos,
+            want_sentiment,
+            self._sentiment,
         )
-        lower_words = analysis.lower_words
-        n_swear = analysis.n_swear
-        if self._deobfuscator is not None and tier < DegradeTier.TEXT_ONLY:
+        n_words = len(lower_words)
+        if self._deobfuscator is not None and want_sentiment:
             # Normalize disguised profanity ("sh1t", "i.d.i.o.t") back
             # to canonical forms before lexicon/BoW matching. The
             # records' swear flags describe the original spellings, so
@@ -210,62 +216,35 @@ class FeatureExtractor:
             self.bag_of_words.update(
                 lower_words, is_aggressive=self.encoder.is_aggressive(label)
             )
-        x = self._feature_vector(tweet, analysis, lower_words, n_swear)
-        return Instance(
-            x=x,
-            y=label,
-            timestamp=tweet.created_at,
-            tweet_id=tweet.tweet_id,
-        )
-
-    def _word_view(self, raw_tokens: Sequence[Token]) -> List[Token]:
-        if self.preprocessing:
-            return preprocess_tokens(raw_tokens)
-        return raw_word_tokens(raw_tokens)
-
-    def _feature_vector(
-        self,
-        tweet: Tweet,
-        analysis: TextAnalysis,
-        lower_words: Sequence[str],
-        n_swear: int,
-    ) -> Tuple[float, ...]:
         user = tweet.user
-        if analysis.n_adjectives is None:
-            pos_counts = (TIER_IMPUTED_VALUE,) * 3
-        else:
-            pos_counts = (
-                float(analysis.n_adjectives),
-                float(analysis.n_adverbs),
-                float(analysis.n_verbs),
-            )
-        sentiment = analysis.sentiment
-        if sentiment is None:
-            sentiment_scores = (TIER_IMPUTED_VALUE, TIER_IMPUTED_VALUE)
-        else:
-            sentiment_scores = (
-                float(sentiment.positive), float(sentiment.negative)
-            )
-        n_bow = self.bag_of_words.count_matches(lower_words)
-        return (
-            user.account_age_days(tweet.created_at),
+        created_at = tweet.created_at
+        # Features a degraded tier shed are imputed, not dropped.
+        if not want_pos:
+            n_adjectives = n_adverbs = n_verbs = TIER_IMPUTED_VALUE
+        if not want_sentiment:
+            positive = negative = TIER_IMPUTED_VALUE
+        x = (
+            user.account_age_days(created_at),
             float(user.statuses_count),
             float(user.listed_count),
             float(user.followers_count),
             float(user.friends_count),
-            float(analysis.n_hashtags),
-            float(analysis.n_uppercase),
-            float(analysis.n_urls),
-            pos_counts[0],
-            pos_counts[1],
-            pos_counts[2],
-            analysis.words_per_sentence,
-            analysis.mean_word_length,
-            sentiment_scores[0],
-            sentiment_scores[1],
+            float(n_hashtags),
+            float(n_uppercase),
+            float(n_urls),
+            float(n_adjectives),
+            float(n_adverbs),
+            float(n_verbs),
+            # Text without a terminator counts as one sentence.
+            n_words / n_sentences if n_sentences else float(n_words),
+            total_word_chars / n_words if n_words else 0.0,
+            float(positive),
+            float(negative),
             float(n_swear),
-            float(n_bow),
+            float(self.bag_of_words.count_matches(lower_words)),
         )
+        # Positional: keyword binding costs ~0.5 us a tweet.
+        return Instance(x, label, 1.0, created_at, tweet.tweet_id)
 
     def feature_index(self, name: str) -> int:
         """Index of a feature by name."""

@@ -135,9 +135,19 @@ def tweet_from_payload(payload: Dict[str, Any]) -> Tweet:
         raise ValueError("tweet must be a JSON object")
     if "text" not in obj:
         raise ValueError("request needs a 'text' field")
+    # A wrongly typed field is the client's error (400), not a handler
+    # failure: it must not reach the model, the error counter or the
+    # breaker.
+    if not isinstance(obj["text"], str):
+        raise ValueError("'text' must be a string")
+    if not isinstance(obj.get("user", {}), dict):
+        raise ValueError("'user' must be a JSON object")
     if "created_at" not in obj:
         obj = dict(obj, created_at=time.time())
-    tweet = Tweet.from_json(obj)
+    try:
+        tweet = Tweet.from_json(obj)
+    except TypeError as exc:
+        raise ValueError(f"malformed tweet field: {exc}") from None
     if not tweet.text:
         raise ValueError("request needs a non-empty 'text' field")
     return tweet
@@ -183,6 +193,12 @@ class AggressionServer:
             before scoring — the chaos suite's fault-injection seam
             (stalls, exceptions), never set in production.
     """
+
+    #: Quantile-sketch sampling for ``request_seconds``, as
+    #: ``AggressionDetectionPipeline.STAGE_SKETCH_EVERY`` does for the
+    #: stage histograms: count/sum/min/max stay exact per response, the
+    #: three P² sketches (and so ``serve_latency_p99``) ingest every 8th.
+    REQUEST_SKETCH_EVERY = 8
 
     def __init__(
         self,
@@ -674,7 +690,11 @@ class AggressionServer:
             self.metrics.counter(
                 "requests_total", endpoint=endpoint, status=str(status)
             ),
-            self.metrics.histogram("request_seconds", endpoint=endpoint),
+            self.metrics.histogram(
+                "request_seconds",
+                sketch_every=self.REQUEST_SKETCH_EVERY,
+                endpoint=endpoint,
+            ),
         )
         return handles
 

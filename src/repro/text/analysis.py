@@ -5,10 +5,11 @@ text: hashtag/URL/all-caps counts, POS category counts, sentence and
 word statistics, sentiment strengths, the swear count, and the
 lowercased word list for BoW matching. :func:`analyze` computes all of
 them in two walks — one over the raw tokens, one over the word view —
-plus one regex pass for sentence counting, and every per-word fact is
-an attribute read off the token's interned record
-(:mod:`repro.text.tokenizer`): no ``str.lower``, no lexicon probe and
-no memo lookup per occurrence.
+plus the sentiment scorer's walk and one regex pass for sentence
+counting, and hands them back as one flat tuple of plain numbers. Every
+per-word fact is an attribute read off the token's interned record
+(:mod:`repro.text.tokenizer`): no ``str.lower``, no lexicon probe, no
+memo lookup and no per-tweet result object.
 
 Contract (``tests/text/test_feature_contract.py``): the 17-feature
 vectors built from this analysis are ``==``-identical, tweet for tweet,
@@ -20,62 +21,33 @@ directly, under hypothesis-generated unicode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.text.pos import PosTag
-from repro.text.sentiment import SentimentAnalyzer, SentimentScore
+from repro.text.sentiment import SentimentAnalyzer
 from repro.text.tokenizer import Token, TokenType, count_sentences
 
 _ADJECTIVE = PosTag.ADJECTIVE
 _ADVERB = PosTag.ADVERB
 _VERB = PosTag.VERB
-_WORD = TokenType.WORD
 _HASHTAG = TokenType.HASHTAG
 _URL = TokenType.URL
 
 #: Shared stateless scorer for callers that do not bring their own.
 _DEFAULT_SENTIMENT = SentimentAnalyzer()
 
-
-@dataclass
-class TextAnalysis:
-    """Everything the feature extractor needs from one tweet's text."""
-
-    #: Counts over the raw token stream (before preprocessing).
-    n_hashtags: int
-    n_urls: int
-    n_uppercase: int
-    #: Lowercased surface forms of the word view, in order.
-    lower_words: List[str]
-    n_words: int
-    total_word_chars: int
-    n_sentences: int
-    #: Adjective/adverb/verb counts over the word view; ``None`` when
-    #: POS tagging was skipped (degraded tier).
-    n_adjectives: Optional[int]
-    n_adverbs: Optional[int]
-    n_verbs: Optional[int]
-    #: Word-view entries whose lowercase form is in the base swear
-    #: lexicon (a caller that rewrites ``lower_words`` recounts).
-    n_swear: int
-    #: ``None`` when sentiment scoring was skipped (degraded tier).
-    sentiment: Optional[SentimentScore]
-
-    @property
-    def mean_word_length(self) -> float:
-        """Average word length over the word view (0 when empty)."""
-        if self.n_words == 0:
-            return 0.0
-        return self.total_word_chars / self.n_words
-
-    @property
-    def words_per_sentence(self) -> float:
-        """Words per sentence; the whole text counts as one sentence
-        when no terminator is present."""
-        if self.n_sentences == 0:
-            return float(self.n_words)
-        return self.n_words / self.n_sentences
+#: What :func:`analyze` returns, in order: ``n_hashtags``, ``n_urls``,
+#: ``n_uppercase`` (raw token stream); ``lower_words`` (lowercased word
+#: view, in order), ``total_word_chars``, ``n_sentences``;
+#: ``n_adjectives``, ``n_adverbs``, ``n_verbs`` (``None`` each when POS
+#: was shed); ``n_swear`` (word-view entries in the base swear lexicon —
+#: a caller that rewrites ``lower_words`` recounts); ``positive``,
+#: ``negative`` sentiment strengths (``None`` each when shed).
+Analysis = Tuple[
+    int, int, int, List[str], int, int,
+    Optional[int], Optional[int], Optional[int], int,
+    Optional[int], Optional[int],
+]
 
 
 def analyze(
@@ -85,8 +57,8 @@ def analyze(
     want_pos: bool = True,
     want_sentiment: bool = True,
     sentiment: Optional[SentimentAnalyzer] = None,
-) -> TextAnalysis:
-    """Fused single-pass analysis of one tweet's text.
+) -> Analysis:
+    """Fused analysis of one tweet's text, as plain numbers.
 
     ``raw_tokens`` must be ``tokenize(text)`` and ``word_tokens`` the
     extractor's word view of it (preprocessed or raw-word); they are
@@ -94,34 +66,30 @@ def analyze(
     anyway. ``want_pos``/``want_sentiment`` gate the two sheddable
     stages (degrade tiers): a skipped stage reports ``None``. Records
     carry every field regardless, so a degraded tier is "do not read
-    these fields", not a cheaper token.
+    these fields", not a cheaper token. The result is the flat tuple
+    :data:`Analysis` — one allocation, unpacked by the one hot caller.
     """
-    # Walk 1: raw tokens — removed-content counts, the shouting count,
-    # the exclamation flag, and the word subsequence sentiment scores.
+    # Walk 1: raw tokens — removed-content counts and the shouting count
+    # (abbreviations like "RT" shout too, so not the word view).
     n_hashtags = 0
     n_urls = 0
     n_uppercase = 0
-    has_exclamation = False
-    raw_words: List[Token] = []
-    append_word = raw_words.append
     for token in raw_tokens:
-        token_type = token.type
-        if token_type is _WORD:
-            append_word(token)
+        if token.is_word:
             if token.is_uppercase_word:
                 n_uppercase += 1
         else:
+            token_type = token.type
             if token_type is _HASHTAG:
                 n_hashtags += 1
             elif token_type is _URL:
                 n_urls += 1
-            if "!" in token.text:
-                has_exclamation = True
 
-    score: Optional[SentimentScore] = None
+    positive: Optional[int] = None
+    negative: Optional[int] = None
     if want_sentiment:
         scorer = sentiment if sentiment is not None else _DEFAULT_SENTIMENT
-        score = scorer.score_words(raw_words, has_exclamation)
+        positive, negative = scorer.strengths(raw_tokens)
 
     # Walk 2: the word view — lowercased forms, length and swear
     # totals, and (unless shed) the three syntactic counts. A non-WORD
@@ -155,18 +123,17 @@ def analyze(
             if token.swear:
                 n_swear += 1
 
-    # Positional, in field order: keyword binding costs ~0.5 us a tweet.
-    return TextAnalysis(
+    return (
         n_hashtags,
         n_urls,
         n_uppercase,
         lower_words,
-        len(lower_words),
         total_word_chars,
         count_sentences(text),
         n_adjectives,
         n_adverbs,
         n_verbs,
         n_swear,
-        score,
+        positive,
+        negative,
     )

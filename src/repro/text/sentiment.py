@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from repro.text.lexicons import sentiment_lexicon
 
@@ -82,28 +82,36 @@ class SentimentAnalyzer:
 
     def score_tokens(self, tokens: Sequence[Token]) -> SentimentScore:
         """Score a tokenized text."""
-        words = [t for t in tokens if t.is_word]
-        has_exclamation = any(
-            "!" in t.text for t in tokens if not t.is_word
-        )
-        return self.score_words(words, has_exclamation)
+        return SentimentScore(*self.strengths(tokens))
 
     def score_words(
         self, words: Sequence[Token], has_exclamation: bool
     ) -> SentimentScore:
-        """Score a pre-filtered word-token sequence.
+        """Score a pre-filtered word-token sequence and the flag saying
+        whether the tokens filtered out held an exclamation mark."""
+        return SentimentScore(*self.strengths(words, has_exclamation))
 
-        The fused text analyzer extracts the word list and exclamation
-        flag in its single token walk and scores through this entry
-        point; :meth:`score_tokens` derives both itself. Results are
-        identical either way. Every per-word fact (base strength, the
-        previous word's negator/booster role, shouting) is a field of
-        the token's record, so the walk touches no lexicon.
+    def strengths(
+        self, tokens: Iterable[Token], has_exclamation: bool = False
+    ) -> Tuple[int, int]:
+        """``(positive, negative)`` of a token stream, as plain ints.
+
+        The one scoring walk: the feature path reads the pair straight
+        off it, the ``score*`` methods wrap it in a
+        :class:`SentimentScore`. Non-word tokens only contribute their
+        exclamation marks — modifiers reach across them ("not, good") —
+        and every per-word fact (base strength, the previous word's
+        negator/booster role, shouting) is a field of the token's
+        record, so the walk touches no lexicon.
         """
         max_positive = 1
         min_negative = -1
         previous: Optional[Token] = None
-        for token in words:
+        for token in tokens:
+            if not token.is_word:
+                if "!" in token.text:
+                    has_exclamation = True
+                continue
             strength = token.strength
             if strength:
                 if previous is not None:
@@ -125,7 +133,7 @@ class SentimentAnalyzer:
                 max_positive += 1
             elif -min_negative > max_positive and min_negative > -5:
                 min_negative -= 1
-        return SentimentScore(positive=max_positive, negative=min_negative)
+        return max_positive, min_negative
 
     def score(self, text: str) -> SentimentScore:
         """Tokenize and score raw text."""

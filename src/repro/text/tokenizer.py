@@ -10,21 +10,24 @@ A :class:`Token` is also the *record* of every per-type fact the feature
 path reads (lowercase form, POS tag, sentiment strength, ...), computed
 once in the constructor. Tweet vocabulary is Zipfian, so
 :func:`tokenize` interns word tokens by surface text in one bounded
-module-level table: a repeated word costs one ``dict.get``.
+module-level table, and the scan is two C loops: one ``findall`` for the
+surface strings, one ``map`` of them through the table. A repeated word
+costs one table read; only a miss runs Python (classify the surface,
+build its record).
 
 The table is a pure cache — a record is a function of the surface string
 and the import-time lexicons only — so it is never part of a checkpoint,
 snapshot, broadcast or digest, and clearing it changes no result.
-Threads share it without a lock: ``dict.get`` and item assignment are
-atomic under the GIL, and a lost race merely builds an identical record
-twice. DESIGN.md §9 has the full contract.
+Threads share it without a lock: the miss path is not atomic and does
+not need to be — a lost race merely builds an identical record twice and
+one store wins. DESIGN.md §9 has the full contract.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from typing import Dict, List
+from typing import List
 
 from repro.text.lexicons import (
     SWEAR_WORDS,
@@ -61,6 +64,9 @@ class TokenType(enum.Enum):
 
 _WORD = TokenType.WORD
 _PUNCTUATION = TokenType.PUNCTUATION
+_NUMBER = TokenType.NUMBER
+_NUMBER_TAG = PosTag.NUMBER
+_OTHER_TAG = PosTag.OTHER
 _NEGATIONS = negation_words()
 _BOOSTERS = booster_words()
 _fill = object.__setattr__
@@ -77,6 +83,7 @@ class Token:
     __slots__ = (
         "text",
         "type",
+        "is_word",  # type is TokenType.WORD
         "lower",  # text.lower()
         "length",  # len(text)
         "swear",  # lower is in the base swear lexicon
@@ -90,31 +97,27 @@ class Token:
 
     def __init__(self, text: str, type: TokenType) -> None:
         lower = text.lower()
-        is_word = type is _WORD
         _fill(self, "text", text)
         _fill(self, "type", type)
         _fill(self, "lower", lower)
         _fill(self, "length", len(text))
         _fill(self, "swear", lower in SWEAR_WORDS)
-        _fill(
-            self, "is_uppercase_word",
-            is_word and len(text) >= 2 and text.isupper(),
-        )
-        _fill(self, "kept", is_word and lower not in TWITTER_ABBREVIATIONS)
-        if is_word:
+        if type is _WORD:
+            _fill(self, "is_word", True)
+            _fill(self, "is_uppercase_word", len(text) >= 2 and text.isupper())
+            _fill(self, "kept", lower not in TWITTER_ABBREVIATIONS)
             _fill(self, "pos", tag_lower_word(lower))
+            _fill(self, "strength", word_strength_lower(lower))
+            _fill(self, "negator", lower in _NEGATIONS)
+            _fill(self, "boost", _BOOSTERS.get(lower, 0))
         else:
-            _fill(
-                self, "pos",
-                PosTag.NUMBER if type is TokenType.NUMBER else PosTag.OTHER,
-            )
-        _fill(self, "strength", word_strength_lower(lower) if is_word else 0)
-        _fill(self, "negator", is_word and lower in _NEGATIONS)
-        _fill(self, "boost", _BOOSTERS.get(lower, 0) if is_word else 0)
-
-    @property
-    def is_word(self) -> bool:
-        return self.type is _WORD
+            _fill(self, "is_word", False)
+            _fill(self, "is_uppercase_word", False)
+            _fill(self, "kept", False)
+            _fill(self, "pos", _NUMBER_TAG if type is _NUMBER else _OTHER_TAG)
+            _fill(self, "strength", 0)
+            _fill(self, "negator", False)
+            _fill(self, "boost", 0)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Token is immutable (tried to set {name!r})")
@@ -145,18 +148,15 @@ _EMOTICONS = (
 
 _URL = r"https?://\S+|www\.\S+"
 
-# Alternatives are tried in order, so the order is the priority. WORD —
-# six tokens in seven — is tried first and therefore carries, as a
-# negative lookahead, the two higher-priority kinds that can start with
-# a letter (URLs and the letter-initial emoticons); everything it
-# rejects falls through to them. The leading ``\s*`` skips inter-token
-# whitespace inside one match instead of one failed match per blank;
-# :func:`tokenize` strips trailing whitespace first, so that run is
-# always followed by a character some alternative (SYMBOL at the least)
-# accepts and never backtracks.
-_TOKEN_PATTERN = re.compile(
-    r"""
-    \s*(?:
+# The grammar, once. Alternatives are tried in order, so the order is the
+# priority. WORD — six tokens in seven — is tried first and therefore
+# carries, as a negative lookahead, the two higher-priority kinds that
+# can start with a letter (URLs and the letter-initial emoticons);
+# everything it rejects falls through to them. Every alternative is
+# anchored at the token's first character and looks at nothing before
+# it or after its own end, so a surface matched on its own takes the
+# alternative it took in context (tests/text/test_scan_contract.py).
+_ALTERNATIVES = r"""
     (?P<WORD>(?!%(url)s|%(letter_emoticon)s)
              [A-Za-z](?:[A-Za-z'*$0-9-]*[A-Za-z*$0-9])?)
   | (?P<URL>%(url)s)
@@ -166,17 +166,16 @@ _TOKEN_PATTERN = re.compile(
   | (?P<NUMBER>\d+(?:[.,]\d+)*)
   | (?P<PUNCTUATION>[.!?,;:"'()\[\]{}…-]+)
   | (?P<SYMBOL>\S)
-    )
-    """
-    % {
-        "url": _URL,
-        "emoticon": "|".join(re.escape(e) for e in _EMOTICONS),
-        "letter_emoticon": "|".join(
-            re.escape(e) for e in _EMOTICONS if e[0].isalpha()
-        ),
-    },
-    re.VERBOSE,
-)
+""" % {
+    "url": _URL,
+    "emoticon": "|".join(re.escape(e) for e in _EMOTICONS),
+    "letter_emoticon": "|".join(
+        re.escape(e) for e in _EMOTICONS if e[0].isalpha()
+    ),
+}
+
+#: Classifies one surface: ``match(surface).lastindex`` is its kind.
+_TOKEN_PATTERN = re.compile(_ALTERNATIVES, re.VERBOSE)
 
 #: ``match.lastindex`` → token type (the groups are named after them).
 _TYPE_BY_GROUP = {
@@ -185,11 +184,16 @@ _TYPE_BY_GROUP = {
 
 _SENTENCE_TERMINATORS = re.compile(r"[.!?…]+")
 
-#: Surface text → the shared token, for words and for punctuation runs
-#: (a closed alphabet no word can start with, so the two never share a
-#: key). URLs, mentions, hashtags and numbers are unbounded by nature and
-#: are built per occurrence, as are the rare emoticons and symbols.
-_WORD_TABLE: Dict[str, Token] = {}
+# The scan: the same alternatives with their names dropped, inside one
+# capturing group, so ``findall`` returns the surface strings from a
+# single C loop. The leading ``\s*`` skips inter-token whitespace inside
+# one match instead of one failed match per blank; :func:`tokenize`
+# strips trailing whitespace first, so that run is always followed by a
+# character some alternative (SYMBOL at the least) accepts and never
+# backtracks.
+_surfaces = re.compile(
+    r"\s*(%s)" % re.sub(r"\(\?P<\w+>", "(?:", _ALTERNATIVES), re.VERBOSE
+).findall
 
 
 def remember(memo: dict, key: str, value):
@@ -205,27 +209,35 @@ def remember(memo: dict, key: str, value):
     return value
 
 
+class _WordTable(dict):
+    """Surface text → token; a miss classifies the surface and builds it.
+
+    Words and punctuation runs (a closed alphabet no word can start
+    with, so the two never share a key) are stored under the
+    :func:`remember` rule. URLs, mentions, hashtags and numbers are
+    unbounded by nature and are built per occurrence, as are the rare
+    emoticons and symbols — they take this miss path every time.
+    """
+
+    def __missing__(self, surface: str) -> Token:
+        kind = _TYPE_BY_GROUP[_TOKEN_PATTERN.match(surface).lastindex]
+        token = Token(surface, kind)
+        if kind is _WORD or kind is _PUNCTUATION:
+            remember(self, surface, token)
+        return token
+
+
+_WORD_TABLE = _WordTable()
+_record = _WORD_TABLE.__getitem__
+
+
 def tokenize(text: str) -> List[Token]:
     """Tokenize tweet text into typed tokens.
 
     Word and punctuation tokens are shared instances from the interned
     table — treat every token as read-only (they enforce it).
     """
-    tokens: List[Token] = []
-    append = tokens.append
-    lookup = _WORD_TABLE.get
-    for match in _TOKEN_PATTERN.finditer(text.rstrip()):
-        group = match.lastindex
-        surface = match.group(group)
-        kind = _TYPE_BY_GROUP[group]
-        if kind is _WORD or kind is _PUNCTUATION:
-            token = lookup(surface)
-            if token is None:
-                token = remember(_WORD_TABLE, surface, Token(surface, kind))
-        else:
-            token = Token(surface, kind)
-        append(token)
-    return tokens
+    return list(map(_record, _surfaces(text.rstrip())))
 
 
 def words(text: str) -> List[str]:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import collections
+
 import pytest
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import AggressionDetectionPipeline, run_pipeline
 from repro.data.loader import strip_labels
 from repro.data.synthetic import AbusiveDatasetGenerator
+from repro.obs.metrics import Counter, Histogram
 
 
 class TestProcessing:
@@ -111,3 +114,73 @@ class TestDeterminism:
         a = run_pipeline(small_stream, PipelineConfig(n_classes=2, seed=5))
         b = run_pipeline(small_stream, PipelineConfig(n_classes=2, seed=5))
         assert a.metrics == b.metrics
+
+
+class TestTelemetryBudget:
+    """ROADMAP 4a, counted not timed: what ``process`` books per tweet.
+
+    The baseline for the PR that shrinks the sequential path's
+    telemetry (the partition path's is pinned in
+    ``tests/engine/test_worker_telemetry.py``): every ``Histogram``
+    observation and ``Counter`` increment one tweet causes, by metric.
+    """
+
+    @staticmethod
+    def _booked(monkeypatch, pipeline):
+        """A tally of ``metric[stage]`` bookings, filled as they happen."""
+        names = {}
+        registry = pipeline.metrics
+        for kind in (registry._histograms, registry._counters):
+            for (name, labels), child in kind.items():
+                stage = dict(labels).get("stage")
+                names[id(child)] = f"{name}[{stage}]" if stage else name
+        booked = collections.Counter()
+
+        def counted(method):
+            def wrapper(self, *args):
+                booked[names.get(id(self), "unregistered")] += 1
+                return method(self, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(Histogram, "observe", counted(Histogram.observe))
+        monkeypatch.setattr(
+            Histogram, "observe_repeated", counted(Histogram.observe_repeated)
+        )
+        monkeypatch.setattr(Counter, "inc", counted(Counter.inc))
+        return booked
+
+    def test_bookings_per_tweet_are_exactly_these(
+        self, small_stream, monkeypatch
+    ):
+        pipeline = AggressionDetectionPipeline(PipelineConfig(n_classes=2))
+        pipeline.process_stream(small_stream[:1500])
+        booked = self._booked(monkeypatch, pipeline)
+        common = {
+            "tweet_stage_seconds[extract]": 1,
+            "tweet_stage_seconds[normalize]": 1,
+            "tweet_stage_seconds[predict]": 1,
+            "tweets_processed_total": 1,
+        }
+
+        pipeline.process(small_stream[1500])
+        assert booked == {
+            **common,
+            "tweet_stage_seconds[learn]": 1,
+            "tweets_labeled_total": 1,
+        }  # 4 observes + 2 incs
+
+        seen = set()
+        for tweet in strip_labels(small_stream[1501:]):
+            booked.clear()
+            alerts = pipeline.alert_manager.n_alerts
+            pipeline.process(tweet)
+            raised = pipeline.alert_manager.n_alerts - alerts
+            seen.add(raised)
+            assert booked == {
+                **common,
+                "tweet_stage_seconds[alert]": 1,
+                "tweets_unlabeled_total": 1,
+                **({"alerts_total": 1} if raised else {}),
+            }  # 4 observes + 2 incs, + 1 inc when it alerts
+        assert seen == {0, 1}

@@ -370,6 +370,42 @@ class TestHandlerBugs:
         assert open_fds() == baseline
 
 
+#: Well-formed JSON, wrongly typed fields: the client's error.
+MISTYPED = (
+    b'{"text":123}',
+    b'{"text":["a"]}',
+    b'{"text":"hi","user":5}',
+    b'{"text":"hi","created_at":[1]}',
+)
+
+
+class TestMistypedFields:
+    @pytest.mark.parametrize("body", MISTYPED)
+    def test_answered_400_over_http_and_jsonl(self, served, body):
+        reply = exchange(served.port, post(b"/classify", body))
+        assert status_of(reply) == 400
+        assert b"Error" not in body_of(reply)  # no internal exception name
+        line = json.loads(exchange(served.port, body + b"\n", half_close=True))
+        assert line["status"] == 400
+        errors = served.server.metrics.counter_value("requests_error_total")
+        assert errors == 0
+
+    def test_64_in_a_row_leave_the_breaker_closed(self, served):
+        lines = [MISTYPED[i % len(MISTYPED)] for i in range(64)]
+        with raw_connect(served.port) as sock:
+            sock.sendall(b"\n".join(lines) + b"\n")
+            statuses = {
+                json.loads(line)["status"] for line in read_lines(sock, 64)
+            }
+            assert statuses == {400}
+            breaker = served.server.breakers["classify"]
+            assert served.call(lambda: breaker.is_open) is False
+            assert breaker.failure_rate == 0.0
+            sock.sendall(CLASSIFY + b"\n")
+            assert json.loads(read_lines(sock, 1)[0])["status"] == 200
+        assert status_of(exchange(served.port, post(b"/classify", CLASSIFY))) == 200
+
+
 class TestNoTaskOnTheUncontendedPath:
     def test_100_sequential_classifies_create_no_task(self, served):
         created = []

@@ -107,6 +107,33 @@ class TestJsonlProtocol:
         asyncio.run(main())
 
 
+    def test_latency_sketch_is_sampled_and_the_exact_fields_are_not(
+        self, tmp_path, trained_payload
+    ):
+        async def main():
+            _, server = _serve(tmp_path, trained_payload)
+            await server.start()
+            client = await JsonlClient(server.port).connect()
+            try:
+                every = server.REQUEST_SKETCH_EVERY
+                for _ in range(every - 1):
+                    await client.request({"op": "health"})
+                latency = server.metrics.histogram(
+                    "request_seconds", endpoint="health"
+                )
+                assert latency.count == every - 1
+                assert latency.quantile(0.99) is None  # sketches not fed yet
+                await client.request({"op": "health"})
+                assert latency.count == every
+                assert 0.0 < latency.min <= latency.quantile(0.99) <= latency.max
+                assert latency.sum >= latency.max
+            finally:
+                await client.close()
+                await server.shutdown()
+
+        asyncio.run(main())
+
+
 class TestReadiness:
     def test_503_until_first_snapshot_then_serves(
         self, tmp_path, trained_payload

@@ -52,6 +52,28 @@ class Token:
 '''
 
 
+SCAN_OFFENDING = '''
+import re
+
+_PATTERN = re.compile(r"\\s*(\\w+)")
+
+
+def tokenize(text):
+    return [m.group(m.lastindex) for m in _PATTERN.finditer(text)]
+'''
+
+SCAN_CLEAN = '''
+import re
+
+_surfaces = re.compile(r"\\s*(\\w+)").findall
+
+
+def tokenize(text):
+    """No finditer here (the word in a docstring is not a call)."""
+    return list(map(str.lower, _surfaces(text)))
+'''
+
+
 SERVE_OFFENDING = '''
 import asyncio
 
@@ -127,6 +149,14 @@ def test_memo_rule_is_scoped_to_the_record_paths():
     assert messages == [
         "re.compile in function body (compile at module level)"
     ]
+
+
+def test_finditer_is_flagged_on_the_text_path_only():
+    for filename in ("src/repro/text/tokenizer.py", "src/repro/core/features.py"):
+        messages = _messages(SCAN_OFFENDING, filename)
+        assert len(messages) == 1 and "finditer" in messages[0]
+        assert _messages(SCAN_CLEAN, filename) == []
+    assert _messages(SCAN_OFFENDING, "src/repro/core/explain.py") == []
 
 
 def test_stream_layer_and_labelled_count_lookups_flagged_in_serve():

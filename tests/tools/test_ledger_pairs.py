@@ -33,15 +33,23 @@ parser = argparse.ArgumentParser()
 parser.add_argument("--seed", type=int)
 parser.add_argument("--out")
 parser.add_argument("--smoke", action="store_true")
+parser.add_argument("--workload")
 args = parser.parse_args()
 speed = float(pathlib.Path("speed.txt").read_text())
-log = pathlib.Path(args.out).parent / "order.log"
-with log.open("a") as handle:
-    handle.write(f"{speed:g} seed={args.seed} smoke={args.smoke}\\n")
-json.dump({"workloads": {"train_seq": {"end_to_end": {
+metrics = {
     "tweets_per_s": {"value": speed + args.seed},
     "p50_ms": {"value": 1000.0 / speed},
-}}}}, open(args.out, "w"))
+}
+if args.workload:  # the contract mode: no --out, the result line last
+    print(f"-- {args.workload} (end_to_end)")
+    print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                      "metrics": metrics}))
+else:
+    log = pathlib.Path(args.out).parent / "order.log"
+    with log.open("a") as handle:
+        handle.write(f"{speed:g} seed={args.seed} smoke={args.smoke}\\n")
+    json.dump({"workloads": {"train_seq": {"end_to_end": metrics}}},
+              open(args.out, "w"))
 '''
 
 STUB_COMPARE = '''
@@ -105,6 +113,26 @@ def test_pairs_alternate_and_the_claim_is_judged(repo, tmp_path):
     assert len(list(out_dir.glob("parent_*.json"))) == 3
     # Nothing was left behind in the repository's git metadata.
     assert not (repo / ".git" / "worktrees").exists()
+
+
+def test_workload_passes_through_and_says_it_is_not_the_claim(repo, tmp_path):
+    out_dir = tmp_path / "out"
+    done = _run(repo, out_dir, "--pairs", "2", "--workload", "train_seq",
+                "--claim", "train_seq:tweets_per_s")
+    assert done.returncode == 0, done.stdout + done.stderr
+    # run.py was started with --workload (the stub only logs whole-ledger
+    # runs) and its result line became a ledger-shaped file per run.
+    assert not (out_dir / "order.log").exists()
+    assert len(list(out_dir.glob("*.json"))) == 4
+    assert "compared" not in done.stdout  # no compare.py table
+    assert "change won 2/2 (0 tied)" in done.stdout
+    assert "claim met on single-workload runs of train_seq only" in done.stdout
+    assert "not the PR's claim" in done.stdout
+    # Without a claim on that workload there is nothing to report.
+    refused = _run(repo, out_dir, "--workload", "train_seq",
+                   "--claim", "train_mb:tweets_per_s")
+    assert refused.returncode == 2
+    assert "--workload NAME needs --claim NAME:METRIC" in refused.stderr
 
 
 def test_a_lower_is_better_claim_that_fails_exits_1(repo, tmp_path):

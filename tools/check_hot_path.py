@@ -39,6 +39,12 @@ two patterns that are harmless elsewhere are throughput bugs there:
   ``text/lexicons.py`` are import-time singletons, not per-call memos,
   and stay legal.
 
+* ``.finditer(`` under ``src/repro/text`` and in
+  ``src/repro/core/features.py`` — iterating match objects in Python
+  and calling ``group()`` on each costs more than the regex itself;
+  the token scan is one one-group ``findall`` plus one table ``map``
+  (DESIGN.md §9 "One-pass text analysis").
+
 * under ``src/repro/serve``: ``asyncio.start_server`` /
   ``asyncio.open_connection`` / ``StreamReader`` / ``StreamWriter`` —
   the wire path is one selector-driven connection object on raw
@@ -166,6 +172,21 @@ def _memo_decorator_offenses(
                 )
 
 
+def _finditer_offenses(tree: ast.AST) -> Iterator[Tuple[int, int, str]]:
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "finditer"
+        ):
+            yield (
+                node.lineno,
+                node.col_offset,
+                "finditer on the text path (scan with a one-group "
+                "findall and map the surfaces through the word table)",
+            )
+
+
 #: The asyncio stream layer, banned from the serving wire path.
 SERVE_BANNED_NAMES = {
     "start_server", "open_connection", "StreamReader", "StreamWriter",
@@ -225,8 +246,9 @@ def find_hot_path_offenses(
     ``filename`` gates the file-scoped rules: shared-memory attach is
     legal only in :data:`SHM_ALLOWED_FILES`, direct pickling inside
     an ``engine/`` directory only in :data:`PICKLE_ALLOWED_FILES`, and
-    memo decorators are banned in a ``text/`` directory and in
-    ``core/features.py`` (there the record is the memo); the asyncio
+    memo decorators and ``finditer`` loops are banned in a ``text/``
+    directory and in ``core/features.py`` (there the record is the
+    memo and the scan runs in C); the asyncio
     stream layer and per-response labelled metric lookups are banned
     in a ``serve/`` directory, ``dataclasses.replace`` in a
     ``streamml/`` directory.
@@ -235,6 +257,7 @@ def find_hot_path_offenses(
     parts = Path(filename).parts
     if "text" in parts or parts[-2:] == ("core", "features.py"):
         yield from _memo_decorator_offenses(tree)
+        yield from _finditer_offenses(tree)
     if "serve" in parts:
         yield from _serve_offenses(tree)
     if "streamml" in parts:

@@ -22,8 +22,14 @@ the change's checkout. This file imports nothing from
 they write.
 
 ``--smoke`` passes ``--smoke`` to ``run.py`` (a tenth of the size; a
-plumbing check, not evidence). Exit code: ``compare.py``'s, or 1 when a
-claim was named and is not met, or 2 when a run fails.
+plumbing check, not evidence). ``--workload NAME`` passes ``--workload``
+through instead of running the whole ledger (~40 s a side instead of
+~6 min): development pairs for the claimed metric only — ``run.py``
+prints one workload's result line rather than a ledger, so there is no
+``compare.py`` table, and the summary says the evidence is
+single-workload and therefore not the PR's claim. Exit code:
+``compare.py``'s, or 1 when a claim was named and is not met, or 2 when
+a run fails.
 """
 
 from __future__ import annotations
@@ -54,9 +60,14 @@ def export_commit(repo: Path, rev: str, into: Path) -> None:
         tar.extractall(into)
 
 
-def run_ledger(root: Path, seed: int, out: Path, smoke: bool) -> float:
-    """One whole-ledger run from ``root``; returns the seconds it took."""
-    command = [sys.executable, str(RUN), "--seed", str(seed), "--out", str(out)]
+def run_ledger(
+    root: Path, seed: int, out: Path, smoke: bool,
+    workload: Optional[str] = None,
+) -> float:
+    """One ledger run from ``root`` — whole, or only ``workload`` —
+    leaving a ledger-shaped file at ``out``; returns the seconds it took."""
+    command = [sys.executable, str(RUN), "--seed", str(seed)]
+    command += ["--out", str(out)] if workload is None else ["--workload", workload]
     if smoke:
         command.append("--smoke")
     started = time.monotonic()
@@ -64,6 +75,12 @@ def run_ledger(root: Path, seed: int, out: Path, smoke: bool) -> float:
         command, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True,
     )
+    if done.returncode == 0 and workload is not None:
+        # One-workload mode prints its result as the last stdout line.
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+        out.write_text(json.dumps(
+            {"workloads": {workload: {"end_to_end": result["metrics"]}}}
+        ), encoding="utf-8")
     if done.returncode != 0 or not out.exists():
         sys.stderr.write(done.stdout)
         raise RuntimeError(
@@ -111,9 +128,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--out-dir", type=Path, default=None,
                         help="keep the ledger files here (default: a temp dir)")
     parser.add_argument("--smoke", action="store_true")
+    parser.add_argument("--workload", default=None, metavar="NAME",
+                        help="development pairs: run only this workload "
+                        "(needs --claim NAME:METRIC; no compare.py table)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if args.workload and not (args.claim or "").startswith(args.workload + ":"):
+        parser.error("--workload NAME needs --claim NAME:METRIC")
     claim = better = None
     if args.claim:
         claim = tuple(args.claim.split(":"))
@@ -135,7 +157,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             for side in order:
                 out = (out_dir / f"{side}_{pair:02d}_seed{seed}.json").resolve()
                 try:
-                    took = run_ledger(roots[side], seed, out, args.smoke)
+                    took = run_ledger(
+                        roots[side], seed, out, args.smoke, args.workload
+                    )
                 except RuntimeError as error:
                     print(f"ledger_pairs: {error}", file=sys.stderr)
                     return 2
@@ -143,11 +167,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"pair {pair} seed {seed} {side:<6} {took:6.1f} s  {out}",
                       flush=True)
 
-    verdicts = subprocess.run(
-        [sys.executable, str(COMPARE),
-         "--a", *map(str, files["parent"]), "--b", *map(str, files["change"])],
-        cwd=args.repo,
-    ).returncode
+    verdicts = 0
+    if args.workload is None:
+        verdicts = subprocess.run(
+            [sys.executable, str(COMPARE), "--a", *map(str, files["parent"]),
+             "--b", *map(str, files["change"])],
+            cwd=args.repo,
+        ).returncode
     if claim is None:
         return verdicts
     workload, metric = claim
@@ -165,7 +191,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     base, new = statistics.median(parent), statistics.median(change)
     print(f"  change won {wins}/{len(parent)} ({ties} tied); medians "
           f"{base:.5g} -> {new:.5g} ({(new - base) / abs(base) if base else 0.0:+.1%});"
-          f" claim {'met' if met else 'NOT met'}")
+          f" claim {'met' if met else 'NOT met'}"
+          + (f" on single-workload runs of {workload} only — development"
+             " evidence, not the PR's claim (that takes whole-ledger pairs)"
+             if args.workload else ""))
     return verdicts or (0 if met else 1)
 
 
