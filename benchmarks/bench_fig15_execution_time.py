@@ -49,13 +49,6 @@ def test_fig15_execution_time(benchmark):
             "paper @2M tweets: SparkLocal 5.5x and SparkCluster 13.2x "
             "faster than SparkSingle",
         ],
-        summary={
-            "workloads": list(WORKLOADS),
-            "execution_time_s": {
-                spec.name: grid[spec.name] for spec in PAPER_SPECS
-            },
-            "measured_single_thread_tweets_per_s": real_throughput,
-        },
     )
     times = {spec.name: dict(zip(WORKLOADS, grid[spec.name]))
              for spec in PAPER_SPECS}
@@ -96,12 +89,6 @@ def test_fig15_real_microbatch_speed(benchmark):
             f"throughput: {result.throughput:,.0f} tweets/s; driver-side "
             f"merge/drain: {stages.driver_seconds:.3f} s",
         ],
-        summary={
-            "n_tweets": len(tweets),
-            "throughput_tweets_per_s": result.throughput,
-            "stage_seconds": stages.as_dict(),
-            "driver_seconds": stages.driver_seconds,
-        },
     )
     assert result.n_processed == 4000
     assert stages.partition_execute > 0

@@ -183,24 +183,6 @@ def test_fig16_elastic_partitions(benchmark):
             f"max stable rate (<{STABLE_SHED_FRACTION:.0%} shed): "
             f"fixed {max_fixed} tweets/s, elastic {max_elastic} tweets/s",
         ],
-        summary={
-            "rates_hz": list(RATES_HZ),
-            "shed_fraction_fixed": [
-                fixed[r]["shed_fraction"] for r in RATES_HZ
-            ],
-            "shed_fraction_elastic": [
-                elastic[r]["shed_fraction"] for r in RATES_HZ
-            ],
-            "final_partitions_elastic": [
-                elastic[r]["final_partitions"] for r in RATES_HZ
-            ],
-            "max_stable_rate_fixed_hz": max_fixed,
-            "max_stable_rate_elastic_hz": max_elastic,
-            "n_partitions_fixed": N_PARTITIONS,
-            "partition_overhead_s": PARTITION_OVERHEAD_S,
-            "straggler_p": STRAGGLER_P,
-            "service_model_s": SERVICE_MODEL,
-        },
     )
     # Elastic partitioning must never be worse, and under straggler-
     # heavy overload it must buy real headroom: fewer partitions mean

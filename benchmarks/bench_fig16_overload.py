@@ -100,18 +100,6 @@ def test_fig16_overload_degradation(benchmark):
             f"max stable rate (<{STABLE_SHED_FRACTION:.0%} shed): "
             f"fixed {max_fixed} tweets/s, adaptive {max_adaptive} tweets/s",
         ],
-        summary={
-            "rates_hz": list(RATES_HZ),
-            "shed_fraction_fixed": [
-                fixed[r].shed_fraction for r in RATES_HZ
-            ],
-            "shed_fraction_adaptive": [
-                adaptive[r].shed_fraction for r in RATES_HZ
-            ],
-            "max_stable_rate_fixed_hz": max_fixed,
-            "max_stable_rate_adaptive_hz": max_adaptive,
-            "service_model_s": SERVICE_MODEL,
-        },
     )
     # Full-tier capacity is 1/0.0008 = 1250/s; the 2000-deep queue
     # absorbs a finite run's transient up to 1500/s, then shedding is

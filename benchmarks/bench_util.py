@@ -2,10 +2,8 @@
 
 Every benchmark regenerates one table or figure of the paper. Results
 are printed and also written to ``benchmarks/results/<name>.txt`` so
-they survive pytest's output capture. Benches that pass a ``summary``
-dict additionally persist a machine-readable ``BENCH_<name>.json`` at
-the repo root, so CI and regression tooling can diff headline numbers
-(throughput, stage shares) without parsing the text tables.
+they survive pytest's output capture. Speed claims live in the perf
+ledger (``benchmarks/ledger/``), not here.
 
 Scale control: experiments default to a reduced stream
 (``REPRO_BENCH_TWEETS``, default 12,000 tweets) so the whole suite runs
@@ -16,7 +14,6 @@ benches that share runs (e.g. Table II and Figs. 11/12) pay once.
 
 from __future__ import annotations
 
-import json
 import os
 from functools import lru_cache
 from pathlib import Path
@@ -27,7 +24,6 @@ from repro.core.pipeline import AggressionDetectionPipeline, PipelineResult
 from repro.data.synthetic import AbusiveDatasetGenerator
 
 RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
 
 FULL_SCALE = os.environ.get("REPRO_BENCH_FULL", "") == "1"
 DEFAULT_TWEETS = int(os.environ.get("REPRO_BENCH_TWEETS", "12000"))
@@ -77,14 +73,8 @@ def report(
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],
     notes: Sequence[str] = (),
-    summary: Optional[Dict[str, object]] = None,
 ) -> str:
-    """Format, print, and persist one experiment's result table.
-
-    ``summary`` (optional) is the experiment's headline numbers; when
-    given, it is written as ``BENCH_<name>.json`` at the repo root via
-    :func:`write_bench_summary`.
-    """
+    """Format, print, and persist one experiment's result table."""
     widths = [
         max(len(str(headers[col])), *(len(_fmt(row[col])) for row in rows))
         for col in range(len(headers))
@@ -105,37 +95,8 @@ def report(
     text = "\n".join(lines)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
-    if summary is not None:
-        write_bench_summary(name, title, summary)
     print("\n" + text)
     return text
-
-
-def write_bench_summary(
-    name: str, title: str, summary: Dict[str, object]
-) -> Path:
-    """Persist one bench's headline numbers as ``BENCH_<name>.json``.
-
-    The file lands at the repo root (next to ``CHANGES.md``) so CI and
-    regression tooling can pick every ``BENCH_*.json`` up with one glob
-    and diff runs without parsing the human-readable tables. Values
-    must be JSON-serializable; non-finite floats are stringified.
-    """
-    payload = {
-        "bench": name,
-        "title": title,
-        "workload": {
-            "full_scale": FULL_SCALE,
-            "n_tweets": None if FULL_SCALE else DEFAULT_TWEETS,
-        },
-        "summary": summary,
-    }
-    path = REPO_ROOT / f"BENCH_{name}.json"
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n",
-        encoding="utf-8",
-    )
-    return path
 
 
 def _fmt(value: object) -> str:

@@ -93,10 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--normalization", default="minmax_no_outliers",
                      choices=("minmax", "minmax_no_outliers", "zscore",
                               "none"))
-    run.add_argument("--fast-math", action="store_true",
-                     help="numpy columnar batch kernels (results match "
-                     "the scalar path within documented tolerances "
-                     "rather than bitwise)")
     run.add_argument("--engine", default="sequential",
                      choices=("sequential", "microbatch"),
                      help="sequential (MOA-like) or micro-batch (Fig. 2) "
@@ -345,7 +341,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         preprocessing=not args.no_preprocessing,
         adaptive_bow=not args.no_adaptive_bow,
         normalization=args.normalization,
-        fast_math=args.fast_math,
     )
     supervised = (
         args.retries is not None

@@ -153,7 +153,6 @@ def normalizer_to_dict(normalizer: Normalizer) -> Dict[str, Any]:
         "observed": normalizer.observed,
         "transformed": normalizer.n_transformed,
         "clipped": normalizer.n_clipped,
-        "fast_math": normalizer.fast_math,
     }
     if isinstance(normalizer, MinMaxNoOutliersNormalizer):
         return dict(
@@ -211,8 +210,6 @@ def normalizer_from_dict(payload: Dict[str, Any]) -> Normalizer:
     # Pre-observability checkpoints lack the clip counters; default to 0.
     normalizer.n_transformed = int(payload.get("transformed", 0))
     normalizer.n_clipped = int(payload.get("clipped", 0))
-    # Pre-fast-math checkpoints default to the bit-exact scalar kernels.
-    normalizer.fast_math = bool(payload.get("fast_math", False))
     return normalizer
 
 
@@ -462,8 +459,19 @@ def config_to_dict(config: PipelineConfig) -> Dict[str, Any]:
         "sample_capacity": config.sample_capacity,
         "sample_boost": config.sample_boost,
         "seed": config.seed,
-        "fast_math": config.fast_math,
     }
+
+
+def config_from_dict(payload: Dict[str, Any]) -> PipelineConfig:
+    """Rebuild a config from :func:`config_to_dict` output.
+
+    ``fast_math`` is dropped: payloads written before the numpy twin
+    kernels were deleted carry it, and a ``true`` one resumes on the
+    scalar kernels (DESIGN.md §9). Any other unknown key still raises.
+    """
+    fields = dict(payload)
+    fields.pop("fast_math", None)
+    return PipelineConfig(**fields)
 
 
 # ----------------------------------------------------------------------
@@ -495,7 +503,7 @@ def pipeline_from_dict(payload: Dict[str, Any]) -> AggressionDetectionPipeline:
     version = payload.get("checkpoint_version")
     if version != CHECKPOINT_VERSION:
         raise SerializationError(f"unsupported checkpoint version {version!r}")
-    config = PipelineConfig(**payload["config"])
+    config = config_from_dict(payload["config"])
     pipeline = AggressionDetectionPipeline(config)
     pipeline.model = model_from_dict(payload["model"])
     pipeline.normalizer = normalizer_from_dict(payload["normalizer"])

@@ -85,11 +85,6 @@ class PipelineConfig:
         alert_min_confidence: alerting threshold.
         sample_capacity / sample_boost: boosted-sampler settings.
         seed: RNG seed threaded into stochastic components.
-        fast_math: use the numpy columnar batch kernels for
-            normalization and (where the model supports it) learning/
-            prediction. Default off keeps the bit-exact scalar kernels;
-            on, results agree within the per-kernel tolerances
-            documented in DESIGN.md §9.
     """
 
     n_classes: int = 3
@@ -105,7 +100,6 @@ class PipelineConfig:
     sample_capacity: int = 200
     sample_boost: float = 5.0
     seed: int = 42
-    fast_math: bool = False
 
     def __post_init__(self) -> None:
         if self.n_classes not in (2, 3):
@@ -136,9 +130,5 @@ def create_model(config: PipelineConfig) -> StreamClassifier:
     params.update(config.model_params)
     if config.model in ("arf", "ozabag", "ozaboost"):
         params.setdefault("seed", config.seed)
-    if config.fast_math and config.model == "slr":
-        # SLR is the only model with numpy kernels; tree/ensemble models
-        # keep their scalar (bit-exact) batch paths regardless.
-        params.setdefault("fast_math", True)
     constructor = _CONSTRUCTORS[config.model]
     return constructor(n_classes=config.n_classes, **params)

@@ -19,18 +19,15 @@ the partition observes its own raw vectors locally, and the driver folds
 the small per-partition statistics into the global normalizer with
 ``merge()`` — O(partitions) driver work instead of O(tweets).
 
-Min-max, z-score and identity carry two batch-kernel implementations.
-The default scalar ``*_many`` kernels are bit-identical to the per-row
-path (the property suite compares with ``==``). With ``fast_math=True``
-the kernels switch to numpy columnar implementations that reassociate
-floating-point reductions — results agree with the scalar path within a
-documented per-kernel tolerance (DESIGN.md §9), not bitwise. The flag
-travels through ``fresh()`` so partition-local normalizers inherit it.
+Every normalizer has one kernel per operation. For min-max, z-score
+and identity the ``*_many`` methods are scalar loops that strip per-row
+dispatch and are bit-identical to the per-row path (the property suite
+compares with ``==``); the no-outliers variant's are numpy, cut at the
+same block boundaries as its row path, and just as ``==``.
 
-The no-outliers variant has one kernel regardless of the flag. Its
-contract (DESIGN.md §9) is: row path ``==`` batch path under any
-chunking, runner ``==`` runner, resume ``==`` uninterrupted — all bit
-for bit — while the bounds themselves are an estimate pinned only by
+The no-outliers contract (DESIGN.md §9) is: row path ``==`` batch path
+under any chunking, runner ``==`` runner, resume ``==`` uninterrupted —
+all bit for bit — while the bounds themselves are an estimate pinned only by
 accuracy (within 10% of the true 5%/95% span on stationary streams, the
 Fig. 7/8 benches and the F1 band).
 """
@@ -58,10 +55,11 @@ BLOCK_ROWS = 256
 
 
 def _as_matrix(xs: Sequence[Sequence[float]], n_features: int):
-    """Batch rows as a float64 matrix, or ``None`` to use the scalar path.
+    """Batch rows as a float64 matrix, or ``None`` to use the row path.
 
-    ``None`` (empty batch, ragged rows, or width mismatch) sends the caller down the scalar kernel, which raises the
-    usual per-row errors — the fast path never changes error behaviour.
+    ``None`` (empty batch, ragged rows, or width mismatch) sends the
+    caller down the per-row loop, which raises the usual per-row errors
+    — the matrix path never changes error behaviour.
     """
     if len(xs) == 0:
         return None
@@ -80,11 +78,10 @@ def _as_matrix(xs: Sequence[Sequence[float]], n_features: int):
 def _scale_clip(X, los, spans, valid):
     """Min-max scale ``X`` into [0, 1] wherever ``valid``; 0 elsewhere.
 
-    ``los``/``spans``/``valid`` broadcast against ``X`` — per-column
-    vectors for batch-constant bounds, full matrices for the
-    self-inclusive prefix-bounds kernels. Returns ``(scaled matrix,
-    clipped count)`` with the clip count matching the scalar kernels
-    (one per out-of-range value in a valid cell).
+    ``los``/``spans``/``valid`` are per-column vectors broadcast against
+    ``X``. Returns ``(scaled matrix, clipped count)`` with the clip
+    count matching the row path (one per out-of-range value in a valid
+    cell).
     """
     with _np.errstate(divide="ignore", invalid="ignore"):
         scaled = (X - los) / spans
@@ -102,6 +99,11 @@ def _rows_as_tuples(matrix) -> List[Tuple[float, ...]]:
 class Normalizer(abc.ABC):
     """Incremental per-feature scaler."""
 
+    #: Whether the ``*_many`` kernels want a float64 matrix (they accept
+    #: row sequences either way; a caller holding both passes the matrix
+    #: to save the per-call conversion).
+    columnar = False
+
     def __init__(self, n_features: int) -> None:
         if n_features < 1:
             raise ValueError("n_features must be >= 1")
@@ -112,18 +114,6 @@ class Normalizer(abc.ABC):
         #: Transformed values that fell outside the scaling bounds and
         #: were clamped (min-max variants only; 0 for z-score/identity).
         self.n_clipped = 0
-        #: When True the ``*_many`` kernels use the numpy columnar
-        #: implementations (tolerance contract) instead of the bit-exact
-        #: scalar ones. Set via ``make_normalizer(..., fast_math=True)``
-        #: and inherited by :meth:`fresh`.
-        self.fast_math = False
-
-    @property
-    def columnar(self) -> bool:
-        """Whether the ``*_many`` kernels want a float64 matrix (they
-        accept row sequences either way; a caller holding both passes
-        the matrix to save the per-call conversion)."""
-        return self.fast_math
 
     @property
     def clip_ratio(self) -> float:
@@ -194,9 +184,7 @@ class Normalizer(abc.ABC):
         Partition tasks use this to accumulate partition-local statistics
         that the driver later folds back via :meth:`merge`.
         """
-        out = type(self)(self.n_features)
-        out.fast_math = self.fast_math
-        return out
+        return type(self)(self.n_features)
 
 
 class MinMaxNormalizer(Normalizer):
@@ -239,20 +227,6 @@ class MinMaxNormalizer(Normalizer):
         ]
 
     def observe_many(self, xs: Sequence[Sequence[float]]) -> None:
-        if self.fast_math:
-            X = _as_matrix(xs, self.n_features)
-            if X is not None:
-                n = len(X)
-                self.observed += n
-                col_min = X.min(axis=0).tolist()
-                col_max = X.max(axis=0).tolist()
-                for tracker, lo, hi in zip(self._trackers, col_min, col_max):
-                    tracker.count += n
-                    if lo < tracker.min:
-                        tracker.min = lo
-                    if hi > tracker.max:
-                        tracker.max = hi
-                return
         trackers = self._trackers
         for x in xs:
             self._check(x)
@@ -267,19 +241,6 @@ class MinMaxNormalizer(Normalizer):
     def transform_many(
         self, xs: Sequence[Sequence[float]]
     ) -> List[Tuple[float, ...]]:
-        if self.fast_math:
-            X = _as_matrix(xs, self.n_features)
-            if X is not None:
-                trackers = self._trackers
-                los = _np.array([t.min for t in trackers])
-                spans = _np.array(
-                    [t.range if t.count else 0.0 for t in trackers]
-                )
-                valid = spans > 0
-                self.n_transformed += X.size
-                rows, clipped = _scale_clip(X, los, spans, valid)
-                self.n_clipped += clipped
-                return _rows_as_tuples(rows)
         # No observation in between, so the per-feature bounds are
         # batch constants: hoist them once instead of re-deriving the
         # range per row.
@@ -314,35 +275,6 @@ class MinMaxNormalizer(Normalizer):
     def observe_and_transform_many(
         self, xs: Sequence[Sequence[float]]
     ) -> List[Tuple[float, ...]]:
-        if self.fast_math:
-            X = _as_matrix(xs, self.n_features)
-            if X is not None:
-                # Self-inclusive prefix bounds: row i is scaled with the
-                # running min/max over the prior state plus rows 0..i —
-                # the same values the scalar stream order sees, computed
-                # as one accumulate per direction.
-                n = len(X)
-                trackers = self._trackers
-                prior_min = _np.array([t.min for t in trackers])
-                prior_max = _np.array([t.max for t in trackers])
-                los = _np.minimum.accumulate(
-                    _np.minimum(X, prior_min), axis=0
-                )
-                his = _np.maximum.accumulate(
-                    _np.maximum(X, prior_max), axis=0
-                )
-                spans = his - los
-                self.observed += n
-                self.n_transformed += X.size
-                rows, clipped = _scale_clip(X, los, spans, spans > 0)
-                self.n_clipped += clipped
-                final_min = los[-1].tolist()
-                final_max = his[-1].tolist()
-                for tracker, lo, hi in zip(trackers, final_min, final_max):
-                    tracker.count += n
-                    tracker.min = lo
-                    tracker.max = hi
-                return _rows_as_tuples(rows)
         # Self-inclusive: each row updates the trackers before it is
         # scaled, exactly like the scalar stream order — but observe and
         # transform share one walk per row (feature f's bounds depend
@@ -418,9 +350,10 @@ class MinMaxNoOutliersNormalizer(Normalizer):
 
     The row path and the ``*_many`` kernels cut blocks at the same row
     counts and run the same IEEE operations per value, so they are
-    ``==``-identical for any chunking of the stream; ``fast_math`` does
-    not select a different kernel here.
+    ``==``-identical for any chunking of the stream.
     """
+
+    columnar = True
 
     def __init__(
         self,
@@ -448,8 +381,6 @@ class MinMaxNoOutliersNormalizer(Normalizer):
         # stale; whatever changes the bounds resets it.
         self._pairs: Optional[List[Optional[Tuple[float, float]]]] = None
         self._arrays: Tuple[Any, Any, Any] = (None, None, None)
-
-    columnar = True  # one numpy kernel, whatever fast_math says
 
     # -- sketch --------------------------------------------------------
 
@@ -598,11 +529,9 @@ class MinMaxNoOutliersNormalizer(Normalizer):
             self._fold_block(other._pending)
 
     def fresh(self) -> "MinMaxNoOutliersNormalizer":
-        out = MinMaxNoOutliersNormalizer(
+        return MinMaxNoOutliersNormalizer(
             self.n_features, self.lower_quantile, self.upper_quantile
         )
-        out.fast_math = self.fast_math
-        return out
 
     # -- batch kernels -------------------------------------------------
     # Same sketch, same block boundaries: a batch is cut wherever the
@@ -720,33 +649,6 @@ class ZScoreNormalizer(Normalizer):
         ]
 
     def observe_many(self, xs: Sequence[Sequence[float]]) -> None:
-        if self.fast_math:
-            X = _as_matrix(xs, self.n_features)
-            if X is not None:
-                # Column moments in one pass, folded into each feature's
-                # RunningStats with the Chan et al. parallel-variance
-                # merge — same formula the partition merge already uses.
-                n = len(X)
-                self.observed += n
-                means = X.mean(axis=0)
-                # A constant column's mean can round away from the
-                # constant ((3a)/3 != a), leaving a tiny positive M2
-                # where Welford yields an exact zero — and a ~1e-11 std
-                # turns the std==0 transform guard into a divide that
-                # emits ±1e15. Snap those columns to exact moments.
-                means = _np.where((X == X[:1]).all(axis=0), X[0], means)
-                m2s = ((X - means) ** 2).sum(axis=0)
-                for stats, b_mean, b_m2 in zip(
-                    self._stats, means.tolist(), m2s.tolist()
-                ):
-                    total = stats.count + n
-                    delta = b_mean - stats.mean
-                    stats.mean += delta * (n / total)
-                    stats._m2 += (
-                        b_m2 + delta * delta * stats.count * n / total
-                    )
-                    stats.count = total
-                return
         stats_list = self._stats
         for x in xs:
             self._check(x)
@@ -757,19 +659,6 @@ class ZScoreNormalizer(Normalizer):
     def transform_many(
         self, xs: Sequence[Sequence[float]]
     ) -> List[Tuple[float, ...]]:
-        if self.fast_math:
-            X = _as_matrix(xs, self.n_features)
-            if X is not None:
-                stats_list = self._stats
-                counts = _np.array([s.count for s in stats_list])
-                means = _np.array([s.mean for s in stats_list])
-                stds = _np.array([s.std for s in stats_list])
-                valid = (counts >= 2) & (stds > 0)
-                with _np.errstate(divide="ignore", invalid="ignore"):
-                    Z = (X - means) / stds
-                return _rows_as_tuples(
-                    _np.where(_np.broadcast_to(valid, Z.shape), Z, 0.0)
-                )
         # Pure transform: mean/std are batch constants per feature.
         moments = []
         for stats in self._stats:
@@ -793,48 +682,6 @@ class ZScoreNormalizer(Normalizer):
     def observe_and_transform_many(
         self, xs: Sequence[Sequence[float]]
     ) -> List[Tuple[float, ...]]:
-        if self.fast_math:
-            X = _as_matrix(xs, self.n_features)
-            if X is not None:
-                # Self-inclusive prefix moments: row i is standardized
-                # with the mean/std over the prior statistics plus rows
-                # 0..i. Computed via cumulative sums (m2 = sumsq -
-                # count*mean²) rather than per-row Welford — subject to
-                # cancellation, hence the looser documented tolerance
-                # for this kernel.
-                n = len(X)
-                stats_list = self._stats
-                c0 = _np.array([s.count for s in stats_list])
-                mu0 = _np.array([s.mean for s in stats_list])
-                m20 = _np.array([s._m2 for s in stats_list])
-                counts = c0 + _np.arange(1, n + 1)[:, None]
-                means = (c0 * mu0 + _np.cumsum(X, axis=0)) / counts
-                sumsq = (m20 + c0 * mu0 * mu0) + _np.cumsum(X * X, axis=0)
-                m2 = sumsq - counts * means * means
-                # Columns whose every value (batch and prior) equals one
-                # constant must keep an exact zero M2: the cumsum
-                # cancellation otherwise leaves rounding noise that the
-                # std==0 guard can't catch (see observe_many).
-                degenerate = (X == X[:1]).all(axis=0) & (
-                    (c0 == 0) | ((m20 == 0.0) & (mu0 == X[0]))
-                )
-                means = _np.where(degenerate, X[0], means)
-                m2 = _np.where(degenerate, 0.0, m2)
-                stds = _np.sqrt(_np.maximum(m2 / counts, 0.0))
-                valid = (counts >= 2) & (stds > 0)
-                with _np.errstate(divide="ignore", invalid="ignore"):
-                    Z = (X - means) / stds
-                self.observed += n
-                for stats, mean, final_m2, count in zip(
-                    stats_list,
-                    means[-1].tolist(),
-                    m2[-1].tolist(),
-                    counts[-1].tolist(),
-                ):
-                    stats.count = count
-                    stats.mean = mean
-                    stats._m2 = max(final_m2, 0.0)
-                return _rows_as_tuples(_np.where(valid, Z, 0.0))
         stats_list = self._stats
         sqrt = math.sqrt
         out: List[Tuple[float, ...]] = []
@@ -875,55 +722,22 @@ class IdentityNormalizer(Normalizer):
     def merge(self, other: Normalizer) -> None:
         self._merge_counts(other)
 
-    def observe_many(self, xs: Sequence[Sequence[float]]) -> None:
-        if self.fast_math and _as_matrix(xs, self.n_features) is not None:
-            self.observed += len(xs)
-            return
-        super().observe_many(xs)
 
-    def transform_many(
-        self, xs: Sequence[Sequence[float]]
-    ) -> List[Tuple[float, ...]]:
-        if self.fast_math:
-            X = _as_matrix(xs, self.n_features)
-            if X is not None:
-                return _rows_as_tuples(X)
-        return super().transform_many(xs)
-
-    def observe_and_transform_many(
-        self, xs: Sequence[Sequence[float]]
-    ) -> List[Tuple[float, ...]]:
-        if self.fast_math:
-            X = _as_matrix(xs, self.n_features)
-            if X is not None:
-                self.observed += len(X)
-                return _rows_as_tuples(X)
-        return super().observe_and_transform_many(xs)
-
-
-def make_normalizer(
-    kind: str, n_features: int, fast_math: bool = False
-) -> Normalizer:
+def make_normalizer(kind: str, n_features: int) -> Normalizer:
     """Factory over the paper's three normalization forms (+identity).
 
     Args:
         kind: "minmax", "minmax_no_outliers", "zscore", or "none".
         n_features: feature-vector width.
-        fast_math: use the numpy columnar batch kernels (tolerance
-            contract) instead of the bit-exact scalar ones.
     """
-    normalizer: Optional[Normalizer] = None
     if kind == MINMAX:
-        normalizer = MinMaxNormalizer(n_features)
-    elif kind == MINMAX_NO_OUTLIERS:
-        normalizer = MinMaxNoOutliersNormalizer(n_features)
-    elif kind == ZSCORE:
-        normalizer = ZScoreNormalizer(n_features)
-    elif kind in ("none", "identity"):
-        normalizer = IdentityNormalizer(n_features)
-    if normalizer is None:
-        raise ValueError(
-            f"unknown normalizer kind {kind!r}; expected one of {KINDS}"
-        )
-    normalizer.fast_math = fast_math
-    return normalizer
+        return MinMaxNormalizer(n_features)
+    if kind == MINMAX_NO_OUTLIERS:
+        return MinMaxNoOutliersNormalizer(n_features)
+    if kind == ZSCORE:
+        return ZScoreNormalizer(n_features)
+    if kind in ("none", "identity"):
+        return IdentityNormalizer(n_features)
+    raise ValueError(
+        f"unknown normalizer kind {kind!r}; expected one of {KINDS}"
+    )

@@ -106,7 +106,6 @@ class AggressionDetectionPipeline:
             if self.config.normalization_enabled
             else "none",
             N_FEATURES,
-            fast_math=self.config.fast_math,
         )
         self.model: StreamClassifier = create_model(self.config)
         self.evaluator = PrequentialEvaluator(

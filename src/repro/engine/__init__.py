@@ -7,17 +7,13 @@ as local-model updates merged into a global model, and the global model
 is broadcast for the next micro-batch (Fig. 2). This subpackage
 re-implements that execution model:
 
-* :mod:`repro.engine.rdd` — partitioned datasets with map / filter /
-  aggregate / reduce, executed by a pluggable runner;
 * :mod:`repro.engine.runners` — serial, thread-pool, and process-pool
   partition executors;
 * :mod:`repro.engine.microbatch` — the micro-batch engine wiring the
   Fig. 2 dataflow over the pipeline stages;
 * :mod:`repro.engine.sequential` — MOA-like single-threaded execution;
 * :mod:`repro.engine.cluster` — a calibrated cost model reproducing the
-  scalability study (Figs. 15/16) for arbitrary node×core layouts;
-* :mod:`repro.engine.topology` — the task-oriented operator-DAG view
-  (Fig. 3) for per-record engines (Storm/Heron/Flink style).
+  scalability study (Figs. 15/16) for arbitrary node×core layouts.
 """
 
 from repro.engine.cluster import ClusterSpec, CostModel, SimulatedCluster
@@ -27,7 +23,6 @@ from repro.engine.microbatch import (
     MicroBatchResult,
     StageTimings,
 )
-from repro.engine.rdd import RDD, parallelize, round_robin_partitions
 from repro.engine.replay import (
     ChaosReport,
     LatencyReport,
@@ -48,7 +43,6 @@ from repro.engine.runners import (
     make_runner,
 )
 from repro.engine.sequential import SequentialEngine
-from repro.engine.topology import Operator, Topology
 
 __all__ = [
     "ClusterSpec",
@@ -58,7 +52,6 @@ __all__ = [
     "MicroBatchEngine",
     "MicroBatchResult",
     "StageTimings",
-    "RDD",
     "ChaosReport",
     "LatencyReport",
     "OverloadReport",
@@ -67,8 +60,6 @@ __all__ = [
     "model_state_digest",
     "replay_closed_loop",
     "run_chaos_scenario",
-    "parallelize",
-    "round_robin_partitions",
     "PartitionError",
     "ProcessPoolRunner",
     "SerialRunner",
@@ -77,6 +68,4 @@ __all__ = [
     "is_transient_error",
     "make_runner",
     "SequentialEngine",
-    "Operator",
-    "Topology",
 ]

@@ -1,7 +1,7 @@
 """Micro-batch execution of the pipeline (Fig. 2 dataflow).
 
-Each micro-batch of tweets becomes a partitioned RDD and flows through
-the numbered operations of Fig. 2:
+Each micro-batch of tweets is split into round-robin partitions and
+flows through the numbered operations of Fig. 2:
 
 1. ``map`` — preprocessing + feature extraction + normalization.
    Each partition starts from the normalizer statistics broadcast by
@@ -113,7 +113,6 @@ from repro.core.features import (
 from repro.core.normalization import Normalizer, make_normalizer
 from repro.core.sampling import BoostedRandomSampler
 from repro.data.tweet import Tweet
-from repro.engine.rdd import round_robin_partitions
 from repro.engine.runners import (
     OUTCOME_TIMED_OUT,
     OUTCOME_WORKER_LOST,
@@ -189,7 +188,7 @@ class _SLRDelta:
 
     A trained partition-local :class:`StreamingLogisticRegression`
     carries its full configuration (learning-rate schedule, lambda,
-    counters, fast-math state); the driver's iterative-parameter-mixing
+    counters); the driver's iterative-parameter-mixing
     merge reads only three fields, so the worker ships exactly those.
     Duck-typed into :meth:`MicroBatchEngine._average_slr` — the merge
     arithmetic is unchanged, byte for byte.
@@ -591,8 +590,8 @@ class _PartitionTask:
                     append_instance(extract(tweet))  # op #1 (extract)
                     hist_extract.observe(perf_counter() - t_start)
                 block = InstanceBlock(instances)
-            # Columnar kernels (fast_math, and the no-outliers sketch
-            # always) get the block's cached float64 matrix so `seen`
+            # Columnar kernels (the no-outliers sketch, the Hoeffding
+            # tree) get the block's cached float64 matrix so `seen`
             # and the local normalizer share one rows->matrix
             # conversion; scalar kernels (and ragged rows) take the
             # tuple columns.
@@ -803,6 +802,23 @@ class EngineResult:
         return self.n_processed / self.elapsed_seconds
 
 
+def _round_robin_partitions(
+    tweets: Sequence[Tweet], n_partitions: int
+) -> List[List[Tweet]]:
+    """Split a batch into ``n_partitions`` round-robin partitions.
+
+    Round-robin (rather than contiguous chunks) mirrors Spark's random
+    partitioning of streaming receivers and keeps the label mix of each
+    partition representative.
+    """
+    if n_partitions < 1:
+        raise ValueError("n_partitions must be >= 1")
+    partitions: List[List[Tweet]] = [[] for _ in range(n_partitions)]
+    for index, tweet in enumerate(tweets):
+        partitions[index % n_partitions].append(tweet)
+    return partitions
+
+
 class MicroBatchEngine:
     """Spark-Streaming-style execution of the detection pipeline.
 
@@ -942,7 +958,6 @@ class MicroBatchEngine:
             if self.config.normalization_enabled
             else "none",
             N_FEATURES,
-            fast_math=self.config.fast_math,
         )
         self.model: StreamClassifier = create_model(self.config)
         # Resident-state broadcasting: one versioned snapshot per batch,
@@ -1458,7 +1473,7 @@ class MicroBatchEngine:
         started = time.perf_counter()
         batch_tier = self.degrade_tier
         broadcast = self._broadcast_state()
-        partitions = round_robin_partitions(tweets, self.n_partitions)
+        partitions = _round_robin_partitions(tweets, self.n_partitions)
         if getattr(self.runner, "needs_pickled_tasks", False):
             if self._segment_pool is None:
                 self._segment_pool = SegmentPool()

@@ -18,7 +18,8 @@ micro-batch engine reports, so the two are directly comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Optional
+from itertools import islice
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import AggressionDetectionPipeline, PipelineResult
@@ -119,6 +120,25 @@ class SequentialEngine:
             self.metrics, metric="tweet_stage_seconds", engine="sequential"
         )
 
+    def _consume(
+        self, span_name: str, tweets: Iterable[Tweet]
+    ) -> Tuple[int, float]:
+        """Run ``tweets`` through the pipeline under one driver span.
+
+        The engine's only per-tweet loop: every entry point books
+        ``tweets_ingested_total`` here, so ``processed + quarantined +
+        shed == ingested`` holds whichever one drove the stream.
+        Returns ``(tweets consumed, span seconds)``.
+        """
+        count = 0
+        with self._tracer.span(span_name) as span:
+            for tweet in tweets:
+                self.pipeline.process(tweet)
+                count += 1
+        self._m_ingested.inc(count)
+        assert span.duration is not None
+        return count, span.duration
+
     def process_many(self, tweets: Iterable[Tweet]) -> int:
         """Process a chunk of the stream, accumulating elapsed time.
 
@@ -126,23 +146,17 @@ class SequentialEngine:
         it can checkpoint between chunks; returns the number of tweets
         consumed (including quarantined ones).
         """
-        count = 0
-        with self._tracer.span("process_many") as span:
-            for tweet in tweets:
-                self.pipeline.process(tweet)
-                count += 1
-        self._m_ingested.inc(count)
-        assert span.duration is not None
-        self._elapsed += span.duration
+        count, seconds = self._consume("process_many", tweets)
+        self._elapsed += seconds
         # Each chunk doubles as this engine's "batch" for overload
         # purposes: it feeds the same batch_seconds family the
         # micro-batch engine uses, so OverloadController.poll() works
         # against either engine unchanged.
-        self._batch_hist.observe(span.duration)
+        self._batch_hist.observe(seconds)
         if self.controller is not None:
             queue = self.controller.queue
             self.controller.observe_batch(
-                span.duration,
+                seconds,
                 queue_fraction=(
                     queue.depth_fraction if queue is not None else None
                 ),
@@ -160,16 +174,10 @@ class SequentialEngine:
 
     def run(self, tweets: Iterable[Tweet]) -> SequentialRunResult:
         """Process the whole stream one tweet at a time."""
-        count = 0
-        with self._tracer.span("run") as span:
-            for tweet in tweets:
-                self.pipeline.process(tweet)
-                count += 1
-        self._m_ingested.inc(count)
-        assert span.duration is not None
+        _, seconds = self._consume("run", tweets)
         return SequentialRunResult(
             pipeline_result=self.pipeline.result(),
-            elapsed_seconds=span.duration,
+            elapsed_seconds=seconds,
             stage_seconds=self._stage_totals(),
         )
 
@@ -178,18 +186,11 @@ class SequentialEngine:
     ) -> float:
         """Steady-state tweets/second after a warm-up prefix."""
         iterator = iter(tweets)
-        with self._tracer.span("warmup"):
-            for _, tweet in zip(range(warmup), iterator):
-                self.pipeline.process(tweet)
-        count = 0
-        with self._tracer.span("measure") as span:
-            for tweet in iterator:
-                self.pipeline.process(tweet)
-                count += 1
-        assert span.duration is not None
-        if span.duration <= 0 or count == 0:
+        self._consume("warmup", islice(iterator, warmup))
+        count, seconds = self._consume("measure", iterator)
+        if seconds <= 0 or count == 0:
             # No measurable interval or nothing processed after warmup:
             # there is no throughput to report, and 0.0 would poison
             # bench comparisons as "infinitely slow".
             return float("nan")
-        return count / span.duration
+        return count / seconds

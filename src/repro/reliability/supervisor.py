@@ -53,6 +53,7 @@ from repro.core.checkpoint import (
     _bow_to_dict,
     alert_manager_to_dict,
     atomic_write_json,
+    config_from_dict,
     config_to_dict,
     drain_before_checkpoint,
     normalizer_from_dict,
@@ -63,7 +64,6 @@ from repro.core.checkpoint import (
     restore_sampler,
     sampler_to_dict,
 )
-from repro.core.config import PipelineConfig
 from repro.data.tweet import Tweet
 from repro.engine.microbatch import (
     MicroBatchEngine,
@@ -96,19 +96,12 @@ from repro.streamml.serialize import (
     model_to_dict,
 )
 
-#: Version 2 adds the ``metrics`` registry snapshot to the payload;
-#: version 3 adds the optional ``overload`` section (bounded ingest
-#: queue backlog + controller state + simulated-clock cursor) so a run
-#: can crash mid-overload and resume exactly; version 4 extends the
-#: controller section with the elastic partition actuator
-#: (n_partitions/min/max, resize + straggler counters) so a crash
-#: mid-recovery resumes with the same partition count; version 5 adds
-#: the optional ``slo`` section (objective definitions + rolling
-#: burn-rate windows + firing/alert state) so SLO alerting resumes
-#: bit-exactly. Versions 1-4 stay readable (older sections resume as
-#: approximations / absent — a v4 run simply has no SLO state).
+#: Version 5 adds the optional ``slo`` section (objective definitions
+#: + rolling burn-rate windows + firing/alert state) to version 4, so
+#: SLO alerting resumes bit-exactly. The current version and one back
+#: are read — a v4 run simply has no SLO state; anything older raises.
 SUPERVISOR_CHECKPOINT_VERSION = 5
-_READABLE_CHECKPOINT_VERSIONS = (1, 2, 3, 4, 5)
+_READABLE_CHECKPOINT_VERSIONS = (4, 5)
 CHECKPOINT_FILENAME = "checkpoint.json"
 #: History checkpoints ride alongside the rolling file as
 #: ``checkpoint-NNNNNNNN.json`` (chunk-stamped); resume falls back
@@ -252,7 +245,7 @@ def microbatch_engine_from_dict(
     callbacks cannot be serialized.
     """
     engine = MicroBatchEngine(
-        PipelineConfig(**payload["config"]),
+        config_from_dict(payload["config"]),
         n_partitions=int(payload["n_partitions"]),
         batch_size=int(payload["batch_size"]),
         runner=runner,
@@ -294,8 +287,7 @@ def _seed_registry_from_counters(engine: MicroBatchEngine) -> None:
     histogram observation (exact sums, coarser distributions), and the
     data-flow counters are replayed. A supervisor-level resume then
     *replaces* all of this with the checkpoint's exact snapshot — this
-    seeding only matters for standalone engine restores and for
-    version-1 checkpoints that predate the snapshot.
+    seeding only matters for standalone engine restores.
     """
     registry = engine.metrics
     for batch in engine.batches:

@@ -22,8 +22,11 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.checkpoint import _bow_from_dict, normalizer_from_dict
-from repro.core.config import PipelineConfig
+from repro.core.checkpoint import (
+    _bow_from_dict,
+    config_from_dict,
+    normalizer_from_dict,
+)
 from repro.core.explain import (
     explain_linear_prediction,
     explain_tree_prediction,
@@ -55,7 +58,7 @@ class ServingModel:
     """Stateless-scoring view over one verified snapshot payload."""
 
     def __init__(self, payload: Dict[str, Any]) -> None:
-        self.config = PipelineConfig(**payload["config"])
+        self.config = config_from_dict(payload["config"])
         self.encoder = LabelEncoder(self.config.n_classes)
         self.bag_of_words = _bow_from_dict(payload["bag_of_words"])
         self.extractor = FeatureExtractor(

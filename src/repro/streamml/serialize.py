@@ -226,7 +226,6 @@ def _slr_to_dict(model: StreamingLogisticRegression) -> Dict[str, Any]:
         "regularizer": model.regularizer,
         "regularization": model.regularization,
         "decay": model.decay,
-        "fast_math": model.fast_math,
         "instances_seen": model.instances_seen,
         "weights": [list(row) for row in model.weights],
         "bias": list(model.bias),
@@ -240,8 +239,6 @@ def _slr_from_dict(payload: Dict[str, Any]) -> StreamingLogisticRegression:
         regularizer=payload["regularizer"],
         regularization=float(payload["regularization"]),
         decay=float(payload["decay"]),
-        # Pre-fast-math payloads default to the bit-exact scalar kernels.
-        fast_math=bool(payload.get("fast_math", False)),
     )
     model.instances_seen = int(payload["instances_seen"])
     model._weights = [[float(w) for w in row] for row in payload["weights"]]

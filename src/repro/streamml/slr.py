@@ -13,15 +13,10 @@ standard parameter-averaging scheme weighted by instances seen.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.streamml.base import StreamClassifier
 from repro.streamml.instance import Instance
-
-try:  # numpy backs the optional fast-math kernels only
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    _np = None  # type: ignore[assignment]
 
 REGULARIZER_ZERO = "zero"
 REGULARIZER_L1 = "l1"
@@ -39,11 +34,6 @@ class StreamingLogisticRegression(StreamClassifier):
         regularization: penalty coefficient.
         decay: if > 0, the effective step at update t is
             ``learning_rate / (1 + decay * t)``; 0 keeps a constant step.
-        fast_math: use numpy batch kernels for ``learn_many`` /
-            ``predict_proba_many``. These reassociate dot products, so
-            results match the scalar path within a small relative
-            tolerance (DESIGN.md §9) rather than bitwise; default off
-            keeps the bit-exact scalar kernels.
     """
 
     def __init__(
@@ -53,7 +43,6 @@ class StreamingLogisticRegression(StreamClassifier):
         regularizer: str = REGULARIZER_L2,
         regularization: float = 0.01,
         decay: float = 0.0,
-        fast_math: bool = False,
     ) -> None:
         super().__init__(n_classes)
         if learning_rate <= 0:
@@ -64,19 +53,12 @@ class StreamingLogisticRegression(StreamClassifier):
             )
         if regularization < 0:
             raise ValueError("regularization must be non-negative")
-        if fast_math and _np is None:
-            raise RuntimeError("fast_math=True requires numpy")
         self.learning_rate = learning_rate
         self.regularizer = regularizer
         self.regularization = regularization
         self.decay = decay
-        self.fast_math = fast_math
         self._weights: List[List[float]] = []  # [class][feature]
         self._bias: List[float] = [0.0] * n_classes
-
-    @property
-    def columnar(self) -> bool:
-        return self.fast_math
 
     def _ensure_weights(self, n_features: int) -> None:
         if not self._weights:
@@ -139,8 +121,6 @@ class StreamingLogisticRegression(StreamClassifier):
         """
         if not instances:
             return
-        if self.fast_math and self._learn_many_numpy(instances):
-            return
         n_classes = self.n_classes
         learning_rate = self.learning_rate
         decay = self.decay
@@ -181,68 +161,12 @@ class StreamingLogisticRegression(StreamClassifier):
                     weights[feature] -= step * gradient
                 bias[cls] -= step * error
 
-    def _learn_many_numpy(self, instances: Sequence[Instance]) -> bool:
-        """Numpy SGD kernel: same per-row update order, vectorized math.
-
-        SGD stays sequential across rows (each update reads the weights
-        the previous one wrote); the vectorization is within a row —
-        scores via ``W @ x``, the gradient as an outer product. Dot
-        products reassociate, so weights match the scalar kernel within
-        tolerance, not bitwise. Returns False (leaving the model
-        untouched) when the rows cannot form a matrix; the scalar path
-        then raises the usual errors. Unlike the scalar kernel, labels
-        are validated up front, so a mid-batch unlabeled instance fails
-        before any update instead of after the preceding rows trained.
-        """
-        try:
-            X = _np.asarray([inst.x for inst in instances], dtype=_np.float64)
-        except (TypeError, ValueError):
-            return False
-        if X.ndim != 2:
-            return False
-        labels = [self._check_labeled(inst) for inst in instances]
-        self._ensure_weights(X.shape[1])
-        W = _np.asarray(self._weights, dtype=_np.float64)
-        bias = _np.asarray(self._bias, dtype=_np.float64)
-        learning_rate = self.learning_rate
-        decay = self.decay
-        regularization = self.regularization
-        l2 = self.regularizer == REGULARIZER_L2
-        l1 = self.regularizer == REGULARIZER_L1
-        for i, instance in enumerate(instances):
-            self.instances_seen += 1
-            step = learning_rate
-            if decay > 0:
-                step = learning_rate / (1.0 + decay * self.instances_seen)
-            step *= instance.weight
-            x = X[i]
-            scores = W @ x + bias
-            scores -= scores.max()
-            exps = _np.exp(scores)
-            error = exps / exps.sum()
-            error[labels[i]] -= 1.0
-            gradient = error[:, None] * x[None, :]
-            if l2:
-                gradient += regularization * W
-            elif l1:
-                gradient += regularization * _np.sign(W)
-            W -= step * gradient
-            bias -= step * error
-        self._weights = W.tolist()
-        self._bias = bias.tolist()
-        return True
-
     def predict_proba_many(
         self, xs: Sequence[Sequence[float]]
     ) -> List[Tuple[float, ...]]:
         """Batch prediction kernel: bit-identical per row to the scalar
         path, with the weight matrix and softmax hoisted out of the
-        per-row dispatch. Under ``fast_math`` the whole batch runs as
-        one matrix product + row softmax (tolerance contract)."""
-        if self.fast_math and len(xs) and self._weights:
-            result = self._predict_proba_many_numpy(xs)
-            if result is not None:
-                return result
+        per-row dispatch."""
         all_weights = self._weights
         n_classes = self.n_classes
         if not all_weights:
@@ -269,33 +193,6 @@ class StreamingLogisticRegression(StreamClassifier):
             out.append(tuple(e / total for e in exps))
         return out
 
-    def _predict_proba_many_numpy(
-        self, xs: Sequence[Sequence[float]]
-    ) -> Optional[List[Tuple[float, ...]]]:
-        """One matrix product + row-wise softmax for the whole batch.
-
-        Returns None (fall back to the scalar kernel) for ragged rows;
-        a uniform-width mismatch yields the uniform distribution for
-        every row, like the scalar per-row fallback.
-        """
-        try:
-            X = _np.asarray(xs, dtype=_np.float64)
-        except (TypeError, ValueError):
-            return None
-        if X.ndim != 2:
-            return None
-        n_classes = self.n_classes
-        if X.shape[1] != len(self._weights[0]):
-            uniform = tuple(1.0 / n_classes for _ in range(n_classes))
-            return [uniform for _ in range(len(xs))]
-        W = _np.asarray(self._weights, dtype=_np.float64)
-        bias = _np.asarray(self._bias, dtype=_np.float64)
-        scores = X @ W.T + bias
-        scores -= scores.max(axis=1, keepdims=True)
-        exps = _np.exp(scores)
-        exps /= exps.sum(axis=1, keepdims=True)
-        return [tuple(row) for row in exps.tolist()]
-
     def clone(self) -> "StreamingLogisticRegression":
         return StreamingLogisticRegression(
             n_classes=self.n_classes,
@@ -303,7 +200,6 @@ class StreamingLogisticRegression(StreamClassifier):
             regularizer=self.regularizer,
             regularization=self.regularization,
             decay=self.decay,
-            fast_math=self.fast_math,
         )
 
     def merge(self, other: StreamClassifier) -> None:

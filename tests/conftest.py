@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from typing import List
 
@@ -59,6 +60,25 @@ def example_tweet() -> Tweet:
         user=user,
         label="abusive",
     )
+
+
+@pytest.fixture()
+def with_retired_fast_math():
+    """Re-shape a saved payload the way the commit before the numpy
+    twin kernels were deleted wrote it: a ``fast_math`` key in the
+    config, normaliser and SLR sections. Works on pipeline checkpoints,
+    micro-batch engine state and serve snapshots alike (all three carry
+    ``config`` / ``normalizer`` / ``model`` at the top level)."""
+
+    def reshape(payload, flag: bool):
+        payload = json.loads(json.dumps(payload))
+        payload["config"]["fast_math"] = flag
+        payload["normalizer"]["fast_math"] = flag
+        if payload["model"]["kind"] == "slr":
+            payload["model"]["model"]["fast_math"] = flag
+        return payload
+
+    return reshape
 
 
 def make_instance(x, y=None, **kwargs) -> Instance:

@@ -18,6 +18,12 @@ from repro.core.config import PipelineConfig
 from repro.core.normalization import make_normalizer
 from repro.core.pipeline import AggressionDetectionPipeline
 from repro.data.loader import strip_labels
+from repro.engine.microbatch import MicroBatchEngine
+from repro.reliability.supervisor import (
+    microbatch_engine_from_dict,
+    microbatch_engine_to_dict,
+)
+from repro.streamml.serialize import model_to_dict
 
 
 class TestNormalizerRoundTrip:
@@ -194,6 +200,75 @@ class TestResumeEquivalence:
             c.instance.tweet_id for c in restored.sampler.sample()
         )
         assert original_ids == restored_ids
+
+
+#: One configuration per kernel the retired flag used to fork.
+_RETIRED_FLAG_CONFIGS = [("ht", "zscore"), ("slr", "minmax")]
+
+
+@pytest.mark.parametrize("flag", [False, True])
+@pytest.mark.parametrize("model,normalization", _RETIRED_FLAG_CONFIGS)
+class TestRetiredFastMathKey:
+    """Checkpoints written before ``fast_math`` was deleted still load,
+    and continue exactly as a run that never carried the key."""
+
+    def test_pipeline_checkpoint(
+        self, small_stream, with_retired_fast_math, model, normalization, flag
+    ):
+        config = PipelineConfig(
+            n_classes=2, model=model, normalization=normalization
+        )
+        half = len(small_stream) // 2
+        uninterrupted = AggressionDetectionPipeline(config)
+        uninterrupted.process_stream(small_stream)
+        first = AggressionDetectionPipeline(config)
+        first.process_stream(small_stream[:half])
+        resumed = pipeline_from_dict(
+            with_retired_fast_math(pipeline_to_dict(first), flag)
+        )
+        resumed.process_stream(small_stream[half:])
+        assert pipeline_to_dict(resumed) == pipeline_to_dict(uninterrupted)
+        assert "fast_math" not in json.dumps(pipeline_to_dict(resumed))
+
+    def test_microbatch_engine_state(
+        self, small_stream, with_retired_fast_math, model, normalization, flag
+    ):
+        def engine():
+            return MicroBatchEngine(
+                PipelineConfig(
+                    n_classes=2, model=model, normalization=normalization
+                ),
+                n_partitions=2,
+                batch_size=500,
+            )
+
+        uninterrupted = engine()
+        uninterrupted.run(small_stream)
+        first = engine()
+        first.run(small_stream[:1000])
+        resumed = microbatch_engine_from_dict(
+            with_retired_fast_math(microbatch_engine_to_dict(first), flag)
+        )
+        result = resumed.run(small_stream[1000:])
+        assert model_to_dict(resumed.model) == model_to_dict(
+            uninterrupted.model
+        )
+        assert normalizer_to_dict(resumed.normalizer) == normalizer_to_dict(
+            uninterrupted.normalizer
+        )
+        assert result.metrics == uninterrupted.result().metrics
+        assert "fast_math" not in json.dumps(
+            microbatch_engine_to_dict(resumed)
+        )
+
+
+def test_unknown_config_key_still_raises(small_stream):
+    pipeline = AggressionDetectionPipeline(PipelineConfig(n_classes=2))
+    pipeline.process_stream(small_stream[:50])
+    payload = pipeline_to_dict(pipeline)
+    payload["config"]["slow_math"] = True
+    with pytest.raises(TypeError, match="slow_math"):
+        pipeline_from_dict(payload)
 
 
 class TestFiles:

@@ -13,8 +13,26 @@ from repro.engine.microbatch import (
     MicroBatchEngine,
     StageTimings,
     _PartitionOutput,
+    _round_robin_partitions,
 )
 from repro.engine.runners import ThreadPoolRunner
+from repro.reliability.deadletter import DeadLetterQueue
+from repro.streamml.serialize import model_to_dict
+
+
+class TestRoundRobinPartitions:
+    def test_round_robin_partitioning(self):
+        assert _round_robin_partitions([1, 2, 3, 4, 5], 2) == [
+            [1, 3, 5],
+            [2, 4],
+        ]
+
+    def test_invalid_partitions(self):
+        with pytest.raises(ValueError):
+            _round_robin_partitions([1], 0)
+
+    def test_more_partitions_than_items(self):
+        assert _round_robin_partitions([1], 4) == [[1], [], [], []]
 
 
 class TestExecution:
@@ -80,6 +98,43 @@ class TestExecution:
         assert engine.n_unlabeled == 500
         assert engine.alert_manager.n_alerts > 0
         assert len(engine.sampler.sample()) > 0
+
+
+class TestQuarantineLoopEquivalence:
+    """``_PartitionTask._execute`` has two bodies — the per-tweet loop a
+    dead-letter queue selects and the batched ``*_many`` path — and on a
+    clean stream they must be the same detector, bit for bit."""
+
+    @pytest.mark.parametrize("model", ["ht", "slr"])
+    @pytest.mark.parametrize(
+        "normalization", ["minmax", "minmax_no_outliers", "zscore", "none"]
+    )
+    def test_dead_letter_queue_changes_nothing_on_a_clean_stream(
+        self, small_stream, normalization, model
+    ):
+        stream = small_stream[:1200] + list(
+            strip_labels(small_stream[1200:1500])
+        )
+
+        def run(dead_letters):
+            engine = MicroBatchEngine(
+                PipelineConfig(
+                    n_classes=2, model=model, normalization=normalization
+                ),
+                n_partitions=2,
+                batch_size=500,
+                dead_letters=dead_letters,
+            )
+            result = engine.run(stream)
+            return (
+                model_to_dict(engine.model),
+                result.metrics,
+                engine.alert_manager.alerts,
+            )
+
+        queue = DeadLetterQueue()
+        assert run(queue) == run(None)
+        assert len(queue) == 0
 
 
 class TestPartitionLocalStatistics:

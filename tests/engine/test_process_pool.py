@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.config import PipelineConfig
 from repro.engine.microbatch import MicroBatchEngine
-from repro.engine.rdd import parallelize
 from repro.engine.runners import ProcessPoolRunner
 
 
@@ -24,10 +23,9 @@ class TestProcessPoolRunner:
 
     def test_rdd_map_across_processes(self):
         with ProcessPoolRunner(n_processes=2) as runner:
-            rdd = parallelize(list(range(100)), 4, runner=runner)
-            assert sorted(rdd.map(_square).collect()) == [
-                i * i for i in range(100)
-            ]
+            chunks = [list(range(start, 100, 4)) for start in range(4)]
+            results = runner.run([_SquareAll(chunk) for chunk in chunks])
+        assert results == [[i * i for i in chunk] for chunk in chunks]
 
     def test_microbatch_engine_on_processes(self, small_stream):
         with ProcessPoolRunner(n_processes=2) as runner:
@@ -58,5 +56,11 @@ class TestProcessPoolRunner:
         assert process_f1 == pytest.approx(serial_f1)
 
 
-def _square(x: int) -> int:
-    return x * x
+class _SquareAll:
+    """Picklable task: square every item of one partition."""
+
+    def __init__(self, items):
+        self.items = items
+
+    def __call__(self):
+        return [item * item for item in self.items]

@@ -68,6 +68,10 @@ class TestMakeRunner:
         with pytest.raises(ValueError):
             make_runner("gpu")
 
+    def test_invalid_thread_count(self):
+        with pytest.raises(ValueError):
+            ThreadPoolRunner(n_threads=0)
+
 
 class TestRunnerOwnership:
     def test_engine_closes_owned_pool(self, small_stream):

@@ -26,9 +26,15 @@ from hypothesis import strategies as st
 
 from repro.core.adaptive_bow import FixedBagOfWords
 from repro.core.features import DegradeTier, FeatureExtractor, LabelEncoder
-from repro.core.normalization import KINDS, make_normalizer
+from repro.core.normalization import (
+    KINDS,
+    MinMaxNoOutliersNormalizer,
+    Normalizer,
+    make_normalizer,
+)
 from repro.data.synthetic import AbusiveDatasetGenerator
 from repro.streamml.arf import AdaptiveRandomForest
+from repro.streamml.base import StreamClassifier
 from repro.streamml.hoeffding_tree import HoeffdingTree
 from repro.streamml.instance import Instance, InstanceBlock
 from repro.streamml.slr import StreamingLogisticRegression
@@ -279,12 +285,15 @@ class TestTreeBatchKernel:
         assert fresh.predict_proba_many(np.asarray(probe)) == expected
 
     def test_columnar_is_the_dispatch_attribute(self):
-        assert HoeffdingTree(n_classes=2).columnar is True
+        # Plain class attributes: no instance state selects a kernel.
+        assert Normalizer.columnar is False
+        assert StreamClassifier.columnar is False
+        assert MinMaxNoOutliersNormalizer.columnar is True
+        assert HoeffdingTree.columnar is True
+        for kind in ("minmax", "zscore", "none"):
+            assert make_normalizer(kind, 3).columnar is False
         assert AdaptiveRandomForest(n_classes=2, ensemble_size=2).columnar is False
         assert StreamingLogisticRegression(n_classes=2).columnar is False
-        assert StreamingLogisticRegression(
-            n_classes=2, fast_math=True
-        ).columnar is True
 
 
 class TestInstanceBlock:

@@ -16,6 +16,7 @@ from repro.engine.sequential import SequentialEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.reliability import StreamSupervisor
 from repro.reliability.supervisor import SUPERVISOR_CHECKPOINT_VERSION
+from repro.streamml.serialize import SerializationError
 from repro.reliability.overload import (
     SHED_POLICY_REGISTRY,
     BoundedIngestQueue,
@@ -507,9 +508,9 @@ class TestSupervisedOverload:
             baseline_alerts = baseline_engine.pipeline.alert_manager.alerts
         assert resumed_alerts == baseline_alerts
 
-    def test_resume_reads_version2_checkpoints(self, tmp_path):
-        # Pre-overload checkpoints (v2) must stay loadable: the
-        # overload section is optional, not assumed.
+    def test_resume_without_overload_section(self, tmp_path):
+        # One version back (v4), no overload section: the section is
+        # optional, not assumed.
         tweets = _labeled(300)
         supervisor = StreamSupervisor(
             SequentialEngine(),
@@ -528,7 +529,7 @@ class TestSupervisedOverload:
             supervisor.run(crashing(tweets, 150))
         path = supervisor.checkpoint_path
         payload = json.loads(path.read_text())
-        payload["supervisor_version"] = 2
+        payload["supervisor_version"] = 4
         payload.pop("overload", None)
         path.write_text(json.dumps(payload))
 
@@ -537,6 +538,27 @@ class TestSupervisedOverload:
         ).run(tweets)
         rerun = StreamSupervisor.resume(tmp_path / "crash").run(tweets)
         assert rerun.result.metrics == baseline.result.metrics
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_resume_refuses_versions_older_than_one_back(
+        self, tmp_path, version
+    ):
+        supervisor = StreamSupervisor(
+            SequentialEngine(),
+            checkpoint_dir=tmp_path,
+            checkpoint_every=1,
+            chunk_size=50,
+        )
+        supervisor.run(_labeled(100))
+        for path in tmp_path.glob("checkpoint*.json"):
+            payload = json.loads(path.read_text())
+            payload["supervisor_version"] = version
+            path.write_text(json.dumps(payload))
+        with pytest.raises(
+            SerializationError,
+            match=f"unsupported supervisor checkpoint version {version}",
+        ):
+            StreamSupervisor.resume(tmp_path)
 
 
 class TestDegradedAccuracy:

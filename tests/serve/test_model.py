@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.core.config import PipelineConfig
 from repro.core.explain import explain_tree_prediction
 from repro.core.features import DegradeTier
 from repro.data.synthetic import AbusiveDatasetGenerator
@@ -103,3 +104,36 @@ class TestExplain:
         calls = _count_extractions(model)
         assert model.explain(tweet, budget_s=1e-9)["tier"] == "TEXT_ONLY"
         assert calls == [DegradeTier.TEXT_ONLY, DegradeTier.FULL]
+
+
+@pytest.mark.parametrize("flag", [False, True])
+@pytest.mark.parametrize(
+    "model,normalization", [("ht", "zscore"), ("slr", "minmax")]
+)
+def test_snapshot_with_retired_fast_math_key_serves_identically(
+    with_retired_fast_math, model, normalization, flag
+):
+    """A trainer on the commit before ``fast_math`` was deleted can hot
+    swap into this server: its snapshots load, and score as one that
+    never carried the key."""
+    engine = SequentialEngine(
+        PipelineConfig(n_classes=2, model=model, normalization=normalization)
+    )
+    engine.process_many(
+        AbusiveDatasetGenerator(n_tweets=600, seed=23).generate_list()
+    )
+    payload = payload_from_source(engine)
+    old = ServingModel(with_retired_fast_math(payload, flag))
+    new = ServingModel(payload)
+    assert old.config == new.config
+    for tweet in AbusiveDatasetGenerator(n_tweets=40, seed=4).generate_list():
+        got, want = old.classify(tweet), new.classify(tweet)
+        got.pop("elapsed_s"), want.pop("elapsed_s")
+        assert got == want
+
+
+def test_snapshot_with_unknown_config_key_is_refused(split_tree_payload):
+    payload = json.loads(json.dumps(split_tree_payload))
+    payload["config"]["slow_math"] = True
+    with pytest.raises(TypeError, match="slow_math"):
+        ServingModel(payload)

@@ -19,7 +19,7 @@ two patterns that are harmless elsewhere are throughput bugs there:
   per-task syscall + mmap.
 * numpy array allocation (``np.array``/``asarray``/``zeros``/
   ``empty``/``ones``/``full``/``concatenate``) inside a loop body —
-  the fast-math kernels hoist allocations out of per-row loops and
+  the columnar kernels hoist allocations out of per-row loops and
   reuse buffers (``out=``, in-place ops); an allocation per tweet
   re-introduces the per-row overhead the columnar layout removed.
 * ``pickle.dumps``/``pickle.dump`` inside ``engine/`` outside
