@@ -197,10 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="redraw a one-screen ops console on stderr "
                      "after each chunk/batch: throughput, queue depth, "
                      "degrade tier, partition count, SLO burn rates")
-    run.add_argument("--profile-partitions", action="store_true",
-                     help="run each partition task under cProfile and "
-                     "print a merged top-K table (microbatch engine; "
-                     "deterministic attribution, ~1.3-2x slowdown)")
     run.add_argument("--flight-recorder", default=None, metavar="DIR",
                      help="keep a bounded in-memory ring of recent "
                      "telemetry and dump it to DIR as JSONL on "
@@ -409,11 +405,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.max_partitions is not None and args.max_partitions < args.partitions:
         logger.error("error: --max-partitions must be >= --partitions")
         return 2
-    if args.profile_partitions and args.engine != "microbatch":
-        logger.error(
-            "error: --profile-partitions requires --engine microbatch"
-        )
-        return 2
     if args.pipeline and args.engine != "microbatch":
         logger.error("error: --pipeline requires --engine microbatch")
         return 2
@@ -522,7 +513,6 @@ def _run_supervised(args: argparse.Namespace, config: PipelineConfig) -> int:
         if isinstance(supervisor.engine, MicroBatchEngine):
             # The rebuilt engine predates these run flags; re-attach.
             supervisor.engine.recorder = recorder
-            supervisor.engine.profile_partitions = args.profile_partitions
             if args.pipeline:
                 supervisor.engine.pipelined = True
     else:
@@ -537,7 +527,6 @@ def _run_supervised(args: argparse.Namespace, config: PipelineConfig) -> int:
                 dead_letters=dead_letters,
                 partition_deadline_s=args.partition_deadline,
                 speculate=args.speculate,
-                profile_partitions=args.profile_partitions,
                 recorder=recorder,
                 pipelined=args.pipeline,
             )
@@ -725,13 +714,6 @@ def _run_supervised(args: argparse.Namespace, config: PipelineConfig) -> int:
                     card.f1, card.p99_batch_seconds, card.shed_fraction,
                     card.quarantine_rate, card.availability,
                     card.alerts_fired)
-    if (
-        args.profile_partitions
-        and isinstance(engine, MicroBatchEngine)
-        and engine.profile_report.n_slices
-    ):
-        for line in engine.profile_report.format_top(10).splitlines():
-            logger.info("%s", line)
     if recorder is not None and recorder.n_dumps:
         logger.info("flight dumps  : %d written to %s",
                     recorder.n_dumps, args.flight_recorder)
@@ -779,7 +761,6 @@ def _run_microbatch(args: argparse.Namespace, config: PipelineConfig) -> int:
         on_batch=on_batch,
         partition_deadline_s=args.partition_deadline,
         speculate=args.speculate,
-        profile_partitions=args.profile_partitions,
         recorder=recorder,
         pipelined=args.pipeline,
     ) as engine:
@@ -814,9 +795,6 @@ def _run_microbatch(args: argparse.Namespace, config: PipelineConfig) -> int:
                 result.worker_stage_seconds.items()
             ):
                 logger.info("  %-18s %9.3f s", stage, seconds)
-        if args.profile_partitions and engine.profile_report.n_slices:
-            for line in engine.profile_report.format_top(10).splitlines():
-                logger.info("%s", line)
         if recorder is not None and recorder.n_dumps:
             logger.info("flight dumps  : %d written to %s",
                         recorder.n_dumps, args.flight_recorder)

@@ -63,18 +63,19 @@ submit thread, and runs *k*'s per-record drain/telemetry finalize
 while *k+1* computes. Merge order — and therefore model state — is
 bit-identical to the synchronous path; see :meth:`submit_batch`.
 
-Reliability: a batch whose partition tasks fail with a *transient*
-error (lost pool worker, I/O hiccup, injected fault) is retried under
-the engine's :class:`~repro.reliability.supervisor.RetryPolicy` with
-exponential backoff and seeded jitter; the task list is rebuilt from
-scratch for every attempt, and since all merges happen only after every
-partition returns, engine state is bit-identical across attempts.
-Fatal errors (deterministic bugs, bad data) propagate immediately.
-With a dead-letter queue attached, each partition additionally
-quarantines per-tweet failures (validation/extraction/normalization/
-prediction) instead of failing the whole partition, shipping the
-records back to the driver's queue; a failure-rate circuit breaker
-stops the run when the stream is too dirty to trust.
+Reliability: every partition is its own fault domain. A partition that
+fails with a *transient* error (lost pool worker, I/O hiccup, injected
+fault, blown deadline) is retried alone under the engine's
+:class:`~repro.reliability.supervisor.RetryPolicy` with exponential
+backoff and seeded jitter, against the same broadcast and tweet block;
+since all merges happen only after every partition resolves, engine
+state is bit-identical across attempts. A fatal error, or a transient
+one past the retry budget, raises — or, with a dead-letter queue
+attached, quarantines the partition as one record. With a queue, each
+partition also quarantines the tweets that fail validation or
+extraction, shipping the records back to the driver's queue; a
+failure-rate circuit breaker stops the run when the stream is too
+dirty to trust.
 """
 
 from __future__ import annotations
@@ -128,7 +129,6 @@ from repro.engine.runners import (
     new_broadcast_key,
 )
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
-from repro.obs.profile import ProfileReport, ProfileSlice, profile_call
 from repro.obs.recorder import FlightRecorder
 from repro.obs.tracing import (
     STAGE_SECONDS,
@@ -259,13 +259,11 @@ class _PartitionOutput:
     # under one root "partition" span; the driver stitches these into
     # the batch trace. None when worker telemetry is off.
     telemetry: Optional[WorkerTelemetry] = None
-    # Top functions by cumulative time when --profile-partitions is on.
-    profile: Optional[ProfileSlice] = None
 
 
 @dataclass
 class _ExecStats:
-    """Per-batch tally of the deadline path's fault-domain events."""
+    """Per-batch tally of the partition fault-domain events."""
 
     retries: int = 0
     n_timeouts: int = 0
@@ -292,15 +290,21 @@ class _ExecBundle:
     driver thread in both cases, so the two paths share one code body.
     """
 
-    outputs: List[_PartitionOutput]
+    #: ``indexed_outputs[i]`` is partition ``i``'s output, or ``None``
+    #: if it was dropped (then it is listed in ``dropped``).
     indexed_outputs: List[Optional[_PartitionOutput]]
     dropped: List[Tuple[int, TaskOutcome]]
-    exec_stats: Optional[_ExecStats]
-    retries_used: int
+    exec_stats: _ExecStats
     execute_seconds: float
     #: perf_counter timestamp when the last partition resolved — the
     #: anchor for the worker_idle_seconds measurement at next submit.
     done_at: float
+
+    @property
+    def outputs(self) -> List[_PartitionOutput]:
+        """The surviving outputs, in partition order — merging them in
+        that order keeps the model state deterministic."""
+        return [o for o in self.indexed_outputs if o is not None]
 
 
 @dataclass
@@ -356,6 +360,16 @@ def _make_local_model(model: StreamClassifier) -> StreamClassifier:
     return model.clone()
 
 
+def _partition_error(index: int, outcome: TaskOutcome) -> PartitionError:
+    """A failed outcome as an error naming partition ``index`` of the
+    batch: a retry attempt's task list holds only the partitions that
+    failed, so the runner's own index is a position in that list."""
+    error = outcome.to_error()
+    renamed = PartitionError(index, error.message, transient=error.transient)
+    renamed.__cause__ = error
+    return renamed
+
+
 class _PartitionTask:
     """Picklable per-partition work unit (ops #1-#5 of Fig. 2).
 
@@ -381,7 +395,6 @@ class _PartitionTask:
         quarantine: bool = False,
         tier: DegradeTier = DegradeTier.FULL,
         worker_telemetry: bool = True,
-        profile: bool = False,
     ) -> None:
         self.tweets = tweets
         self.broadcast = broadcast
@@ -392,7 +405,6 @@ class _PartitionTask:
         self.quarantine = quarantine
         self.tier = tier
         self.worker_telemetry = worker_telemetry
-        self.profile = profile
 
     def __call__(self) -> _PartitionOutput:
         # Partition-local observability: nothing here is shared with the
@@ -407,21 +419,14 @@ class _PartitionTask:
                 metric=WORKER_STAGE_SECONDS,
                 capture=True,
             )
-        profile_slice: Optional[ProfileSlice] = None
         with _maybe_span(tracer, "partition") as root:
-            if self.profile:
-                output, profile_slice = profile_call(
-                    lambda: self._execute(registry, tracer)
-                )
-            else:
-                output = self._execute(registry, tracer)
+            output = self._execute(registry, tracer)
         if tracer is not None:
             output.telemetry = WorkerTelemetry(
                 spans=tracer.drain(),
                 pid=os.getpid(),
                 wall_s=root.duration or 0.0,
             )
-        output.profile = profile_slice
         # Snapshot last so the worker spans' own histogram observations
         # (recorded as each span closes) are part of what ships back.
         output.metrics = registry.snapshot()
@@ -504,29 +509,31 @@ class _PartitionTask:
         poisoned: List[Tuple[Optional[str], str, str, str]] = []
         n_labeled = 0
         n_unlabeled = 0
-        if self.quarantine:
-            # Per-tweet loop: quarantine needs tweet-granular try/except
-            # attribution, so each stage runs (and is timed) row by row
-            # — the stages interleave per tweet, so the trace gets one
-            # "process_rows" span for the whole loop (per-stage cost is
-            # still in the tweet_stage_seconds histograms).
-            with _maybe_span(tracer, "process_rows"):
-                for tweet in tweets:
+        # One stage sequence: extract row by row, then normalize and
+        # predict batched. The *_many kernels are bit-exact with their
+        # row forms by contract, `seen` and the local normalizer are
+        # independent, and predictions use the read-only broadcast
+        # model, so de-interleaving the stages changes no state any row
+        # can see.
+        perf_counter = time.perf_counter
+        extract = extractor.extract
+        hist_extract = stage_hists["extract"]
+        quarantine = self.quarantine
+        survivors: List[Tweet] = []
+        instances: List[Instance] = []
+        append_instance = instances.append
+        with _maybe_span(tracer, "extract"):
+            for tweet in tweets:
+                t_start = perf_counter()
+                if quarantine:
+                    # A tweet that fails validation or extraction
+                    # becomes a poison record and drops out; the stages
+                    # below run over the survivors.
                     stage = "validate"
-                    t_start = time.perf_counter()
                     try:
                         validate_tweet(tweet)
                         stage = "extract"
-                        instance = extractor.extract(tweet)  # op #1 (extract)
-                        t_extract = time.perf_counter()
-                        stage = "normalize"
-                        normalized = instance.with_features(
-                            seen.observe_and_transform(instance.x)
-                        )  # op #1 (normalize: broadcast + local statistics)
-                        t_normalize = time.perf_counter()
-                        stage = "predict"
-                        proba = model.predict_proba_one(normalized.x)  # op #4
-                        t_predict = time.perf_counter()
+                        instance = extract(tweet)  # op #1 (extract)
                     except Exception as exc:
                         registry.counter(
                             "tweets_quarantined_total",
@@ -546,110 +553,71 @@ class _PartitionTask:
                             )
                         )
                         continue
-                    stage_hists["extract"].observe(t_extract - t_start)
-                    stage_hists["normalize"].observe(t_normalize - t_extract)
-                    stage_hists["predict"].observe(t_predict - t_normalize)
-                    m_processed.inc()
-                    local_normalizer.observe(instance.x)
-                    predicted = max(range(len(proba)), key=proba.__getitem__)
-                    if normalized.is_labeled:
-                        n_labeled += 1
-                        m_labeled.inc()
-                        assert normalized.y is not None
-                        stats.add(normalized.y, predicted)  # op #5
-                        labeled.append(normalized)  # op #2 (filter)
-                    else:
-                        n_unlabeled += 1
-                        m_unlabeled.inc()
-                        unlabeled.append(
-                            (
-                                ClassifiedInstance(
-                                    instance=normalized,
-                                    predicted=predicted,
-                                    proba=proba,
-                                ),
-                                tweet.user.user_id,
-                            )
+                    survivors.append(tweet)
+                else:
+                    instance = extract(tweet)  # op #1 (extract)
+                append_instance(instance)
+                hist_extract.observe(perf_counter() - t_start)
+            if quarantine:
+                tweets = survivors
+            block = InstanceBlock(instances)
+        # Columnar kernels (the no-outliers sketch, the Hoeffding tree)
+        # get the block's cached float64 matrix so `seen` and the local
+        # normalizer share one rows->matrix conversion; scalar kernels
+        # (and ragged rows) take the tuple columns.
+        with _maybe_span(tracer, "normalize"):
+            xs_in = block.matrix() if seen.columnar else None
+            if xs_in is None:
+                xs_in = block.xs
+            t_start = perf_counter()
+            normalized_block = block.with_xs(
+                seen.observe_and_transform_many(xs_in)
+            )  # op #1 (normalize: broadcast + local statistics)
+            local_normalizer.observe_many(xs_in)
+            t_normalize = perf_counter()
+        with _maybe_span(tracer, "predict"):
+            pred_in = normalized_block.matrix() if model.columnar else None
+            if pred_in is None:
+                pred_in = normalized_block.xs
+            probas = model.predict_proba_many(pred_in)  # op #4
+            t_predict = perf_counter()
+        with _maybe_span(tracer, "collect"):
+            n = len(block)
+            # The kernels ran once for the whole partition; book the
+            # amortized per-tweet cost so the histograms still count
+            # one observation per tweet.
+            if n:
+                stage_hists["normalize"].observe_repeated(
+                    (t_normalize - t_start) / n, n
+                )
+                stage_hists["predict"].observe_repeated(
+                    (t_predict - t_normalize) / n, n
+                )
+            m_processed.inc(n)
+            for normalized, proba, tweet in zip(
+                normalized_block, probas, tweets
+            ):
+                predicted = max(range(len(proba)), key=proba.__getitem__)
+                if normalized.y is not None:
+                    n_labeled += 1
+                    stats.add(normalized.y, predicted)  # op #5
+                    labeled.append(normalized)  # op #2 (filter)
+                else:
+                    n_unlabeled += 1
+                    unlabeled.append(
+                        (
+                            ClassifiedInstance(
+                                instance=normalized,
+                                predicted=predicted,
+                                proba=proba,
+                            ),
+                            tweet.user.user_id,
                         )
-        else:
-            # Batched fast path, result-identical to the loop above (the
-            # *_many kernels are bit-exact by contract, `seen` and the
-            # local normalizer are independent, and predictions use the
-            # read-only broadcast model, so de-interleaving the stages
-            # changes no state any row can see). Exceptions propagate
-            # and fail the partition, exactly like the old per-tweet
-            # raise.
-            perf_counter = time.perf_counter
-            extract = extractor.extract
-            hist_extract = stage_hists["extract"]
-            instances: List[Instance] = []
-            append_instance = instances.append
-            with _maybe_span(tracer, "extract"):
-                for tweet in tweets:
-                    t_start = perf_counter()
-                    append_instance(extract(tweet))  # op #1 (extract)
-                    hist_extract.observe(perf_counter() - t_start)
-                block = InstanceBlock(instances)
-            # Columnar kernels (the no-outliers sketch, the Hoeffding
-            # tree) get the block's cached float64 matrix so `seen`
-            # and the local normalizer share one rows->matrix
-            # conversion; scalar kernels (and ragged rows) take the
-            # tuple columns.
-            with _maybe_span(tracer, "normalize"):
-                xs_in = block.matrix() if seen.columnar else None
-                if xs_in is None:
-                    xs_in = block.xs
-                t_start = perf_counter()
-                normalized_block = block.with_xs(
-                    seen.observe_and_transform_many(xs_in)
-                )  # op #1 (normalize: broadcast + local statistics)
-                local_normalizer.observe_many(xs_in)
-                t_normalize = perf_counter()
-            with _maybe_span(tracer, "predict"):
-                pred_in = normalized_block.matrix() if model.columnar else None
-                if pred_in is None:
-                    pred_in = normalized_block.xs
-                probas = model.predict_proba_many(pred_in)  # op #4
-                t_predict = perf_counter()
-            with _maybe_span(tracer, "collect"):
-                n = len(block)
-                # The kernels ran once for the whole partition; book the
-                # amortized per-tweet cost so the histograms still count
-                # one observation per tweet.
-                if n:
-                    stage_hists["normalize"].observe_repeated(
-                        (t_normalize - t_start) / n, n
                     )
-                    stage_hists["predict"].observe_repeated(
-                        (t_predict - t_normalize) / n, n
-                    )
-                m_processed.inc(n)
-                for normalized, proba, tweet in zip(
-                    normalized_block, probas, tweets
-                ):
-                    predicted = max(
-                        range(len(proba)), key=proba.__getitem__
-                    )
-                    if normalized.y is not None:
-                        n_labeled += 1
-                        stats.add(normalized.y, predicted)  # op #5
-                        labeled.append(normalized)  # op #2 (filter)
-                    else:
-                        n_unlabeled += 1
-                        unlabeled.append(
-                            (
-                                ClassifiedInstance(
-                                    instance=normalized,
-                                    predicted=predicted,
-                                    proba=proba,
-                                ),
-                                tweet.user.user_id,
-                            )
-                        )
-                if n_labeled:
-                    m_labeled.inc(n_labeled)
-                if n_unlabeled:
-                    m_unlabeled.inc(n_unlabeled)
+            if n_labeled:
+                m_labeled.inc(n_labeled)
+            if n_unlabeled:
+                m_unlabeled.inc(n_unlabeled)
         with _maybe_span(tracer, "learn"):
             t_learn = time.perf_counter()
             local_model.learn_many(labeled)  # op #3, local part
@@ -835,15 +803,17 @@ class MicroBatchEngine:
             engine-owned :class:`SerialRunner`.
         n_workers: pool size when ``runner`` is a string spec
             (defaults to ``n_partitions``).
-        retry_policy: when set, batches whose partition tasks fail with
-            a *transient* :class:`PartitionError` are retried with
-            exponential backoff + seeded jitter (tasks rebuilt fresh
-            each attempt, engine state untouched between attempts).
-            Fatal errors always propagate immediately.
-        dead_letters: when set, per-tweet failures inside partitions
-            (validation/extraction/normalization/prediction) are
-            quarantined into this queue instead of failing the
-            partition.
+        retry_policy: when set, partitions that fail *transiently*
+            (a transient :class:`PartitionError`, a blown deadline, a
+            lost worker) are retried alone with exponential backoff +
+            seeded jitter (tasks rebuilt fresh each attempt, engine
+            state untouched between attempts). Fatal errors are never
+            retried.
+        dead_letters: when set, tweets that fail validation or
+            extraction inside a partition are quarantined into this
+            queue instead of failing the partition, and a partition
+            that fails fatally or exhausts its retries is quarantined
+            as one partition-grain record instead of raising.
         max_poison_rate: when set, enables a failure-rate circuit
             breaker (and a default dead-letter queue if none was given):
             :meth:`process_batch` raises
@@ -866,10 +836,6 @@ class MicroBatchEngine:
             is exposed as :attr:`last_trace`. On by default — the
             capture cost is a handful of perf_counter calls per
             partition.
-        profile_partitions: run each partition task under ``cProfile``
-            and merge the per-partition top functions into
-            :attr:`profile_report`. Opt-in: profiling costs real time
-            (~1.3-2x per partition).
         recorder: optional :class:`~repro.obs.recorder.FlightRecorder`;
             the engine records one event per batch and auto-dumps the
             ring on quarantine, pool rebuild, or a crashed run.
@@ -905,7 +871,6 @@ class MicroBatchEngine:
         partition_deadline_s: Optional[float] = None,
         speculate: Optional[float] = None,
         worker_telemetry: bool = True,
-        profile_partitions: bool = False,
         recorder: Optional[FlightRecorder] = None,
         pipelined: bool = False,
     ) -> None:
@@ -1004,14 +969,11 @@ class MicroBatchEngine:
         # tracer also *captures* its spans so each batch's driver spans
         # can be stitched with the worker-side partition subtrees.
         self.worker_telemetry = worker_telemetry
-        self.profile_partitions = profile_partitions
         self.recorder = recorder
         #: Stitched trace of the most recent batch (driver spans plus
         #: one subtree per partition), or None before the first batch /
         #: with worker telemetry off.
         self.last_trace: Optional[Dict[str, Any]] = None
-        #: Merged cProfile rows across all profiled partitions.
-        self.profile_report = ProfileReport()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = Tracer(
             self.metrics, labels={"engine": "microbatch"}, capture=True
@@ -1283,141 +1245,11 @@ class MicroBatchEngine:
                 quarantine=self.dead_letters is not None,
                 tier=tier,
                 worker_telemetry=self.worker_telemetry,
-                profile=self.profile_partitions,
             )
             for tweet_slice in slices
         ]
 
-    def _execute_with_retry(
-        self,
-        slices: Sequence[TweetSlice],
-        broadcast: StateBroadcast,
-        tier: DegradeTier,
-    ) -> Tuple[List[_PartitionOutput], int]:
-        """Run the partition stage, retrying transient failures.
-
-        Returns (outputs, retries_used). Engine state is untouched by
-        failed attempts: tasks are rebuilt fresh each time and no merge
-        happens until an attempt fully succeeds.
-        """
-        policy = self.retry_policy
-        attempt = 0
-        while True:
-            tasks = self._tasks_for(slices, broadcast, tier)
-            try:
-                return self.runner.run(tasks), attempt
-            except PartitionError as exc:
-                if (
-                    policy is None
-                    or not exc.transient
-                    or attempt >= policy.max_retries
-                ):
-                    raise
-                assert self._retry_rng is not None
-                delay = policy.backoff_delay(attempt, self._retry_rng)
-                attempt += 1
-                self.n_retries += 1
-                policy.sleep(delay)
-
-    def _execute_partitioned(
-        self,
-        slices: Sequence[TweetSlice],
-        broadcast: StateBroadcast,
-        tier: DegradeTier,
-    ) -> Tuple[
-        List[Optional[_PartitionOutput]],
-        List[Tuple[int, TaskOutcome]],
-        _ExecStats,
-    ]:
-        """Deadline path: per-partition outcomes, retries and quarantine.
-
-        Unlike :meth:`_execute_with_retry` (whole-batch retry on one
-        raised error), this drives :meth:`Runner.run_with_deadline` and
-        treats each partition as its own fault domain: successful
-        partitions keep their outputs while failed/timed-out/lost ones
-        are retried alone under the :class:`RetryPolicy`'s seeded
-        backoff, against the *same* broadcast and tweet block (engine
-        state is frozen for the whole batch, so late attempts see
-        identical inputs).
-
-        Returns ``(outputs, dropped, stats)`` where ``outputs[i]`` is
-        partition ``i``'s output or ``None`` if it was dropped, and
-        ``dropped`` lists ``(partition_index, final outcome)`` for
-        partitions that exhausted their budget. A fatal outcome — or
-        any non-ok outcome when no dead-letter queue is attached to
-        absorb the drop — raises instead; no merge has happened at
-        that point, so the no-half-applied guarantee holds.
-        """
-        outputs: List[Optional[_PartitionOutput]] = [None] * len(slices)
-        dropped: List[Tuple[int, TaskOutcome]] = []
-        stats = _ExecStats()
-        policy = self.retry_policy
-        pending = list(range(len(slices)))
-        attempt = 0
-        while pending:
-            tasks = self._tasks_for(
-                [slices[i] for i in pending], broadcast, tier
-            )
-            report = self.runner.run_with_deadline(
-                tasks,
-                deadline_s=self.partition_deadline_s,
-                speculate_after=self.speculate,
-            )
-            stats.n_speculative += report.n_speculative_launched
-            stats.n_speculative_wins += report.n_speculative_wins
-            stats.n_pool_rebuilds += report.n_pool_rebuilds
-            retryable: List[Tuple[int, TaskOutcome]] = []
-            for outcome in report.outcomes:
-                index = pending[outcome.partition_index]
-                if outcome.ok:
-                    outputs[index] = outcome.result  # type: ignore[assignment]
-                    self._partition_hist.observe(outcome.duration_s)
-                    # Trace annotations: who won (a speculative copy?),
-                    # how long the runner saw it take, and which retry
-                    # round it resolved on.
-                    stats.partition_meta[index] = {
-                        "speculative": outcome.speculative,
-                        "duration_s": outcome.duration_s,
-                        "attempts": attempt,
-                    }
-                    continue
-                if outcome.status == OUTCOME_TIMED_OUT:
-                    stats.n_timeouts += 1
-                    self._m_partition_timeouts.inc()
-                elif outcome.status == OUTCOME_WORKER_LOST:
-                    stats.n_worker_lost += 1
-                if outcome.retryable:
-                    retryable.append((index, outcome))
-                elif self.dead_letters is not None:
-                    dropped.append((index, outcome))
-                else:
-                    raise outcome.to_error()
-            if not retryable:
-                break
-            if policy is not None and attempt < policy.max_retries:
-                assert self._retry_rng is not None
-                delay = policy.backoff_delay(attempt, self._retry_rng)
-                attempt += 1
-                stats.retries += 1
-                self.n_retries += 1
-                policy.sleep(delay)
-                pending = [index for index, _outcome in retryable]
-                continue
-            # Retry budget exhausted (or no policy): quarantine if a
-            # DLQ can absorb the loss, otherwise surface the first
-            # failure — still before any merge.
-            if self.dead_letters is None:
-                raise retryable[0][1].to_error()
-            dropped.extend(retryable)
-            break
-        return outputs, dropped, stats
-
-    def _stitch_trace(
-        self,
-        indexed_outputs: Sequence[Optional[_PartitionOutput]],
-        dropped: Sequence[Tuple[int, TaskOutcome]],
-        exec_stats: Optional[_ExecStats],
-    ) -> Dict[str, Any]:
+    def _stitch_trace(self, bundle: _ExecBundle) -> Dict[str, Any]:
         """One trace tree for the batch: driver spans + worker subtrees.
 
         Drains the driver tracer's captured spans (so each batch's trace
@@ -1430,11 +1262,9 @@ class MicroBatchEngine:
         creation counters, nodes are ordered by partition index).
         """
         driver_spans = span_tree(self._tracer.drain())
-        meta = (
-            exec_stats.partition_meta if exec_stats is not None else {}
-        )
+        meta = bundle.exec_stats.partition_meta
         partition_nodes: List[Dict[str, Any]] = []
-        for index, output in enumerate(indexed_outputs):
+        for index, output in enumerate(bundle.indexed_outputs):
             if output is None or output.telemetry is None:
                 continue
             node: Dict[str, Any] = {
@@ -1446,7 +1276,7 @@ class MicroBatchEngine:
             }
             node.update(meta.get(index, {}))
             partition_nodes.append(node)
-        for index, outcome in dropped:
+        for index, outcome in bundle.dropped:
             partition_nodes.append(
                 {
                     "partition": index,
@@ -1497,37 +1327,93 @@ class MicroBatchEngine:
         mutation beyond counters — a raise here leaves the engine
         exactly as it was before the batch).
 
+        Each partition is its own fault domain: one
+        :meth:`Runner.run_with_deadline` call per attempt (no deadline
+        when ``partition_deadline_s`` is ``None``), successful
+        partitions keep their outputs, and failed/timed-out/lost ones
+        are retried alone under the :class:`RetryPolicy`'s seeded
+        backoff, against the *same* broadcast and tweet block (engine
+        state is frozen for the whole batch, so late attempts see
+        identical inputs). A partition that fails fatally or exhausts
+        its budget is dropped — quarantined at finalize — when a
+        dead-letter queue is attached, and raised otherwise; no merge
+        has happened at that point, so the no-half-applied guarantee
+        holds.
+
         Thread-agnostic: runs inline on the driver for the synchronous
         path, on the pipeline submit thread otherwise. It must not
         touch the driver tracer or any state the driver mutates during
         merge/finalize; everything batch-specific rides on ``state``.
         """
         t_start = time.perf_counter()
+        slices = state.block.slices
+        outputs: List[Optional[_PartitionOutput]] = [None] * len(slices)
         dropped: List[Tuple[int, TaskOutcome]] = []
-        exec_stats: Optional[_ExecStats] = None
-        indexed_outputs: List[Optional[_PartitionOutput]]
-        if self.partition_deadline_s is not None:
-            maybe_outputs, dropped, exec_stats = self._execute_partitioned(
-                state.block.slices, state.broadcast, state.batch_tier
+        stats = _ExecStats()
+        policy = self.retry_policy
+        pending = list(range(len(slices)))
+        attempt = 0
+        while pending:
+            tasks = self._tasks_for(
+                [slices[i] for i in pending], state.broadcast, state.batch_tier
             )
-            # Dropped partitions leave holes; merging the survivors
-            # in partition order keeps the merge sequence (and thus
-            # the model state) deterministic.
-            outputs = [o for o in maybe_outputs if o is not None]
-            retries_used = exec_stats.retries
-            indexed_outputs = maybe_outputs
-        else:
-            outputs, retries_used = self._execute_with_retry(
-                state.block.slices, state.broadcast, state.batch_tier
+            report = self.runner.run_with_deadline(
+                tasks,
+                deadline_s=self.partition_deadline_s,
+                speculate_after=self.speculate,
             )
-            indexed_outputs = list(outputs)
+            stats.n_speculative += report.n_speculative_launched
+            stats.n_speculative_wins += report.n_speculative_wins
+            stats.n_pool_rebuilds += report.n_pool_rebuilds
+            retryable: List[Tuple[int, TaskOutcome]] = []
+            for outcome in report.outcomes:
+                index = pending[outcome.partition_index]
+                if outcome.ok:
+                    outputs[index] = outcome.result  # type: ignore[assignment]
+                    self._partition_hist.observe(outcome.duration_s)
+                    # Trace annotations: who won (a speculative copy?),
+                    # how long the runner saw it take, and which retry
+                    # round it resolved on.
+                    stats.partition_meta[index] = {
+                        "speculative": outcome.speculative,
+                        "duration_s": outcome.duration_s,
+                        "attempts": attempt,
+                    }
+                    continue
+                if outcome.status == OUTCOME_TIMED_OUT:
+                    stats.n_timeouts += 1
+                    self._m_partition_timeouts.inc()
+                elif outcome.status == OUTCOME_WORKER_LOST:
+                    stats.n_worker_lost += 1
+                if outcome.retryable:
+                    retryable.append((index, outcome))
+                elif self.dead_letters is not None:
+                    dropped.append((index, outcome))
+                else:
+                    raise _partition_error(index, outcome)
+            if not retryable:
+                break
+            if policy is not None and attempt < policy.max_retries:
+                assert self._retry_rng is not None
+                delay = policy.backoff_delay(attempt, self._retry_rng)
+                attempt += 1
+                stats.retries += 1
+                self.n_retries += 1
+                policy.sleep(delay)
+                pending = [index for index, _outcome in retryable]
+                continue
+            # Retry budget exhausted (or no policy): quarantine if a
+            # DLQ can absorb the loss, otherwise surface the first
+            # failure — still before any merge.
+            if self.dead_letters is None:
+                raise _partition_error(*retryable[0])
+            dropped.extend(retryable)
+            break
         done = time.perf_counter()
         return _ExecBundle(
-            outputs=outputs,
-            indexed_outputs=indexed_outputs,
+            indexed_outputs=outputs,
             dropped=dropped,
-            exec_stats=exec_stats,
-            retries_used=retries_used,
+            exec_stats=stats,
             execute_seconds=done - t_start,
             done_at=done,
         )
@@ -1574,9 +1460,7 @@ class MicroBatchEngine:
         state.bow_absorb_s = span_bow.duration or 0.0
         state.normalizer_merge_s = span_normalizer.duration or 0.0
 
-    def _adopt_controller(
-        self, elapsed: float, exec_stats: Optional[_ExecStats]
-    ) -> None:
+    def _adopt_controller(self, elapsed: float, exec_stats: _ExecStats) -> None:
         """Report a batch to the overload controller and adopt its
         (possibly resized) batch size and partition count for the next
         discretization round."""
@@ -1588,9 +1472,7 @@ class MicroBatchEngine:
             queue_fraction=(
                 queue.depth_fraction if queue is not None else None
             ),
-            n_stragglers=(
-                exec_stats.n_stragglers if exec_stats is not None else 0
-            ),
+            n_stragglers=exec_stats.n_stragglers,
         )
         self.batch_size = self.controller.batch_size
         if self.controller.n_partitions is not None:
@@ -1611,10 +1493,7 @@ class MicroBatchEngine:
         bundle = state.bundle
         assert bundle is not None
         outputs = bundle.outputs
-        indexed_outputs = bundle.indexed_outputs
-        dropped = bundle.dropped
         exec_stats = bundle.exec_stats
-        retries_used = bundle.retries_used
         batch_tier = state.batch_tier
         n_tweets = state.n_tweets
 
@@ -1628,8 +1507,6 @@ class MicroBatchEngine:
             n_poisoned += len(output.poisoned)
             if output.metrics is not None:
                 self.metrics.merge_snapshot(output.metrics)
-            if output.profile is not None:
-                self.profile_report.merge(output.profile)
             if output.poisoned and self.dead_letters is not None:
                 for tweet_id, stage, error, trace in output.poisoned:
                     self.dead_letters.add(
@@ -1642,13 +1519,13 @@ class MicroBatchEngine:
                         )
                     )
 
-        if dropped and self.dead_letters is not None:
+        if bundle.dropped and self.dead_letters is not None:
             # Partition-grain quarantine: one poison record per dropped
             # partition; its tweets count as poisoned so the driver's
             # accounting (n_processed + n_quarantined == ingested)
             # stays exact without per-tweet records.
             partitions = state.partitions
-            for index, outcome in dropped:
+            for index, outcome in bundle.dropped:
                 n_poisoned += len(partitions[index])
                 self._m_partition_quarantined.inc(len(partitions[index]))
                 self.dead_letters.add(
@@ -1693,22 +1570,19 @@ class MicroBatchEngine:
         self.n_quarantined += n_poisoned
         self._m_ingested.inc(n_tweets)
         self._m_batches.inc()
-        if retries_used:
-            self._m_retries.inc(retries_used)
-        if exec_stats is not None:
-            if exec_stats.n_speculative:
-                self._m_spec_launched.inc(exec_stats.n_speculative)
-            if exec_stats.n_speculative_wins:
-                self._m_spec_wins.inc(exec_stats.n_speculative_wins)
-            if exec_stats.n_pool_rebuilds:
-                self._m_pool_rebuilds.inc(exec_stats.n_pool_rebuilds)
+        if exec_stats.retries:
+            self._m_retries.inc(exec_stats.retries)
+        if exec_stats.n_speculative:
+            self._m_spec_launched.inc(exec_stats.n_speculative)
+        if exec_stats.n_speculative_wins:
+            self._m_spec_wins.inc(exec_stats.n_speculative_wins)
+        if exec_stats.n_pool_rebuilds:
+            self._m_pool_rebuilds.inc(exec_stats.n_pool_rebuilds)
         self._publish_gauges()
         # All driver spans for this batch are closed at this point;
         # drain them and stitch the worker subtrees underneath into one
         # trace tree for the batch.
-        self.last_trace = self._stitch_trace(
-            indexed_outputs, dropped, exec_stats
-        )
+        self.last_trace = self._stitch_trace(bundle)
         elapsed = time.perf_counter() - state.started
         self._batch_hist.observe(elapsed)
         if observe_controller:
@@ -1723,7 +1597,7 @@ class MicroBatchEngine:
             cumulative_accuracy=self.cumulative.accuracy,
             stage_seconds=timings,
             n_quarantined=n_poisoned,
-            n_retries=retries_used,
+            n_retries=exec_stats.retries,
             degrade_tier=int(batch_tier),
         )
         self.batches.append(result)
@@ -1746,7 +1620,7 @@ class MicroBatchEngine:
                     n_poisoned=n_poisoned,
                 )
                 self.recorder.auto_dump("quarantine")
-            if exec_stats is not None and exec_stats.n_pool_rebuilds:
+            if exec_stats.n_pool_rebuilds:
                 self.recorder.event(
                     "pool_rebuild",
                     batch_index=result.batch_index,
@@ -1764,22 +1638,23 @@ class MicroBatchEngine:
         """Run one micro-batch through the Fig. 2 dataflow, synchronously.
 
         Raises:
-            repro.engine.runners.PartitionError: if any partition task
-                fails fatally, or transiently with retries exhausted (or
-                no ``retry_policy`` configured). No engine state is
-                mutated in that case: all merges happen only after every
-                partition has returned.
+            repro.engine.runners.PartitionError: no dead-letter queue
+                is attached and a partition task fails fatally, or
+                transiently with retries exhausted (or no
+                ``retry_policy`` configured). No engine state is mutated
+                in that case: all merges happen only after every
+                partition has resolved.
             repro.reliability.deadletter.CircuitOpenError: quarantine
                 is enabled with ``max_poison_rate`` and the stream's
                 cumulative poison rate exceeded it. The batch's merges
                 have completed when this is raised — the breaker is a
                 stop signal, not a rollback.
 
-        With ``partition_deadline_s`` set, partitions are independent
-        fault domains: a partition that exhausts its per-partition
-        retries is quarantined to the dead-letter queue as one
-        partition-grain poison record (its tweets count as poisoned)
-        while its siblings' outputs merge normally, in partition order.
+        Partitions are independent fault domains: with a dead-letter
+        queue, a partition that fails fatally or exhausts its retries is
+        quarantined as one partition-grain poison record (its tweets
+        count as poisoned) while its siblings' outputs merge normally,
+        in partition order.
 
         A pipelined in-flight batch (from :meth:`submit_batch`) is
         drained first, so mixing the two entry points never interleaves

@@ -1,8 +1,11 @@
 """Partition-task executors: serial, thread pool, process pool.
 
 A runner executes a list of zero-argument callables (one per data
-partition) and returns their results in order. ``SerialRunner`` is the
-reference; ``ThreadPoolRunner`` overlaps partitions on threads (limited
+partition) and reports one outcome per task, in order
+(:meth:`Runner.run_with_deadline`, the one method a backend
+implements; :meth:`Runner.run` returns the results or raises the first
+failure). ``SerialRunner`` is the reference; ``ThreadPoolRunner``
+overlaps partitions on threads (limited
 by the GIL for pure-Python stages, included for API parity and for
 I/O-bound sources); ``ProcessPoolRunner`` achieves real multi-core
 execution at the price of pickling the task closures, mirroring
@@ -123,9 +126,7 @@ class PartitionError(RuntimeError):
     raised; wrapping every task execution in this error keeps failures
     attributable and picklable across process boundaries. ``transient``
     records the retry classification of the original exception
-    (:func:`is_transient_error`); ``partition_index`` is ``-1`` when the
-    failure cannot be attributed to a single partition (e.g. the whole
-    worker pool died).
+    (:func:`is_transient_error`).
     """
 
     def __init__(
@@ -779,7 +780,11 @@ class TweetBlock:
 
 
 class Runner(abc.ABC):
-    """Executes partition tasks and returns results in input order."""
+    """Executes partition tasks and returns results in input order.
+
+    A backend implements one method, :meth:`run_with_deadline`;
+    :meth:`run` is derived from it.
+    """
 
     #: Whether this runner pickles tasks to ship them to workers. The
     #: micro-batch engine consults this to pick the tweet transport:
@@ -789,15 +794,17 @@ class Runner(abc.ABC):
     #: should set this to ``True`` to opt into the block transport.
     needs_pickled_tasks = False
 
-    @abc.abstractmethod
     def run(self, tasks: Sequence[Task]) -> List:
-        """Execute all tasks; results keep the input order.
+        """Execute all tasks with no deadline; results keep input order.
 
         Raises:
-            PartitionError: if any task raises; the error names the
-                failing partition and wraps the original message.
+            PartitionError: the first partition, in task order, whose
+                outcome is not ``ok``; it names the failing partition
+                and wraps the original message.
         """
+        return self.run_with_deadline(tasks).results()
 
+    @abc.abstractmethod
     def run_with_deadline(
         self,
         tasks: Sequence[Task],
@@ -806,22 +813,49 @@ class Runner(abc.ABC):
     ) -> RunReport:
         """Execute all tasks, classifying each outcome instead of raising.
 
-        Unlike :meth:`run`, one bad partition does not poison its
-        siblings: every task gets a :class:`TaskOutcome` (``ok``,
-        ``failed``, ``timed_out`` or ``worker_lost``) and the caller
-        decides what to retry, speculate or quarantine.
+        One bad partition does not poison its siblings: every task gets
+        a :class:`TaskOutcome` (``ok``, ``failed``, ``timed_out`` or
+        ``worker_lost``) and the caller decides what to retry,
+        speculate or quarantine.
 
-        ``deadline_s`` bounds the whole task set; ``speculate_after``
-        (a fraction of the deadline in ``(0, 1]``) asks pool runners to
-        launch duplicate attempts for partitions still unresolved past
-        that point — first finisher wins, the loser is cancelled or its
-        result discarded.
-
-        This default implementation runs tasks serially on the calling
-        thread. In-process execution cannot preempt a running task, so
-        the deadline and speculation arguments are validated but not
-        enforced: outcomes here are only ever ``ok`` or ``failed``.
+        ``deadline_s`` bounds the whole task set (``None``: no
+        deadline); ``speculate_after`` (a fraction of the deadline in
+        ``(0, 1]``) asks pool runners to launch duplicate attempts for
+        partitions still unresolved past that point — first finisher
+        wins, the loser is cancelled or its result discarded.
         """
+
+    def close(self) -> None:
+        """Release any pooled resources (no-op by default)."""
+
+    def evict_broadcast(self, key: str) -> None:
+        """Forget a dead broadcaster's cached payload everywhere.
+
+        The default covers in-process execution (serial/thread runners
+        share this process's cache); pool-backed runners additionally
+        ship eviction tasks to their workers.
+        """
+        evict_broadcast(key)
+
+    def __enter__(self) -> "Runner":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+class SerialRunner(Runner):
+    """Runs tasks one after another on the calling thread."""
+
+    def run_with_deadline(
+        self,
+        tasks: Sequence[Task],
+        deadline_s: Optional[float] = None,
+        speculate_after: Optional[float] = None,
+    ) -> RunReport:
+        """In-process execution cannot preempt a running task, so the
+        deadline and speculation arguments are validated but not
+        enforced: outcomes here are only ever ``ok`` or ``failed``."""
         _validate_deadline_args(deadline_s, speculate_after)
         outcomes: List[TaskOutcome] = []
         for item in enumerate(tasks):
@@ -848,31 +882,6 @@ class Runner(abc.ABC):
                 )
         return RunReport(outcomes=outcomes)
 
-    def close(self) -> None:
-        """Release any pooled resources (no-op by default)."""
-
-    def evict_broadcast(self, key: str) -> None:
-        """Forget a dead broadcaster's cached payload everywhere.
-
-        The default covers in-process execution (serial/thread runners
-        share this process's cache); pool-backed runners additionally
-        ship eviction tasks to their workers.
-        """
-        evict_broadcast(key)
-
-    def __enter__(self) -> "Runner":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class SerialRunner(Runner):
-    """Runs tasks one after another on the calling thread."""
-
-    def run(self, tasks: Sequence[Task]) -> List:
-        return [_run_task(item) for item in enumerate(tasks)]
-
 
 class ThreadPoolRunner(Runner):
     """Runs tasks on a shared thread pool."""
@@ -887,10 +896,6 @@ class ThreadPoolRunner(Runner):
         if self._pool is None:
             self._pool = ThreadPoolExecutor(max_workers=self.n_threads)
         return self._pool
-
-    def run(self, tasks: Sequence[Task]) -> List:
-        pool = self._ensure_pool()
-        return list(pool.map(_run_task, enumerate(tasks)))
 
     def run_with_deadline(
         self,
@@ -1013,19 +1018,6 @@ class ProcessPoolRunner(Runner):
             self._pool = ProcessPoolExecutor(max_workers=self.n_processes)
         return self._pool
 
-    def run(self, tasks: Sequence[Task]) -> List:
-        pool = self._ensure_pool()
-        try:
-            return list(pool.map(_run_task, enumerate(tasks)))
-        except BrokenProcessPool as exc:
-            # The pool is unusable once a worker dies; discard it so the
-            # next run() builds a fresh one, and classify the failure as
-            # transient — a retry against new workers can succeed.
-            self.close()
-            raise PartitionError(
-                -1, f"worker pool broken: {exc}", transient=True
-            ) from exc
-
     def run_with_deadline(
         self,
         tasks: Sequence[Task],
@@ -1034,10 +1026,10 @@ class ProcessPoolRunner(Runner):
     ) -> RunReport:
         """Deadline-aware execution with speculation and pool recovery.
 
-        The driver polls futures instead of blocking on ``pool.map``,
-        so one partition's fate never hides its siblings': each task
-        resolves to ``ok`` or ``failed`` as its future completes,
-        partitions still unresolved at the deadline become
+        The driver polls futures, so one partition's fate never hides
+        its siblings': each task resolves to ``ok`` or ``failed`` as its
+        future completes, partitions still unresolved at the deadline
+        (if any) become
         ``timed_out``, and a dead worker breaks only the *pool* — the
         completed siblings keep their results, the pool is rebuilt in
         place (broadcast segments in ``_LIVE_SEGMENTS`` are untouched,

@@ -26,7 +26,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
 )
-from repro.obs.profile import ProfileReport, ProfileSlice, profile_call
 from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import (
     SLO,
@@ -65,9 +64,6 @@ __all__ = [
     "get_logger",
     "OpsConsole",
     "FlightRecorder",
-    "ProfileReport",
-    "ProfileSlice",
-    "profile_call",
     "SLO",
     "SLOTracker",
     "Scorecard",

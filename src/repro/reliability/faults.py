@@ -51,11 +51,13 @@ class FaultInjector:
 
     Failures can be declared two ways (combinable):
 
-    * ``schedule`` — explicit map of run-call index to the partition
-      indices that must fail on that call. Call indices count every
-      ``run()`` invocation of the wrapped runner, so retries advance
-      the index: ``{0: [2], 1: [2]}`` fails partition 2 on the first
-      attempt *and* on the first retry, succeeding on the third.
+    * ``schedule`` — explicit map of run-call index to the task
+      positions that must fail on that call. Call indices count every
+      invocation of the wrapped runner, so retries advance the index.
+      A retry call carries only the partitions that failed, so a lone
+      failed partition sits at position 0 on it: ``{0: [2], 1: [0]}``
+      fails partition 2 on the first attempt *and* on the first retry,
+      succeeding on the third.
     * ``rate`` — each (call, partition) pair fails independently with
       this probability, drawn from a ``seed``-ed RNG.
 
@@ -236,8 +238,7 @@ class FaultInjectingRunner(Runner):
     def _wrap(self, tasks: Sequence[Task]) -> List[Task]:
         """Consume one call index and wrap the chosen tasks.
 
-        Every delegated execution — :meth:`run` or
-        :meth:`run_with_deadline`, including engine-level retries —
+        Every delegated execution, including engine-level retries,
         advances the call index, so a schedule keyed on call indices
         addresses attempts, not just batches.
         """
@@ -253,9 +254,6 @@ class FaultInjectingRunner(Runner):
                 )
             wrapped.append(_InjectedTask(task, None, action))
         return wrapped
-
-    def run(self, tasks: Sequence[Task]) -> List:
-        return self.inner.run(self._wrap(tasks))
 
     def run_with_deadline(
         self,

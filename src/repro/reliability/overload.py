@@ -630,8 +630,8 @@ class OverloadController:
         ``n_stragglers`` is the batch's count of timed-out or
         worker-lost partitions; any straggler counts as pressure (and
         blocks comfort) regardless of the batch's own duration, since a
-        timed-out partition means the deadline path already gave up on
-        part of the batch.
+        timed-out partition means the runner already gave up on part of
+        the batch once.
         """
         if queue_fraction is None:
             queue_fraction = (

@@ -153,6 +153,22 @@ def tweet_from_payload(payload: Dict[str, Any]) -> Tweet:
     return tweet
 
 
+def _deadline_seconds(deadline_ms: Any) -> float:
+    """A request's ``deadline_ms`` as seconds (a negative one is zero).
+
+    Only a finite JSON number is a deadline; a string, list, object,
+    ``null``, boolean, NaN or ±Infinity is the client's error (400).
+    """
+    if type(deadline_ms) in (int, float):
+        try:
+            ms = float(deadline_ms)
+        except OverflowError:  # an integer past the float range
+            ms = math.inf
+        if math.isfinite(ms):
+            return max(ms, 0.0) / 1000.0
+    raise ValueError("'deadline_ms' must be a finite number")
+
+
 @dataclass
 class _LoadedSnapshot:
     """One verified snapshot resident in memory, with a pin count."""
@@ -637,7 +653,7 @@ class AggressionServer:
             tweet = tweet_from_payload(payload)
             deadline_s = self.default_deadline_s
             if "deadline_ms" in payload:
-                deadline_s = max(float(payload["deadline_ms"]), 0.0) / 1000.0
+                deadline_s = _deadline_seconds(payload["deadline_ms"])
             budget_s: Optional[float] = None
             if deadline_s is not None:
                 # Queue wait already spent part of the budget; what is

@@ -22,6 +22,7 @@ import pytest
 from repro.core.config import PipelineConfig
 from repro.data.synthetic import AbusiveDatasetGenerator
 from repro.engine.microbatch import MicroBatchEngine
+from repro.engine.replay import model_state_digest
 from repro.engine.runners import (
     OUTCOME_FAILED,
     OUTCOME_OK,
@@ -29,7 +30,10 @@ from repro.engine.runners import (
     OUTCOME_WORKER_LOST,
     PartitionError,
     ProcessPoolRunner,
+    Runner,
+    RunReport,
     SerialRunner,
+    TaskOutcome,
     ThreadPoolRunner,
     TransientWorkerError,
     live_segment_names,
@@ -226,6 +230,16 @@ class TestProcessDeadline:
             assert report.n_pool_rebuilds >= 1
             assert runner.n_pool_rebuilds >= 1
 
+    def test_run_rebuilds_pool_after_worker_loss(self, tmp_path):
+        # run() is run_with_deadline(tasks).results(): a killed worker
+        # is rebuilt in place and only its partition re-runs, with or
+        # without a deadline.
+        marker = str(tmp_path / "killed-once")
+        with ProcessPoolRunner(n_processes=2) as runner:
+            results = runner.run([_KillOnce(marker), _Return("ok")])
+            assert results == ["revived", "ok"]
+            assert runner.n_pool_rebuilds == 1
+
     def test_rebuild_budget_exhaustion_reports_worker_lost(self):
         with ProcessPoolRunner(
             n_processes=2, max_rebuilds_per_run=0
@@ -271,6 +285,38 @@ class TestProcessDeadline:
             assert time.perf_counter() - started < 0.45
             for blocker in blockers:
                 blocker.result(timeout=5.0)
+
+
+class _InlineRunner(Runner):
+    """A backend implementing only ``run_with_deadline``."""
+
+    def run_with_deadline(self, tasks, deadline_s=None, speculate_after=None):
+        return RunReport(
+            outcomes=[
+                TaskOutcome(index, OUTCOME_OK, result=task())
+                for index, task in enumerate(tasks)
+            ]
+        )
+
+
+class TestBackendContract:
+    def test_run_is_derived_from_run_with_deadline(self):
+        assert _InlineRunner().run([_Return(3), _Return(1)]) == [3, 1]
+
+    def test_engine_runs_on_a_minimal_backend(self):
+        tweets = AbusiveDatasetGenerator(n_tweets=300, seed=21).generate_list()
+
+        def digest(runner):
+            engine = MicroBatchEngine(
+                PipelineConfig(n_classes=2),
+                n_partitions=2,
+                batch_size=100,
+                runner=runner,
+            )
+            result = engine.run(tweets)
+            return model_state_digest(engine.model), result.metrics
+
+        assert digest(_InlineRunner()) == digest(SerialRunner())
 
 
 class TestShmHygieneOnWorkerLoss:

@@ -15,8 +15,10 @@ from repro.engine.microbatch import (
     _PartitionOutput,
     _round_robin_partitions,
 )
+from repro.engine.replay import model_state_digest
 from repro.engine.runners import ThreadPoolRunner
 from repro.reliability.deadletter import DeadLetterQueue
+from repro.reliability.faults import corrupting_stream, corruption_mask
 from repro.streamml.serialize import model_to_dict
 
 
@@ -101,9 +103,10 @@ class TestExecution:
 
 
 class TestQuarantineLoopEquivalence:
-    """``_PartitionTask._execute`` has two bodies — the per-tweet loop a
-    dead-letter queue selects and the batched ``*_many`` path — and on a
-    clean stream they must be the same detector, bit for bit."""
+    """A dead-letter queue only adds validation and a try/except around
+    each tweet's extraction to ``_PartitionTask._execute``'s one body; on
+    a clean stream the run with a queue must be the same detector as the
+    run without, bit for bit."""
 
     @pytest.mark.parametrize("model", ["ht", "slr"])
     @pytest.mark.parametrize(
@@ -135,6 +138,55 @@ class TestQuarantineLoopEquivalence:
         queue = DeadLetterQueue()
         assert run(queue) == run(None)
         assert len(queue) == 0
+
+
+class TestQuarantineOnDirtyStream:
+    """In-partition quarantine over a corrupted stream: every corrupt
+    tweet becomes one ``validate`` record, the survivors train the same
+    detector on any runner, and the registry conserves every tweet.
+    The literals were recorded on the commit that still had a separate
+    per-row quarantine body."""
+
+    DIGEST = "513bab66ffaa389d1357a2cc1c4dbdc4be8834b211332743dde7c9a3fe7a8e14"
+    METRICS = {
+        "accuracy": 0.7728971962616823,
+        "precision": 0.7852862285337653,
+        "recall": 0.7728971962616823,
+        "f1": 0.756058744391984,
+        "macro_f1": 0.7289131189535614,
+        "kappa": 0.4727909777729115,
+        "kappa_m": 0.3955223880597016,
+    }
+    N_ALERTS = 105
+
+    @pytest.mark.parametrize("runner", ["serial", "processes"])
+    def test_corrupt_rows_quarantined_and_detector_pinned(
+        self, small_stream, runner
+    ):
+        clean = small_stream[:1200] + list(
+            strip_labels(small_stream[1200:1500])
+        )
+        stream = list(corrupting_stream(clean, rate=0.1, seed=7))
+        queue = DeadLetterQueue()
+        engine = MicroBatchEngine(
+            PipelineConfig(n_classes=2),
+            n_partitions=2,
+            batch_size=500,
+            runner=runner,
+            n_workers=2,
+            dead_letters=queue,
+        )
+        with engine:
+            result = engine.run(stream)
+        n_corrupt = sum(corruption_mask(len(clean), rate=0.1, seed=7))
+        assert queue.by_stage() == {"validate": n_corrupt}
+        assert model_state_digest(engine.model) == self.DIGEST
+        assert result.metrics == self.METRICS
+        assert len(engine.alert_manager.alerts) == self.N_ALERTS
+        registry = engine.metrics
+        assert registry.total("tweets_processed_total") + registry.total(
+            "tweets_quarantined_total"
+        ) == registry.total("tweets_ingested_total") == len(stream)
 
 
 class TestPartitionLocalStatistics:

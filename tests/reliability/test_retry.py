@@ -8,6 +8,7 @@ from repro.data.synthetic import AbusiveDatasetGenerator
 from repro.engine.microbatch import MicroBatchEngine
 from repro.engine.runners import PartitionError, SerialRunner
 from repro.reliability import FaultInjectingRunner, FaultInjector, RetryPolicy
+from repro.reliability.deadletter import DeadLetterQueue
 
 
 def _tweets(n=150, seed=13):
@@ -56,8 +57,9 @@ class TestEngineRetry:
         clean_result = clean.run(tweets)
 
         # Partition 1 fails on the first attempt of the first batch and
-        # again on the retry; the third attempt succeeds.
-        injector = FaultInjector(schedule={0: [1], 1: [1]})
+        # again on the retry, which carries only that partition (so it
+        # sits at position 0); the third attempt succeeds.
+        injector = FaultInjector(schedule={0: [1], 1: [0]})
         runner = FaultInjectingRunner(SerialRunner(), injector)
         engine = MicroBatchEngine(
             n_partitions=3,
@@ -88,6 +90,24 @@ class TestEngineRetry:
         assert not excinfo.value.transient
         assert runner.n_calls == 1  # no second attempt
 
+    def test_fatal_failure_with_dead_letters_quarantines_the_partition(self):
+        injector = FaultInjector(schedule={0: [0]}, transient=False)
+        runner = FaultInjectingRunner(SerialRunner(), injector)
+        queue = DeadLetterQueue()
+        engine = MicroBatchEngine(
+            n_partitions=2, batch_size=50, runner=runner, dead_letters=queue
+        )
+        result = engine.run(_tweets(60))
+        # Partition 0 of the first batch (25 of its 50 tweets) becomes
+        # one partition-grain record; every other tweet is processed.
+        assert queue.by_stage() == {"partition": 1}
+        assert result.n_quarantined == 25
+        assert result.n_processed == 35
+        registry = engine.metrics
+        assert registry.total("tweets_processed_total") + registry.total(
+            "tweets_quarantined_total"
+        ) == registry.total("tweets_ingested_total") == 60
+
     def test_retries_exhausted_raises(self):
         injector = FaultInjector(schedule={i: [0] for i in range(10)})
         runner = FaultInjectingRunner(SerialRunner(), injector)
@@ -101,6 +121,22 @@ class TestEngineRetry:
             engine.run(_tweets(60))
         assert excinfo.value.transient
         assert runner.n_calls == 3  # initial attempt + 2 retries
+
+    def test_exhausted_retry_names_the_partition_in_the_batch(self):
+        # Retry calls carry only the failing partition, at position 0;
+        # the raised error still names partition 1 of the batch.
+        injector = FaultInjector(schedule={0: [1], 1: [0], 2: [0]})
+        runner = FaultInjectingRunner(SerialRunner(), injector)
+        engine = MicroBatchEngine(
+            n_partitions=2,
+            batch_size=50,
+            runner=runner,
+            retry_policy=_no_sleep_policy(max_retries=2),
+        )
+        with pytest.raises(PartitionError) as excinfo:
+            engine.run(_tweets(60))
+        assert excinfo.value.partition_index == 1
+        assert runner.n_calls == 3
 
     def test_no_policy_means_no_retry(self):
         injector = FaultInjector(schedule={0: [0]})

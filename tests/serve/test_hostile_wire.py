@@ -376,6 +376,14 @@ MISTYPED = (
     b'{"text":["a"]}',
     b'{"text":"hi","user":5}',
     b'{"text":"hi","created_at":[1]}',
+    b'{"text":"hi","deadline_ms":[1]}',
+    b'{"text":"hi","deadline_ms":{"ms":5}}',
+    b'{"text":"hi","deadline_ms":null}',
+    b'{"text":"hi","deadline_ms":true}',
+    b'{"text":"hi","deadline_ms":false}',
+    b'{"text":"hi","deadline_ms":NaN}',
+    b'{"text":"hi","deadline_ms":Infinity}',
+    b'{"text":"hi","deadline_ms":-Infinity}',
 )
 
 
@@ -385,6 +393,8 @@ class TestMistypedFields:
         reply = exchange(served.port, post(b"/classify", body))
         assert status_of(reply) == 400
         assert b"Error" not in body_of(reply)  # no internal exception name
+        if b"deadline_ms" in body:
+            assert b"deadline_ms" in body_of(reply)  # names the field
         line = json.loads(exchange(served.port, body + b"\n", half_close=True))
         assert line["status"] == 400
         errors = served.server.metrics.counter_value("requests_error_total")
