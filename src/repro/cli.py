@@ -3,8 +3,11 @@
 Subcommands:
 
 * ``generate`` — write a synthetic dataset to a JSONL file;
-* ``run`` — run the detection pipeline over a JSONL stream and report
-  prequential metrics (optionally saving the trained model);
+* ``run`` — drive the sequential or micro-batch engine over a JSONL
+  stream under a :class:`~repro.reliability.supervisor.StreamSupervisor`
+  (ingest validation always; checkpoints, retries, overload control on
+  request) and report prequential metrics (optionally saving the
+  trained model);
 * ``classify`` — classify a JSONL stream with a saved model, writing
   one prediction per line;
 * ``simulate`` — project execution time/throughput for the paper's
@@ -35,7 +38,6 @@ import sys
 from typing import Optional, Sequence
 
 from repro.core.config import PipelineConfig
-from repro.core.pipeline import AggressionDetectionPipeline
 from repro.data.loader import read_jsonl, write_jsonl
 from repro.data.synthetic import AbusiveDatasetGenerator
 from repro.engine.cluster import PAPER_SPECS, CostModel, SimulatedCluster
@@ -111,23 +113,23 @@ def build_parser() -> argparse.ArgumentParser:
                      help="double-buffer micro-batches: overlap the "
                      "driver's merge/drain of batch k with batch k+1's "
                      "partition execution (microbatch engine; results "
-                     "are bit-exact with the synchronous path)")
+                     "are bit-exact with the synchronous path; on "
+                     "--resume the checkpoint keeps its own mode)")
     run.add_argument("--save-model", default=None,
                      help="write the trained model to this JSON path")
     run.add_argument("--report", default=None,
                      help="write a markdown run report to this path "
-                     "(sequential engine only)")
+                     "(sequential engine, not with --resume)")
     run.add_argument("--retries", type=int, default=None, metavar="N",
                      help="retry transient partition failures up to N "
-                     "times with exponential backoff (microbatch engine; "
-                     "enables supervised execution)")
+                     "times with exponential backoff (microbatch engine)")
     run.add_argument("--checkpoint-every", type=_positive_int, default=10,
                      metavar="N",
                      help="checkpoint after every N chunks when "
                      "--checkpoint-dir is set (default 10)")
     run.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                      help="periodically checkpoint engine state to DIR "
-                     "(atomic writes; enables supervised execution)")
+                     "(atomic writes)")
     run.add_argument("--resume", action="store_true",
                      help="resume from the last checkpoint in "
                      "--checkpoint-dir, replaying only unprocessed tweets")
@@ -135,12 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="RATE",
                      help="quarantine malformed tweets instead of crashing, "
                      "but abort once their fraction exceeds RATE "
-                     "(e.g. 0.05; enables supervised execution)")
+                     "(e.g. 0.05)")
     run.add_argument("--queue-capacity", type=_positive_int, default=None,
                      metavar="N",
                      help="bound the ingest queue at N tweets and shed "
                      "excess load by --shed-policy instead of buffering "
-                     "without limit (enables supervised execution)")
+                     "without limit")
     run.add_argument("--shed-policy", default="drop-oldest",
                      choices=("drop-oldest", "drop-newest", "sample"),
                      help="what to evict when the ingest queue is full "
@@ -150,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="soft per-batch deadline; repeated misses shrink "
                      "the batch size and then degrade the feature pipeline "
                      "(FULL -> NO_POS -> TEXT_ONLY), recovering when load "
-                     "subsides (enables supervised execution)")
+                     "subsides")
     run.add_argument("--partition-deadline", type=float, default=None,
                      metavar="SECONDS",
                      help="per-partition execution deadline (microbatch "
@@ -210,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="publish a verified serving snapshot to the "
                      "store at DIR on every checkpoint, so a live "
                      "'repro serve' hot-swaps models while this run "
-                     "trains (enables supervised execution)")
+                     "trains")
 
     serve = commands.add_parser(
         "serve", help="serve classifications over HTTP/JSONL from a "
@@ -330,138 +332,72 @@ def _finalize_telemetry(
     logger.info("telemetry      : %s (+ %s)", args.metrics_out, prom_path)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = PipelineConfig(
-        n_classes=args.classes,
-        model=args.model,
-        preprocessing=not args.no_preprocessing,
-        adaptive_bow=not args.no_adaptive_bow,
-        normalization=args.normalization,
-    )
-    supervised = (
-        args.retries is not None
-        or args.checkpoint_dir is not None
-        or args.resume
-        or args.max_poison_rate is not None
-        or args.queue_capacity is not None
-        or args.batch_deadline is not None
-        or args.arrival_rate is not None
-        or args.publish_snapshot is not None
-    )
+def _run_flag_error(args: argparse.Namespace) -> Optional[str]:
+    """The first invalid ``run`` flag combination, if any."""
+    elastic = args.min_partitions is not None or args.max_partitions is not None
     if args.resume and args.checkpoint_dir is None:
-        logger.error("error: --resume requires --checkpoint-dir")
-        return 2
+        return "--resume requires --checkpoint-dir"
     if args.keep_checkpoints is not None and args.checkpoint_dir is None:
-        logger.error("error: --keep-checkpoints requires --checkpoint-dir")
-        return 2
+        return "--keep-checkpoints requires --checkpoint-dir"
     if args.arrival_rate is not None and args.arrival_rate <= 0:
-        logger.error("error: --arrival-rate must be positive")
-        return 2
+        return "--arrival-rate must be positive"
     if args.batch_deadline is not None and args.batch_deadline <= 0:
-        logger.error("error: --batch-deadline must be positive")
-        return 2
+        return "--batch-deadline must be positive"
     if args.partition_deadline is not None and args.partition_deadline <= 0:
-        logger.error("error: --partition-deadline must be positive")
-        return 2
+        return "--partition-deadline must be positive"
     if args.partition_deadline is not None and args.engine != "microbatch":
-        logger.error(
-            "error: --partition-deadline requires --engine microbatch"
-        )
-        return 2
-    if args.speculate is not None:
-        if args.partition_deadline is None:
-            logger.error("error: --speculate requires --partition-deadline")
-            return 2
-        if not 0.0 < args.speculate <= 1.0:
-            logger.error("error: --speculate must be in (0, 1]")
-            return 2
-    if (
-        args.min_partitions is not None or args.max_partitions is not None
-    ) and args.batch_deadline is None:
-        logger.error(
-            "error: --min-partitions/--max-partitions require "
-            "--batch-deadline (they bound the overload controller's "
-            "elastic partition actuator)"
-        )
-        return 2
-    if (
-        args.min_partitions is not None or args.max_partitions is not None
-    ) and args.engine != "microbatch":
-        logger.error(
-            "error: --min-partitions/--max-partitions require "
-            "--engine microbatch"
-        )
-        return 2
+        return "--partition-deadline requires --engine microbatch"
+    if args.speculate is not None and args.partition_deadline is None:
+        return "--speculate requires --partition-deadline"
+    if args.speculate is not None and not 0.0 < args.speculate <= 1.0:
+        return "--speculate must be in (0, 1]"
+    if elastic and args.batch_deadline is None:
+        return ("--min-partitions/--max-partitions require --batch-deadline "
+                "(they bound the overload controller's elastic partition "
+                "actuator)")
+    if elastic and args.engine != "microbatch":
+        return "--min-partitions/--max-partitions require --engine microbatch"
     if (
         args.min_partitions is not None
         and args.max_partitions is not None
         and args.min_partitions > args.max_partitions
     ):
-        logger.error("error: --min-partitions must be <= --max-partitions")
-        return 2
+        return "--min-partitions must be <= --max-partitions"
     if args.min_partitions is not None and args.min_partitions > args.partitions:
-        logger.error("error: --min-partitions must be <= --partitions")
-        return 2
+        return "--min-partitions must be <= --partitions"
     if args.max_partitions is not None and args.max_partitions < args.partitions:
-        logger.error("error: --max-partitions must be >= --partitions")
-        return 2
+        return "--max-partitions must be >= --partitions"
     if args.pipeline and args.engine != "microbatch":
-        logger.error("error: --pipeline requires --engine microbatch")
-        return 2
-    if supervised:
-        return _run_supervised(args, config)
-    if args.engine == "microbatch":
-        return _run_microbatch(args, config)
-    sink = _open_telemetry(args)
-    pipeline = AggressionDetectionPipeline(config)
-    if sink is not None:
-        sink.event("run_start", engine="sequential", input=args.input)
-    result = pipeline.process_stream(
-        read_jsonl(args.input, metrics=pipeline.metrics)
-    )
-    logger.info("configuration : %s", config.describe())
-    logger.info("processed     : %d tweets (%d labeled)",
-                result.n_processed, result.n_labeled)
-    for name, value in result.metrics.items():
-        logger.info("  %-10s %.4f", name, value)
-    if result.n_unlabeled:
-        logger.info("alerts        : %d", result.n_alerts)
-    if args.save_model:
-        size = save_model(pipeline.model, args.save_model)
-        logger.info("model saved   : %s (%d bytes)", args.save_model, size)
-    if args.report:
-        from repro.analysis.reporting import render_run_report
-
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(render_run_report(result))
-        logger.info("report saved  : %s", args.report)
-    if sink is not None:
-        sink.snapshot(pipeline.metrics, reason="final")
-        sink.event("run_end", n_processed=result.n_processed)
-    _finalize_telemetry(sink, pipeline.metrics, args)
-    return 0
+        return "--pipeline requires --engine microbatch"
+    if args.report is not None and (args.engine != "sequential" or args.resume):
+        return "--report requires --engine sequential without --resume"
+    return None
 
 
-def _run_supervised(args: argparse.Namespace, config: PipelineConfig) -> int:
-    """Fault-tolerant execution path (any reliability flag set).
+def _cmd_run(args: argparse.Namespace) -> int:
+    """Drive the chosen engine over the stream under a supervisor.
 
-    Wraps the chosen engine in a :class:`StreamSupervisor`: ingest
-    validation + quarantine, optional retry policy, and periodic
-    atomic checkpoints that ``--resume`` restarts from.
+    Every run is supervised: ingest validation and quarantine always;
+    retries, checkpoints, the bounded queue, the overload controller
+    and snapshot publishing when their flags ask for them.
     """
+    error = _run_flag_error(args)
+    if error is not None:
+        logger.error("error: %s", error)
+        return 2
     from repro.engine.microbatch import MicroBatchEngine
     from repro.engine.sequential import SequentialEngine
     from repro.obs.console import OpsConsole
     from repro.obs.recorder import FlightRecorder
     from repro.obs.slo import SLOTracker, default_slos
     from repro.reliability import (
+        DEFAULT_KEEP_CHECKPOINTS,
         BoundedIngestQueue,
         DeadLetterQueue,
         OverloadController,
         RetryPolicy,
         StreamSupervisor,
     )
-    from repro.reliability.supervisor import DEFAULT_KEEP_CHECKPOINTS
 
     retry_policy = (
         RetryPolicy(max_retries=args.retries)
@@ -476,46 +412,42 @@ def _run_supervised(args: argparse.Namespace, config: PipelineConfig) -> int:
         else None
     )
     console = OpsConsole() if args.console else None
-    slo_sinks = [s for s in (sink, recorder) if s is not None]
     snapshot_store = None
     if args.publish_snapshot is not None:
         from repro.serve.snapshot import SnapshotStore
 
         snapshot_store = SnapshotStore(args.publish_snapshot)
-    keep_checkpoints = (
-        args.keep_checkpoints
-        if args.keep_checkpoints is not None
-        else DEFAULT_KEEP_CHECKPOINTS
-    )
-    overloaded = (
-        args.queue_capacity is not None
-        or args.batch_deadline is not None
-        or args.arrival_rate is not None
+    options = dict(
+        checkpoint_every=args.checkpoint_every,
+        dead_letters=dead_letters,
+        max_poison_rate=args.max_poison_rate,
+        telemetry=sink,
+        metrics_every=args.metrics_every,
+        console=console,
+        recorder=recorder,
+        keep_checkpoints=args.keep_checkpoints or DEFAULT_KEEP_CHECKPOINTS,
+        snapshot_store=snapshot_store,
     )
     if args.resume:
+        # The checkpoint decides the engine (and its pipelined mode);
+        # the flags only re-wire its execution.
         supervisor = StreamSupervisor.resume(
             args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
             runner=args.runner,
             n_workers=args.workers,
             retry_policy=retry_policy,
-            dead_letters=dead_letters,
-            max_poison_rate=args.max_poison_rate,
-            telemetry=sink,
-            metrics_every=args.metrics_every,
             partition_deadline_s=args.partition_deadline,
             speculate=args.speculate,
-            console=console,
-            recorder=recorder,
-            keep_checkpoints=keep_checkpoints,
-            snapshot_store=snapshot_store,
+            **options,
         )
-        if isinstance(supervisor.engine, MicroBatchEngine):
-            # The rebuilt engine predates these run flags; re-attach.
-            supervisor.engine.recorder = recorder
-            if args.pipeline:
-                supervisor.engine.pipelined = True
     else:
+        config = PipelineConfig(
+            n_classes=args.classes,
+            model=args.model,
+            preprocessing=not args.no_preprocessing,
+            adaptive_bow=not args.no_adaptive_bow,
+            normalization=args.normalization,
+        )
         if args.engine == "microbatch":
             engine = MicroBatchEngine(
                 config,
@@ -533,16 +465,15 @@ def _run_supervised(args: argparse.Namespace, config: PipelineConfig) -> int:
         else:
             engine = SequentialEngine(config, dead_letters=dead_letters)
         ingest_queue = None
-        if overloaded:
+        if (
+            args.queue_capacity is not None
+            or args.batch_deadline is not None
+            or args.arrival_rate is not None
+        ):
             # Closed-loop replay and the controller both need the
             # bounded queue; default its capacity to a few batches.
-            capacity = (
-                args.queue_capacity
-                if args.queue_capacity is not None
-                else 4 * args.batch_size
-            )
             ingest_queue = BoundedIngestQueue(
-                capacity=capacity,
+                capacity=args.queue_capacity or 4 * args.batch_size,
                 policy=args.shed_policy,
                 metrics=engine.metrics,
                 telemetry=sink,
@@ -551,38 +482,34 @@ def _run_supervised(args: argparse.Namespace, config: PipelineConfig) -> int:
                 elastic = (
                     args.min_partitions is not None
                     or args.max_partitions is not None
-                ) and args.engine == "microbatch"
+                )
                 engine.controller = OverloadController(
                     batch_deadline_s=args.batch_deadline,
                     batch_size=args.batch_size,
                     queue=ingest_queue,
                     metrics=engine.metrics,
                     telemetry=sink,
-                    engine_label=args.engine,
+                    engine_label=engine.kind,
                     n_partitions=args.partitions if elastic else None,
-                    min_partitions=args.min_partitions if elastic else None,
-                    max_partitions=args.max_partitions if elastic else None,
+                    min_partitions=args.min_partitions,
+                    max_partitions=args.max_partitions,
                 )
         supervisor = StreamSupervisor(
             engine,
             checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-            dead_letters=dead_letters,
-            max_poison_rate=args.max_poison_rate,
-            telemetry=sink,
-            metrics_every=args.metrics_every,
             ingest_queue=ingest_queue,
-            slos=SLOTracker(default_slos(), sinks=slo_sinks),
-            console=console,
-            recorder=recorder,
-            keep_checkpoints=keep_checkpoints,
-            snapshot_store=snapshot_store,
+            slos=SLOTracker(
+                default_slos(),
+                sinks=[s for s in (sink, recorder) if s is not None],
+            ),
+            **options,
         )
     engine = supervisor.engine
     # SIGTERM/SIGINT drain gracefully: stop drawing tweets, flush the
     # buffered work through the engine, write a final checkpoint (and
-    # snapshot), exit 0. A second signal falls through to the default
-    # handler for a hard kill.
+    # snapshot), exit 0. A second signal falls through to the previous
+    # handler for a hard kill; the previous handlers are back in place
+    # once the run returns.
     import signal as _signal
 
     previous_handlers = {}
@@ -601,7 +528,7 @@ def _run_supervised(args: argparse.Namespace, config: PipelineConfig) -> int:
     if sink is not None:
         sink.event(
             "run_start",
-            engine=supervisor._engine_kind,
+            engine=engine.kind,
             input=args.input,
             resumed=args.resume,
         )
@@ -624,26 +551,28 @@ def _run_supervised(args: argparse.Namespace, config: PipelineConfig) -> int:
         else:
             run = supervisor.run(stream)
     finally:
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
+        engine.close()
         if console is not None:
             console.close()
+        for _sig, handler in previous_handlers.items():
+            _signal.signal(_sig, handler)
     result = run.result
     health = run.health
-    logger.info("configuration : %s",
-                engine.config.describe()
-                if isinstance(engine, MicroBatchEngine)
-                else engine.pipeline.config.describe())
-    kind = "microbatch" if isinstance(engine, MicroBatchEngine) else "sequential"
-    logger.info("engine        : %s (supervised%s)",
-                kind, ", resumed" if args.resume else "")
-    n_labeled = (result.n_labeled if isinstance(engine, MicroBatchEngine)
-                 else result.pipeline_result.n_labeled)
+    registry = supervisor.metrics
+    logger.info("configuration : %s", engine.config.describe())
+    logger.info("engine        : %s, supervised%s",
+                engine.describe(), ", resumed" if args.resume else "")
     logger.info("processed     : %d tweets (%d labeled)",
-                health.n_processed, n_labeled)
+                health.n_processed, registry.total("tweets_labeled_total"))
     for name, value in result.metrics.items():
         logger.info("  %-10s %.4f", name, value)
+    logger.info("throughput    : %s tweets/s",
+                format(result.throughput, ",.0f"))
+    for title, stages in result.timing_sections():
+        logger.info("%-14s:", title)
+        for stage, seconds in stages.items():
+            logger.info("  %-18s %9.3f s", stage, seconds)
+    logger.info("alerts        : %d", registry.total("alerts_total"))
     logger.info("quarantined   : %d tweets (%.2f%% of %d consumed)",
                 health.n_quarantined, 100.0 * health.poison_rate,
                 health.n_consumed)
@@ -680,7 +609,7 @@ def _run_supervised(args: argparse.Namespace, config: PipelineConfig) -> int:
                     "%d speculative wins, %d pool rebuilds",
                     health.n_partition_timeouts,
                     health.n_speculative_wins,
-                    int(supervisor.metrics.total("pool_rebuilds_total")))
+                    registry.total("pool_rebuilds_total"))
     if run.stopped:
         logger.info("stopped       : graceful drain at cursor %d; "
                     "re-run with --resume to continue",
@@ -693,13 +622,6 @@ def _run_supervised(args: argparse.Namespace, config: PipelineConfig) -> int:
         logger.info("snapshots     : latest v%s published to %s",
                     latest if latest is not None else "-",
                     args.publish_snapshot)
-    if (
-        isinstance(engine, MicroBatchEngine)
-        and result.worker_stage_seconds
-    ):
-        logger.info("worker stages :")
-        for stage, seconds in sorted(result.worker_stage_seconds.items()):
-            logger.info("  %-18s %9.3f s", stage, seconds)
     tracker = supervisor.slo_tracker
     if tracker is not None:
         logger.info("slo burn      : (short/long, 1.0 = at budget)")
@@ -718,104 +640,14 @@ def _run_supervised(args: argparse.Namespace, config: PipelineConfig) -> int:
         logger.info("flight dumps  : %d written to %s",
                     recorder.n_dumps, args.flight_recorder)
     if args.save_model:
-        model = (engine.model if isinstance(engine, MicroBatchEngine)
-                 else engine.pipeline.model)
-        size = save_model(model, args.save_model)
+        size = save_model(engine.model, args.save_model)
         logger.info("model saved   : %s (%d bytes)", args.save_model, size)
-    _finalize_telemetry(sink, supervisor.metrics, args)
-    return 0
+    if args.report:
+        from repro.analysis.reporting import render_run_report
 
-
-def _run_microbatch(args: argparse.Namespace, config: PipelineConfig) -> int:
-    from repro.engine.microbatch import MicroBatchEngine, MicroBatchResult
-    from repro.obs.console import OpsConsole
-    from repro.obs.recorder import FlightRecorder
-
-    sink = _open_telemetry(args)
-    recorder = (
-        FlightRecorder(dump_dir=args.flight_recorder)
-        if args.flight_recorder is not None
-        else None
-    )
-    console = OpsConsole() if args.console else None
-    registry = MetricsRegistry()
-    snapshot_every = (
-        args.metrics_every
-        if args.metrics_every is not None
-        else args.checkpoint_every
-    )
-
-    def on_batch(batch: MicroBatchResult) -> None:
-        if sink is not None and (batch.batch_index + 1) % snapshot_every == 0:
-            sink.snapshot(registry, batch=batch.batch_index)
-        if console is not None:
-            console.tick(registry)
-
-    with MicroBatchEngine(
-        config,
-        n_partitions=args.partitions,
-        batch_size=args.batch_size,
-        runner=args.runner,
-        n_workers=args.workers,
-        metrics=registry,
-        on_batch=on_batch,
-        partition_deadline_s=args.partition_deadline,
-        speculate=args.speculate,
-        recorder=recorder,
-        pipelined=args.pipeline,
-    ) as engine:
-        if sink is not None:
-            sink.event("run_start", engine="microbatch", input=args.input)
-        try:
-            result = engine.run(read_jsonl(args.input, metrics=registry))
-        finally:
-            if console is not None:
-                console.close()
-        logger.info("configuration : %s", config.describe())
-        logger.info("engine        : microbatch (%d partitions x %d tweets, "
-                    "runner=%s%s)",
-                    args.partitions, args.batch_size, args.runner,
-                    ", pipelined" if args.pipeline else "")
-        logger.info("processed     : %d tweets (%d labeled, "
-                    "%d micro-batches)",
-                    result.n_processed, result.n_labeled,
-                    len(result.batches))
-        for name, value in result.metrics.items():
-            logger.info("  %-10s %.4f", name, value)
-        logger.info("throughput    : %s tweets/s",
-                    format(result.throughput, ",.0f"))
-        logger.info("stage timings :")
-        for stage, seconds in result.stage_seconds.as_dict().items():
-            logger.info("  %-18s %9.3f s", stage, seconds)
-        logger.info("  %-18s %9.3f s", "driver total",
-                    result.stage_seconds.driver_seconds)
-        if result.worker_stage_seconds:
-            logger.info("worker stages :")
-            for stage, seconds in sorted(
-                result.worker_stage_seconds.items()
-            ):
-                logger.info("  %-18s %9.3f s", stage, seconds)
-        if recorder is not None and recorder.n_dumps:
-            logger.info("flight dumps  : %d written to %s",
-                        recorder.n_dumps, args.flight_recorder)
-        if args.partition_deadline is not None:
-            logger.info("parallelism   : %d partition timeouts, "
-                        "%d speculative wins, %d pool rebuilds",
-                        int(registry.total("partition_timeouts_total")),
-                        int(registry.total("speculative_wins_total")),
-                        int(registry.total("pool_rebuilds_total")))
-        if result.n_unlabeled:
-            logger.info("alerts        : %d", result.n_alerts)
-        if args.save_model:
-            size = save_model(engine.model, args.save_model)
-            logger.info("model saved   : %s (%d bytes)",
-                        args.save_model, size)
-        if args.report:
-            logger.info("report        : only supported with --engine "
-                        "sequential; skipped")
-        if sink is not None:
-            sink.snapshot(registry, reason="final")
-            sink.event("run_end", n_processed=result.n_processed)
+        with open(args.report, "w", encoding="utf-8") as handle:
+            handle.write(render_run_report(result.pipeline_result))
+        logger.info("report saved  : %s", args.report)
     _finalize_telemetry(sink, registry, args)
     return 0
 

@@ -19,10 +19,11 @@ never a torn file — the invariant the stream supervisor's
 checkpoint-resume guarantee and the serving layer's snapshot store
 rest on.
 
-The serialization helpers for the alert manager and the boosted sampler
-(:func:`alert_manager_to_dict` / :func:`sampler_to_dict` and their
-inverses) are shared with :mod:`repro.reliability.supervisor`, which
-checkpoints the micro-batch engine's equivalent state.
+The engines' state format lives here too: :func:`engine_to_dict` /
+:func:`engine_from_dict` wrap the pipeline payload for the sequential
+engine and the micro-batch engine's equivalent state (which shares the
+alert-manager and sampler serializers), tagged by ``engine.kind``. The
+stream supervisor's checkpoint embeds that payload.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Union
 
 from repro.core.adaptive_bow import AdaptiveBagOfWords, FixedBagOfWords
 from repro.core.alerting import Alert, AlertAction, AlertManager
@@ -54,6 +55,10 @@ from repro.streamml.serialize import (
     model_to_dict,
 )
 from repro.streamml.instance import ClassifiedInstance, Instance
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.engine.microbatch import MicroBatchEngine, MicroBatchResult
+    from repro.engine.protocol import Engine
 
 CHECKPOINT_VERSION = 2
 
@@ -545,21 +550,165 @@ def _rng_state_from_json(payload) -> tuple:
     return (int(version), tuple(int(v) for v in internal), gauss_next)
 
 
-def drain_before_checkpoint(engine: object) -> None:
-    """Settle a pipelined engine before its state is snapshotted.
+# ----------------------------------------------------------------------
+# Engines
+# ----------------------------------------------------------------------
 
-    A pipelined :class:`~repro.engine.microbatch.MicroBatchEngine` may
-    hold one in-flight batch whose merges have not landed yet; a
-    checkpoint taken mid-flight would silently drop that batch (its
-    tweets were consumed from the stream but are in no snapshot).
-    Draining first makes the checkpoint exactly-once: the in-flight
-    batch is finalized on the caller's thread, then the snapshot sees
-    it — and a later resume does not replay it.
+def engine_to_dict(engine: "Engine") -> Dict[str, Any]:
+    """Serialize an engine's complete training state (tagged by kind)."""
+    if engine.kind == "microbatch":
+        return microbatch_engine_to_dict(engine)
+    return {"engine": engine.kind, "pipeline": pipeline_to_dict(engine.pipeline)}
 
-    Duck-typed (``getattr``-callable) so callers can pass any engine:
-    non-pipelined engines and the sequential pipeline have no ``drain``
-    and are untouched.
+
+def engine_from_dict(payload: Dict[str, Any], **wiring: Any) -> "Engine":
+    """Rebuild the engine :func:`engine_to_dict` saved.
+
+    The one place the payload's ``"engine"`` tag picks a class.
+    ``wiring`` is what a checkpoint cannot hold — pools and callbacks —
+    so the resumer chooses it: ``dead_letters`` and ``max_poison_rate``
+    for either engine, plus ``runner``, ``n_workers``, ``retry_policy``,
+    ``partition_deadline_s``, ``speculate`` and ``recorder`` for the
+    micro-batch engine.
     """
-    drain = getattr(engine, "drain", None)
-    if callable(drain):
-        drain()
+    kind = payload["engine"]
+    if kind == "microbatch":
+        return microbatch_engine_from_dict(payload, **wiring)
+    if kind != "sequential":
+        raise SerializationError(f"unknown engine kind {kind!r}")
+    from repro.engine.sequential import SequentialEngine
+
+    engine = SequentialEngine(
+        dead_letters=wiring.get("dead_letters"),
+        max_poison_rate=wiring.get("max_poison_rate"),
+    )
+    pipeline = pipeline_from_dict(payload["pipeline"])
+    pipeline.dead_letters, pipeline.breaker = engine.dead_letters, engine.breaker
+    engine.replace_pipeline(pipeline)
+    return engine
+
+
+def _batch_result_to_dict(batch: "MicroBatchResult") -> Dict[str, Any]:
+    """The batch's fields in declaration order, timings as a dict."""
+    return dict(vars(batch), stage_seconds=batch.stage_seconds.as_dict())
+
+
+def _batch_result_from_dict(payload: Dict[str, Any]) -> "MicroBatchResult":
+    from repro.engine.microbatch import MicroBatchResult, StageTimings
+
+    stages = StageTimings(**payload["stage_seconds"])
+    return MicroBatchResult(**dict(payload, stage_seconds=stages))
+
+
+def microbatch_engine_to_dict(engine: "MicroBatchEngine") -> Dict[str, Any]:
+    """Serialize a micro-batch engine's complete training state.
+
+    Mirrors :func:`pipeline_to_dict` for the engine: model, normalizer,
+    BoW, cumulative confusion matrix, alert manager (full audit log),
+    sampler (RNG included), and counters. Runner/pool configuration is
+    *not* state — the resumer chooses it (the pipelined flag is
+    recorded so a resume keeps the mode). The engine is drained first:
+    a pipelined engine may hold one in-flight batch whose merges have
+    not landed, and a snapshot taken mid-flight would drop it (its
+    tweets were consumed from the stream but are in no checkpoint), so
+    draining makes the checkpoint exactly-once.
+    """
+    engine.drain()
+    return {
+        "engine": "microbatch",
+        "n_partitions": engine.n_partitions,
+        "batch_size": engine.batch_size,
+        "pipelined": engine.pipelined,
+        "config": config_to_dict(engine.config),
+        "model": model_to_dict(engine.model),
+        "normalizer": normalizer_to_dict(engine.normalizer),
+        "bag_of_words": _bow_to_dict(engine.bag_of_words),
+        "cumulative": engine.cumulative.matrix,
+        "alerting": alert_manager_to_dict(engine.alert_manager),
+        "sampler": sampler_to_dict(engine.sampler),
+        "counters": {
+            "n_processed": engine.n_processed,
+            "n_labeled": engine.n_labeled,
+            "n_unlabeled": engine.n_unlabeled,
+            "n_quarantined": engine.n_quarantined,
+            "n_retries": engine.n_retries,
+        },
+        "batches": [_batch_result_to_dict(b) for b in engine.batches],
+        "stage_seconds": engine.stage_seconds.as_dict(),
+    }
+
+
+def microbatch_engine_from_dict(
+    payload: Dict[str, Any], **wiring: Any
+) -> "MicroBatchEngine":
+    """Rebuild a micro-batch engine that continues exactly where the
+    saved one was; ``wiring`` goes to the constructor (see
+    :func:`engine_from_dict`)."""
+    from repro.engine.microbatch import MicroBatchEngine
+
+    engine = MicroBatchEngine(
+        config_from_dict(payload["config"]),
+        n_partitions=int(payload["n_partitions"]),
+        batch_size=int(payload["batch_size"]),
+        pipelined=bool(payload.get("pipelined", False)),
+        **wiring,
+    )
+    engine.model = model_from_dict(payload["model"])
+    engine.normalizer = normalizer_from_dict(payload["normalizer"])
+    engine.bag_of_words = _bow_from_dict(payload["bag_of_words"])
+    engine.cumulative.matrix = [
+        [float(v) for v in row] for row in payload["cumulative"]
+    ]
+    engine.cumulative.total = sum(
+        sum(row) for row in engine.cumulative.matrix
+    )
+    restore_alert_manager(engine.alert_manager, payload["alerting"])
+    restore_sampler(engine.sampler, payload["sampler"])
+    counters = payload["counters"]
+    engine.n_processed = int(counters["n_processed"])
+    engine.n_labeled = int(counters["n_labeled"])
+    engine.n_unlabeled = int(counters["n_unlabeled"])
+    engine.n_quarantined = int(counters["n_quarantined"])
+    engine.n_retries = int(counters["n_retries"])
+    engine.batches = [_batch_result_from_dict(b) for b in payload["batches"]]
+    _seed_registry_from_counters(engine)
+    return engine
+
+
+def _seed_registry_from_counters(engine: "MicroBatchEngine") -> None:
+    """Approximate the restored engine's registry from its counters.
+
+    ``stage_seconds`` is a view over the registry, so a restored engine
+    must carry span history: each stage's saved total becomes a single
+    histogram observation (exact sums, coarser distributions), and the
+    data-flow counters are replayed. A supervisor-level resume then
+    *replaces* all of this with the checkpoint's exact snapshot — this
+    seeding only matters for standalone engine restores.
+    """
+    registry = engine.metrics
+    for batch in engine.batches:
+        for stage, seconds in batch.stage_seconds.as_dict().items():
+            registry.histogram(
+                "stage_seconds", engine="microbatch", stage=stage
+            ).observe(float(seconds))
+        engine._batch_hist.observe(batch.elapsed_seconds)
+    engine._m_batches.inc(len(engine.batches))
+    engine._m_ingested.inc(engine.n_processed + engine.n_quarantined)
+    if engine.n_retries:
+        engine._m_retries.inc(engine.n_retries)
+    registry.counter("tweets_processed_total", engine="microbatch").inc(
+        engine.n_processed
+    )
+    registry.counter("tweets_labeled_total", engine="microbatch").inc(
+        engine.n_labeled
+    )
+    registry.counter("tweets_unlabeled_total", engine="microbatch").inc(
+        engine.n_unlabeled
+    )
+    if engine.n_quarantined:
+        registry.counter(
+            "tweets_quarantined_total", engine="microbatch", stage="partition"
+        ).inc(engine.n_quarantined)
+    if engine.alert_manager.n_alerts:
+        engine._m_alerts.inc(engine.alert_manager.n_alerts)
+    engine._publish_gauges()

@@ -7,6 +7,8 @@ as local-model updates merged into a global model, and the global model
 is broadcast for the next micro-batch (Fig. 2). This subpackage
 re-implements that execution model:
 
+* :mod:`repro.engine.protocol` — :class:`Engine`, the contract both
+  engines implement and the supervisor and CLI drive;
 * :mod:`repro.engine.runners` — serial, thread-pool, and process-pool
   partition executors;
 * :mod:`repro.engine.microbatch` — the micro-batch engine wiring the
@@ -23,6 +25,7 @@ from repro.engine.microbatch import (
     MicroBatchResult,
     StageTimings,
 )
+from repro.engine.protocol import Engine
 from repro.engine.replay import (
     ChaosReport,
     LatencyReport,
@@ -48,6 +51,7 @@ __all__ = [
     "ClusterSpec",
     "CostModel",
     "SimulatedCluster",
+    "Engine",
     "EngineResult",
     "MicroBatchEngine",
     "MicroBatchResult",

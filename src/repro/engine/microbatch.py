@@ -769,6 +769,20 @@ class EngineResult:
             return float("nan")
         return self.n_processed / self.elapsed_seconds
 
+    def timing_sections(self) -> List[Tuple[str, Dict[str, float]]]:
+        """Titled seconds-per-stage tables for a run report: the driver
+        stages with their merge/drain total, then the worker stages."""
+        stages = dict(
+            self.stage_seconds.as_dict(),
+            **{"driver total": self.stage_seconds.driver_seconds},
+        )
+        sections = [("stage timings", stages)]
+        if self.worker_stage_seconds:
+            sections.append(
+                ("worker stages", dict(sorted(self.worker_stage_seconds.items())))
+            )
+        return sections
+
 
 def _round_robin_partitions(
     tweets: Sequence[Tweet], n_partitions: int
@@ -853,7 +867,12 @@ class MicroBatchEngine:
             :meth:`drain`). Callers must :meth:`drain` (or let
             :meth:`run`/:meth:`close` do it) before reading final
             state.
+
+    Implements :class:`~repro.engine.protocol.Engine`: one supervisor
+    chunk is one micro-batch.
     """
+
+    kind = "microbatch"
 
     def __init__(
         self,
@@ -959,10 +978,7 @@ class MicroBatchEngine:
             # The controller owns batch sizing from here on; start from
             # its current view so resume-from-checkpoint keeps the
             # degraded size rather than snapping back to the default.
-            self.batch_size = controller.batch_size
-            self._degrade_tier = controller.tier
-            if controller.n_partitions is not None:
-                self.n_partitions = controller.n_partitions
+            self.apply(controller)
         # Observability: one registry for the whole engine; driver
         # stages are measured by tracer spans, partition snapshots fold
         # in per batch, and StageTimings is a read-back view. The driver
@@ -1058,12 +1074,20 @@ class MicroBatchEngine:
             return self.controller.tier
         return self._degrade_tier
 
-    def set_degrade_tier(self, tier: DegradeTier) -> None:
-        """Manually pin the degrade tier (no-op override if a controller
-        is attached — the controller's tier always wins)."""
-        self._degrade_tier = DegradeTier(tier)
-        self.metrics.gauge("degrade_level", engine="microbatch").set(
-            int(self.degrade_tier)
+    def apply(self, controller: "OverloadController") -> None:
+        """Adopt the controller's tier, batch size and partition count
+        for the next discretization round."""
+        self.batch_size = controller.batch_size
+        self._degrade_tier = controller.tier
+        if controller.n_partitions is not None:
+            self.n_partitions = controller.n_partitions
+
+    def describe(self) -> str:
+        """Kind, partitions x batch size, runner (and pipelining)."""
+        return (
+            f"{self.kind} ({self.n_partitions} partitions x "
+            f"{self.batch_size} tweets, runner={type(self.runner).__name__}"
+            f"{', pipelined' if self.pipelined else ''})"
         )
 
     def _publish_gauges(self) -> None:
@@ -1474,9 +1498,7 @@ class MicroBatchEngine:
             ),
             n_stragglers=exec_stats.n_stragglers,
         )
-        self.batch_size = self.controller.batch_size
-        if self.controller.n_partitions is not None:
-            self.n_partitions = self.controller.n_partitions
+        self.apply(self.controller)
 
     def _finalize_batch(
         self, state: _BatchState, observe_controller: bool = True
@@ -1669,6 +1691,19 @@ class MicroBatchEngine:
         self._merge_batch(state)
         return self._finalize_batch(state)
 
+    def process_chunk(self, tweets: Sequence[Tweet]) -> float:
+        """Run one chunk as one micro-batch; returns its elapsed seconds.
+
+        Synchronous by default (:meth:`process_batch`); a pipelined
+        engine submits it (:meth:`submit_batch`) and returns the
+        driver's time in the call, finalizing the previous chunk.
+        """
+        if not self.pipelined:
+            return self.process_batch(tweets).elapsed_seconds
+        started = time.perf_counter()
+        self.submit_batch(tweets)
+        return time.perf_counter() - started
+
     # ------------------------------------------------------------------
     # Pipelined execution (double-buffered batches)
     # ------------------------------------------------------------------
@@ -1817,18 +1852,16 @@ class MicroBatchEngine:
         the result snapshot — callers see identical totals either way.
         """
         start = time.perf_counter()
-        submit = self.submit_batch if self.pipelined else self.process_batch
         try:
             batch: List[Tweet] = []
             for tweet in tweets:
                 batch.append(tweet)
                 if len(batch) >= self.batch_size:
-                    submit(batch)
+                    self.process_chunk(batch)
                     batch = []
             if batch:
-                submit(batch)
-            if self.pipelined:
-                self.drain()
+                self.process_chunk(batch)
+            self.drain()
         except BaseException as exc:
             if self.recorder is not None:
                 self.recorder.event("crash", error=repr(exc))

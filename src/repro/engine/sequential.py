@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
+from operator import attrgetter
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import AggressionDetectionPipeline, PipelineResult
@@ -58,6 +59,10 @@ class SequentialRunResult:
     def metrics(self) -> Dict[str, float]:
         return self.pipeline_result.metrics
 
+    def timing_sections(self) -> List[Tuple[str, Dict[str, float]]]:
+        """Titled seconds-per-stage tables for a run report."""
+        return [("stage timings", dict(self.stage_seconds))]
+
 
 class SequentialEngine:
     """Single-threaded, per-record execution (the MOA baseline).
@@ -67,7 +72,15 @@ class SequentialEngine:
     :class:`~repro.core.pipeline.AggressionDetectionPipeline`);
     ``metrics`` lets a caller (supervisor, CLI) share a registry with
     the engine — by default the engine creates its own.
+
+    Implements :class:`~repro.engine.protocol.Engine` as its
+    one-partition case: the detector state, quarantine and registry
+    are the pipeline's, and there is never in-flight work to drain.
     """
+
+    kind = "sequential"
+    #: Tweets per supervisor chunk unless the caller chooses one.
+    batch_size = 1000
 
     def __init__(
         self,
@@ -77,24 +90,15 @@ class SequentialEngine:
         metrics: Optional[MetricsRegistry] = None,
         controller: Optional["OverloadController"] = None,
     ) -> None:
-        self.pipeline = AggressionDetectionPipeline(
-            config,
-            dead_letters=dead_letters,
-            max_poison_rate=max_poison_rate,
-            metrics=metrics,
-        )
-        self.metrics = self.pipeline.metrics
-        self._tracer = Tracer(self.metrics, labels={"engine": "sequential"})
-        self._m_ingested = self.metrics.counter(
-            "tweets_ingested_total", engine="sequential"
-        )
-        self._batch_hist = self.metrics.histogram(
-            "batch_seconds", engine="sequential"
-        )
-        self._elapsed = 0.0
         self.controller = controller
-        if controller is not None:
-            self.pipeline.set_degrade_tier(controller.tier)
+        self.replace_pipeline(
+            AggressionDetectionPipeline(
+                config,
+                dead_letters=dead_letters,
+                max_poison_rate=max_poison_rate,
+                metrics=metrics,
+            )
+        )
 
     def replace_pipeline(self, pipeline: AggressionDetectionPipeline) -> None:
         """Swap in a (restored) pipeline and rebind the shared registry.
@@ -113,7 +117,29 @@ class SequentialEngine:
             "batch_seconds", engine="sequential"
         )
         if self.controller is not None:
-            self.pipeline.set_degrade_tier(self.controller.tier)
+            self.apply(self.controller)
+
+    # The Engine contract's state and quarantine are the pipeline's.
+    config = property(attrgetter("pipeline.config"))
+    model = property(attrgetter("pipeline.model"))
+    normalizer = property(attrgetter("pipeline.normalizer"))
+    bag_of_words = property(attrgetter("pipeline.bag_of_words"))
+    breaker = property(attrgetter("pipeline.breaker"))
+    dead_letters = property(attrgetter("pipeline.dead_letters"))
+
+    def apply(self, controller: "OverloadController") -> None:
+        """Adopt the controller's degrade tier for the next chunk."""
+        self.pipeline.set_degrade_tier(controller.tier)
+
+    def describe(self) -> str:
+        """Just the kind: there is nothing else to configure."""
+        return self.kind
+
+    def drain(self) -> None:
+        """Nothing is ever in flight: every chunk finishes in place."""
+
+    def close(self) -> None:
+        """The engine holds no pooled resources."""
 
     def _stage_totals(self) -> Dict[str, float]:
         return stage_seconds_by_stage(
@@ -139,15 +165,13 @@ class SequentialEngine:
         assert span.duration is not None
         return count, span.duration
 
-    def process_many(self, tweets: Iterable[Tweet]) -> int:
-        """Process a chunk of the stream, accumulating elapsed time.
+    def process_chunk(self, tweets: Iterable[Tweet]) -> float:
+        """Process one chunk of the stream; returns its elapsed seconds.
 
         The stream supervisor drives the engine through this method so
-        it can checkpoint between chunks; returns the number of tweets
-        consumed (including quarantined ones).
+        it can checkpoint between chunks.
         """
-        count, seconds = self._consume("process_many", tweets)
-        self._elapsed += seconds
+        _, seconds = self._consume("process_chunk", tweets)
         # Each chunk doubles as this engine's "batch" for overload
         # purposes: it feeds the same batch_seconds family the
         # micro-batch engine uses, so OverloadController.poll() works
@@ -161,14 +185,19 @@ class SequentialEngine:
                     queue.depth_fraction if queue is not None else None
                 ),
             )
-            self.pipeline.set_degrade_tier(self.controller.tier)
-        return count
+            self.apply(self.controller)
+        return seconds
 
     def result(self) -> SequentialRunResult:
-        """Snapshot the cumulative outcome of all chunks so far."""
+        """Snapshot the cumulative outcome of all chunks so far.
+
+        Elapsed time is the ``process_chunk`` span total read back from
+        the registry, so a resumed engine reports its whole run.
+        """
+        elapsed = stage_seconds_by_stage(self.metrics, engine="sequential")
         return SequentialRunResult(
             pipeline_result=self.pipeline.result(),
-            elapsed_seconds=self._elapsed,
+            elapsed_seconds=elapsed.get("process_chunk", 0.0),
             stage_seconds=self._stage_totals(),
         )
 

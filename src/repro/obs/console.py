@@ -110,9 +110,7 @@ class OpsConsole:
             "quarantined": registry.total("tweets_quarantined_total"),
             "alerts": registry.total("alerts_total"),
             "queue_depth": registry.gauge_value("ingest_queue_depth"),
-            "degrade_tier": registry.gauge_value(
-                "degrade_level", engine="microbatch"
-            ),
+            "degrade_tier": registry.gauge_value("degrade_level"),
             "n_partitions": registry.gauge_value(
                 "controller_n_partitions"
             ),

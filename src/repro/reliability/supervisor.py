@@ -31,6 +31,7 @@ preserved run-to-run.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 import time
@@ -42,36 +43,22 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Tuple,
+    TypeVar,
     Union,
 )
 
 from repro.core.checkpoint import (
-    _bow_from_dict,
-    _bow_to_dict,
-    alert_manager_to_dict,
-    atomic_write_json,
-    config_from_dict,
-    config_to_dict,
-    drain_before_checkpoint,
-    normalizer_from_dict,
-    normalizer_to_dict,
-    pipeline_from_dict,
-    pipeline_to_dict,
-    restore_alert_manager,
-    restore_sampler,
-    sampler_to_dict,
+    atomic_write_text,
+    engine_from_dict,
+    engine_to_dict,
 )
 from repro.data.tweet import Tweet
-from repro.engine.microbatch import (
-    MicroBatchEngine,
-    MicroBatchResult,
-    StageTimings,
-)
+from repro.engine.protocol import Engine
 from repro.engine.runners import Runner
-from repro.engine.sequential import SequentialEngine
 from repro.obs.console import OpsConsole
 from repro.obs.export import TelemetrySink
 from repro.obs.logconfig import get_logger
@@ -90,11 +77,7 @@ from repro.reliability.overload import (
     BoundedIngestQueue,
     OverloadController,
 )
-from repro.streamml.serialize import (
-    SerializationError,
-    model_from_dict,
-    model_to_dict,
-)
+from repro.streamml.serialize import SerializationError
 
 #: Version 5 adds the optional ``slo`` section (objective definitions
 #: + rolling burn-rate windows + firing/alert state) to version 4, so
@@ -112,7 +95,11 @@ DEFAULT_KEEP_CHECKPOINTS = 3
 logger = get_logger("supervisor")
 
 PathLike = Union[str, Path]
-Engine = Union[MicroBatchEngine, SequentialEngine]
+T = TypeVar("T")
+
+#: Constructor options :meth:`StreamSupervisor.resume` takes from the
+#: checkpoint rather than from its caller.
+_RESTORED_OPTIONS = ("chunk_size", "ingest_queue", "slos")
 
 
 @dataclass
@@ -153,178 +140,6 @@ class RetryPolicy:
 
 
 # ----------------------------------------------------------------------
-# Engine state (de)serialization
-# ----------------------------------------------------------------------
-
-def _timings_from_dict(payload: Dict[str, Any]) -> StageTimings:
-    return StageTimings(**{k: float(v) for k, v in payload.items()})
-
-
-def _batch_result_to_dict(batch: MicroBatchResult) -> Dict[str, Any]:
-    return {
-        "batch_index": batch.batch_index,
-        "n_processed": batch.n_processed,
-        "n_labeled": batch.n_labeled,
-        "n_unlabeled": batch.n_unlabeled,
-        "elapsed_seconds": batch.elapsed_seconds,
-        "cumulative_f1": batch.cumulative_f1,
-        "cumulative_accuracy": batch.cumulative_accuracy,
-        "stage_seconds": batch.stage_seconds.as_dict(),
-        "n_quarantined": batch.n_quarantined,
-        "n_retries": batch.n_retries,
-        "degrade_tier": batch.degrade_tier,
-    }
-
-
-def _batch_result_from_dict(payload: Dict[str, Any]) -> MicroBatchResult:
-    return MicroBatchResult(
-        batch_index=int(payload["batch_index"]),
-        n_processed=int(payload["n_processed"]),
-        n_labeled=int(payload["n_labeled"]),
-        n_unlabeled=int(payload["n_unlabeled"]),
-        elapsed_seconds=float(payload["elapsed_seconds"]),
-        cumulative_f1=float(payload["cumulative_f1"]),
-        cumulative_accuracy=float(payload["cumulative_accuracy"]),
-        stage_seconds=_timings_from_dict(payload["stage_seconds"]),
-        n_quarantined=int(payload["n_quarantined"]),
-        n_retries=int(payload["n_retries"]),
-        degrade_tier=int(payload.get("degrade_tier", 0)),
-    )
-
-
-def microbatch_engine_to_dict(engine: MicroBatchEngine) -> Dict[str, Any]:
-    """Serialize a micro-batch engine's complete training state.
-
-    Mirrors :func:`repro.core.checkpoint.pipeline_to_dict` for the
-    engine: model, normalizer, BoW, cumulative confusion matrix, alert
-    manager (full audit log), sampler (RNG included), and counters.
-    Runner/pool configuration is *not* state — the resumer chooses it
-    (the pipelined flag is recorded so a resume keeps the mode by
-    default). A pipelined engine is drained first, so the snapshot
-    includes every submitted batch exactly once.
-    """
-    drain_before_checkpoint(engine)
-    return {
-        "engine": "microbatch",
-        "n_partitions": engine.n_partitions,
-        "batch_size": engine.batch_size,
-        "pipelined": engine.pipelined,
-        "config": config_to_dict(engine.config),
-        "model": model_to_dict(engine.model),
-        "normalizer": normalizer_to_dict(engine.normalizer),
-        "bag_of_words": _bow_to_dict(engine.bag_of_words),
-        "cumulative": engine.cumulative.matrix,
-        "alerting": alert_manager_to_dict(engine.alert_manager),
-        "sampler": sampler_to_dict(engine.sampler),
-        "counters": {
-            "n_processed": engine.n_processed,
-            "n_labeled": engine.n_labeled,
-            "n_unlabeled": engine.n_unlabeled,
-            "n_quarantined": engine.n_quarantined,
-            "n_retries": engine.n_retries,
-        },
-        "batches": [_batch_result_to_dict(b) for b in engine.batches],
-        "stage_seconds": engine.stage_seconds.as_dict(),
-    }
-
-
-def microbatch_engine_from_dict(
-    payload: Dict[str, Any],
-    runner: Optional[Union[Runner, str]] = None,
-    n_workers: Optional[int] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    dead_letters: Optional[DeadLetterQueue] = None,
-    max_poison_rate: Optional[float] = None,
-    partition_deadline_s: Optional[float] = None,
-    speculate: Optional[float] = None,
-) -> MicroBatchEngine:
-    """Rebuild an engine that continues exactly where the saved one was.
-
-    Execution wiring (runner, retry policy, quarantine, partition
-    deadline/speculation) is supplied by the caller, since pools and
-    callbacks cannot be serialized.
-    """
-    engine = MicroBatchEngine(
-        config_from_dict(payload["config"]),
-        n_partitions=int(payload["n_partitions"]),
-        batch_size=int(payload["batch_size"]),
-        runner=runner,
-        n_workers=n_workers,
-        retry_policy=retry_policy,
-        dead_letters=dead_letters,
-        max_poison_rate=max_poison_rate,
-        partition_deadline_s=partition_deadline_s,
-        speculate=speculate,
-    )
-    engine.model = model_from_dict(payload["model"])
-    engine.normalizer = normalizer_from_dict(payload["normalizer"])
-    engine.bag_of_words = _bow_from_dict(payload["bag_of_words"])
-    engine.cumulative.matrix = [
-        [float(v) for v in row] for row in payload["cumulative"]
-    ]
-    engine.cumulative.total = sum(
-        sum(row) for row in engine.cumulative.matrix
-    )
-    restore_alert_manager(engine.alert_manager, payload["alerting"])
-    restore_sampler(engine.sampler, payload["sampler"])
-    counters = payload["counters"]
-    engine.n_processed = int(counters["n_processed"])
-    engine.n_labeled = int(counters["n_labeled"])
-    engine.n_unlabeled = int(counters["n_unlabeled"])
-    engine.n_quarantined = int(counters["n_quarantined"])
-    engine.n_retries = int(counters["n_retries"])
-    engine.batches = [_batch_result_from_dict(b) for b in payload["batches"]]
-    engine.pipelined = bool(payload.get("pipelined", False))
-    _seed_registry_from_counters(engine)
-    return engine
-
-
-def _seed_registry_from_counters(engine: MicroBatchEngine) -> None:
-    """Approximate the restored engine's registry from its counters.
-
-    ``stage_seconds`` is a view over the registry, so a restored engine
-    must carry span history: each stage's saved total becomes a single
-    histogram observation (exact sums, coarser distributions), and the
-    data-flow counters are replayed. A supervisor-level resume then
-    *replaces* all of this with the checkpoint's exact snapshot — this
-    seeding only matters for standalone engine restores.
-    """
-    registry = engine.metrics
-    for batch in engine.batches:
-        for stage, seconds in batch.stage_seconds.as_dict().items():
-            registry.histogram(
-                "stage_seconds", engine="microbatch", stage=stage
-            ).observe(float(seconds))
-        engine._batch_hist.observe(batch.elapsed_seconds)
-    engine._m_batches.inc(len(engine.batches))
-    engine._m_ingested.inc(engine.n_processed + engine.n_quarantined)
-    if engine.n_retries:
-        engine._m_retries.inc(engine.n_retries)
-    registry.counter("tweets_processed_total", engine="microbatch").inc(
-        engine.n_processed
-    )
-    registry.counter("tweets_labeled_total", engine="microbatch").inc(
-        engine.n_labeled
-    )
-    registry.counter("tweets_unlabeled_total", engine="microbatch").inc(
-        engine.n_unlabeled
-    )
-    if engine.n_quarantined:
-        registry.counter(
-            "tweets_quarantined_total", engine="microbatch", stage="partition"
-        ).inc(engine.n_quarantined)
-    if engine.alert_manager.n_alerts:
-        engine._m_alerts.inc(engine.alert_manager.n_alerts)
-    engine._publish_gauges()
-
-
-def _engine_to_dict(engine: Engine) -> Dict[str, Any]:
-    if isinstance(engine, MicroBatchEngine):
-        return microbatch_engine_to_dict(engine)
-    return {"engine": "sequential", "pipeline": pipeline_to_dict(engine.pipeline)}
-
-
-# ----------------------------------------------------------------------
 # The supervisor
 # ----------------------------------------------------------------------
 
@@ -344,25 +159,36 @@ class SupervisedRun:
         return self.result.metrics
 
 
+class _ChunkBuffer(list):
+    """What :meth:`StreamSupervisor.run` buffers into without an ingest
+    queue: the same ``offer``/``drain`` FIFO, unbounded, never shedding."""
+
+    offer = list.append
+
+    def drain(self, n: int) -> List[Tweet]:
+        chunk = self[:n]
+        del self[:n]
+        return chunk
+
+
 class StreamSupervisor:
     """Drives an engine over a stream with quarantine and checkpoints.
 
     Args:
-        engine: a :class:`MicroBatchEngine` or :class:`SequentialEngine`
-            (construct it with a retry policy / dead-letter queue for
-            engine-level fault handling).
+        engine: any :class:`~repro.engine.protocol.Engine` (construct it
+            with a retry policy / dead-letter queue for engine-level
+            fault handling).
         checkpoint_dir: directory for the rolling ``checkpoint.json``
             (atomic writes; ``None`` disables checkpointing).
         checkpoint_every: write a checkpoint after every N chunks.
         chunk_size: tweets per engine call; defaults to the engine's
-            ``batch_size`` (micro-batch) or 1000 (sequential).
+            ``batch_size``.
         dead_letters: quarantine queue for ingest-validation failures
-            (a fresh bounded queue by default).
+            (a fresh bounded queue by default). Every consumed tweet is
+            validated at ingest, before batch assembly, so corrupt
+            records never skew batch composition.
         max_poison_rate: when set, a circuit breaker fails the run once
             the quarantined fraction of consumed tweets exceeds this.
-        validate: validate tweets at ingest (before batch assembly) so
-            corrupt records never skew batch composition. Disable only
-            if the engine's own in-partition quarantine should see them.
         telemetry: optional :class:`~repro.obs.export.TelemetrySink`;
             the supervisor emits checkpoint/quarantine/breaker events
             and periodic metric snapshots into it. The sink's lifecycle
@@ -389,6 +215,13 @@ class StreamSupervisor:
             the supervisor records one event per chunk and auto-dumps
             the ring when a run crashes. (Hand the same recorder to the
             engine for batch-level quarantine/pool-rebuild dumps.)
+        keep_checkpoints: chunk-stamped history checkpoints retained for
+            corrupt-file fallback.
+        snapshot_store: optional
+            :class:`~repro.serve.snapshot.SnapshotStore` (duck typed:
+            anything with ``publish(payload, meta=...)``); every
+            checkpoint also publishes a verified serving snapshot, so a
+            live server hot-swaps models while training continues.
     """
 
     def __init__(
@@ -399,7 +232,6 @@ class StreamSupervisor:
         chunk_size: Optional[int] = None,
         dead_letters: Optional[DeadLetterQueue] = None,
         max_poison_rate: Optional[float] = None,
-        validate: bool = True,
         telemetry: Optional[TelemetrySink] = None,
         metrics_every: Optional[int] = None,
         ingest_queue: Optional[BoundedIngestQueue] = None,
@@ -419,11 +251,7 @@ class StreamSupervisor:
         )
         self.checkpoint_every = checkpoint_every
         if chunk_size is None:
-            chunk_size = (
-                engine.batch_size
-                if isinstance(engine, MicroBatchEngine)
-                else 1000
-            )
+            chunk_size = engine.batch_size
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         self.chunk_size = chunk_size
@@ -435,7 +263,6 @@ class StreamSupervisor:
             if max_poison_rate is not None
             else None
         )
-        self.validate = validate
         if metrics_every is not None and metrics_every < 1:
             raise ValueError("metrics_every must be >= 1")
         self.telemetry = telemetry
@@ -447,10 +274,6 @@ class StreamSupervisor:
         self.console = console
         self.recorder = recorder
         self.keep_checkpoints = keep_checkpoints
-        #: Optional :class:`~repro.serve.snapshot.SnapshotStore` (duck
-        #: typed: anything with ``publish(payload, meta=...)``); every
-        #: checkpoint also publishes a verified serving snapshot, so a
-        #: live server hot-swaps models while training continues.
         self.snapshot_store = snapshot_store
         self._stop_requested = False
         self._server_free_s = 0.0  # simulated-clock cursor (run_timed)
@@ -466,15 +289,11 @@ class StreamSupervisor:
         # already report into it; the supervisor adds the ingest-side
         # counters and reads health back out.
         self.metrics = engine.metrics
-        self._engine_kind = (
-            "microbatch" if isinstance(engine, MicroBatchEngine)
-            else "sequential"
-        )
         self._m_consumed = self.metrics.counter("tweets_consumed_total")
         self._m_checkpoints = self.metrics.counter("checkpoints_total")
         self._m_ingest_quarantined = self.metrics.counter(
             "tweets_quarantined_total",
-            engine=self._engine_kind,
+            engine=engine.kind,
             stage="ingest-validate",
         )
 
@@ -483,7 +302,7 @@ class StreamSupervisor:
         """The engine's overload controller, if one is attached."""
         if self._detached_controller is not None:
             return self._detached_controller
-        return getattr(self.engine, "controller", None)
+        return self.engine.controller
 
     # -- checkpointing --------------------------------------------------
 
@@ -496,15 +315,15 @@ class StreamSupervisor:
     def write_checkpoint(self) -> Optional[int]:
         """Atomically persist supervisor + engine state; returns bytes.
 
-        A pipelined engine is drained first: the cursor already counts
-        the in-flight batch's tweets, so the snapshot must include its
-        merges — drain-then-write is what makes checkpoint/resume
+        The engine is drained first: the cursor already counts a
+        pipelined engine's in-flight batch, so the snapshot must include
+        its merges — drain-then-write is what makes checkpoint/resume
         exactly-once under pipelining.
         """
         path = self.checkpoint_path
         if path is None:
             return None
-        drain_before_checkpoint(self.engine)
+        self.engine.drain()
         self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         payload = {
             "supervisor_version": SUPERVISOR_CHECKPOINT_VERSION,
@@ -517,7 +336,7 @@ class StreamSupervisor:
                 if self.breaker is not None
                 else None
             ),
-            "engine": _engine_to_dict(self.engine),
+            "engine": engine_to_dict(self.engine),
             # Exact registry state (sketches included): a resumed run's
             # registry continues from precisely this point.
             "metrics": self.metrics.snapshot().as_dict(exact=True),
@@ -544,8 +363,6 @@ class StreamSupervisor:
         # History first, rolling file last: readers always find the
         # newest state at the canonical name, and resume can fall back
         # over the chunk-stamped history when a file is corrupt.
-        from repro.core.checkpoint import atomic_write_text
-
         history = self.checkpoint_dir / (
             f"{CHECKPOINT_HISTORY_PREFIX}{self._chunks_done:08d}.json"
         )
@@ -609,21 +426,12 @@ class StreamSupervisor:
     def resume(
         cls,
         checkpoint_dir: PathLike,
-        checkpoint_every: int = 10,
         runner: Optional[Union[Runner, str]] = None,
         n_workers: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        dead_letters: Optional[DeadLetterQueue] = None,
-        max_poison_rate: Optional[float] = None,
-        validate: bool = True,
-        telemetry: Optional[TelemetrySink] = None,
-        metrics_every: Optional[int] = None,
         partition_deadline_s: Optional[float] = None,
         speculate: Optional[float] = None,
-        console: Optional[OpsConsole] = None,
-        recorder: Optional[FlightRecorder] = None,
-        keep_checkpoints: int = DEFAULT_KEEP_CHECKPOINTS,
-        snapshot_store: Optional[Any] = None,
+        **options: Any,
     ) -> "StreamSupervisor":
         """Rebuild a supervisor from the newest *verifiable* checkpoint.
 
@@ -635,11 +443,36 @@ class StreamSupervisor:
         run. :class:`~repro.streamml.serialize.SerializationError` is
         raised only when *no* retained file verifies.
 
+        ``runner``, ``n_workers``, ``retry_policy``,
+        ``partition_deadline_s`` and ``speculate`` wire a rebuilt
+        micro-batch engine (see
+        :func:`~repro.core.checkpoint.engine_from_dict`). ``options``
+        are the constructor's keyword options, passed on unchanged
+        (``dead_letters``, ``max_poison_rate`` and ``recorder`` reach
+        the engine too); the chunk size, ingest queue and SLO tracker
+        come from the checkpoint.
+
         The returned supervisor's next :meth:`run` call must receive
         the *same replayable stream* the original run did; it skips the
         already-consumed prefix and continues, reproducing the
         uninterrupted run's final metrics and alert list exactly.
         """
+        accepted = set(inspect.signature(cls).parameters) - {
+            "engine", "checkpoint_dir", *_RESTORED_OPTIONS
+        }
+        unknown = sorted(set(options) - accepted)
+        if unknown:
+            raise TypeError(f"resume() got unexpected options: {unknown}")
+        wiring = dict(
+            runner=runner,
+            n_workers=n_workers,
+            retry_policy=retry_policy,
+            partition_deadline_s=partition_deadline_s,
+            speculate=speculate,
+            dead_letters=options.get("dead_letters"),
+            max_poison_rate=options.get("max_poison_rate"),
+            recorder=options.get("recorder"),
+        )
         directory = Path(checkpoint_dir)
         candidates = [directory / CHECKPOINT_FILENAME]
         candidates.extend(sorted(
@@ -660,23 +493,7 @@ class StreamSupervisor:
                     candidate.read_text(encoding="utf-8")
                 )
                 supervisor = cls._resume_from_payload(
-                    payload,
-                    checkpoint_dir=checkpoint_dir,
-                    checkpoint_every=checkpoint_every,
-                    runner=runner,
-                    n_workers=n_workers,
-                    retry_policy=retry_policy,
-                    dead_letters=dead_letters,
-                    max_poison_rate=max_poison_rate,
-                    validate=validate,
-                    telemetry=telemetry,
-                    metrics_every=metrics_every,
-                    partition_deadline_s=partition_deadline_s,
-                    speculate=speculate,
-                    console=console,
-                    recorder=recorder,
-                    keep_checkpoints=keep_checkpoints,
-                    snapshot_store=snapshot_store,
+                    payload, checkpoint_dir, wiring, options
                 )
                 resumed_from = candidate
                 break
@@ -701,8 +518,8 @@ class StreamSupervisor:
             supervisor.metrics.counter("checkpoint_corrupt_total").inc(
                 len(failures)
             )
-            if telemetry is not None:
-                telemetry.event(
+            if supervisor.telemetry is not None:
+                supervisor.telemetry.event(
                     "checkpoint_corrupt",
                     skipped=[name for name, _ in failures],
                     resumed_from=resumed_from.name,
@@ -714,21 +531,8 @@ class StreamSupervisor:
         cls,
         payload: Dict[str, Any],
         checkpoint_dir: PathLike,
-        checkpoint_every: int,
-        runner: Optional[Union[Runner, str]],
-        n_workers: Optional[int],
-        retry_policy: Optional[RetryPolicy],
-        dead_letters: Optional[DeadLetterQueue],
-        max_poison_rate: Optional[float],
-        validate: bool,
-        telemetry: Optional[TelemetrySink],
-        metrics_every: Optional[int],
-        partition_deadline_s: Optional[float],
-        speculate: Optional[float],
-        console: Optional[OpsConsole],
-        recorder: Optional[FlightRecorder],
-        keep_checkpoints: int,
-        snapshot_store: Optional[Any],
+        wiring: Dict[str, Any],
+        options: Dict[str, Any],
     ) -> "StreamSupervisor":
         """Rebuild a supervisor from one parsed checkpoint payload."""
         version = payload.get("supervisor_version")
@@ -736,36 +540,13 @@ class StreamSupervisor:
             raise SerializationError(
                 f"unsupported supervisor checkpoint version {version!r}"
             )
-        engine_payload = payload["engine"]
-        engine: Engine
-        if engine_payload["engine"] == "microbatch":
-            engine = microbatch_engine_from_dict(
-                engine_payload,
-                runner=runner,
-                n_workers=n_workers,
-                retry_policy=retry_policy,
-                dead_letters=dead_letters,
-                max_poison_rate=max_poison_rate,
-                partition_deadline_s=partition_deadline_s,
-                speculate=speculate,
-            )
-        elif engine_payload["engine"] == "sequential":
-            engine = SequentialEngine(
-                dead_letters=dead_letters, max_poison_rate=max_poison_rate
-            )
-            quarantine = (engine.pipeline.dead_letters, engine.pipeline.breaker)
-            pipeline = pipeline_from_dict(engine_payload["pipeline"])
-            pipeline.dead_letters, pipeline.breaker = quarantine
-            engine.replace_pipeline(pipeline)
-        else:
-            raise SerializationError(
-                f"unknown engine kind {engine_payload['engine']!r}"
-            )
+        engine = engine_from_dict(payload["engine"], **wiring)
         metrics_payload = payload.get("metrics")
         if metrics_payload is not None:
             # Replace the seeded approximations with the exact snapshot
             # (in place — the engine's bound metric objects stay live).
             engine.metrics.restore(MetricsSnapshot.from_dict(metrics_payload))
+        telemetry = options.get("telemetry")
         # Overload state (v3): rebuild queue backlog + controller
         # mid-episode and re-attach them, so the resumed run sheds,
         # degrades and recovers exactly as the crashed one would have.
@@ -786,13 +567,7 @@ class StreamSupervisor:
                     telemetry=telemetry,
                 )
                 engine.controller = controller
-                if isinstance(engine, MicroBatchEngine):
-                    engine.batch_size = controller.batch_size
-                    engine._degrade_tier = controller.tier
-                    if controller.n_partitions is not None:
-                        engine.n_partitions = controller.n_partitions
-                else:
-                    engine.pipeline.set_degrade_tier(controller.tier)
+                engine.apply(controller)
         # SLO state (v5): the tracker — definitions, rolling burn
         # windows, firing set, alert counts — comes back bit-exactly;
         # alert events from the resumed run go to the new sinks.
@@ -800,23 +575,18 @@ class StreamSupervisor:
         slo_tracker: Optional[SLOTracker] = None
         if slo_payload is not None:
             sinks = [
-                sink for sink in (telemetry, recorder) if sink is not None
+                sink
+                for sink in (telemetry, options.get("recorder"))
+                if sink is not None
             ]
             slo_tracker = SLOTracker.from_dict(slo_payload, sinks=sinks)
         supervisor = cls(
             engine,
             checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
             chunk_size=int(payload["chunk_size"]),
-            dead_letters=dead_letters,
-            max_poison_rate=max_poison_rate,
-            validate=validate,
-            telemetry=telemetry,
-            metrics_every=metrics_every,
             ingest_queue=ingest_queue,
             slos=slo_tracker,
-            console=console,
-            recorder=recorder,
+            **options,
         )
         if overload_payload is not None:
             supervisor._server_free_s = float(
@@ -879,49 +649,27 @@ class StreamSupervisor:
         consumed. A final checkpoint is written on successful
         completion, so resuming a finished run is a no-op.
 
-        With an ``ingest_queue``, every validated tweet is offered to
-        the queue and chunks are drained from it, so the queue's
-        shedding policy (not an unbounded list) decides what survives;
-        shed tweets are counted consumed but never reach the engine.
+        Every validated tweet is offered to the ``ingest_queue`` — or,
+        without one, to an unbounded buffer — and chunks are drained
+        from it, so with a queue its shedding policy (not an unbounded
+        list) decides what survives; shed tweets are counted consumed
+        but never reach the engine.
         """
+        buffer = (
+            self.ingest_queue if self.ingest_queue is not None
+            else _ChunkBuffer()
+        )
         try:
-            iterator = iter(tweets)
-            if self._cursor:
-                for _ in islice(iterator, self._cursor):
-                    pass
-            queue = self.ingest_queue
-            if queue is None:
-                chunk: List[Tweet] = []
-                for tweet in iterator:
-                    if self._stop_requested:
-                        break
-                    self._cursor += 1
-                    self._m_consumed.inc()
-                    if self.validate and not self._admit(tweet):
-                        continue
-                    chunk.append(tweet)
-                    if len(chunk) >= self._current_chunk_size():
-                        self._process_chunk(chunk)
-                        chunk = []
-                if chunk:
-                    self._process_chunk(chunk)
-            else:
-                for tweet in iterator:
-                    if self._stop_requested:
-                        break
-                    self._cursor += 1
-                    self._m_consumed.inc()
-                    if self.validate and not self._admit(tweet):
-                        continue
-                    queue.offer(tweet)
-                    while len(queue) >= self._current_chunk_size():
-                        self._process_chunk(
-                            queue.drain(self._current_chunk_size())
-                        )
-                while len(queue):
+            for tweet in self._remaining(tweets):
+                if not self._admit(tweet):
+                    continue
+                buffer.offer(tweet)
+                while len(buffer) >= self._current_chunk_size():
                     self._process_chunk(
-                        queue.drain(self._current_chunk_size())
+                        buffer.drain(self._current_chunk_size())
                     )
+            while len(buffer):
+                self._process_chunk(buffer.drain(self._current_chunk_size()))
         except BaseException as exc:
             self._record_crash(exc)
             raise
@@ -951,8 +699,8 @@ class StreamSupervisor:
                 (e.g. :meth:`~repro.data.firehose.FirehoseWorkload.
                 timed_stream`).
             service_time_s: per-tweet service-time model. ``None``
-                advances the simulated clock by each batch's *measured*
-                wall-clock time (realistic mode). A float — or a dict
+                advances the simulated clock by each chunk's *measured*
+                elapsed time (realistic mode). A float — or a dict
                 mapping :class:`~repro.core.features.DegradeTier` level
                 to float — makes batch durations a pure function of
                 (size, tier): fully deterministic, reproducible across
@@ -973,32 +721,17 @@ class StreamSupervisor:
         modeled = service_time_s is not None
         # In model mode the supervisor owns the control loop: detach
         # the controller from the engine so measured wall time never
-        # feeds it, and re-apply its decisions (tier, batch size) by
-        # hand after each simulated batch.
+        # feeds it, and apply its decisions by hand after each
+        # simulated batch.
         if modeled and controller is not None:
             self._detached_controller = controller
             self.engine.controller = None
-            if isinstance(self.engine, MicroBatchEngine):
-                self.engine._degrade_tier = controller.tier
-                self.engine.batch_size = controller.batch_size
-                if controller.n_partitions is not None:
-                    self.engine.n_partitions = controller.n_partitions
-            else:
-                self.engine.pipeline.set_degrade_tier(controller.tier)
+            self.engine.apply(controller)
         try:
-            iterator = iter(arrivals)
-            if self._cursor:
-                for _ in islice(iterator, self._cursor):
-                    pass
-            for tweet, arrival_s in iterator:
-                if self._stop_requested:
-                    break
+            for tweet, arrival_s in self._remaining(arrivals):
                 self._catch_up(arrival_s, service_time_s, controller)
-                self._cursor += 1
-                self._m_consumed.inc()
-                if self.validate and not self._admit(tweet):
-                    continue
-                queue.offer(tweet, arrival_s=arrival_s)
+                if self._admit(tweet):
+                    queue.offer(tweet, arrival_s=arrival_s)
             # Stream exhausted: drain the remaining backlog.
             while len(queue):
                 self._timed_chunk(service_time_s, controller)
@@ -1011,6 +744,17 @@ class StreamSupervisor:
             if modeled and controller is not None:
                 self.engine.controller = controller
                 self._detached_controller = None
+
+    def _remaining(self, items: Iterable[T]) -> Iterator[T]:
+        """The stream past the cursor, until a stop is requested."""
+        iterator = iter(items)
+        if self._cursor:
+            for _ in islice(iterator, self._cursor):
+                pass
+        for item in iterator:
+            if self._stop_requested:
+                return
+            yield item
 
     def _catch_up(
         self,
@@ -1046,37 +790,28 @@ class StreamSupervisor:
         chunk = queue.drain(self._current_chunk_size())
         if not chunk:
             return
-        if isinstance(self.engine, MicroBatchEngine):
-            result = self.engine.process_batch(chunk)
-            measured = result.elapsed_seconds
-        else:
-            t_start = time.perf_counter()
-            self.engine.process_many(chunk)
-            measured = time.perf_counter() - t_start
-        if service_time_s is None:
+
+        def settle(measured: float) -> None:
             duration = measured
-        else:
-            tier_level = int(controller.tier) if controller is not None else 0
-            if isinstance(service_time_s, dict):
-                per_tweet = service_time_s[tier_level]
-            else:
-                per_tweet = service_time_s
-            duration = len(chunk) * per_tweet
-            if controller is not None:
-                # Model mode: the supervisor feeds the controller the
-                # modeled duration and applies its decisions.
-                controller.observe_batch(
-                    duration, queue_fraction=fraction_before
+            if service_time_s is not None:
+                tier_level = (
+                    int(controller.tier) if controller is not None else 0
                 )
-                if isinstance(self.engine, MicroBatchEngine):
-                    self.engine.batch_size = controller.batch_size
-                    self.engine._degrade_tier = controller.tier
-                    if controller.n_partitions is not None:
-                        self.engine.n_partitions = controller.n_partitions
+                if isinstance(service_time_s, dict):
+                    per_tweet = service_time_s[tier_level]
                 else:
-                    self.engine.pipeline.set_degrade_tier(controller.tier)
-        self._server_free_s = start_s + duration
-        self._after_chunk()
+                    per_tweet = service_time_s
+                duration = len(chunk) * per_tweet
+                if controller is not None:
+                    # Model mode: the supervisor feeds the controller
+                    # the modeled duration and applies its decisions.
+                    controller.observe_batch(
+                        duration, queue_fraction=fraction_before
+                    )
+                    self.engine.apply(controller)
+            self._server_free_s = start_s + duration
+
+        self._process_chunk(chunk, settle)
 
     def _record_crash(self, exc: BaseException) -> None:
         """Flight-record a dying run: the ring holds the lead-up."""
@@ -1086,7 +821,12 @@ class StreamSupervisor:
         self.recorder.auto_dump("crash")
 
     def _admit(self, tweet: Tweet) -> bool:
-        """Ingest validation; quarantines and returns False on poison."""
+        """Consume one tweet: advance the cursor, count it, validate it.
+
+        Quarantines and returns False on poison.
+        """
+        self._cursor += 1
+        self._m_consumed.inc()
         try:
             validate_tweet(tweet)
         except PoisonTweetError as exc:
@@ -1132,18 +872,21 @@ class StreamSupervisor:
             self.breaker.record(False)
         return True
 
-    def _process_chunk(self, chunk: List[Tweet]) -> None:
-        if isinstance(self.engine, MicroBatchEngine):
-            if self.engine.pipelined:
-                # Overlapped: the previous chunk finalizes while this
-                # one computes; write_checkpoint/_finish drain, so
-                # every per-chunk cut below still sees settled state
-                # for all *finalized* chunks.
-                self.engine.submit_batch(chunk)
-            else:
-                self.engine.process_batch(chunk)
-        else:
-            self.engine.process_many(chunk)
+    def _process_chunk(
+        self,
+        chunk: List[Tweet],
+        settle: Optional[Callable[[float], None]] = None,
+    ) -> None:
+        """The one per-chunk step of both runs.
+
+        The engine processes the chunk; ``settle`` (run_timed's clock
+        and controller bookkeeping) receives its elapsed seconds before
+        the per-chunk cadence runs, so a checkpoint written there sees
+        the chunk's final state.
+        """
+        elapsed = self.engine.process_chunk(chunk)
+        if settle is not None:
+            settle(elapsed)
         self._after_chunk()
 
     def _after_chunk(self) -> None:
@@ -1180,7 +923,7 @@ class StreamSupervisor:
 
     def _finish(self) -> SupervisedRun:
         """Final health/telemetry/result assembly shared by both runs."""
-        drain_before_checkpoint(self.engine)
+        self.engine.drain()
         if self.console is not None:
             # Last frame unthrottled: the final counts always land.
             self.console.tick(
@@ -1235,18 +978,14 @@ class StreamSupervisor:
         bookkeeping stays supervisor-local: a resumed run reports only
         the checkpoints *it* wrote.
         """
-        if isinstance(self.engine, MicroBatchEngine):
-            engine_breaker = self.engine.breaker
-            engine_dlq = self.engine.dead_letters
-        else:
-            engine_breaker = self.engine.pipeline.breaker
-            engine_dlq = self.engine.pipeline.dead_letters
+        engine_dlq = self.engine.dead_letters
         by_stage = self.dead_letters.by_stage()
         if engine_dlq is not None and engine_dlq is not self.dead_letters:
             for stage, count in engine_dlq.by_stage().items():
                 by_stage[stage] = by_stage.get(stage, 0) + count
         breaker_open = any(
-            b is not None and b.is_open for b in (self.breaker, engine_breaker)
+            b is not None and b.is_open
+            for b in (self.breaker, self.engine.breaker)
         )
         return StreamHealth.from_registry(
             self.metrics,

@@ -97,13 +97,9 @@ def payload_from_source(source: Any) -> Dict[str, Any]:
     """Snapshot payload from any pipeline-shaped object.
 
     Works for :class:`~repro.core.pipeline.AggressionDetectionPipeline`
-    and :class:`~repro.engine.microbatch.MicroBatchEngine` directly
-    (both expose ``config``/``model``/``normalizer``/``bag_of_words``)
-    and for :class:`~repro.engine.sequential.SequentialEngine` via its
-    ``pipeline`` attribute.
+    and for either :class:`~repro.engine.protocol.Engine`: all expose
+    ``config``/``model``/``normalizer``/``bag_of_words``.
     """
-    if not hasattr(source, "model") and hasattr(source, "pipeline"):
-        source = source.pipeline
     return snapshot_payload(
         source.config, source.model, source.normalizer, source.bag_of_words
     )

@@ -84,13 +84,6 @@ class SentimentAnalyzer:
         """Score a tokenized text."""
         return SentimentScore(*self.strengths(tokens))
 
-    def score_words(
-        self, words: Sequence[Token], has_exclamation: bool
-    ) -> SentimentScore:
-        """Score a pre-filtered word-token sequence and the flag saying
-        whether the tokens filtered out held an exclamation mark."""
-        return SentimentScore(*self.strengths(words, has_exclamation))
-
     def strengths(
         self, tokens: Iterable[Token], has_exclamation: bool = False
     ) -> Tuple[int, int]:

@@ -8,6 +8,8 @@ import pytest
 
 from repro.core.checkpoint import (
     load_pipeline,
+    microbatch_engine_from_dict,
+    microbatch_engine_to_dict,
     normalizer_from_dict,
     normalizer_to_dict,
     pipeline_from_dict,
@@ -19,10 +21,6 @@ from repro.core.normalization import make_normalizer
 from repro.core.pipeline import AggressionDetectionPipeline
 from repro.data.loader import strip_labels
 from repro.engine.microbatch import MicroBatchEngine
-from repro.reliability.supervisor import (
-    microbatch_engine_from_dict,
-    microbatch_engine_to_dict,
-)
 from repro.streamml.serialize import model_to_dict
 
 

@@ -54,6 +54,37 @@ class TestRetention:
             )
 
 
+class TestResumeOptions:
+    def test_resume_keeps_snapshot_store_and_retention(self, tmp_path):
+        from repro.serve.snapshot import SnapshotStore
+
+        tweets = _tweets(600)
+        StreamSupervisor(
+            SequentialEngine(),
+            checkpoint_dir=tmp_path / "ckpt",
+            checkpoint_every=1,
+            chunk_size=100,
+        ).run(tweets[:300])
+        store = SnapshotStore(tmp_path / "snaps")
+        resumed = StreamSupervisor.resume(
+            tmp_path / "ckpt", snapshot_store=store, keep_checkpoints=1
+        )
+        assert resumed.snapshot_store is store
+        resumed.run(tweets)
+        assert store.latest_version() is not None
+        assert len(_history(tmp_path / "ckpt")) == 1
+
+    def test_unknown_and_restored_options_are_refused(self, tmp_path):
+        StreamSupervisor(
+            SequentialEngine(), checkpoint_dir=tmp_path, chunk_size=100
+        ).run(_tweets(200))
+        for option in ("validate", "chunk_size"):
+            with pytest.raises(TypeError, match=option):
+                StreamSupervisor.resume(tmp_path, **{option: 50})
+        with pytest.raises(TypeError, match="validate"):
+            StreamSupervisor(SequentialEngine(), validate=False)
+
+
 class TestCorruptFallback:
     def _run(self, tmp_path, keep=3):
         supervisor = StreamSupervisor(

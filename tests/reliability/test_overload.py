@@ -359,9 +359,9 @@ class TestEngineControllerIntegration:
             engine_label="sequential",
         )
         engine.controller = controller
-        engine.process_many(_labeled(8))
-        engine.process_many(_labeled(8, seed=5))
-        engine.process_many(_labeled(8, seed=6))
+        engine.process_chunk(_labeled(8))
+        engine.process_chunk(_labeled(8, seed=5))
+        engine.process_chunk(_labeled(8, seed=6))
         assert controller.n_deadline_misses == 3
         assert controller.batch_size == 2
         assert engine.pipeline.degrade_tier == DegradeTier.NO_POS

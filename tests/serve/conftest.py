@@ -28,7 +28,7 @@ def trained_payload() -> Dict[str, Any]:
     """One verified-shape snapshot payload from a short training run."""
     engine = SequentialEngine()
     tweets = AbusiveDatasetGenerator(n_tweets=600, seed=11).generate_list()
-    engine.process_many(tweets)
+    engine.process_chunk(tweets)
     return payload_from_source(engine)
 
 
@@ -37,7 +37,7 @@ def trained_payload_v2() -> Dict[str, Any]:
     """A second, distinguishable payload (longer training run)."""
     engine = SequentialEngine()
     tweets = AbusiveDatasetGenerator(n_tweets=1200, seed=23).generate_list()
-    engine.process_many(tweets)
+    engine.process_chunk(tweets)
     return payload_from_source(engine)
 
 

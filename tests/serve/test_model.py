@@ -22,7 +22,7 @@ def split_tree_payload():
     """Long enough a run that the Hoeffding tree has split, so the
     decision path under test is not empty."""
     engine = SequentialEngine()
-    engine.process_many(
+    engine.process_chunk(
         AbusiveDatasetGenerator(n_tweets=3000, seed=23).generate_list()
     )
     return payload_from_source(engine)
@@ -119,7 +119,7 @@ def test_snapshot_with_retired_fast_math_key_serves_identically(
     engine = SequentialEngine(
         PipelineConfig(n_classes=2, model=model, normalization=normalization)
     )
-    engine.process_many(
+    engine.process_chunk(
         AbusiveDatasetGenerator(n_tweets=600, seed=23).generate_list()
     )
     payload = payload_from_source(engine)

@@ -85,7 +85,7 @@ class FixedModel:
 
 def small_payload() -> Dict[str, Any]:
     engine = SequentialEngine()
-    engine.process_many(
+    engine.process_chunk(
         AbusiveDatasetGenerator(n_tweets=200, seed=11).generate_list()
     )
     return payload_from_source(engine)

@@ -164,6 +164,25 @@ class TestSupervisedRun:
         assert main(["run", str(dataset), "--resume"]) == 2
         assert "requires --checkpoint-dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("engine_args", [
+        [],
+        ["--engine", "microbatch", "--batch-size", "100"],
+    ], ids=["sequential", "microbatch"])
+    def test_invalid_record_is_quarantined_at_ingest(
+        self, dataset, capsys, engine_args
+    ):
+        """A record that parses but fails validation (an absurd
+        timestamp) is quarantined and reported on every run."""
+        lines = dataset.read_text().splitlines()
+        poison = json.loads(lines[7])
+        poison["created_at"] = 1e300
+        lines[7] = json.dumps(poison)
+        dataset.write_text("\n".join(lines) + "\n")
+        assert main(["run", str(dataset)] + engine_args) == 0
+        out = capsys.readouterr().out
+        assert "quarantined   : 1 tweets" in out
+        assert "processed     : 399 tweets" in out
+
 
 class TestTelemetry:
     @pytest.fixture()
@@ -203,6 +222,16 @@ class TestTelemetry:
         exposition = (tmp_path / "events.jsonl.prom").read_text()
         assert "# TYPE repro_tweets_processed_total counter" in exposition
         assert 'quantile="0.95"' in exposition
+        # The families every run exports, whichever engine drove it.
+        names |= hist_names | {g["name"] for g in final["metrics"]["gauges"]}
+        required = {
+            "tweets_ingested_total", "tweets_processed_total",
+            "alerts_total", "bow_size", "stage_seconds",
+            "tweet_stage_seconds", "batch_seconds",
+        }
+        assert required <= names, required - names
+        for name in required:
+            assert f"repro_{name}" in exposition, name
 
     def test_log_json_emits_parseable_lines(self, dataset, capsys):
         assert main(["--log-json", "run", str(dataset)]) == 0

@@ -126,6 +126,32 @@ class Instance:
 '''
 
 
+ENGINE_KIND_OFFENDING = '''
+from repro.engine import microbatch
+from repro.engine.microbatch import MicroBatchEngine
+from repro.engine.sequential import SequentialEngine
+
+
+def batch_size(engine):
+    if isinstance(engine, MicroBatchEngine):
+        return engine.batch_size
+    if isinstance(engine, (microbatch.MicroBatchEngine, SequentialEngine)):
+        return 1
+    return 1000 if isinstance(engine, SequentialEngine | None) else 0
+'''
+
+ENGINE_KIND_CLEAN = '''
+from repro.engine.microbatch import MicroBatchEngine
+
+
+def batch_size(engine, result):
+    """isinstance(engine, MicroBatchEngine) in a docstring is fine."""
+    if isinstance(result, dict):
+        return len(result)
+    return MicroBatchEngine(batch_size=engine.batch_size).batch_size
+'''
+
+
 def _messages(source: str, filename: str):
     return [
         message
@@ -133,6 +159,38 @@ def _messages(source: str, filename: str):
             source, filename
         )
     ]
+
+
+def test_engine_kind_tests_flagged_outside_engine_only():
+    def engine_messages(source, filename):
+        return [
+            message
+            for _, _, message in check_hot_path.find_engine_kind_offenses(
+                source, filename
+            )
+        ]
+
+    messages = engine_messages(
+        ENGINE_KIND_OFFENDING, "src/repro/reliability/supervisor.py"
+    )
+    assert messages == [
+        "isinstance(..., MicroBatchEngine) outside engine/ "
+        "(drive the Engine protocol)",
+        "isinstance(..., MicroBatchEngine | SequentialEngine) outside "
+        "engine/ (drive the Engine protocol)",
+        "isinstance(..., SequentialEngine) outside engine/ "
+        "(drive the Engine protocol)",
+    ]
+    assert len(engine_messages(ENGINE_KIND_OFFENDING, "src/repro/cli.py")) == 3
+    # The engines themselves may know their own classes.
+    assert engine_messages(
+        ENGINE_KIND_OFFENDING, "src/repro/engine/replay.py"
+    ) == []
+    assert engine_messages(ENGINE_KIND_CLEAN, "src/repro/cli.py") == []
+    assert check_hot_path.check_tree(
+        ROOT / check_hot_path.CONTRACT_ROOT,
+        check_hot_path.find_engine_kind_offenses,
+    ) == []
 
 
 def test_offending_snippet_is_flagged_on_the_text_path():

@@ -60,12 +60,19 @@ two patterns that are harmless elsewhere are throughput bugs there:
   and builds a kwargs dict before calling the same constructor, twice
   the cost of calling it directly (``Instance.with_*``).
 
+* anywhere under ``src/repro`` outside ``engine/``: ``isinstance(...,
+  MicroBatchEngine | SequentialEngine)`` — the supervisor and the CLI
+  drive the ``Engine`` protocol (``repro.engine.protocol``, DESIGN.md
+  §3); an engine-kind branch re-grows the per-engine code paths the
+  protocol replaced.
+
 Walks the AST so occurrences in docstrings and comments don't
 false-positive, and exits non-zero listing any offending call sites.
 
 Usage: python tools/check_hot_path.py [root ...]
        (default: src/repro/core src/repro/text src/repro/streamml
-       src/repro/engine src/repro/serve)
+       src/repro/engine src/repro/serve, and src/repro for the
+       engine-contract rule)
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 DEFAULT_ROOTS = (
     "src/repro/core",
@@ -327,14 +334,53 @@ def find_hot_path_offenses(
             )
 
 
-def check_tree(root: Path) -> List[str]:
+#: Concrete engine classes nothing outside ``engine/`` may test for.
+ENGINE_CLASSES = {"MicroBatchEngine", "SequentialEngine"}
+
+#: Where the engine-contract rule applies by default.
+CONTRACT_ROOT = "src/repro"
+
+
+def find_engine_kind_offenses(
+    source: str, filename: str = ""
+) -> Iterator[Tuple[int, int, str]]:
+    """Yield (line, column, message) for every ``isinstance`` test of a
+    concrete engine class, unless ``filename`` is in ``engine/``."""
+    if Path(filename).parent.name == "engine":
+        return
+    for node in ast.walk(ast.parse(source)):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            continue
+        names = sorted({
+            sub.attr if isinstance(sub, ast.Attribute) else sub.id
+            for sub in ast.walk(node.args[1])
+            if isinstance(sub, (ast.Attribute, ast.Name))
+        } & ENGINE_CLASSES)
+        if names:
+            yield (
+                node.lineno,
+                node.col_offset,
+                f"isinstance(..., {' | '.join(names)}) outside engine/ "
+                "(drive the Engine protocol)",
+            )
+
+
+def check_tree(
+    root: Path,
+    find: Callable[
+        [str, str], Iterator[Tuple[int, int, str]]
+    ] = find_hot_path_offenses,
+) -> List[str]:
     """Offending ``path:line:col: message`` strings under ``root``."""
     failures = []
     for path in sorted(root.rglob("*.py")):
         source = path.read_text(encoding="utf-8")
-        for line, col, message in find_hot_path_offenses(
-            source, str(path)
-        ):
+        for line, col, message in find(source, str(path)):
             failures.append(f"{path}:{line}:{col}: {message}")
     return failures
 
@@ -342,6 +388,12 @@ def check_tree(root: Path) -> List[str]:
 def main(argv: List[str]) -> int:
     roots = [Path(a) for a in argv] or [Path(r) for r in DEFAULT_ROOTS]
     failures = [f for root in roots for f in check_tree(root)]
+    contract_roots = [Path(a) for a in argv] or [Path(CONTRACT_ROOT)]
+    failures += [
+        f
+        for root in contract_roots
+        for f in check_tree(root, find_engine_kind_offenses)
+    ]
     if failures:
         print("hot-path offenses found:")
         for failure in failures:
