@@ -44,6 +44,7 @@ from repro.engine.cluster import PAPER_SPECS, CostModel, SimulatedCluster
 from repro.obs.export import TelemetrySink, write_exposition
 from repro.obs.logconfig import configure_logging, get_logger
 from repro.obs.metrics import MetricsRegistry
+from repro.reliability.overload import SHED_POLICIES
 from repro.streamml.serialize import load_model, save_model
 
 logger = get_logger("cli")
@@ -53,6 +54,20 @@ def _positive_int(value: str) -> int:
     parsed = int(value)
     if parsed < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    return parsed
+
+
+def _non_negative_int(value: str) -> int:
+    parsed = int(value)
+    if parsed < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return parsed
+
+
+def _rate(value: str) -> float:
+    parsed = float(value)
+    if not 0.0 <= parsed <= 1.0:
+        raise argparse.ArgumentTypeError("must be in [0, 1]")
     return parsed
 
 
@@ -133,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--resume", action="store_true",
                      help="resume from the last checkpoint in "
                      "--checkpoint-dir, replaying only unprocessed tweets")
-    run.add_argument("--max-poison-rate", type=float, default=None,
+    run.add_argument("--max-poison-rate", type=_rate, default=None,
                      metavar="RATE",
                      help="quarantine malformed tweets instead of crashing, "
                      "but abort once their fraction exceeds RATE "
@@ -144,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "excess load by --shed-policy instead of buffering "
                      "without limit")
     run.add_argument("--shed-policy", default="drop-oldest",
-                     choices=("drop-oldest", "drop-newest", "sample"),
+                     choices=SHED_POLICIES,
                      help="what to evict when the ingest queue is full "
                      "(default drop-oldest; labeled tweets are never shed)")
     run.add_argument("--batch-deadline", type=float, default=None,
@@ -226,11 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
                        "(default 8423)")
     serve.add_argument("--max-inflight", type=_positive_int, default=8,
                        help="concurrent scoring requests (default 8)")
-    serve.add_argument("--queue-capacity", type=int, default=64,
+    serve.add_argument("--queue-capacity", type=_non_negative_int,
+                       default=64,
                        help="admission waiting-room size; beyond it the "
                        "shed policy decides (default 64)")
     serve.add_argument("--shed-policy", default="drop-newest",
-                       choices=("drop-newest", "drop-oldest", "sample"),
+                       choices=SHED_POLICIES,
                        help="who is shed when the waiting room is full "
                        "(default drop-newest; shed requests get 429 + "
                        "Retry-After)")

@@ -10,7 +10,8 @@ traceback) and keeps flowing in degraded mode (skip-and-count). A
 :class:`CircuitBreaker` bounds the damage: if the observed failure rate
 exceeds a threshold the breaker opens and the run fails loudly — a
 stream that quarantines half its input is broken upstream, and silently
-dropping it would corrupt every downstream metric.
+dropping it would corrupt every downstream metric. The same class,
+windowed and probing, guards each serving endpoint.
 
 This module deliberately imports nothing from the pipeline or engine
 layers so both can depend on it without cycles.
@@ -154,38 +155,70 @@ class DeadLetterQueue:
         return histogram
 
 
-class CircuitBreaker:
-    """Failure-rate circuit breaker over the cumulative stream.
+#: While a breaker is open, :meth:`CircuitBreaker.allow` lets one
+#: half-open probe through per this many rejected calls.
+PROBE_EVERY = 8
 
-    Counts successes and failures; once at least ``min_events`` inputs
-    have been seen and the failure rate exceeds ``max_failure_rate``,
-    the breaker is *open* and :meth:`check` raises
-    :class:`CircuitOpenError`. Cumulative (rather than windowed)
-    counting keeps the breaker deterministic and replayable, which the
-    checkpoint-resume equivalence guarantee relies on.
+
+class CircuitBreaker:
+    """Failure-rate circuit breaker, cumulative or over a rolling window.
+
+    Counts successes and failures; once at least ``min_events``
+    outcomes have been seen and the failure rate exceeds
+    ``max_failure_rate``, the breaker is *open* and :meth:`check`
+    raises :class:`CircuitOpenError`.
+
+    ``window=None`` counts the whole stream. That keeps the breaker
+    deterministic and replayable — the supervisor checkpoints and
+    restores ``n_ok``/``n_failed`` — and suits the streaming poison
+    breaker, whose job is to stop a doomed run for good. With
+    ``window=N`` only the last N outcomes count, and :meth:`allow` lets
+    probes through while open, so a serving endpoint closes again once
+    its fault clears: probe successes push the failures out of the
+    window.
     """
 
     def __init__(
-        self, max_failure_rate: float = 0.05, min_events: int = 100
+        self,
+        max_failure_rate: float = 0.05,
+        min_events: int = 100,
+        window: Optional[int] = None,
     ) -> None:
         if not 0.0 <= max_failure_rate <= 1.0:
             raise ValueError("max_failure_rate must be in [0, 1]")
         if min_events < 1:
             raise ValueError("min_events must be >= 1")
+        if window is not None and window < 1:
+            raise ValueError("window must be >= 1")
         self.max_failure_rate = max_failure_rate
         self.min_events = min_events
+        self.window = window
+        self._outcomes: Optional[Deque[bool]] = (
+            deque(maxlen=window) if window is not None else None
+        )
         self.n_ok = 0
         self.n_failed = 0
+        self._rejected_since_probe = 0
 
     def record(self, failed: bool) -> None:
-        """Record one input's outcome."""
+        """Record one input's outcome (evicting the oldest when windowed)."""
+        outcomes = self._outcomes
+        if outcomes is not None:
+            if len(outcomes) == self.window:
+                if outcomes[0]:
+                    self.n_failed -= 1
+                else:
+                    self.n_ok -= 1
+            outcomes.append(bool(failed))
         if failed:
             self.n_failed += 1
         else:
             self.n_ok += 1
 
     def record_batch(self, n_ok: int, n_failed: int) -> None:
-        """Record a whole batch's outcomes in O(1)."""
+        """Record a whole batch's outcomes in O(1) (cumulative only)."""
+        if self._outcomes is not None:
+            raise ValueError("a windowed breaker records outcomes in order")
         self.n_ok += n_ok
         self.n_failed += n_failed
 
@@ -207,6 +240,17 @@ class CircuitBreaker:
             self.n_events >= self.min_events
             and self.failure_rate > self.max_failure_rate
         )
+
+    def allow(self) -> bool:
+        """Whether a call may proceed: always while closed; while open,
+        one half-open probe per :data:`PROBE_EVERY` rejected calls."""
+        if not self.is_open:
+            return True
+        self._rejected_since_probe += 1
+        if self._rejected_since_probe >= PROBE_EVERY:
+            self._rejected_since_probe = 0
+            return True
+        return False
 
     def check(self) -> None:
         """Raise :class:`CircuitOpenError` if the breaker is open."""

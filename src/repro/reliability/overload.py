@@ -11,7 +11,8 @@ module defines the explicit overload behavior instead:
   watermark-based backpressure signals and explicit, metric-counted
   shedding policies (``drop-oldest``, ``drop-newest``, ``sample``).
   Labeled tweets are always retained (unlabeled traffic is shed first),
-  so model training never starves during a burst.
+  so model training never starves during a burst. The policy decision
+  itself, :func:`evicts_oldest`, is shared with serving admission.
 * :class:`OverloadController` — watches queue depth and per-batch
   timings (``batch_seconds`` from the :mod:`repro.obs` registry) and
   adapts: it shrinks the engine's batch size within bounds, and when
@@ -42,16 +43,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.features import DegradeTier
 from repro.data.tweet import Tweet
@@ -63,8 +55,30 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 
 logger = get_logger("overload")
 
-#: Built-in shedding policies, in documentation order.
+#: Shedding policies, in documentation order — one vocabulary for the
+#: ingest queue and the serving admission controller.
 SHED_POLICIES = ("drop-oldest", "drop-newest", "sample")
+
+#: Keep-probability and RNG seed of the ``sample`` policy by default.
+SAMPLE_KEEP = 0.5
+SHED_SEED = 29
+
+
+def evicts_oldest(policy: str, rng: random.Random, keep: float) -> bool:
+    """The shed decision for a full line, shared by both sides.
+
+    True: evict the oldest waiter and take the arrival in its place
+    (when there is no waiter to evict, the arrival is shed after all).
+    False: shed the arrival. ``drop-oldest`` always evicts,
+    ``drop-newest`` never does, and ``sample`` evicts with probability
+    ``keep``, drawing exactly one number from ``rng`` — the seeded
+    stream a checkpoint serializes.
+    """
+    if policy == "drop-oldest":
+        return True
+    if policy == "drop-newest":
+        return False
+    return rng.random() < keep
 
 
 @dataclass
@@ -74,69 +88,6 @@ class QueueEntry:
     tweet: Tweet
     seq: int
     arrival_s: Optional[float] = None
-
-
-#: A shed policy decides what to evict when the queue is full and an
-#: *unlabeled* tweet arrives (labeled tweets are handled before the
-#: policy runs). It returns the shed entry — either the incoming one or
-#: a victim evicted from the queue to make room — or ``None`` to admit
-#: the incoming entry beyond capacity (no built-in policy does this).
-ShedPolicy = Callable[["BoundedIngestQueue", QueueEntry], Optional[QueueEntry]]
-
-
-def _shed_drop_oldest(
-    queue: "BoundedIngestQueue", entry: QueueEntry
-) -> Optional[QueueEntry]:
-    """Evict the oldest unlabeled queued tweet; admit the arrival."""
-    victim = queue._pop_oldest_unlabeled()
-    if victim is None:
-        return entry  # queue is all labeled: shed the arrival itself
-    queue._append(entry)
-    return victim
-
-
-def _shed_drop_newest(
-    queue: "BoundedIngestQueue", entry: QueueEntry
-) -> Optional[QueueEntry]:
-    """Shed the arrival itself (the queue keeps its older backlog)."""
-    return entry
-
-
-def _shed_sample(
-    queue: "BoundedIngestQueue", entry: QueueEntry
-) -> Optional[QueueEntry]:
-    """Keep the arrival with probability ``sample_keep`` (seeded RNG).
-
-    Kept arrivals evict the oldest unlabeled queued tweet (so the
-    retained sample spreads across the burst); dropped arrivals are
-    shed directly. Deterministic given the seed, which the queue
-    serializes for exact checkpoint-resume.
-    """
-    if queue._rng.random() < queue.sample_keep:
-        return _shed_drop_oldest(queue, entry)
-    return entry
-
-
-#: Name -> policy registry; extend with :func:`register_shed_policy`.
-SHED_POLICY_REGISTRY: Dict[str, ShedPolicy] = {
-    "drop-oldest": _shed_drop_oldest,
-    "drop-newest": _shed_drop_newest,
-    "sample": _shed_sample,
-}
-
-
-def register_shed_policy(name: str, policy: ShedPolicy) -> None:
-    """Register a custom shedding policy under ``name``.
-
-    The policy is invoked only when the queue is full and the arriving
-    tweet is unlabeled; see :data:`ShedPolicy` for the contract.
-    Registered names serialize into checkpoints, so a resuming process
-    must register the same policy before calling
-    :meth:`BoundedIngestQueue.from_dict`.
-    """
-    if not name:
-        raise ValueError("policy name must be non-empty")
-    SHED_POLICY_REGISTRY[name] = policy
 
 
 class BoundedIngestQueue:
@@ -154,8 +105,7 @@ class BoundedIngestQueue:
             backlog; if the whole queue is labeled, a labeled arrival
             is admitted anyway — the only, explicitly-counted soft
             spot, sized by the labeled fraction, never the firehose).
-        policy: shedding policy name (see :data:`SHED_POLICIES` or a
-            :func:`register_shed_policy` name).
+        policy: shedding policy name (one of :data:`SHED_POLICIES`).
         high_watermark: backlog fraction above which
             :attr:`backpressure` asserts.
         low_watermark: backlog fraction below which the queue reports
@@ -175,17 +125,16 @@ class BoundedIngestQueue:
         policy: str = "drop-oldest",
         high_watermark: float = 0.8,
         low_watermark: float = 0.5,
-        sample_keep: float = 0.5,
-        seed: int = 29,
+        sample_keep: float = SAMPLE_KEEP,
+        seed: int = SHED_SEED,
         metrics: Optional["MetricsRegistry"] = None,
         telemetry: Optional["TelemetrySink"] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if policy not in SHED_POLICY_REGISTRY:
+        if policy not in SHED_POLICIES:
             raise ValueError(
-                f"unknown shed policy {policy!r}; "
-                f"known: {sorted(SHED_POLICY_REGISTRY)}"
+                f"unknown shed policy {policy!r}; known: {list(SHED_POLICIES)}"
             )
         if not 0.0 < high_watermark <= 1.0:
             raise ValueError("high_watermark must be in (0, 1]")
@@ -245,17 +194,10 @@ class BoundedIngestQueue:
                 self.depth_fraction
             )
 
-    # -- internal structure (used by shed policies) ----------------------
-
     def _append(self, entry: QueueEntry) -> None:
         (self._labeled if entry.tweet.is_labeled else self._unlabeled).append(
             entry
         )
-
-    def _pop_oldest_unlabeled(self) -> Optional[QueueEntry]:
-        if not self._unlabeled:
-            return None
-        return self._unlabeled.popleft()
 
     # -- offer / drain ---------------------------------------------------
 
@@ -264,8 +206,10 @@ class BoundedIngestQueue:
 
         When the queue is full: a labeled arrival displaces the oldest
         unlabeled queued tweet (or is soft-admitted if none exists);
-        an unlabeled arrival is resolved by the shedding policy. Every
-        shed tweet increments ``overload_shed_total{policy}``.
+        for an unlabeled arrival :func:`evicts_oldest` decides between
+        displacing the oldest unlabeled queued tweet and shedding the
+        arrival. Every shed tweet increments
+        ``overload_shed_total{policy}``.
         """
         self.n_offered += 1
         entry = QueueEntry(tweet=tweet, seq=self._seq, arrival_s=arrival_s)
@@ -277,12 +221,21 @@ class BoundedIngestQueue:
             # Labeled tweets are never shed: model training must not
             # starve during a burst (§V-E's mixture guarantees labeled
             # traffic is a small fraction of the firehose).
-            shed = self._pop_oldest_unlabeled()
-            if shed is None:
+            if self._unlabeled:
+                shed = self._unlabeled.popleft()
+            else:
                 self.n_over_capacity += 1
             self._append(entry)
+        elif (
+            evicts_oldest(self.policy, self._rng, self.sample_keep)
+            and self._unlabeled
+        ):
+            # Decide first: ``sample`` draws even when the backlog is
+            # all labeled, and the seeded stream must not shift.
+            shed = self._unlabeled.popleft()
+            self._append(entry)
         else:
-            shed = SHED_POLICY_REGISTRY[self.policy](self, entry)
+            shed = entry
         admitted = shed is not entry
         if admitted:
             self.n_admitted += 1

@@ -12,8 +12,7 @@ live. It is split along the process boundary:
   deadline-aware scorer built from one verified snapshot (degrade
   tiers instead of errors);
 * :mod:`repro.serve.admission` — bounded-waiting-room admission
-  control with the shared shed-policy vocabulary, plus the rolling
-  per-endpoint circuit breaker;
+  control, shedding by the ingest queue's policies and decision;
 * :mod:`repro.serve.wire` — the socket layer: one selector-driven
   connection object per accepted socket, one bounded framer for HTTP
   and JSONL, pre-encoded reply heads;
@@ -26,13 +25,7 @@ fed by ``repro run ... --publish-snapshot SNAPSHOT_DIR`` or
 ``repro snapshot publish``.
 """
 
-from repro.serve.admission import (
-    ADMISSION_POLICY_REGISTRY,
-    AdmissionController,
-    RequestShed,
-    RollingBreaker,
-    register_admission_policy,
-)
+from repro.serve.admission import AdmissionController, RequestShed
 from repro.serve.model import ServingModel
 from repro.serve.server import (
     AggressionServer,
@@ -50,11 +43,9 @@ from repro.serve.snapshot import (
 )
 
 __all__ = [
-    "ADMISSION_POLICY_REGISTRY",
     "AdmissionController",
     "AggressionServer",
     "RequestShed",
-    "RollingBreaker",
     "ServingModel",
     "SNAPSHOT_VERSION",
     "SnapshotInfo",
@@ -63,7 +54,6 @@ __all__ = [
     "default_serve_slos",
     "payload_from_checkpoint",
     "payload_from_source",
-    "register_admission_policy",
     "snapshot_payload",
     "tweet_from_payload",
 ]

@@ -43,9 +43,6 @@ from repro.streamml.slr import StreamingLogisticRegression
 from repro.text.lexicons import SWEAR_WORDS
 from repro.text.tokenizer import words
 
-#: Degradation ladder, cheapest-last (mirrors the overload controller).
-TIER_LADDER = (DegradeTier.FULL, DegradeTier.NO_POS, DegradeTier.TEXT_ONLY)
-
 #: EWMA smoothing for per-tier latency estimates.
 _EWMA_ALPHA = 0.2
 
@@ -70,16 +67,17 @@ class ServingModel:
         self.normalizer = normalizer_from_dict(payload["normalizer"])
         self.model = model_from_dict(payload["model"])
         self.n_classified = 0
-        # Per-tier cost EWMAs, seeded lazily from observed requests.
-        self._tier_cost_s: Dict[int, Optional[float]] = {
-            int(tier): None for tier in TIER_LADDER
-        }
+        # Per-tier cost EWMAs, seeded lazily from observed requests;
+        # keyed in ladder order, which ``choose_tier`` walks.
+        self._tier_cost_s: Dict[DegradeTier, Optional[float]] = (
+            dict.fromkeys(DegradeTier)
+        )
 
     # -- deadline-aware tier choice ------------------------------------
 
     def tier_cost_estimate(self, tier: DegradeTier) -> Optional[float]:
         """Current EWMA cost estimate for one tier (None = unobserved)."""
-        return self._tier_cost_s[int(tier)]
+        return self._tier_cost_s[tier]
 
     def choose_tier(self, budget_s: Optional[float]) -> DegradeTier:
         """Cheapest-necessary tier for the remaining budget.
@@ -93,18 +91,17 @@ class ServingModel:
         """
         if budget_s is None:
             return DegradeTier.FULL
-        for tier in TIER_LADDER:
-            estimate = self._tier_cost_s[int(tier)]
+        for tier, estimate in self._tier_cost_s.items():
             if estimate is None or estimate <= budget_s * _BUDGET_HEADROOM:
                 return tier
-        return TIER_LADDER[-1]
+        return DegradeTier.TEXT_ONLY
 
     def _observe_cost(self, tier: DegradeTier, elapsed_s: float) -> None:
-        prior = self._tier_cost_s[int(tier)]
+        prior = self._tier_cost_s[tier]
         if prior is None:
-            self._tier_cost_s[int(tier)] = elapsed_s
+            self._tier_cost_s[tier] = elapsed_s
         else:
-            self._tier_cost_s[int(tier)] = (
+            self._tier_cost_s[tier] = (
                 _EWMA_ALPHA * elapsed_s + (1.0 - _EWMA_ALPHA) * prior
             )
 

@@ -18,8 +18,9 @@ built to keep answering through overload, corrupt state, and restarts:
 * **Shed before collapsing.** Admission control bounds concurrency
   and the waiting room with the shared shed-policy vocabulary;
   overflow is refused with ``429`` + ``Retry-After`` derived from the
-  observed service rate. A rolling per-endpoint circuit breaker stops
-  a faulting handler from burning the whole line.
+  observed service rate. A windowed per-endpoint circuit breaker (the
+  streaming one, with half-open probes) stops a faulting handler from
+  burning the whole line.
 * **Drain before exiting.** SIGTERM stops accepting, lets in-flight
   requests finish (bounded by ``drain_timeout_s``), then exits
   cleanly.
@@ -62,11 +63,8 @@ from repro.obs.logconfig import get_logger
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import SLO, SLOTracker
-from repro.serve.admission import (
-    AdmissionController,
-    RequestShed,
-    RollingBreaker,
-)
+from repro.reliability.deadletter import CircuitBreaker
+from repro.serve.admission import AdmissionController, RequestShed
 from repro.serve import wire
 from repro.serve.model import ServingModel
 from repro.serve.snapshot import (
@@ -232,8 +230,6 @@ class AggressionServer:
         recorder: Optional[FlightRecorder] = None,
         slos: Optional[SLOTracker] = None,
         slo_every: int = 32,
-        breaker_window: int = 64,
-        breaker_max_failure_rate: float = 0.5,
         chaos_hook: Optional[Callable[[str], Awaitable[None]]] = None,
     ) -> None:
         self.store = store
@@ -258,8 +254,10 @@ class AggressionServer:
             policy=shed_policy,
             metrics=self.metrics,
         )
-        self.breakers: Dict[str, RollingBreaker] = {
-            endpoint: RollingBreaker(breaker_window, breaker_max_failure_rate)
+        self.breakers: Dict[str, CircuitBreaker] = {
+            endpoint: CircuitBreaker(
+                max_failure_rate=0.5, min_events=8, window=64
+            )
             for endpoint in SCORING_ENDPOINTS
         }
         self._current: Optional[_LoadedSnapshot] = None
@@ -612,7 +610,7 @@ class AggressionServer:
         endpoint: str,
         payload: Dict[str, Any],
         start: float,
-        breaker: RollingBreaker,
+        breaker: CircuitBreaker,
     ) -> wire.Reply:
         try:
             try:
@@ -639,7 +637,7 @@ class AggressionServer:
         endpoint: str,
         payload: Dict[str, Any],
         start: float,
-        breaker: RollingBreaker,
+        breaker: CircuitBreaker,
         snap: _LoadedSnapshot,
         hook_error: Optional[Exception] = None,
     ) -> wire.Reply:

@@ -17,12 +17,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.reliability import StreamSupervisor
 from repro.reliability.supervisor import SUPERVISOR_CHECKPOINT_VERSION
 from repro.streamml.serialize import SerializationError
-from repro.reliability.overload import (
-    SHED_POLICY_REGISTRY,
-    BoundedIngestQueue,
-    OverloadController,
-    register_shed_policy,
-)
+from repro.reliability.overload import BoundedIngestQueue, OverloadController
 
 #: Per-tweet service model by degrade tier: cheaper features run faster.
 SERVICE_MODEL = {0: 0.0008, 1: 0.0005, 2: 0.0003}
@@ -192,25 +187,6 @@ class TestBoundedIngestQueue:
         assert [t.tweet_id for t in queue.drain(15)] == [
             t.tweet_id for t in restored.drain(15)
         ]
-
-    def test_custom_policy_registration(self):
-        def shed_everything(queue, entry):
-            return entry
-
-        register_shed_policy("refuse-all", shed_everything)
-        try:
-            queue = BoundedIngestQueue(capacity=2, policy="refuse-all")
-            tweets = _unlabeled(5)
-            for tweet in tweets:
-                queue.offer(tweet)
-            assert queue.n_shed == 3
-            assert [t.tweet_id for t in queue.drain(2)] == [
-                t.tweet_id for t in tweets[:2]
-            ]
-        finally:
-            SHED_POLICY_REGISTRY.pop("refuse-all")
-        with pytest.raises(ValueError):
-            register_shed_policy("", shed_everything)
 
 
 class TestOverloadController:

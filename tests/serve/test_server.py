@@ -6,13 +6,8 @@ import asyncio
 
 import pytest
 
-from repro.serve.admission import (
-    ADMISSION_POLICY_REGISTRY,
-    AdmissionController,
-    RequestShed,
-    RollingBreaker,
-    register_admission_policy,
-)
+from repro.reliability.deadletter import PROBE_EVERY, CircuitBreaker
+from repro.serve.admission import AdmissionController, RequestShed
 from repro.serve.server import AggressionServer, tweet_from_payload
 from repro.serve.snapshot import SnapshotStore
 
@@ -277,15 +272,13 @@ class TestDeadlineDegradation:
 
 class TestBreaker:
     def test_opens_after_failure_burst_and_probes(self):
-        breaker = RollingBreaker(
-            window=16, max_failure_rate=0.5, min_events=4, probe_every=3
-        )
+        breaker = CircuitBreaker(0.5, min_events=4, window=16)
         for _ in range(8):
             breaker.record(True)
         assert breaker.is_open
-        assert breaker.n_opens == 1
-        allowed = [breaker.allow() for _ in range(6)]
-        assert allowed == [False, False, True, False, False, True]
+        allowed = [breaker.allow() for _ in range(2 * PROBE_EVERY)]
+        probe = [False] * (PROBE_EVERY - 1) + [True]
+        assert allowed == probe + probe
         # Probe successes refill the window until it closes again.
         for _ in range(16):
             breaker.record(False)
@@ -294,15 +287,13 @@ class TestBreaker:
 
     def test_endpoint_circuit_returns_503(self, tmp_path, trained_payload):
         async def main():
-            _, server = _serve(
-                tmp_path, trained_payload,
-                breaker_window=8, breaker_max_failure_rate=0.4,
-            )
+            _, server = _serve(tmp_path, trained_payload)
             await server.start()
             try:
-                # Force the classify breaker open by recording failures
-                # directly (a handler bug would do the same organically).
-                for _ in range(8):
+                # Force the classify breaker open by filling its window
+                # with failures (a handler bug would do the same
+                # organically).
+                for _ in range(64):
                     server.breakers["classify"].record(True)
                 statuses = []
                 for _ in range(2):
@@ -323,25 +314,6 @@ class TestBreaker:
 
 
 class TestAdmissionController:
-    def test_policy_registry_covers_shared_names(self):
-        from repro.reliability.overload import SHED_POLICIES
-
-        assert set(SHED_POLICIES) <= set(ADMISSION_POLICY_REGISTRY)
-
-    def test_custom_policy_registration(self):
-        def always_shed(controller):
-            return False, False
-
-        register_admission_policy("test-always-shed", always_shed)
-        try:
-            controller = AdmissionController(
-                max_inflight=1, queue_capacity=0,
-                policy="test-always-shed",
-            )
-            assert controller.policy == "test-always-shed"
-        finally:
-            ADMISSION_POLICY_REGISTRY.pop("test-always-shed")
-
     def test_drop_oldest_sheds_waiter_not_arrival(self):
         async def main():
             controller = AdmissionController(

@@ -206,10 +206,10 @@ def run_script(payload: Dict[str, Any], scratch: Path) -> Dict[str, str]:
             port, [b'{"op":"classify","text":"hi"}', b'{"op":"ready"}']
         )
 
-    with _serve(scratch / "breaker", payload, breaker_window=8) as server:
+    with _serve(scratch / "breaker", payload) as server:
         port = server.port
         breaker = server.server.breakers["classify"]
-        server.call(lambda: [breaker.record(True) for _ in range(8)])
+        server.call(lambda: [breaker.record(True) for _ in range(64)])
         out["circuit_open"] = exchange(port, http("POST", "/classify", classify))
         out["circuit_open_jsonl"] = _jsonl(
             port, [b'{"op":"classify","text":"hi"}']

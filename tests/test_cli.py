@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.reliability.overload import SHED_POLICIES
 
 
 class TestGenerate:
@@ -110,6 +111,43 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize("argv, error", [
+        (["run", "in.jsonl", "--max-poison-rate", "1.5"],
+         "argument --max-poison-rate: must be in [0, 1]"),
+        (["run", "in.jsonl", "--max-poison-rate", "-0.01"],
+         "argument --max-poison-rate: must be in [0, 1]"),
+        (["serve", "snaps", "--queue-capacity", "-1"],
+         "argument --queue-capacity: must be >= 0"),
+    ])
+    def test_bad_value_exits_2_with_one_line(self, argv, error, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(error)
+        assert "Traceback" not in err
+
+    def test_edge_values_parse(self):
+        parser = build_parser()
+        for rate in ("0", "1"):
+            args = parser.parse_args(
+                ["run", "in.jsonl", "--max-poison-rate", rate]
+            )
+            assert args.max_poison_rate == float(rate)
+        args = parser.parse_args(["serve", "snaps", "--queue-capacity", "0"])
+        assert args.queue_capacity == 0
+
+    @pytest.mark.parametrize(
+        "command", [["run", "in.jsonl"], ["serve", "snaps"]]
+    )
+    def test_shed_policy_choices_are_the_shared_names(self, command):
+        parser = build_parser()
+        for policy in SHED_POLICIES:
+            args = parser.parse_args(command + ["--shed-policy", policy])
+            assert args.shed_policy == policy
+        with pytest.raises(SystemExit):
+            parser.parse_args(command + ["--shed-policy", "drop-random"])
 
 
 class TestReport:
