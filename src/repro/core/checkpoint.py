@@ -19,11 +19,11 @@ never a torn file — the invariant the stream supervisor's
 checkpoint-resume guarantee and the serving layer's snapshot store
 rest on.
 
-The engines' state format lives here too: :func:`engine_to_dict` /
-:func:`engine_from_dict` wrap the pipeline payload for the sequential
-engine and the micro-batch engine's equivalent state (which shares the
-alert-manager and sampler serializers), tagged by ``engine.kind``. The
-stream supervisor's checkpoint embeds that payload.
+The engines' state format lives here too: both engines keep their
+detector state in one pipeline, so :func:`engine_to_dict` /
+:func:`engine_from_dict` wrap the same pipeline payload, tagged by
+``engine.kind``, plus the micro-batch engine's partitioning and batch
+history. The stream supervisor's checkpoint embeds that payload.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from repro.streamml.serialize import (
 from repro.streamml.instance import ClassifiedInstance, Instance
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.engine.microbatch import MicroBatchEngine, MicroBatchResult
+    from repro.engine.microbatch import MicroBatchResult
     from repro.engine.protocol import Engine
 
 CHECKPOINT_VERSION = 2
@@ -503,13 +503,18 @@ def pipeline_to_dict(pipeline: AggressionDetectionPipeline) -> Dict[str, Any]:
     }
 
 
-def pipeline_from_dict(payload: Dict[str, Any]) -> AggressionDetectionPipeline:
-    """Rebuild a pipeline that continues exactly where the saved one was."""
+def restore_pipeline(
+    pipeline: AggressionDetectionPipeline, payload: Dict[str, Any]
+) -> None:
+    """Load :func:`pipeline_to_dict` state into a live pipeline.
+
+    ``pipeline`` must be built with the payload's config. Its wiring —
+    registry, metric label, dead-letter queue, breaker — stays as
+    built, so whatever wraps it needs no rebinding.
+    """
     version = payload.get("checkpoint_version")
     if version != CHECKPOINT_VERSION:
         raise SerializationError(f"unsupported checkpoint version {version!r}")
-    config = config_from_dict(payload["config"])
-    pipeline = AggressionDetectionPipeline(config)
     pipeline.model = model_from_dict(payload["model"])
     pipeline.normalizer = normalizer_from_dict(payload["normalizer"])
     pipeline.bag_of_words = _bow_from_dict(payload["bag_of_words"])
@@ -522,6 +527,12 @@ def pipeline_from_dict(payload: Dict[str, Any]) -> AggressionDetectionPipeline:
     pipeline.n_quarantined = int(counters.get("n_quarantined", 0))
     restore_alert_manager(pipeline.alert_manager, payload["alerting"])
     restore_sampler(pipeline.sampler, payload["sampler"])
+
+
+def pipeline_from_dict(payload: Dict[str, Any]) -> AggressionDetectionPipeline:
+    """Rebuild a pipeline that continues exactly where the saved one was."""
+    pipeline = AggressionDetectionPipeline(config_from_dict(payload["config"]))
+    restore_pipeline(pipeline, payload)
     return pipeline
 
 
@@ -555,10 +566,30 @@ def _rng_state_from_json(payload) -> tuple:
 # ----------------------------------------------------------------------
 
 def engine_to_dict(engine: "Engine") -> Dict[str, Any]:
-    """Serialize an engine's complete training state (tagged by kind)."""
+    """Serialize an engine's complete training state (tagged by kind).
+
+    The engine is drained first: a pipelined micro-batch engine may
+    hold one in-flight batch whose merges have not landed, and a
+    snapshot taken mid-flight would drop it (its tweets were consumed
+    from the stream but are in no checkpoint), so draining makes the
+    checkpoint exactly-once. Runner/pool configuration is *not* state —
+    the resumer chooses it (the pipelined flag is recorded so a resume
+    keeps the mode).
+    """
+    engine.drain()
+    payload = {
+        "engine": engine.kind,
+        "pipeline": pipeline_to_dict(engine.pipeline),
+    }
     if engine.kind == "microbatch":
-        return microbatch_engine_to_dict(engine)
-    return {"engine": engine.kind, "pipeline": pipeline_to_dict(engine.pipeline)}
+        payload.update(
+            n_partitions=engine.n_partitions,
+            batch_size=engine.batch_size,
+            pipelined=engine.pipelined,
+            n_retries=engine.n_retries,
+            batches=[_batch_result_to_dict(b) for b in engine.batches],
+        )
+    return payload
 
 
 def engine_from_dict(payload: Dict[str, Any], **wiring: Any) -> "Engine":
@@ -569,23 +600,68 @@ def engine_from_dict(payload: Dict[str, Any], **wiring: Any) -> "Engine":
     so the resumer chooses it: ``dead_letters`` and ``max_poison_rate``
     for either engine, plus ``runner``, ``n_workers``, ``retry_policy``,
     ``partition_deadline_s``, ``speculate`` and ``recorder`` for the
-    micro-batch engine.
+    micro-batch engine. The saved pipeline state is loaded into the new
+    engine's own pipeline.
     """
     kind = payload["engine"]
     if kind == "microbatch":
-        return microbatch_engine_from_dict(payload, **wiring)
-    if kind != "sequential":
-        raise SerializationError(f"unknown engine kind {kind!r}")
-    from repro.engine.sequential import SequentialEngine
+        from repro.engine.microbatch import MicroBatchEngine
 
-    engine = SequentialEngine(
-        dead_letters=wiring.get("dead_letters"),
-        max_poison_rate=wiring.get("max_poison_rate"),
-    )
-    pipeline = pipeline_from_dict(payload["pipeline"])
-    pipeline.dead_letters, pipeline.breaker = engine.dead_letters, engine.breaker
-    engine.replace_pipeline(pipeline)
+        if "pipeline" not in payload:
+            payload = _microbatch_payload_from_flat(payload)
+        engine: Any = MicroBatchEngine(
+            config_from_dict(payload["pipeline"]["config"]),
+            n_partitions=int(payload["n_partitions"]),
+            batch_size=int(payload["batch_size"]),
+            pipelined=bool(payload.get("pipelined", False)),
+            **wiring,
+        )
+        engine.n_retries = int(payload["n_retries"])
+        engine.batches = [
+            _batch_result_from_dict(b) for b in payload["batches"]
+        ]
+    elif kind == "sequential":
+        from repro.engine.sequential import SequentialEngine
+
+        engine = SequentialEngine(
+            config_from_dict(payload["pipeline"]["config"]),
+            dead_letters=wiring.get("dead_letters"),
+            max_poison_rate=wiring.get("max_poison_rate"),
+        )
+    else:
+        raise SerializationError(f"unknown engine kind {kind!r}")
+    restore_pipeline(engine.pipeline, payload["pipeline"])
     return engine
+
+
+def _microbatch_payload_from_flat(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Micro-batch engine state from the previous (flat) payload.
+
+    Kept one format back so existing checkpoints resume: the flat
+    layout held the pipeline's sections at the top level, the
+    cumulative confusion matrix in place of an evaluator, and the
+    retry count among the counters.
+    """
+    config = config_from_dict(payload["config"])
+    evaluator = _evaluator_to_dict(
+        PrequentialEvaluator(
+            n_classes=config.n_classes,
+            window=config.evaluation_window,
+            record_every=config.record_every,
+        )
+    )
+    evaluator["cumulative"] = payload["cumulative"]
+    sections = ("config", "model", "normalizer", "bag_of_words",
+                "counters", "alerting", "sampler")
+    return dict(
+        payload,
+        pipeline=dict(
+            {key: payload[key] for key in sections},
+            checkpoint_version=CHECKPOINT_VERSION,
+            evaluator=evaluator,
+        ),
+        n_retries=payload["counters"]["n_retries"],
+    )
 
 
 def _batch_result_to_dict(batch: "MicroBatchResult") -> Dict[str, Any]:
@@ -598,117 +674,3 @@ def _batch_result_from_dict(payload: Dict[str, Any]) -> "MicroBatchResult":
 
     stages = StageTimings(**payload["stage_seconds"])
     return MicroBatchResult(**dict(payload, stage_seconds=stages))
-
-
-def microbatch_engine_to_dict(engine: "MicroBatchEngine") -> Dict[str, Any]:
-    """Serialize a micro-batch engine's complete training state.
-
-    Mirrors :func:`pipeline_to_dict` for the engine: model, normalizer,
-    BoW, cumulative confusion matrix, alert manager (full audit log),
-    sampler (RNG included), and counters. Runner/pool configuration is
-    *not* state — the resumer chooses it (the pipelined flag is
-    recorded so a resume keeps the mode). The engine is drained first:
-    a pipelined engine may hold one in-flight batch whose merges have
-    not landed, and a snapshot taken mid-flight would drop it (its
-    tweets were consumed from the stream but are in no checkpoint), so
-    draining makes the checkpoint exactly-once.
-    """
-    engine.drain()
-    return {
-        "engine": "microbatch",
-        "n_partitions": engine.n_partitions,
-        "batch_size": engine.batch_size,
-        "pipelined": engine.pipelined,
-        "config": config_to_dict(engine.config),
-        "model": model_to_dict(engine.model),
-        "normalizer": normalizer_to_dict(engine.normalizer),
-        "bag_of_words": _bow_to_dict(engine.bag_of_words),
-        "cumulative": engine.cumulative.matrix,
-        "alerting": alert_manager_to_dict(engine.alert_manager),
-        "sampler": sampler_to_dict(engine.sampler),
-        "counters": {
-            "n_processed": engine.n_processed,
-            "n_labeled": engine.n_labeled,
-            "n_unlabeled": engine.n_unlabeled,
-            "n_quarantined": engine.n_quarantined,
-            "n_retries": engine.n_retries,
-        },
-        "batches": [_batch_result_to_dict(b) for b in engine.batches],
-        "stage_seconds": engine.stage_seconds.as_dict(),
-    }
-
-
-def microbatch_engine_from_dict(
-    payload: Dict[str, Any], **wiring: Any
-) -> "MicroBatchEngine":
-    """Rebuild a micro-batch engine that continues exactly where the
-    saved one was; ``wiring`` goes to the constructor (see
-    :func:`engine_from_dict`)."""
-    from repro.engine.microbatch import MicroBatchEngine
-
-    engine = MicroBatchEngine(
-        config_from_dict(payload["config"]),
-        n_partitions=int(payload["n_partitions"]),
-        batch_size=int(payload["batch_size"]),
-        pipelined=bool(payload.get("pipelined", False)),
-        **wiring,
-    )
-    engine.model = model_from_dict(payload["model"])
-    engine.normalizer = normalizer_from_dict(payload["normalizer"])
-    engine.bag_of_words = _bow_from_dict(payload["bag_of_words"])
-    engine.cumulative.matrix = [
-        [float(v) for v in row] for row in payload["cumulative"]
-    ]
-    engine.cumulative.total = sum(
-        sum(row) for row in engine.cumulative.matrix
-    )
-    restore_alert_manager(engine.alert_manager, payload["alerting"])
-    restore_sampler(engine.sampler, payload["sampler"])
-    counters = payload["counters"]
-    engine.n_processed = int(counters["n_processed"])
-    engine.n_labeled = int(counters["n_labeled"])
-    engine.n_unlabeled = int(counters["n_unlabeled"])
-    engine.n_quarantined = int(counters["n_quarantined"])
-    engine.n_retries = int(counters["n_retries"])
-    engine.batches = [_batch_result_from_dict(b) for b in payload["batches"]]
-    _seed_registry_from_counters(engine)
-    return engine
-
-
-def _seed_registry_from_counters(engine: "MicroBatchEngine") -> None:
-    """Approximate the restored engine's registry from its counters.
-
-    ``stage_seconds`` is a view over the registry, so a restored engine
-    must carry span history: each stage's saved total becomes a single
-    histogram observation (exact sums, coarser distributions), and the
-    data-flow counters are replayed. A supervisor-level resume then
-    *replaces* all of this with the checkpoint's exact snapshot — this
-    seeding only matters for standalone engine restores.
-    """
-    registry = engine.metrics
-    for batch in engine.batches:
-        for stage, seconds in batch.stage_seconds.as_dict().items():
-            registry.histogram(
-                "stage_seconds", engine="microbatch", stage=stage
-            ).observe(float(seconds))
-        engine._batch_hist.observe(batch.elapsed_seconds)
-    engine._m_batches.inc(len(engine.batches))
-    engine._m_ingested.inc(engine.n_processed + engine.n_quarantined)
-    if engine.n_retries:
-        engine._m_retries.inc(engine.n_retries)
-    registry.counter("tweets_processed_total", engine="microbatch").inc(
-        engine.n_processed
-    )
-    registry.counter("tweets_labeled_total", engine="microbatch").inc(
-        engine.n_labeled
-    )
-    registry.counter("tweets_unlabeled_total", engine="microbatch").inc(
-        engine.n_unlabeled
-    )
-    if engine.n_quarantined:
-        registry.counter(
-            "tweets_quarantined_total", engine="microbatch", stage="partition"
-        ).inc(engine.n_quarantined)
-    if engine.alert_manager.n_alerts:
-        engine._m_alerts.inc(engine.alert_manager.n_alerts)
-    engine._publish_gauges()

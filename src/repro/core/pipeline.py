@@ -22,8 +22,9 @@ error propagates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.adaptive_bow import AdaptiveBagOfWords, FixedBagOfWords
 from repro.core.alerting import Alert, AlertManager, AlertPolicy
@@ -38,14 +39,14 @@ from repro.core.features import (
 from repro.core.normalization import Normalizer, make_normalizer
 from repro.core.sampling import BoostedRandomSampler
 from repro.data.tweet import Tweet
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.reliability.deadletter import (
     CircuitBreaker,
     DeadLetterQueue,
     validate_tweet,
 )
 from repro.streamml.base import StreamClassifier
-from repro.streamml.instance import ClassifiedInstance, Instance
+from repro.streamml.instance import ClassifiedInstance
 
 
 @dataclass
@@ -75,6 +76,8 @@ class AggressionDetectionPipeline:
     #: count/sum stay exact per tweet, the P² sketches ingest every 8th
     #: observation, keeping instrumentation ~1-2% of per-tweet cost.
     STAGE_SKETCH_EVERY = 8
+    #: The per-tweet stages those histograms time, in pipeline order.
+    STAGES = ("extract", "normalize", "predict", "learn", "alert")
 
     def __init__(
         self,
@@ -82,6 +85,7 @@ class AggressionDetectionPipeline:
         dead_letters: Optional[DeadLetterQueue] = None,
         max_poison_rate: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
+        engine: str = "sequential",
     ) -> None:
         self.config = config if config is not None else PipelineConfig()
         self.dead_letters = dead_letters
@@ -132,51 +136,53 @@ class AggressionDetectionPipeline:
         # Observability: bound references so the per-tweet hot path pays
         # one attribute load + one method call per metric, no dict
         # lookups. The registry is shared with whatever engine or
-        # supervisor wraps this pipeline.
+        # supervisor wraps this pipeline, and ``engine`` is its label.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        engine_label = "sequential"
+        self.engine_label = engine
         self._m_processed = self.metrics.counter(
-            "tweets_processed_total", engine=engine_label
+            "tweets_processed_total", engine=engine
         )
         self._m_labeled = self.metrics.counter(
-            "tweets_labeled_total", engine=engine_label
+            "tweets_labeled_total", engine=engine
         )
         self._m_unlabeled = self.metrics.counter(
-            "tweets_unlabeled_total", engine=engine_label
+            "tweets_unlabeled_total", engine=engine
         )
-        self._m_alerts = self.metrics.counter(
-            "alerts_total", engine=engine_label
-        )
-        self._stage_hists = {
+        self._m_alerts = self.metrics.counter("alerts_total", engine=engine)
+        self.publish_gauges()
+
+    @cached_property
+    def _stage_hists(self) -> Dict[str, Histogram]:
+        # Registered on the first process() call, so a driver that only
+        # merges partition work into this state (the micro-batch
+        # engine) grows no empty per-tweet histograms.
+        return {
             stage: self.metrics.histogram(
                 "tweet_stage_seconds",
                 sketch_every=self.STAGE_SKETCH_EVERY,
-                engine=engine_label,
+                engine=self.engine_label,
                 stage=stage,
             )
-            for stage in ("extract", "normalize", "predict", "learn", "alert")
+            for stage in self.STAGES
         }
-        self._publish_gauges()
 
-    def _publish_gauges(self) -> None:
+    def publish_gauges(self) -> None:
         """Refresh the point-in-time gauges (BoW size, normalizer state)."""
         gauge = self.metrics.gauge
-        gauge("bow_size", engine="sequential").set(len(self.bag_of_words))
+        engine = self.engine_label
+        gauge("bow_size", engine=engine).set(len(self.bag_of_words))
         if isinstance(self.bag_of_words, AdaptiveBagOfWords):
-            gauge("bow_words_added", engine="sequential").set(
+            gauge("bow_words_added", engine=engine).set(
                 self.bag_of_words.n_added
             )
-            gauge("bow_words_removed", engine="sequential").set(
+            gauge("bow_words_removed", engine=engine).set(
                 self.bag_of_words.n_removed
             )
-        gauge("normalizer_observed", engine="sequential").set(
+        gauge("normalizer_observed", engine=engine).set(
             self.normalizer.observed
         )
-        gauge("normalizer_clip_ratio", engine="sequential").set(
+        gauge("normalizer_clip_ratio", engine=engine).set(
             self.normalizer.clip_ratio
-        )
-        gauge("degrade_level", engine="sequential").set(
-            int(self.extractor.tier)
         )
 
     @property
@@ -192,9 +198,6 @@ class AggressionDetectionPipeline:
         switches — see :class:`~repro.core.features.DegradeTier`.
         """
         self.extractor.tier = DegradeTier(tier)
-        self.metrics.gauge("degrade_level", engine="sequential").set(
-            int(self.extractor.tier)
-        )
 
     # ------------------------------------------------------------------
     # Per-tweet processing
@@ -267,12 +270,27 @@ class AggressionDetectionPipeline:
             hists["alert"].observe(perf_counter() - t_predict)
         return classified
 
+    def drain_unlabeled(
+        self, unlabeled: Sequence[Tuple[ClassifiedInstance, Optional[str]]]
+    ) -> None:
+        """Alert on and sample classified unlabeled tweets in one call.
+
+        The batched form of :meth:`process`'s unlabeled tail, for a
+        driver whose partitions already classified the tweets: takes
+        ``(classified, user_id)`` pairs in stream order.
+        """
+        before = self.alert_manager.n_alerts
+        self.alert_manager.process_batch(unlabeled)
+        self.sampler.offer_many(classified for classified, _ in unlabeled)
+        if self.alert_manager.n_alerts > before:
+            self._m_alerts.inc(self.alert_manager.n_alerts - before)
+
     def _quarantine(self, tweet: Tweet, stage: str, exc: Exception) -> None:
         """Route a poison tweet to the dead-letter queue; maybe trip."""
         assert self.dead_letters is not None
         self.n_quarantined += 1
         self.metrics.counter(
-            "tweets_quarantined_total", engine="sequential", stage=stage
+            "tweets_quarantined_total", engine=self.engine_label, stage=stage
         ).inc()
         self.dead_letters.add_failure(
             getattr(tweet, "tweet_id", None), stage, exc
@@ -313,7 +331,7 @@ class AggressionDetectionPipeline:
         bow_history: List[Tuple[int, int]] = []
         if isinstance(self.bag_of_words, AdaptiveBagOfWords):
             bow_history = list(self.bag_of_words.size_history)
-        self._publish_gauges()
+        self.publish_gauges()
         return PipelineResult(
             config=self.config,
             n_processed=self.n_processed,

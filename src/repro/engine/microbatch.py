@@ -87,10 +87,10 @@ import traceback as traceback_module
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     ContextManager,
     Dict,
     Iterable,
@@ -102,17 +102,11 @@ from typing import (
 )
 
 from repro.core.adaptive_bow import AdaptiveBagOfWords, FixedBagOfWords
-from repro.core.alerting import AlertManager, AlertPolicy
-from repro.core.config import PipelineConfig, create_model
+from repro.core.config import PipelineConfig
 from repro.core.evaluation import ConfusionMatrix
-from repro.core.features import (
-    N_FEATURES,
-    DegradeTier,
-    FeatureExtractor,
-    LabelEncoder,
-)
-from repro.core.normalization import Normalizer, make_normalizer
-from repro.core.sampling import BoostedRandomSampler
+from repro.core.features import DegradeTier, FeatureExtractor, LabelEncoder
+from repro.core.normalization import Normalizer
+from repro.core.pipeline import AggressionDetectionPipeline
 from repro.data.tweet import Tweet
 from repro.engine.runners import (
     OUTCOME_TIMED_OUT,
@@ -139,7 +133,6 @@ from repro.obs.tracing import (
     stage_seconds_by_stage,
 )
 from repro.reliability.deadletter import (
-    CircuitBreaker,
     DeadLetterQueue,
     DeadLetterRecord,
     validate_tweet,
@@ -152,14 +145,6 @@ from repro.text.lexicons import SWEAR_WORDS
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.reliability.overload import OverloadController
     from repro.reliability.supervisor import RetryPolicy
-
-#: Driver-side callback fired after each completed micro-batch.
-BatchCallback = Callable[["MicroBatchResult"], None]
-
-#: Quantile-sketch sampling factor for the per-tweet stage histograms
-#: (matches the sequential pipeline's STAGE_SKETCH_EVERY): count/sum
-#: stay exact per tweet, P² sketches ingest every 8th observation.
-TWEET_SKETCH_EVERY = 8
 
 
 class _NullHistogram:
@@ -388,7 +373,7 @@ class _PartitionTask:
         self,
         tweets: TweetSlice,
         broadcast: StateBroadcast,
-        n_classes: int,
+        encoder: LabelEncoder,
         preprocessing: bool,
         deobfuscate: bool,
         adaptive_bow: bool,
@@ -398,7 +383,7 @@ class _PartitionTask:
     ) -> None:
         self.tweets = tweets
         self.broadcast = broadcast
-        self.n_classes = n_classes
+        self.encoder = encoder
         self.preprocessing = preprocessing
         self.deobfuscate = deobfuscate
         self.adaptive_bow = adaptive_bow
@@ -463,7 +448,7 @@ class _PartitionTask:
             stage_hists = {
                 hist_stage: registry.histogram(
                     "tweet_stage_seconds",
-                    sketch_every=TWEET_SKETCH_EVERY,
+                    sketch_every=AggressionDetectionPipeline.STAGE_SKETCH_EVERY,
                     engine="microbatch",
                     stage=hist_stage,
                 )
@@ -475,7 +460,7 @@ class _PartitionTask:
                 for hist_stage in ("extract", "normalize", "predict")
             }
         with _maybe_span(tracer, "derive_state"):
-            encoder = LabelEncoder(self.n_classes)
+            encoder = self.encoder
             bow_delta: Optional[AdaptiveBagOfWords] = None
             if self.adaptive_bow:
                 bow_delta = AdaptiveBagOfWords(
@@ -503,7 +488,7 @@ class _PartitionTask:
             base_clipped = seen.n_clipped
             local_normalizer = normalizer.fresh()
             local_model = _make_local_model(model)
-        stats = ConfusionMatrix(self.n_classes)
+        stats = ConfusionMatrix(encoder.n_classes)
         labeled: List[Instance] = []
         unlabeled: List[Tuple[ClassifiedInstance, Optional[str]]] = []
         poisoned: List[Tuple[Optional[str], str, str, str]] = []
@@ -624,7 +609,7 @@ class _PartitionTask:
             if labeled and self.worker_telemetry:
                 registry.histogram(
                     "tweet_stage_seconds",
-                    sketch_every=TWEET_SKETCH_EVERY,
+                    sketch_every=AggressionDetectionPipeline.STAGE_SKETCH_EVERY,
                     engine="microbatch",
                     stage="learn",
                 ).observe(time.perf_counter() - t_learn)
@@ -836,9 +821,6 @@ class MicroBatchEngine:
         metrics: share a :class:`MetricsRegistry` with the caller
             (supervisor, CLI); by default the engine creates its own.
             Partition-side snapshots fold into it every batch.
-        on_batch: driver-side callback invoked with each completed
-            :class:`MicroBatchResult` (after merges and metric folds) —
-            the telemetry hook for periodic snapshot export.
         controller: optional
             :class:`~repro.reliability.overload.OverloadController`. The
             engine reports each batch's elapsed time to it and adopts
@@ -885,7 +867,6 @@ class MicroBatchEngine:
         dead_letters: Optional[DeadLetterQueue] = None,
         max_poison_rate: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
-        on_batch: Optional["BatchCallback"] = None,
         controller: Optional["OverloadController"] = None,
         partition_deadline_s: Optional[float] = None,
         speculate: Optional[float] = None,
@@ -904,7 +885,16 @@ class MicroBatchEngine:
                 raise ValueError("speculate requires partition_deadline_s")
             if not 0.0 < speculate <= 1.0:
                 raise ValueError("speculate must be in (0, 1]")
-        self.config = config if config is not None else PipelineConfig()
+        # The detector state: partitions work on broadcast copies of
+        # it, and the driver merges their output into it.
+        self.pipeline = AggressionDetectionPipeline(
+            config,
+            dead_letters=dead_letters,
+            max_poison_rate=max_poison_rate,
+            metrics=metrics,
+            engine="microbatch",
+        )
+        self.metrics = self.pipeline.metrics
         self.n_partitions = n_partitions
         self.batch_size = batch_size
         self.partition_deadline_s = partition_deadline_s
@@ -915,12 +905,6 @@ class MicroBatchEngine:
             if retry_policy is not None
             else None
         )
-        self.dead_letters = dead_letters
-        self.breaker: Optional[CircuitBreaker] = None
-        if max_poison_rate is not None:
-            if self.dead_letters is None:
-                self.dead_letters = DeadLetterQueue()
-            self.breaker = CircuitBreaker(max_failure_rate=max_poison_rate)
         if runner is None:
             self.runner: Runner = SerialRunner()
             self._owns_runner = True
@@ -932,18 +916,6 @@ class MicroBatchEngine:
         else:
             self.runner = runner
             self._owns_runner = False
-        self.encoder = LabelEncoder(self.config.n_classes)
-        if self.config.adaptive_bow:
-            self.bag_of_words: object = AdaptiveBagOfWords()
-        else:
-            self.bag_of_words = FixedBagOfWords()
-        self.normalizer = make_normalizer(
-            self.config.normalization
-            if self.config.normalization_enabled
-            else "none",
-            N_FEATURES,
-        )
-        self.model: StreamClassifier = create_model(self.config)
         # Resident-state broadcasting: one versioned snapshot per batch,
         # pickled at most once into a shared-memory segment and cached
         # worker-side (runners module). The engine owns the live
@@ -952,28 +924,9 @@ class MicroBatchEngine:
         self._broadcast_key = new_broadcast_key("microbatch")
         self._state_version = 0
         self._broadcast: Optional[StateBroadcast] = None
-        self.cumulative = ConfusionMatrix(self.config.n_classes)
-        self.alert_manager = AlertManager(
-            AlertPolicy(
-                aggressive_classes=self.encoder.aggressive_classes,
-                min_confidence=self.config.alert_min_confidence,
-            )
-        )
-        self.sampler = BoostedRandomSampler(
-            capacity=self.config.sample_capacity,
-            boost=self.config.sample_boost,
-            aggressive_classes=self.encoder.aggressive_classes,
-            seed=self.config.seed,
-        )
         self.batches: List[MicroBatchResult] = []
-        self.n_processed = 0
-        self.n_labeled = 0
-        self.n_unlabeled = 0
-        self.n_quarantined = 0
         self.n_retries = 0
-        self.on_batch = on_batch
         self.controller = controller
-        self._degrade_tier = DegradeTier.FULL
         if controller is not None:
             # The controller owns batch sizing from here on; start from
             # its current view so resume-from-checkpoint keeps the
@@ -990,7 +943,6 @@ class MicroBatchEngine:
         #: one subtree per partition), or None before the first batch /
         #: with worker telemetry off.
         self.last_trace: Optional[Dict[str, Any]] = None
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = Tracer(
             self.metrics, labels={"engine": "microbatch"}, capture=True
         )
@@ -1002,9 +954,6 @@ class MicroBatchEngine:
         )
         self._m_retries = self.metrics.counter(
             "retries_total", engine="microbatch"
-        )
-        self._m_alerts = self.metrics.counter(
-            "alerts_total", engine="microbatch"
         )
         self._batch_hist = self.metrics.histogram(
             "batch_seconds", engine="microbatch"
@@ -1062,6 +1011,19 @@ class MicroBatchEngine:
             STAGE_SECONDS, engine="microbatch", stage="partition_execute"
         )
 
+    # The Engine contract's state and quarantine, and the driver-side
+    # tallies, are the pipeline's.
+    config = property(attrgetter("pipeline.config"))
+    model = property(attrgetter("pipeline.model"))
+    normalizer = property(attrgetter("pipeline.normalizer"))
+    bag_of_words = property(attrgetter("pipeline.bag_of_words"))
+    breaker = property(attrgetter("pipeline.breaker"))
+    dead_letters = property(attrgetter("pipeline.dead_letters"))
+    alert_manager = property(attrgetter("pipeline.alert_manager"))
+    sampler = property(attrgetter("pipeline.sampler"))
+    n_processed = property(attrgetter("pipeline.n_processed"))
+    n_unlabeled = property(attrgetter("pipeline.n_unlabeled"))
+
     @property
     def stage_seconds(self) -> StageTimings:
         """Cumulative driver stage timings (view over span histograms)."""
@@ -1072,13 +1034,13 @@ class MicroBatchEngine:
         """Tier the next batch's feature extraction will run at."""
         if self.controller is not None:
             return self.controller.tier
-        return self._degrade_tier
+        return self.pipeline.degrade_tier
 
     def apply(self, controller: "OverloadController") -> None:
         """Adopt the controller's tier, batch size and partition count
         for the next discretization round."""
         self.batch_size = controller.batch_size
-        self._degrade_tier = controller.tier
+        self.pipeline.set_degrade_tier(controller.tier)
         if controller.n_partitions is not None:
             self.n_partitions = controller.n_partitions
 
@@ -1088,24 +1050,6 @@ class MicroBatchEngine:
             f"{self.kind} ({self.n_partitions} partitions x "
             f"{self.batch_size} tweets, runner={type(self.runner).__name__}"
             f"{', pipelined' if self.pipelined else ''})"
-        )
-
-    def _publish_gauges(self) -> None:
-        """Refresh the point-in-time gauges (BoW size, normalizer state)."""
-        gauge = self.metrics.gauge
-        gauge("bow_size", engine="microbatch").set(len(self.bag_of_words))
-        if isinstance(self.bag_of_words, AdaptiveBagOfWords):
-            gauge("bow_words_added", engine="microbatch").set(
-                self.bag_of_words.n_added
-            )
-            gauge("bow_words_removed", engine="microbatch").set(
-                self.bag_of_words.n_removed
-            )
-        gauge("normalizer_observed", engine="microbatch").set(
-            self.normalizer.observed
-        )
-        gauge("normalizer_clip_ratio", engine="microbatch").set(
-            self.normalizer.clip_ratio
         )
 
     # ------------------------------------------------------------------
@@ -1262,7 +1206,7 @@ class MicroBatchEngine:
             _PartitionTask(
                 tweets=tweet_slice,
                 broadcast=broadcast,
-                n_classes=self.config.n_classes,
+                encoder=self.pipeline.encoder,
                 preprocessing=self.config.preprocessing,
                 deobfuscate=self.config.deobfuscate,
                 adaptive_bow=self.config.adaptive_bow,
@@ -1507,7 +1451,7 @@ class MicroBatchEngine:
 
         Everything after the three merges: confusion/counter folds,
         dead-letter quarantine, the alert/sample drain, metrics,
-        trace stitching, recorder/breaker/on_batch. In pipelined mode
+        trace stitching, recorder/breaker. In pipelined mode
         this overlaps the next batch's partition execution
         (``observe_controller=False`` there — the controller already
         observed at merge time, before the next batch was sized).
@@ -1522,8 +1466,10 @@ class MicroBatchEngine:
         n_labeled = 0
         n_unlabeled = 0
         n_poisoned = 0
+        pipeline = self.pipeline
+        cumulative = pipeline.evaluator.cumulative
         for output in outputs:
-            self.cumulative.merge(output.local_stats)  # op #6
+            cumulative.merge(output.local_stats)  # op #6
             n_labeled += output.n_labeled
             n_unlabeled += output.n_unlabeled
             n_poisoned += len(output.poisoned)
@@ -1564,16 +1510,10 @@ class MicroBatchEngine:
                     )
                 )
 
-        alerts_before = self.alert_manager.n_alerts
         with self._tracer.span("drain") as span_drain:
             for output in outputs:
                 if output.unlabeled:
-                    self.alert_manager.process_batch(output.unlabeled)
-                    self.sampler.offer_many(
-                        classified for classified, _ in output.unlabeled
-                    )
-        if self.alert_manager.n_alerts > alerts_before:
-            self._m_alerts.inc(self.alert_manager.n_alerts - alerts_before)
+                    pipeline.drain_unlabeled(output.unlabeled)
 
         timings = StageTimings(
             partition_execute=(
@@ -1586,10 +1526,10 @@ class MicroBatchEngine:
             normalizer_merge=state.normalizer_merge_s,
             drain=span_drain.duration or 0.0,
         )
-        self.n_processed += n_tweets - n_poisoned
-        self.n_labeled += n_labeled
-        self.n_unlabeled += n_unlabeled
-        self.n_quarantined += n_poisoned
+        pipeline.n_processed += n_tweets - n_poisoned
+        pipeline.n_labeled += n_labeled
+        pipeline.n_unlabeled += n_unlabeled
+        pipeline.n_quarantined += n_poisoned
         self._m_ingested.inc(n_tweets)
         self._m_batches.inc()
         if exec_stats.retries:
@@ -1600,7 +1540,7 @@ class MicroBatchEngine:
             self._m_spec_wins.inc(exec_stats.n_speculative_wins)
         if exec_stats.n_pool_rebuilds:
             self._m_pool_rebuilds.inc(exec_stats.n_pool_rebuilds)
-        self._publish_gauges()
+        pipeline.publish_gauges()
         # All driver spans for this batch are closed at this point;
         # drain them and stitch the worker subtrees underneath into one
         # trace tree for the batch.
@@ -1615,8 +1555,8 @@ class MicroBatchEngine:
             n_labeled=n_labeled,
             n_unlabeled=n_unlabeled,
             elapsed_seconds=elapsed,
-            cumulative_f1=self.cumulative.weighted_f1,
-            cumulative_accuracy=self.cumulative.accuracy,
+            cumulative_f1=cumulative.weighted_f1,
+            cumulative_accuracy=cumulative.accuracy,
             stage_seconds=timings,
             n_quarantined=n_poisoned,
             n_retries=exec_stats.retries,
@@ -1652,8 +1592,6 @@ class MicroBatchEngine:
         if self.breaker is not None:
             self.breaker.record_batch(n_tweets - n_poisoned, n_poisoned)
             self.breaker.check()
-        if self.on_batch is not None:
-            self.on_batch(result)
         return result
 
     def process_batch(self, tweets: Sequence[Tweet]) -> MicroBatchResult:
@@ -1880,16 +1818,17 @@ class MicroBatchEngine:
         """
         if elapsed_seconds is None:
             elapsed_seconds = sum(b.elapsed_seconds for b in self.batches)
+        pipeline = self.pipeline
         return EngineResult(
-            n_processed=self.n_processed,
-            n_labeled=self.n_labeled,
-            n_unlabeled=self.n_unlabeled,
-            metrics=self.cumulative.as_dict(),
+            n_processed=pipeline.n_processed,
+            n_labeled=pipeline.n_labeled,
+            n_unlabeled=pipeline.n_unlabeled,
+            metrics=pipeline.evaluator.summary(),
             batches=list(self.batches),
             elapsed_seconds=elapsed_seconds,
-            n_alerts=self.alert_manager.n_alerts,
+            n_alerts=pipeline.alert_manager.n_alerts,
             stage_seconds=self.stage_seconds,
-            n_quarantined=self.n_quarantined,
+            n_quarantined=pipeline.n_quarantined,
             n_retries=self.n_retries,
             worker_stage_seconds=stage_seconds_by_stage(
                 self.metrics,

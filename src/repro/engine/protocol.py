@@ -25,6 +25,7 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.config import PipelineConfig
+    from repro.core.pipeline import AggressionDetectionPipeline
     from repro.data.tweet import Tweet
     from repro.obs.metrics import MetricsRegistry
     from repro.reliability.deadletter import CircuitBreaker, DeadLetterQueue
@@ -41,8 +42,9 @@ class Engine(Protocol):
             metric label and the checkpoint's engine tag.
         batch_size: tweets per supervisor chunk when the caller does
             not choose one.
-        config, model, normalizer, bag_of_words: the detector state a
-            checkpoint or serving snapshot captures.
+        pipeline: the detector state checkpoints save and restore.
+        config, model, normalizer, bag_of_words: its parts a serving
+            snapshot captures.
         breaker, dead_letters: the engine's own poison-tweet quarantine
             (``None`` when it has none).
         metrics: the registry the engine reports into.
@@ -52,6 +54,7 @@ class Engine(Protocol):
 
     kind: str
     batch_size: int
+    pipeline: "AggressionDetectionPipeline"
     config: "PipelineConfig"
     model: "StreamClassifier"
     normalizer: Any

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -145,8 +146,7 @@ class StreamReplayer:
         service_times: List[float] = []
         server_free_at = 0.0
         max_queue_depth = 0
-        queue_depth = 0
-        last_completion = 0.0
+        # Non-decreasing: one FIFO server finishes jobs in arrival order.
         completions: List[float] = []
         for index, tweet in enumerate(tweets):
             arrival = index / arrival_rate
@@ -164,9 +164,8 @@ class StreamReplayer:
             latencies.append(completion - arrival)
             completions.append(completion)
             # Queue depth at this arrival: completed jobs leave.
-            queue_depth = sum(1 for c in completions if c > arrival)
+            queue_depth = len(completions) - bisect_right(completions, arrival)
             max_queue_depth = max(max_queue_depth, queue_depth)
-            last_completion = completion
         if not latencies:
             raise ValueError("cannot replay an empty stream")
         if self.metrics is not None:

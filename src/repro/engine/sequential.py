@@ -91,24 +91,13 @@ class SequentialEngine:
         controller: Optional["OverloadController"] = None,
     ) -> None:
         self.controller = controller
-        self.replace_pipeline(
-            AggressionDetectionPipeline(
-                config,
-                dead_letters=dead_letters,
-                max_poison_rate=max_poison_rate,
-                metrics=metrics,
-            )
+        self.pipeline = AggressionDetectionPipeline(
+            config,
+            dead_letters=dead_letters,
+            max_poison_rate=max_poison_rate,
+            metrics=metrics,
         )
-
-    def replace_pipeline(self, pipeline: AggressionDetectionPipeline) -> None:
-        """Swap in a (restored) pipeline and rebind the shared registry.
-
-        The engine's tracer and bound counters must follow the new
-        pipeline's registry or the two would report into different
-        worlds; checkpoint resume uses this.
-        """
-        self.pipeline = pipeline
-        self.metrics = pipeline.metrics
+        self.metrics = self.pipeline.metrics
         self._tracer = Tracer(self.metrics, labels={"engine": "sequential"})
         self._m_ingested = self.metrics.counter(
             "tweets_ingested_total", engine="sequential"
@@ -116,8 +105,8 @@ class SequentialEngine:
         self._batch_hist = self.metrics.histogram(
             "batch_seconds", engine="sequential"
         )
-        if self.controller is not None:
-            self.apply(self.controller)
+        if controller is not None:
+            self.apply(controller)
 
     # The Engine contract's state and quarantine are the pipeline's.
     config = property(attrgetter("pipeline.config"))
@@ -142,9 +131,15 @@ class SequentialEngine:
         """The engine holds no pooled resources."""
 
     def _stage_totals(self) -> Dict[str, float]:
-        return stage_seconds_by_stage(
+        totals = stage_seconds_by_stage(
             self.metrics, metric="tweet_stage_seconds", engine="sequential"
         )
+        # Pipeline order, whatever order a resume registered them in.
+        return {
+            stage: totals[stage]
+            for stage in AggressionDetectionPipeline.STAGES
+            if stage in totals
+        }
 
     def _consume(
         self, span_name: str, tweets: Iterable[Tweet]

@@ -543,8 +543,8 @@ class StreamSupervisor:
         engine = engine_from_dict(payload["engine"], **wiring)
         metrics_payload = payload.get("metrics")
         if metrics_payload is not None:
-            # Replace the seeded approximations with the exact snapshot
-            # (in place — the engine's bound metric objects stay live).
+            # The exact registry snapshot, loaded in place — the
+            # engine's bound metric objects stay live.
             engine.metrics.restore(MetricsSnapshot.from_dict(metrics_payload))
         telemetry = options.get("telemetry")
         # Overload state (v3): rebuild queue backlog + controller

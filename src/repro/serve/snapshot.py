@@ -108,15 +108,15 @@ def payload_from_source(source: Any) -> Dict[str, Any]:
 def payload_from_checkpoint(path: PathLike) -> Dict[str, Any]:
     """Snapshot payload extracted from a supervisor/pipeline checkpoint.
 
-    Accepts a supervisor checkpoint (``engine`` section, microbatch or
-    sequential) or a bare pipeline checkpoint.
+    Accepts a supervisor checkpoint (``engine`` section, either engine,
+    the micro-batch one also in its previous flat layout) or a bare
+    pipeline checkpoint.
     """
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     section = raw.get("engine", raw)
     if not isinstance(section, dict):
         section = {}
-    if section.get("engine") == "sequential":
-        section = section.get("pipeline", {})
+    section = section.get("pipeline", section)
     try:
         return {
             "snapshot_version": SNAPSHOT_VERSION,

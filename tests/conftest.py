@@ -67,8 +67,9 @@ def with_retired_fast_math():
     """Re-shape a saved payload the way the commit before the numpy
     twin kernels were deleted wrote it: a ``fast_math`` key in the
     config, normaliser and SLR sections. Works on pipeline checkpoints,
-    micro-batch engine state and serve snapshots alike (all three carry
-    ``config`` / ``normalizer`` / ``model`` at the top level)."""
+    the previous flat micro-batch engine state and serve snapshots alike
+    (all three carry ``config`` / ``normalizer`` / ``model`` at the top
+    level)."""
 
     def reshape(payload, flag: bool):
         payload = json.loads(json.dumps(payload))

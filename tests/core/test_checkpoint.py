@@ -7,9 +7,9 @@ import json
 import pytest
 
 from repro.core.checkpoint import (
+    engine_from_dict,
+    engine_to_dict,
     load_pipeline,
-    microbatch_engine_from_dict,
-    microbatch_engine_to_dict,
     normalizer_from_dict,
     normalizer_to_dict,
     pipeline_from_dict,
@@ -244,9 +244,9 @@ class TestRetiredFastMathKey:
         uninterrupted.run(small_stream)
         first = engine()
         first.run(small_stream[:1000])
-        resumed = microbatch_engine_from_dict(
-            with_retired_fast_math(microbatch_engine_to_dict(first), flag)
-        )
+        payload = engine_to_dict(first)
+        payload["pipeline"] = with_retired_fast_math(payload["pipeline"], flag)
+        resumed = engine_from_dict(payload)
         result = resumed.run(small_stream[1000:])
         assert model_to_dict(resumed.model) == model_to_dict(
             uninterrupted.model
@@ -255,9 +255,7 @@ class TestRetiredFastMathKey:
             uninterrupted.normalizer
         )
         assert result.metrics == uninterrupted.result().metrics
-        assert "fast_math" not in json.dumps(
-            microbatch_engine_to_dict(resumed)
-        )
+        assert "fast_math" not in json.dumps(engine_to_dict(resumed))
 
 
 def test_unknown_config_key_still_raises(small_stream):

@@ -25,12 +25,6 @@ def _microbatch():
     )
 
 
-def _last_chunk_tier(engine):
-    if isinstance(engine, MicroBatchEngine):
-        return engine.batches[-1].degrade_tier
-    return engine.pipeline.degrade_tier
-
-
 @pytest.fixture(params=["sequential", "microbatch"])
 def engine(request):
     built = {"sequential": _sequential, "microbatch": _microbatch}[
@@ -63,13 +57,14 @@ def test_apply_sets_the_next_chunks_tier_and_size(engine, small_stream):
     )
     controller.tier = DegradeTier.NO_POS
     engine.process_chunk(small_stream[:200])
-    assert _last_chunk_tier(engine) == DegradeTier.FULL
+    assert engine.pipeline.degrade_tier == DegradeTier.FULL
     engine.apply(controller)
     engine.process_chunk(small_stream[200:500])
-    assert _last_chunk_tier(engine) == DegradeTier.NO_POS
+    assert engine.pipeline.degrade_tier == DegradeTier.NO_POS
     if engine.kind == "microbatch":
         assert (engine.batch_size, engine.n_partitions) == (300, 3)
         assert engine.batches[-1].n_processed == 300
+        assert engine.batches[-1].degrade_tier == DegradeTier.NO_POS
 
 
 def test_state_round_trips_through_engine_to_dict(engine, small_stream):

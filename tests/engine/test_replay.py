@@ -49,6 +49,9 @@ class TestQueueingModel:
         # Latency of the last tweets ~ n * (1/1000 - 1/2000).
         assert report.max_latency_s > 0.4
         assert report.p99_latency_s > report.p50_latency_s
+        # Tweet j (odd) arrives at j/2000 s; tweets (j-1)/2 .. j are
+        # still in the system then, so the last one sees (999+3)/2.
+        assert report.max_queue_depth == 501
 
     def test_latency_monotone_in_rate(self, small_stream):
         replayer = StreamReplayer(_noop, service_time_s=0.002)

@@ -476,13 +476,10 @@ class TestSupervisedOverload:
             resumed.controller.to_dict()
             == baseline_sup.controller.to_dict()
         )
-        if engine_kind == "microbatch":
-            resumed_alerts = resumed.engine.alert_manager.alerts
-            baseline_alerts = baseline_engine.alert_manager.alerts
-        else:
-            resumed_alerts = resumed.engine.pipeline.alert_manager.alerts
-            baseline_alerts = baseline_engine.pipeline.alert_manager.alerts
-        assert resumed_alerts == baseline_alerts
+        assert (
+            resumed.engine.pipeline.alert_manager.alerts
+            == baseline_engine.pipeline.alert_manager.alerts
+        )
 
     def test_resume_without_overload_section(self, tmp_path):
         # One version back (v4), no overload section: the section is

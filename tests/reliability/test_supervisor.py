@@ -117,17 +117,12 @@ class TestCheckpointResume:
         rerun = resumed.run(tweets)
         assert rerun.result.metrics == baseline.result.metrics
         assert rerun.health.n_processed == baseline.health.n_processed
+        assert (
+            resumed.engine.pipeline.alert_manager.alerts
+            == baseline_engine.pipeline.alert_manager.alerts
+        )
         if engine_kind == "microbatch":
-            assert (
-                resumed.engine.alert_manager.alerts
-                == baseline_engine.alert_manager.alerts
-            )
             assert len(resumed.engine.batches) == len(baseline_engine.batches)
-        else:
-            assert (
-                resumed.engine.pipeline.alert_manager.alerts
-                == baseline_engine.pipeline.alert_manager.alerts
-            )
 
     def test_resume_of_finished_run_is_noop(self, tmp_path):
         tweets = _tweets(200)
