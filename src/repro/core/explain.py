@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.features import FEATURE_NAMES
 from repro.core.pipeline import AggressionDetectionPipeline
 from repro.data.tweet import Tweet
+from repro.streamml.base import argmax
 from repro.streamml.hoeffding_tree import HoeffdingTree, _LeafNode, _SplitNode
 from repro.streamml.slr import StreamingLogisticRegression
 from repro.text.lexicons import SWEAR_WORDS
@@ -155,7 +156,7 @@ class AlertExplainer:
         instance = pipeline.extractor.extract(tweet, update_bow=False)
         x = pipeline.normalizer.transform(instance.x)
         proba = pipeline.model.predict_proba_one(x)
-        predicted = max(range(len(proba)), key=proba.__getitem__)
+        predicted = argmax(proba)
         tweet_words = words(tweet.text)
         matched_swears = sorted(
             {w for w in tweet_words if w in SWEAR_WORDS}

@@ -19,12 +19,21 @@ throughout a degradation episode.
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.adaptive_bow import AdaptiveBagOfWords, FixedBagOfWords
 from repro.core.preprocessing import preprocess_tokens, raw_word_tokens
 from repro.data.tweet import Tweet
-from repro.streamml.instance import Instance
+from repro.streamml.instance import Instance, InstanceBlock
 from repro.text.analysis import analyze
 from repro.text.lexicons import SWEAR_WORDS
 from repro.text.sentiment import SentimentAnalyzer
@@ -184,6 +193,53 @@ class FeatureExtractor:
         also updates the adaptive BoW's rolling statistics (training
         path of Fig. 1).
         """
+        x, label = self._features(tweet, update_bow)
+        # Positional: keyword binding costs ~0.5 us a tweet.
+        return Instance(x, label, 1.0, tweet.created_at, tweet.tweet_id)
+
+    def extract_many(
+        self,
+        tweets: Sequence[Tweet],
+        validate: Optional[Callable[[Tweet], None]] = None,
+    ) -> InstanceBlock:
+        """Extract a run of tweets into one :class:`InstanceBlock`.
+
+        Rows are extracted in order through :meth:`extract`'s body, so
+        each labeled tweet updates the BoW before the next row counts
+        its matches, exactly as row-by-row :meth:`extract` calls would.
+        ``validate`` (e.g. ``validate_tweet``) runs before each row. The
+        first row that fails ends the block: the block holds the rows
+        before it and ``block.failure`` is ``(stage, exception)`` for
+        ``tweets[len(block)]``; no later tweet is touched.
+        """
+        features = self._features
+        xs: List[Tuple[float, ...]] = []
+        ys: List[Optional[int]] = []
+        timestamps: List[float] = []
+        tweet_ids: List[Optional[str]] = []
+        stage = "extract"
+        failure = None
+        try:
+            for tweet in tweets:
+                if validate is not None:
+                    stage = "validate"
+                    validate(tweet)
+                    stage = "extract"
+                x, label = features(tweet, True)
+                xs.append(x)
+                ys.append(label)
+                timestamps.append(tweet.created_at)
+                tweet_ids.append(tweet.tweet_id)
+        except Exception as exc:
+            failure = (stage, exc)
+        block = InstanceBlock(xs, ys, timestamps, tweet_ids)
+        block.failure = failure
+        return block
+
+    def _features(
+        self, tweet: Tweet, update_bow: bool
+    ) -> Tuple[Tuple[float, ...], Optional[int]]:
+        """The one per-row feature body: ``(17 features, label)``."""
         tier = self.tier
         want_pos = tier < DegradeTier.NO_POS
         want_sentiment = tier < DegradeTier.TEXT_ONLY
@@ -243,8 +299,7 @@ class FeatureExtractor:
             float(n_swear),
             float(self.bag_of_words.count_matches(lower_words)),
         )
-        # Positional: keyword binding costs ~0.5 us a tweet.
-        return Instance(x, label, 1.0, created_at, tweet.tweet_id)
+        return x, label
 
     def feature_index(self, name: str) -> int:
         """Index of a feature by name."""

@@ -312,6 +312,11 @@ class MinMaxNormalizer(Normalizer):
         return out
 
 
+def _sorted_columns(rows):
+    """``rows`` as a float64 matrix with each column sorted."""
+    return _np.sort(_np.asarray(rows, dtype=_np.float64), axis=0)
+
+
 def _column_quantiles(ordered, quantile: float):
     """Per-column quantile of a column-sorted matrix.
 
@@ -342,8 +347,8 @@ class MinMaxNoOutliersNormalizer(Normalizer):
 
     * cold start — until anything has been folded or merged in, the
       bounds are the exact quantiles of the pending rows, recomputed
-      per row (at most ``BLOCK_ROWS - 1`` small sorts per normalizer
-      lifetime), so the first tweets are not scaled to zeros;
+      per row from a column-sorted copy each row is inserted into (no
+      re-sort per row), so the first tweets are not scaled to zeros;
     * degenerate span — a feature whose quantile span is not positive
       (a count that is zero for >95% of tweets) scales against the
       tracked min/max instead, so it survives as an indicator.
@@ -375,6 +380,8 @@ class MinMaxNoOutliersNormalizer(Normalizer):
         self._max = _np.full(n_features, -_np.inf)
         #: Observed rows not yet folded (always < BLOCK_ROWS of them).
         self._pending: List[Tuple[float, ...]] = []
+        #: Cold start only: ``_pending`` column-sorted (_cold_sorted).
+        self._cold = None
         # Cached scaling bounds in both layouts: per-feature ``(lo,
         # span)`` or None for the row path, ``(los, spans, valid)``
         # arrays for the batch path. ``_pairs is None`` marks both
@@ -394,9 +401,8 @@ class MinMaxNoOutliersNormalizer(Normalizer):
         self._max = _np.maximum(self._max, high)
         self._pairs = None
 
-    def _summary(self, rows):
-        """``(lo, hi, min, max)`` per feature of a block of rows."""
-        ordered = _np.sort(_np.asarray(rows, dtype=_np.float64), axis=0)
+    def _summary(self, ordered):
+        """``(lo, hi, min, max)`` per feature of a column-sorted block."""
         return (
             _column_quantiles(ordered, self.lower_quantile),
             _column_quantiles(ordered, self.upper_quantile),
@@ -405,18 +411,49 @@ class MinMaxNoOutliersNormalizer(Normalizer):
         )
 
     def _fold_block(self, rows) -> None:
-        self._fold(len(rows), *self._summary(rows))
+        self._fold(len(rows), *self._summary(_sorted_columns(rows)))
 
     def _fold_pending(self) -> None:
         self._fold_block(self._pending)
         self._pending.clear()
+        self._cold = None
+
+    def _cold_sorted(self):
+        """The pending rows, column-sorted, kept across cold-start rows.
+
+        One row observed since the last call is inserted per column at
+        its ``searchsorted`` position; anything else (a bulk observe, a
+        restore) sorts the pending rows once. Either way the columns
+        hold the same values in the same order a full sort gives, so
+        every cold row reads the same quantiles, bit for bit.
+        """
+        pending = self._pending
+        cold = self._cold
+        n = len(pending)
+        if cold is None and n == 1:
+            cold = _np.empty((0, self.n_features))
+        if cold is not None and len(cold) == n - 1:
+            x = _np.asarray(pending[-1], dtype=_np.float64)
+            # Left insertion point per column; NaN sorts last.
+            at = _np.where(_np.isnan(x), n - 1, (cold < x).sum(axis=0))
+            rows = _np.arange(n)[:, None]
+            shifted = _np.empty((n, self.n_features))
+            shifted[:n - 1] = cold
+            below = rows < at
+            # Rows below the insertion point stay, the rest move down.
+            cold = _np.where(below, shifted, _np.roll(shifted, 1, axis=0))
+            cold[at, _np.arange(self.n_features)] = x
+        elif cold is None or len(cold) != n:
+            cold = _sorted_columns(pending)
+        self._cold = cold
+        return cold
 
     def _refresh_bounds(self) -> None:
         if self._folded or not self._pending:
             lo, hi, low, high = self._lo, self._hi, self._min, self._max
         else:
             # Cold start: the pending rows' exact quantiles.
-            lo, hi, low, high = self._summary(self._pending)
+            lo, hi, low, high = self._summary(self._cold_sorted())
         span = hi - lo
         degenerate = ~(span > 0)
         los = _np.where(degenerate, low, lo)
@@ -453,6 +490,7 @@ class MinMaxNoOutliersNormalizer(Normalizer):
         self._pending = [
             tuple(float(v) for v in row) for row in state["pending"]
         ]
+        self._cold = None
         self._pairs = None
 
     @property

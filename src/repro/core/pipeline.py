@@ -7,16 +7,29 @@ unlabeled tweets are predicted, alerted on, and offered to the boosted
 sampler. The distributed engine (:mod:`repro.engine`) runs the same
 stage logic partition-parallel.
 
+Both run one stage sequence over a *block* of tweets
+(:class:`BlockStages`): extract the block into one
+:class:`~repro.streamml.instance.InstanceBlock`, normalize it in one
+batched call, predict, collect. The pipeline predicts with learning
+interleaved per row, because prequential order means tweet *i* is scored
+by the model that has learned *i − 1*; a micro-batch partition predicts
+its block in one ``predict_proba_many``. Telemetry is booked once per
+block. :meth:`AggressionDetectionPipeline.process` is the block of one,
+on the row kernels.
+
 Poison-input quarantine: when constructed with a
 :class:`~repro.reliability.deadletter.DeadLetterQueue`, the fallible
-per-tweet stages (validation, extraction, normalization, prediction)
-run under a try/except; a failing tweet is routed to the dead-letter
-queue with its failing stage and traceback and the stream keeps
-flowing (degraded skip-and-count) — until the failure-rate circuit
-breaker opens, at which point the run fails loudly with
-:class:`~repro.reliability.deadletter.CircuitOpenError`. Without a
-dead-letter queue the historical behaviour is preserved: any stage
-error propagates.
+per-tweet stages (validation and extraction; a row that passes them is
+17 finite floats) run under a try/except; a failing tweet is routed to
+the dead-letter queue with its failing stage and traceback and the
+stream keeps flowing (degraded skip-and-count) — until the
+failure-rate circuit breaker opens, at which point the run fails
+loudly with
+:class:`~repro.reliability.deadletter.CircuitOpenError`. A failing row
+cuts its block: every row before it finishes all stages before the
+quarantine is recorded, so the state an open breaker leaves is the
+state row-by-row processing leaves. Without a dead-letter queue the
+historical behaviour is preserved: any stage error propagates.
 """
 
 from __future__ import annotations
@@ -45,8 +58,10 @@ from repro.reliability.deadletter import (
     DeadLetterQueue,
     validate_tweet,
 )
-from repro.streamml.base import StreamClassifier
-from repro.streamml.instance import ClassifiedInstance
+from repro.streamml.base import StreamClassifier, argmax
+from repro.streamml.instance import ClassifiedInstance, Instance, InstanceBlock
+
+Row = Tuple[float, ...]
 
 
 @dataclass
@@ -69,14 +84,130 @@ class PipelineResult:
         return [(p.n_seen, getattr(p, metric)) for p in self.history]
 
 
-class AggressionDetectionPipeline:
-    """Streaming aggression detector over labeled + unlabeled tweets."""
+class BlockStages:
+    """extract → normalize → predict → collect over a block of tweets.
+
+    The one per-tweet stage sequence of both engines. A subclass sets
+    the attributes below, calls :meth:`_init_stages`, and supplies
+    ``_predict(block, xs, tweets, t_start, out)`` — predict and collect
+    one normalized block, book its own stages, return how many rows
+    are labeled — and ``_quarantine(tweet, stage, exc)`` for a
+    poisoned row. Each stage is booked once per block: one
+    ``observe_repeated`` per stage histogram and one ``inc`` per
+    counter, whatever the block's size.
+    """
 
     #: Quantile-sketch sampling for the per-tweet stage histograms:
     #: count/sum stay exact per tweet, the P² sketches ingest every 8th
-    #: observation, keeping instrumentation ~1-2% of per-tweet cost.
+    #: observation.
     STAGE_SKETCH_EVERY = 8
     #: The per-tweet stages those histograms time, in pipeline order.
+    STAGES: Tuple[str, ...] = ("extract", "normalize", "predict")
+
+    extractor: FeatureExtractor
+    normalizer: Normalizer
+    #: Whether poisoned rows are quarantined (else their error raises).
+    quarantines: bool
+
+    def _init_stages(self, metrics: MetricsRegistry, engine: str) -> None:
+        self.metrics = metrics
+        self.engine_label = engine
+        self.n_processed = 0
+        self.n_labeled = 0
+        self.n_unlabeled = 0
+        self._m_processed = metrics.counter(
+            "tweets_processed_total", engine=engine
+        )
+        self._m_labeled = metrics.counter(
+            "tweets_labeled_total", engine=engine
+        )
+        self._m_unlabeled = metrics.counter(
+            "tweets_unlabeled_total", engine=engine
+        )
+
+    @cached_property
+    def _stage_hists(self) -> Dict[str, Histogram]:
+        # Registered on the first block, so a driver that only merges
+        # partition work into this state (the micro-batch engine) grows
+        # no empty per-tweet histograms.
+        return {
+            stage: self.metrics.histogram(
+                "tweet_stage_seconds",
+                sketch_every=self.STAGE_SKETCH_EVERY,
+                engine=self.engine_label,
+                stage=stage,
+            )
+            for stage in self.STAGES
+        }
+
+    def process_block(
+        self,
+        tweets: Sequence[Tweet],
+        out: Optional[List[ClassifiedInstance]] = None,
+    ) -> None:
+        """Run ``tweets`` through every stage, in stream order.
+
+        A row that fails validation or extraction cuts the block: the
+        rows before it run every stage, then the row is quarantined (or
+        its error raised), then the rest follows as the next block.
+        ``out``, when given, receives one classified instance per
+        processed row.
+        """
+        validate = validate_tweet if self.quarantines else None
+        while tweets:
+            t_start = perf_counter()
+            block = self._extract(tweets, validate)
+            n = len(block)
+            if n:
+                t_extract = perf_counter()
+                xs = self._normalize(block)
+                t_normalize = perf_counter()
+                n_labeled = self._predict(block, xs, tweets, t_normalize, out)
+                self._book(
+                    n, n_labeled, t_extract - t_start, t_normalize - t_extract
+                )
+            if block.failure is None:
+                return
+            stage, exc = block.failure
+            if not self.quarantines:
+                raise exc
+            self._quarantine(tweets[n], stage, exc)
+            tweets = tweets[n + 1:]
+
+    def _extract(self, tweets: Sequence[Tweet], validate) -> InstanceBlock:
+        return self.extractor.extract_many(tweets, validate)
+
+    def _normalize(self, block: InstanceBlock) -> List[Row]:
+        """Observe-then-transform the block; a block of one takes the
+        row kernel (the batched one is ``==`` to it by contract)."""
+        normalizer = self.normalizer
+        if len(block) == 1:
+            return [normalizer.observe_and_transform(block.xs[0])]
+        return normalizer.observe_and_transform_many(
+            block.rows_for(normalizer.columnar)
+        )
+
+    def _book(
+        self, n: int, n_labeled: int, extract_s: float, normalize_s: float
+    ) -> None:
+        """The block's extract/normalize time and row counts."""
+        hists = self._stage_hists
+        hists["extract"].observe_repeated(extract_s / n, n)
+        hists["normalize"].observe_repeated(normalize_s / n, n)
+        n_unlabeled = n - n_labeled
+        self.n_processed += n
+        self.n_labeled += n_labeled
+        self.n_unlabeled += n_unlabeled
+        self._m_processed.inc(n)
+        if n_labeled:
+            self._m_labeled.inc(n_labeled)
+        if n_unlabeled:
+            self._m_unlabeled.inc(n_unlabeled)
+
+
+class AggressionDetectionPipeline(BlockStages):
+    """Streaming aggression detector over labeled + unlabeled tweets."""
+
     STAGES = ("extract", "normalize", "predict", "learn", "alert")
 
     def __init__(
@@ -129,42 +260,18 @@ class AggressionDetectionPipeline:
             aggressive_classes=self.encoder.aggressive_classes,
             seed=self.config.seed,
         )
-        self.n_processed = 0
-        self.n_labeled = 0
-        self.n_unlabeled = 0
         self.n_quarantined = 0
-        # Observability: bound references so the per-tweet hot path pays
-        # one attribute load + one method call per metric, no dict
-        # lookups. The registry is shared with whatever engine or
+        # Observability: the registry is shared with whatever engine or
         # supervisor wraps this pipeline, and ``engine`` is its label.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.engine_label = engine
-        self._m_processed = self.metrics.counter(
-            "tweets_processed_total", engine=engine
-        )
-        self._m_labeled = self.metrics.counter(
-            "tweets_labeled_total", engine=engine
-        )
-        self._m_unlabeled = self.metrics.counter(
-            "tweets_unlabeled_total", engine=engine
+        self._init_stages(
+            metrics if metrics is not None else MetricsRegistry(), engine
         )
         self._m_alerts = self.metrics.counter("alerts_total", engine=engine)
         self.publish_gauges()
 
-    @cached_property
-    def _stage_hists(self) -> Dict[str, Histogram]:
-        # Registered on the first process() call, so a driver that only
-        # merges partition work into this state (the micro-batch
-        # engine) grows no empty per-tweet histograms.
-        return {
-            stage: self.metrics.histogram(
-                "tweet_stage_seconds",
-                sketch_every=self.STAGE_SKETCH_EVERY,
-                engine=self.engine_label,
-                stage=stage,
-            )
-            for stage in self.STAGES
-        }
+    @property
+    def quarantines(self) -> bool:
+        return self.dead_letters is not None
 
     def publish_gauges(self) -> None:
         """Refresh the point-in-time gauges (BoW size, normalizer state)."""
@@ -204,7 +311,7 @@ class AggressionDetectionPipeline:
     # ------------------------------------------------------------------
 
     def process(self, tweet: Tweet) -> Optional[ClassifiedInstance]:
-        """Run one tweet through the full pipeline.
+        """Run one tweet through the full pipeline: a block of one.
 
         Labeled tweets: extract → normalize → predict (prequential test)
         → evaluate → train. Unlabeled tweets: extract → normalize →
@@ -219,64 +326,78 @@ class AggressionDetectionPipeline:
                 is enabled with a circuit breaker and the stream's
                 failure rate exceeded the configured maximum.
         """
-        quarantine = self.dead_letters is not None
-        stage = "validate"
-        t_start = perf_counter()
-        try:
-            if quarantine:
-                validate_tweet(tweet)
-            stage = "extract"
-            instance = self.extractor.extract(tweet)
-            t_extract = perf_counter()
-            stage = "normalize"
-            normalized = self.normalizer.transform_instance(instance)
-            t_normalize = perf_counter()
-            stage = "predict"
-            proba = self.model.predict_proba_one(normalized.x)
-            t_predict = perf_counter()
-        except Exception as exc:
-            if not quarantine:
-                raise
-            self._quarantine(tweet, stage, exc)
-            return None
+        out: List[ClassifiedInstance] = []
+        self.process_block((tweet,), out)
+        return out[0] if out else None
+
+    def _predict(
+        self,
+        block: InstanceBlock,
+        xs: List[Row],
+        tweets: Sequence[Tweet],
+        t_start: float,
+        out: Optional[List[ClassifiedInstance]],
+    ) -> int:
+        """Prequential predict → evaluate → learn per row; an unlabeled
+        row goes to alerting and sampling instead of learning."""
+        predict = self.model.predict_proba_one
+        learn = self.model.learn_one
+        add_labeled = self.evaluator.add_labeled
+        add_unlabeled = self.evaluator.add_unlabeled
+        alert_manager = self.alert_manager
+        aggressive = alert_manager.policy.aggressive_classes
+        offer = self.sampler.offer
+        alerts_before = alert_manager.n_alerts
+        n_labeled = 0
+        predict_s = learn_s = alert_s = 0.0
+        t = t_start
+        for x, y, timestamp, tweet_id, tweet in zip(
+            xs, block.ys, block.timestamps, block.tweet_ids, tweets
+        ):
+            proba = predict(x)
+            t_predicted = perf_counter()
+            predict_s += t_predicted - t
+            predicted = argmax(proba)
+            instance = Instance(x, y, 1.0, timestamp, tweet_id)
+            if y is not None:
+                n_labeled += 1
+                add_labeled(y, predicted)
+                learn(instance)
+                if out is not None:
+                    out.append(ClassifiedInstance(instance, predicted, proba))
+                t = perf_counter()
+                learn_s += t - t_predicted
+            else:
+                add_unlabeled(predicted)
+                classified = ClassifiedInstance(instance, predicted, proba)
+                if predicted in aggressive:
+                    alert_manager.process(classified, tweet.user.user_id)
+                offer(classified)
+                if out is not None:
+                    out.append(classified)
+                t = perf_counter()
+                alert_s += t - t_predicted
+        if alert_manager.n_alerts > alerts_before:
+            self._m_alerts.inc(alert_manager.n_alerts - alerts_before)
+        n = len(xs)
+        n_unlabeled = n - n_labeled
         hists = self._stage_hists
-        hists["extract"].observe(t_extract - t_start)
-        hists["normalize"].observe(t_normalize - t_extract)
-        hists["predict"].observe(t_predict - t_normalize)
+        hists["predict"].observe_repeated(predict_s / n, n)
+        if n_labeled:
+            hists["learn"].observe_repeated(learn_s / n_labeled, n_labeled)
+        if n_unlabeled:
+            hists["alert"].observe_repeated(alert_s / n_unlabeled, n_unlabeled)
         if self.breaker is not None:
-            self.breaker.record(False)
-        self.n_processed += 1
-        self._m_processed.inc()
-        predicted = _argmax(proba)
-        classified = ClassifiedInstance(
-            instance=normalized, predicted=predicted, proba=proba
-        )
-        if normalized.is_labeled:
-            self.n_labeled += 1
-            self._m_labeled.inc()
-            assert normalized.y is not None
-            self.evaluator.add_labeled(normalized.y, predicted)
-            self.model.learn_one(normalized)
-            hists["learn"].observe(perf_counter() - t_predict)
-        else:
-            self.n_unlabeled += 1
-            self._m_unlabeled.inc()
-            self.evaluator.add_unlabeled(predicted)
-            before = self.alert_manager.n_alerts
-            self.alert_manager.process(classified, user_id=tweet.user.user_id)
-            self.sampler.offer(classified)
-            if self.alert_manager.n_alerts > before:
-                self._m_alerts.inc(self.alert_manager.n_alerts - before)
-            hists["alert"].observe(perf_counter() - t_predict)
-        return classified
+            self.breaker.record_batch(n, 0)
+        return n_labeled
 
     def drain_unlabeled(
         self, unlabeled: Sequence[Tuple[ClassifiedInstance, Optional[str]]]
     ) -> None:
         """Alert on and sample classified unlabeled tweets in one call.
 
-        The batched form of :meth:`process`'s unlabeled tail, for a
-        driver whose partitions already classified the tweets: takes
+        The batched form of a block's unlabeled tail, for a driver whose
+        partitions already classified the tweets: takes
         ``(classified, user_id)`` pairs in stream order.
         """
         before = self.alert_manager.n_alerts
@@ -304,7 +425,7 @@ class AggressionDetectionPipeline:
         instance = self.extractor.extract(tweet, update_bow=False)
         x = self.normalizer.transform(instance.x)
         proba = self.model.predict_proba_one(x)
-        return _argmax(proba), proba
+        return argmax(proba), proba
 
     def predict_label(self, tweet: Tweet) -> str:
         """Class-name prediction for a tweet (stateless)."""
@@ -357,11 +478,3 @@ def run_pipeline(
     """One-shot convenience: build a pipeline and process a stream."""
     pipeline = AggressionDetectionPipeline(config)
     return pipeline.process_stream(tweets)
-
-
-def _argmax(proba: Tuple[float, ...]) -> int:
-    best = 0
-    for index in range(1, len(proba)):
-        if proba[index] > proba[best]:
-            best = index
-    return best

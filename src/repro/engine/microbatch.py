@@ -106,7 +106,7 @@ from repro.core.config import PipelineConfig
 from repro.core.evaluation import ConfusionMatrix
 from repro.core.features import DegradeTier, FeatureExtractor, LabelEncoder
 from repro.core.normalization import Normalizer
-from repro.core.pipeline import AggressionDetectionPipeline
+from repro.core.pipeline import AggressionDetectionPipeline, BlockStages
 from repro.data.tweet import Tweet
 from repro.engine.runners import (
     OUTCOME_TIMED_OUT,
@@ -132,12 +132,8 @@ from repro.obs.tracing import (
     span_tree,
     stage_seconds_by_stage,
 )
-from repro.reliability.deadletter import (
-    DeadLetterQueue,
-    DeadLetterRecord,
-    validate_tweet,
-)
-from repro.streamml.base import StreamClassifier
+from repro.reliability.deadletter import DeadLetterQueue, DeadLetterRecord
+from repro.streamml.base import StreamClassifier, argmax
 from repro.streamml.instance import ClassifiedInstance, Instance, InstanceBlock
 from repro.streamml.slr import StreamingLogisticRegression
 from repro.text.lexicons import SWEAR_WORDS
@@ -157,9 +153,6 @@ class _NullHistogram:
     """
 
     __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
 
     def observe_repeated(self, value: float, n: int) -> None:
         pass
@@ -432,35 +425,7 @@ class _PartitionTask:
             # mapping; otherwise it returns the live list.
             tweets = self.tweets.resolve()
         bow_words = (SWEAR_WORDS - bow_removed) | bow_added
-        m_processed = registry.counter(
-            "tweets_processed_total", engine="microbatch"
-        )
-        m_labeled = registry.counter(
-            "tweets_labeled_total", engine="microbatch"
-        )
-        m_unlabeled = registry.counter(
-            "tweets_unlabeled_total", engine="microbatch"
-        )
-        # Per-tweet stage timings exist to be stitched into traces and
-        # shipped back on the snapshot; with telemetry off they would
-        # be measured, pickled, and discarded — skip them entirely.
-        if self.worker_telemetry:
-            stage_hists = {
-                hist_stage: registry.histogram(
-                    "tweet_stage_seconds",
-                    sketch_every=AggressionDetectionPipeline.STAGE_SKETCH_EVERY,
-                    engine="microbatch",
-                    stage=hist_stage,
-                )
-                for hist_stage in ("extract", "normalize", "predict")
-            }
-        else:
-            stage_hists = {
-                hist_stage: _NULL_HIST
-                for hist_stage in ("extract", "normalize", "predict")
-            }
         with _maybe_span(tracer, "derive_state"):
-            encoder = self.encoder
             bow_delta: Optional[AdaptiveBagOfWords] = None
             if self.adaptive_bow:
                 bow_delta = AdaptiveBagOfWords(
@@ -470,7 +435,7 @@ class _PartitionTask:
             else:
                 bag = FixedBagOfWords(seed_words=bow_words)
             extractor = FeatureExtractor(
-                encoder=encoder,
+                encoder=self.encoder,
                 preprocessing=self.preprocessing,
                 bag_of_words=bag,
                 deobfuscate=self.deobfuscate,
@@ -486,149 +451,154 @@ class _PartitionTask:
             seen.merge(normalizer)
             base_transformed = seen.n_transformed
             base_clipped = seen.n_clipped
-            local_normalizer = normalizer.fresh()
+            stages = _PartitionStages(
+                extractor, seen, normalizer.fresh(), model, registry,
+                tracer, self.quarantine, self.worker_telemetry,
+            )
             local_model = _make_local_model(model)
-        stats = ConfusionMatrix(encoder.n_classes)
-        labeled: List[Instance] = []
-        unlabeled: List[Tuple[ClassifiedInstance, Optional[str]]] = []
-        poisoned: List[Tuple[Optional[str], str, str, str]] = []
-        n_labeled = 0
-        n_unlabeled = 0
-        # One stage sequence: extract row by row, then normalize and
-        # predict batched. The *_many kernels are bit-exact with their
-        # row forms by contract, `seen` and the local normalizer are
-        # independent, and predictions use the read-only broadcast
-        # model, so de-interleaving the stages changes no state any row
-        # can see.
-        perf_counter = time.perf_counter
-        extract = extractor.extract
-        hist_extract = stage_hists["extract"]
-        quarantine = self.quarantine
-        survivors: List[Tweet] = []
-        instances: List[Instance] = []
-        append_instance = instances.append
-        with _maybe_span(tracer, "extract"):
-            for tweet in tweets:
-                t_start = perf_counter()
-                if quarantine:
-                    # A tweet that fails validation or extraction
-                    # becomes a poison record and drops out; the stages
-                    # below run over the survivors.
-                    stage = "validate"
-                    try:
-                        validate_tweet(tweet)
-                        stage = "extract"
-                        instance = extract(tweet)  # op #1 (extract)
-                    except Exception as exc:
-                        registry.counter(
-                            "tweets_quarantined_total",
-                            engine="microbatch",
-                            stage=stage,
-                        ).inc()
-                        poisoned.append(
-                            (
-                                getattr(tweet, "tweet_id", None),
-                                stage,
-                                f"{type(exc).__name__}: {exc}",
-                                "".join(
-                                    traceback_module.format_exception(
-                                        type(exc), exc, exc.__traceback__
-                                    )
-                                ),
-                            )
-                        )
-                        continue
-                    survivors.append(tweet)
-                else:
-                    instance = extract(tweet)  # op #1 (extract)
-                append_instance(instance)
-                hist_extract.observe(perf_counter() - t_start)
-            if quarantine:
-                tweets = survivors
-            block = InstanceBlock(instances)
-        # Columnar kernels (the no-outliers sketch, the Hoeffding tree)
-        # get the block's cached float64 matrix so `seen` and the local
-        # normalizer share one rows->matrix conversion; scalar kernels
-        # (and ragged rows) take the tuple columns.
-        with _maybe_span(tracer, "normalize"):
-            xs_in = block.matrix() if seen.columnar else None
-            if xs_in is None:
-                xs_in = block.xs
-            t_start = perf_counter()
-            normalized_block = block.with_xs(
-                seen.observe_and_transform_many(xs_in)
-            )  # op #1 (normalize: broadcast + local statistics)
-            local_normalizer.observe_many(xs_in)
-            t_normalize = perf_counter()
-        with _maybe_span(tracer, "predict"):
-            pred_in = normalized_block.matrix() if model.columnar else None
-            if pred_in is None:
-                pred_in = normalized_block.xs
-            probas = model.predict_proba_many(pred_in)  # op #4
-            t_predict = perf_counter()
-        with _maybe_span(tracer, "collect"):
-            n = len(block)
-            # The kernels ran once for the whole partition; book the
-            # amortized per-tweet cost so the histograms still count
-            # one observation per tweet.
-            if n:
-                stage_hists["normalize"].observe_repeated(
-                    (t_normalize - t_start) / n, n
-                )
-                stage_hists["predict"].observe_repeated(
-                    (t_predict - t_normalize) / n, n
-                )
-            m_processed.inc(n)
-            for normalized, proba, tweet in zip(
-                normalized_block, probas, tweets
-            ):
-                predicted = max(range(len(proba)), key=proba.__getitem__)
-                if normalized.y is not None:
-                    n_labeled += 1
-                    stats.add(normalized.y, predicted)  # op #5
-                    labeled.append(normalized)  # op #2 (filter)
-                else:
-                    n_unlabeled += 1
-                    unlabeled.append(
-                        (
-                            ClassifiedInstance(
-                                instance=normalized,
-                                predicted=predicted,
-                                proba=proba,
-                            ),
-                            tweet.user.user_id,
-                        )
-                    )
-            if n_labeled:
-                m_labeled.inc(n_labeled)
-            if n_unlabeled:
-                m_unlabeled.inc(n_unlabeled)
+        # One stage sequence over the partition's block: extract,
+        # normalize and predict batched (the *_many kernels are
+        # bit-exact with their row forms by contract, `seen` and the
+        # local normalizer are independent, and predictions use the
+        # read-only broadcast model), collect; a poisoned row only cuts
+        # the block.
+        stages.process_block(tweets)
+        labeled = stages.labeled
         with _maybe_span(tracer, "learn"):
             t_learn = time.perf_counter()
             local_model.learn_many(labeled)  # op #3, local part
-            if labeled and self.worker_telemetry:
-                registry.histogram(
-                    "tweet_stage_seconds",
-                    sketch_every=AggressionDetectionPipeline.STAGE_SKETCH_EVERY,
-                    engine="microbatch",
-                    stage="learn",
-                ).observe(time.perf_counter() - t_learn)
+            if labeled:
+                stages.book_learn(time.perf_counter() - t_learn, len(labeled))
         # The broadcast copy did this partition's transforms; hand the
         # clip deltas back on the fresh normalizer so the driver's
         # merge() accumulates them globally.
+        local_normalizer = stages.local_normalizer
         local_normalizer.n_transformed = seen.n_transformed - base_transformed
         local_normalizer.n_clipped = seen.n_clipped - base_clipped
         return _PartitionOutput(
             local_model=_compact_local_model(local_model),
             bow_delta=bow_delta,
-            local_stats=stats,
+            local_stats=stages.stats,
             local_normalizer=local_normalizer,
-            n_labeled=n_labeled,
-            n_unlabeled=n_unlabeled,
-            unlabeled=unlabeled,
-            poisoned=poisoned,
+            n_labeled=stages.n_labeled,
+            n_unlabeled=stages.n_unlabeled,
+            unlabeled=stages.unlabeled,
+            poisoned=stages.poisoned,
             # metrics snapshot is taken by __call__ *after* the root
             # span closes, so worker span durations ship back too.
+        )
+
+
+class _PartitionStages(BlockStages):
+    """The pipeline's stage sequence inside one partition (ops #1-#5).
+
+    Normalize also folds the raw rows into the fresh partition-local
+    normalizer; predict is one ``predict_proba_many`` against the
+    read-only broadcast model; collect fills the confusion matrix, the
+    labeled rows the local model learns after the whole partition, and
+    the unlabeled rows the driver drains. A poisoned row becomes a
+    record shipped back to the driver's dead-letter queue.
+    """
+
+    STAGES = ("extract", "normalize", "predict", "learn")
+
+    def __init__(
+        self,
+        extractor: FeatureExtractor,
+        normalizer: Normalizer,
+        local_normalizer: Normalizer,
+        model: StreamClassifier,
+        registry: MetricsRegistry,
+        tracer: Optional[Tracer],
+        quarantines: bool,
+        telemetry: bool,
+    ) -> None:
+        self.extractor = extractor
+        self.normalizer = normalizer
+        self.local_normalizer = local_normalizer
+        self.model = model
+        self.tracer = tracer
+        self.quarantines = quarantines
+        self._init_stages(registry, "microbatch")
+        if not telemetry:
+            # Per-tweet stage timings exist to be stitched into traces
+            # and shipped back on the snapshot; with telemetry off they
+            # would be measured, pickled, and discarded.
+            self._stage_hists = dict.fromkeys(self.STAGES, _NULL_HIST)
+        self.stats = ConfusionMatrix(extractor.encoder.n_classes)
+        self.labeled: List[Instance] = []
+        self.unlabeled: List[Tuple[ClassifiedInstance, Optional[str]]] = []
+        # (tweet_id, stage, error, traceback) per quarantined tweet; the
+        # driver folds these into its dead-letter queue.
+        self.poisoned: List[Tuple[Optional[str], str, str, str]] = []
+
+    def _extract(self, tweets: Sequence[Tweet], validate) -> InstanceBlock:
+        with _maybe_span(self.tracer, "extract"):
+            return super()._extract(tweets, validate)  # op #1 (extract)
+
+    def _normalize(self, block: InstanceBlock) -> List[Tuple[float, ...]]:
+        # op #1 (normalize: broadcast + local statistics)
+        with _maybe_span(self.tracer, "normalize"):
+            local = self.local_normalizer
+            local.observe_many(block.rows_for(local.columnar))
+            return super()._normalize(block)
+
+    def _predict(
+        self,
+        block: InstanceBlock,
+        xs: List[Tuple[float, ...]],
+        tweets: Sequence[Tweet],
+        t_start: float,
+        out: Optional[List[ClassifiedInstance]],
+    ) -> int:
+        with _maybe_span(self.tracer, "predict"):
+            probas = self.model.predict_proba_many(xs)  # op #4
+            predict_s = time.perf_counter() - t_start
+        with _maybe_span(self.tracer, "collect"):
+            stats = self.stats
+            labeled = self.labeled
+            unlabeled = self.unlabeled
+            n_labeled = 0
+            for x, proba, y, timestamp, tweet_id, tweet in zip(
+                xs, probas, block.ys, block.timestamps, block.tweet_ids,
+                tweets,
+            ):
+                predicted = argmax(proba)
+                instance = Instance(x, y, 1.0, timestamp, tweet_id)
+                if y is not None:
+                    n_labeled += 1
+                    stats.add(y, predicted)  # op #5
+                    labeled.append(instance)  # op #2 (filter)
+                else:
+                    unlabeled.append(
+                        (
+                            ClassifiedInstance(instance, predicted, proba),
+                            tweet.user.user_id,
+                        )
+                    )
+            n = len(xs)
+            self._stage_hists["predict"].observe_repeated(predict_s / n, n)
+        return n_labeled
+
+    def book_learn(self, seconds: float, n: int) -> None:
+        """The local model's one ``learn_many`` over the partition."""
+        self._stage_hists["learn"].observe_repeated(seconds / n, n)
+
+    def _quarantine(self, tweet: Tweet, stage: str, exc: Exception) -> None:
+        self.metrics.counter(
+            "tweets_quarantined_total", engine="microbatch", stage=stage
+        ).inc()
+        self.poisoned.append(
+            (
+                getattr(tweet, "tweet_id", None),
+                stage,
+                f"{type(exc).__name__}: {exc}",
+                "".join(
+                    traceback_module.format_exception(
+                        type(exc), exc, exc.__traceback__
+                    )
+                ),
+            )
         )
 
 
@@ -1318,65 +1288,73 @@ class MicroBatchEngine:
         outputs: List[Optional[_PartitionOutput]] = [None] * len(slices)
         dropped: List[Tuple[int, TaskOutcome]] = []
         stats = _ExecStats()
-        policy = self.retry_policy
-        pending = list(range(len(slices)))
-        attempt = 0
-        while pending:
-            tasks = self._tasks_for(
-                [slices[i] for i in pending], state.broadcast, state.batch_tier
-            )
-            report = self.runner.run_with_deadline(
-                tasks,
-                deadline_s=self.partition_deadline_s,
-                speculate_after=self.speculate,
-            )
-            stats.n_speculative += report.n_speculative_launched
-            stats.n_speculative_wins += report.n_speculative_wins
-            stats.n_pool_rebuilds += report.n_pool_rebuilds
-            retryable: List[Tuple[int, TaskOutcome]] = []
-            for outcome in report.outcomes:
-                index = pending[outcome.partition_index]
-                if outcome.ok:
-                    outputs[index] = outcome.result  # type: ignore[assignment]
-                    self._partition_hist.observe(outcome.duration_s)
-                    # Trace annotations: who won (a speculative copy?),
-                    # how long the runner saw it take, and which retry
-                    # round it resolved on.
-                    stats.partition_meta[index] = {
-                        "speculative": outcome.speculative,
-                        "duration_s": outcome.duration_s,
-                        "attempts": attempt,
-                    }
+        try:
+            policy = self.retry_policy
+            pending = list(range(len(slices)))
+            attempt = 0
+            while pending:
+                tasks = self._tasks_for(
+                    [slices[i] for i in pending],
+                    state.broadcast,
+                    state.batch_tier,
+                )
+                report = self.runner.run_with_deadline(
+                    tasks,
+                    deadline_s=self.partition_deadline_s,
+                    speculate_after=self.speculate,
+                )
+                stats.n_speculative += report.n_speculative_launched
+                stats.n_speculative_wins += report.n_speculative_wins
+                stats.n_pool_rebuilds += report.n_pool_rebuilds
+                retryable: List[Tuple[int, TaskOutcome]] = []
+                for outcome in report.outcomes:
+                    index = pending[outcome.partition_index]
+                    if outcome.ok:
+                        outputs[index] = outcome.result  # type: ignore
+                        # Trace annotations: who won (a speculative copy?),
+                        # how long the runner saw it take, and which retry
+                        # round it resolved on.
+                        stats.partition_meta[index] = {
+                            "speculative": outcome.speculative,
+                            "duration_s": outcome.duration_s,
+                            "attempts": attempt,
+                        }
+                        continue
+                    if outcome.status == OUTCOME_TIMED_OUT:
+                        stats.n_timeouts += 1
+                    elif outcome.status == OUTCOME_WORKER_LOST:
+                        stats.n_worker_lost += 1
+                    if outcome.retryable:
+                        retryable.append((index, outcome))
+                    elif self.dead_letters is not None:
+                        dropped.append((index, outcome))
+                    else:
+                        raise _partition_error(index, outcome)
+                if not retryable:
+                    break
+                if policy is not None and attempt < policy.max_retries:
+                    assert self._retry_rng is not None
+                    delay = policy.backoff_delay(attempt, self._retry_rng)
+                    attempt += 1
+                    stats.retries += 1
+                    self.n_retries += 1
+                    policy.sleep(delay)
+                    pending = [index for index, _outcome in retryable]
                     continue
-                if outcome.status == OUTCOME_TIMED_OUT:
-                    stats.n_timeouts += 1
-                    self._m_partition_timeouts.inc()
-                elif outcome.status == OUTCOME_WORKER_LOST:
-                    stats.n_worker_lost += 1
-                if outcome.retryable:
-                    retryable.append((index, outcome))
-                elif self.dead_letters is not None:
-                    dropped.append((index, outcome))
-                else:
-                    raise _partition_error(index, outcome)
-            if not retryable:
+                # Retry budget exhausted (or no policy): quarantine if a
+                # DLQ can absorb the loss, otherwise surface the first
+                # failure — still before any merge.
+                if self.dead_letters is None:
+                    raise _partition_error(*retryable[0])
+                dropped.extend(retryable)
                 break
-            if policy is not None and attempt < policy.max_retries:
-                assert self._retry_rng is not None
-                delay = policy.backoff_delay(attempt, self._retry_rng)
-                attempt += 1
-                stats.retries += 1
-                self.n_retries += 1
-                policy.sleep(delay)
-                pending = [index for index, _outcome in retryable]
-                continue
-            # Retry budget exhausted (or no policy): quarantine if a
-            # DLQ can absorb the loss, otherwise surface the first
-            # failure — still before any merge.
-            if self.dead_letters is None:
-                raise _partition_error(*retryable[0])
-            dropped.extend(retryable)
-            break
+        finally:
+            # Booked once per batch, a raise included: the partitions
+            # that resolved and the deadlines that were blown.
+            self._partition_hist.observe_many(
+                meta["duration_s"] for meta in stats.partition_meta.values()
+            )
+            self._m_partition_timeouts.inc(stats.n_timeouts)
         done = time.perf_counter()
         return _ExecBundle(
             indexed_outputs=outputs,
@@ -1493,9 +1471,10 @@ class MicroBatchEngine:
             # accounting (n_processed + n_quarantined == ingested)
             # stays exact without per-tweet records.
             partitions = state.partitions
+            n_dropped = sum(len(partitions[i]) for i, _ in bundle.dropped)
+            n_poisoned += n_dropped
+            self._m_partition_quarantined.inc(n_dropped)
             for index, outcome in bundle.dropped:
-                n_poisoned += len(partitions[index])
-                self._m_partition_quarantined.inc(len(partitions[index]))
                 self.dead_letters.add(
                     DeadLetterRecord(
                         tweet_id=None,

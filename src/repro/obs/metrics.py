@@ -131,6 +131,11 @@ class Histogram:
             for sketch in self._sketches:
                 sketch.update(value)
 
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Fold several observations, in order, in one call."""
+        for value in values:
+            self.observe(value)
+
     def observe_repeated(self, value: float, n: int) -> None:
         """Fold ``n`` observations of one ``value`` in one call.
 
@@ -148,9 +153,11 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        feeds, self._since_sketch = divmod(
-            self._since_sketch + n, self.sketch_every
-        )
+        since = self._since_sketch + n
+        if since < self.sketch_every:
+            self._since_sketch = since
+            return
+        feeds, self._since_sketch = divmod(since, self.sketch_every)
         for _ in range(feeds):
             for sketch in self._sketches:
                 sketch.update(value)

@@ -37,6 +37,7 @@ from repro.core.features import (
     LabelEncoder,
 )
 from repro.data.tweet import Tweet
+from repro.streamml.base import argmax
 from repro.streamml.hoeffding_tree import HoeffdingTree
 from repro.streamml.serialize import model_from_dict
 from repro.streamml.slr import StreamingLogisticRegression
@@ -140,7 +141,7 @@ class ServingModel:
         elapsed = time.perf_counter() - start
         self._observe_cost(chosen, elapsed)
         self.n_classified += 1
-        predicted = max(range(len(proba)), key=proba.__getitem__)
+        predicted = argmax(proba)
         result = {
             "tweet_id": tweet.tweet_id,
             "predicted": self.encoder.decode(predicted),

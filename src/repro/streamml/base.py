@@ -22,6 +22,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.streamml.instance import Instance
 
 
+def argmax(proba: Sequence[float]) -> int:
+    """Index of the most probable class; a tie goes to the first."""
+    return proba.index(max(proba))
+
+
 class StreamClassifier(abc.ABC):
     """Abstract incremental classifier over dense numeric instances."""
 
@@ -46,14 +51,7 @@ class StreamClassifier(abc.ABC):
 
     def predict_one(self, x: Sequence[float]) -> int:
         """Return the most probable class index."""
-        proba = self.predict_proba_one(x)
-        best_class = 0
-        best_proba = proba[0]
-        for idx in range(1, len(proba)):
-            if proba[idx] > best_proba:
-                best_proba = proba[idx]
-                best_class = idx
-        return best_class
+        return argmax(self.predict_proba_one(x))
 
     @abc.abstractmethod
     def clone(self) -> "StreamClassifier":

@@ -5,16 +5,17 @@ numeric feature vector, an optional integer class label (``None`` for the
 unlabeled stream), a sample weight (used by online bagging), and the
 timestamp of the originating tweet.
 
-:class:`InstanceBlock` is the columnar companion: parallel arrays of
-x-rows, labels, and weights for one batch, feeding the ``*_many`` batch
-kernels (``Normalizer.observe_many``, ``StreamClassifier.learn_many``)
-without materializing per-row objects until a caller asks for them.
+:class:`InstanceBlock` is the columnar companion: one block's feature
+rows with labels, timestamps and tweet ids as side arrays,
+feeding the ``*_many`` batch kernels (``Normalizer.observe_many``,
+``StreamClassifier.predict_proba_many``) without materializing per-row
+objects until a caller asks for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,24 +111,34 @@ class ClassifiedInstance:
 
 
 class InstanceBlock:
-    """Columnar batch of instances: parallel arrays of rows/labels/weights.
+    """Columnar batch of instances: feature rows plus side arrays.
 
-    The batch kernels (``Normalizer.observe_many``/``transform_many``,
-    ``StreamClassifier.learn_many``/``predict_proba_many``) consume the
-    ``xs`` column directly, so a whole micro-batch partition flows
-    through normalization and prediction without touching per-row
-    attribute access. Row order is preserved everywhere; the batch paths
-    are required (and property-tested) to be bit-identical to calling
-    the scalar path row by row.
+    One block carries the feature rows of a run of tweets with their
+    labels, timestamps and tweet ids as parallel lists (every row has
+    weight 1.0, as extracted instances do); the rows become one float64
+    matrix (:meth:`matrix`) for the columnar kernels, and a caller that
+    needs per-row :class:`Instance` objects builds them from the
+    columns. Row order is preserved everywhere; the batch paths are
+    required (and property-tested) to be bit-identical to calling the
+    scalar path row by row.
     """
 
-    __slots__ = ("xs", "ys", "weights", "instances", "_matrix")
+    __slots__ = ("xs", "ys", "timestamps", "tweet_ids", "failure", "_matrix")
 
-    def __init__(self, instances: Sequence[Instance]) -> None:
-        self.instances: List[Instance] = list(instances)
-        self.xs: List[Tuple[float, ...]] = [i.x for i in self.instances]
-        self.ys: List[Optional[int]] = [i.y for i in self.instances]
-        self.weights: List[float] = [i.weight for i in self.instances]
+    def __init__(
+        self,
+        xs: List[Tuple[float, ...]],
+        ys: List[Optional[int]],
+        timestamps: List[float],
+        tweet_ids: List[Optional[str]],
+    ) -> None:
+        self.xs = xs
+        self.ys = ys
+        self.timestamps = timestamps
+        self.tweet_ids = tweet_ids
+        #: Set by ``FeatureExtractor.extract_many`` when a row failed:
+        #: ``(stage, exception)`` for the tweet after the block's last.
+        self.failure: Optional[Tuple[str, Exception]] = None
         self._matrix = None
 
     def matrix(self):
@@ -142,39 +153,14 @@ class InstanceBlock:
             self._matrix = as_matrix(self.xs)
         return self._matrix
 
+    def rows_for(self, columnar: bool) -> Sequence[Sequence[float]]:
+        """The rows in the layout a kernel wants: the matrix for a
+        ``columnar`` one (unless the block has none), else the tuples."""
+        if columnar:
+            matrix = self.matrix()
+            if matrix is not None:
+                return matrix
+        return self.xs
+
     def __len__(self) -> int:
-        return len(self.instances)
-
-    def __iter__(self) -> Iterator[Instance]:
-        return iter(self.instances)
-
-    def __getitem__(self, index: int) -> Instance:
-        return self.instances[index]
-
-    @property
-    def labeled_indices(self) -> List[int]:
-        """Positions of the labeled rows, in row order."""
-        return [i for i, y in enumerate(self.ys) if y is not None]
-
-    def labeled(self) -> "InstanceBlock":
-        """A new block holding only the labeled rows (row order kept)."""
-        return InstanceBlock(
-            [inst for inst in self.instances if inst.y is not None]
-        )
-
-    def with_xs(self, xs: Sequence[Tuple[float, ...]]) -> "InstanceBlock":
-        """A new block with replaced feature rows (e.g. normalized).
-
-        Metadata (labels, weights, timestamps, tweet ids) is carried
-        over row by row via :meth:`Instance.with_features`.
-        """
-        if len(xs) != len(self.instances):
-            raise ValueError(
-                f"expected {len(self.instances)} rows, got {len(xs)}"
-            )
-        return InstanceBlock(
-            [
-                instance.with_features(row)
-                for instance, row in zip(self.instances, xs)
-            ]
-        )
+        return len(self.xs)

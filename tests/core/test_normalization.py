@@ -182,6 +182,52 @@ class TestMinMaxNoOutliers:
         normalizer.observe((1e9,))  # pending rows no longer move bounds
         assert normalizer.bounds == frozen
 
+    def test_cold_rows_read_the_quantiles_of_a_full_sort(self):
+        """Row by row insertion into the sorted cold buffer gives every
+        cold row the bounds a re-sort of all pending rows gives."""
+        rng = random.Random(5)
+        normalizer = MinMaxNoOutliersNormalizer(3)
+        reference = MinMaxNoOutliersNormalizer(3)
+        for index in range(BLOCK_ROWS + 40):
+            x = (
+                float(rng.randint(0, 4)),  # ties
+                rng.gauss(0.0, 1.0),
+                rng.choice((0.0, 0.0, rng.uniform(-5, 5))),
+            )
+            normalizer.observe(x)
+            reference.observe(x)
+            if index == 100:
+                # A bulk observe falls back to one sort, then inserts.
+                more = [(float(v), -float(v), 0.5) for v in range(7)]
+                normalizer.observe_many(more)
+                reference.observe_many(more)
+            reference._cold = None  # the reference re-sorts every row
+            assert normalizer.bounds == reference.bounds
+            assert normalizer.transform(x) == reference.transform(x)
+
+    def test_at_most_one_full_sort_per_fold(self, monkeypatch):
+        from repro.core import normalization
+
+        sorts = []
+        real = normalization._sorted_columns
+
+        def counted(rows):
+            sorts.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(normalization, "_sorted_columns", counted)
+        rng = random.Random(6)
+        normalizer = MinMaxNoOutliersNormalizer(17)
+        n_rows = 3 * BLOCK_ROWS + 100
+        for _ in range(n_rows):
+            normalizer.observe_and_transform(
+                tuple(rng.uniform(0, 1) for _ in range(17))
+            )
+        # Cold start inserts each row into the sorted buffer, so the
+        # only full sorts are the three folds (re-sorting the pending
+        # buffer per cold row would add 255 more).
+        assert sorts == [BLOCK_ROWS] * (n_rows // BLOCK_ROWS)
+
     def test_rare_feature_falls_back_to_min_max(self):
         """A 97%-zero count has 5%/95% quantiles 0/0; it must survive
         as an indicator instead of being erased."""

@@ -117,12 +117,12 @@ class TestDeterminism:
 
 
 class TestTelemetryBudget:
-    """ROADMAP 4a, counted not timed: what ``process`` books per tweet.
+    """Counted, not timed: what one block books, by metric.
 
-    The baseline for the PR that shrinks the sequential path's
-    telemetry (the partition path's is pinned in
-    ``tests/engine/test_worker_telemetry.py``): every ``Histogram``
-    observation and ``Counter`` increment one tweet causes, by metric.
+    Every ``Histogram`` observation and ``Counter`` increment a block
+    causes is one call per stage and one per counter, whatever the
+    block's size; ``process`` is the block of one. (The partition
+    path's budget is pinned in ``tests/engine/test_worker_telemetry.py``.)
     """
 
     @staticmethod
@@ -184,3 +184,37 @@ class TestTelemetryBudget:
                 **({"alerts_total": 1} if raised else {}),
             }  # 4 observes + 2 incs, + 1 inc when it alerts
         assert seen == {0, 1}
+
+    @pytest.mark.parametrize("size", [32, 256])
+    def test_a_block_books_once_per_stage_whatever_its_size(
+        self, small_stream, monkeypatch, size
+    ):
+        pipeline = AggressionDetectionPipeline(PipelineConfig(n_classes=2))
+        pipeline.process_stream(small_stream[:1500])
+        booked = self._booked(monkeypatch, pipeline)
+        # Labelled and unlabelled rows interleaved in one block.
+        tweets = small_stream[1500:1500 + size]
+        mixed = [
+            labeled if index % 2 else unlabeled
+            for index, (labeled, unlabeled) in enumerate(
+                zip(tweets, strip_labels(tweets))
+            )
+        ]
+        alerts = pipeline.alert_manager.n_alerts
+        pipeline.process_block(mixed)
+        raised = pipeline.alert_manager.n_alerts > alerts
+        assert booked == {
+            "tweet_stage_seconds[extract]": 1,
+            "tweet_stage_seconds[normalize]": 1,
+            "tweet_stage_seconds[predict]": 1,
+            "tweet_stage_seconds[learn]": 1,
+            "tweet_stage_seconds[alert]": 1,
+            "tweets_processed_total": 1,
+            "tweets_labeled_total": 1,
+            "tweets_unlabeled_total": 1,
+            **({"alerts_total": 1} if raised else {}),
+        }  # 5 observes + 3 incs for 32 rows or 256, + 1 when it alerts
+        hists = pipeline._stage_hists
+        assert hists["extract"].count == 1500 + size
+        assert hists["learn"].count == 1500 + size // 2
+        assert hists["alert"].count == size // 2

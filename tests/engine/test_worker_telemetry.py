@@ -16,6 +16,7 @@ count.
 from __future__ import annotations
 
 import collections
+import gc
 import os
 
 import pytest
@@ -25,7 +26,7 @@ from repro.data.synthetic import AbusiveDatasetGenerator
 from repro.engine import microbatch
 from repro.engine.microbatch import MicroBatchEngine
 from repro.engine.runners import ProcessPoolRunner
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.tracing import WORKER_STAGE_SECONDS
 from repro.reliability.faults import FaultInjectingRunner, FaultInjector
 from repro.reliability.supervisor import RetryPolicy
@@ -78,7 +79,12 @@ class TestSerialStitching:
         engine = MicroBatchEngine(
             PipelineConfig(n_classes=2), n_partitions=4, batch_size=300
         )
-        result = engine.run(_tweets(n=1200, seed=5))
+        tweets = _tweets(n=1200, seed=5)
+        # A full collection of the whole suite's heap that lands inside
+        # the driver span but between worker spans would read as
+        # missing coverage; start the run with nothing left to collect.
+        gc.collect()
+        result = engine.run(tweets)
         worker_s = result.worker_stage_seconds["partition"]
         driver_s = result.stage_seconds.partition_execute
         assert driver_s > 0.0
@@ -105,51 +111,64 @@ class TestSerialStitching:
 
 
 class TestTelemetryBudget:
-    """ROADMAP 4a, counted not timed: histogram calls per partition."""
+    """Counted, not timed: registry calls per partition block."""
 
     def test_fast_path_partition_books_amortised_stages_once(
         self, monkeypatch
     ):
-        partition_histograms = set()
+        partition_metrics = set()
         calls = collections.Counter()
 
         class PartitionRegistry(MetricsRegistry):
             def histogram(self, name, **kwargs):
                 child = super().histogram(name, **kwargs)
-                partition_histograms.add(child)
+                partition_metrics.add(child)
+                return child
+
+            def counter(self, name, **kwargs):
+                child = super().counter(name, **kwargs)
+                partition_metrics.add(child)
                 return child
 
         def counted(method):
             def wrapper(self, *args):
-                if self in partition_histograms:
+                if self in partition_metrics:
                     calls[method.__name__] += 1
                 return method(self, *args)
 
             return wrapper
 
-        engine = MicroBatchEngine(
-            PipelineConfig(n_classes=3), n_partitions=1, batch_size=500
-        )
-        # Only registries built from here on are counted: the one the
+        # Only registries built from here on are counted: the one each
         # partition task creates for itself, not the driver's.
         monkeypatch.setattr(microbatch, "MetricsRegistry", PartitionRegistry)
         monkeypatch.setattr(Histogram, "observe", counted(Histogram.observe))
         monkeypatch.setattr(
             Histogram, "observe_repeated", counted(Histogram.observe_repeated)
         )
-        result = engine.run(_tweets(n=500, seed=3))
-        assert result.n_processed == 500
-        # normalize + predict, once each for the whole block.
-        assert calls["observe_repeated"] == 2
-        # One per tweet for extract (timed row by row), one for the
-        # learn stage, eight worker spans closing. Before
-        # observe_repeated this partition made 1 509 calls.
-        assert calls["observe"] == 500 + 1 + 8
-        stages = engine.metrics.histogram(
-            "tweet_stage_seconds", engine="microbatch", stage="predict"
-        )
-        assert stages.count == 500
-        assert stages.sum == pytest.approx(stages.max * 500)
+        monkeypatch.setattr(Counter, "inc", counted(Counter.inc))
+        for size in (120, 500):
+            calls.clear()
+            engine = MicroBatchEngine(
+                PipelineConfig(n_classes=3), n_partitions=1, batch_size=size
+            )
+            result = engine.run(_tweets(n=size, seed=3))
+            assert result.n_processed == size
+            assert calls == {
+                # extract, normalize, predict and learn, once each for
+                # the whole block (a partition made 511 histogram calls
+                # for 500 tweets when extract was booked row by row) ...
+                "observe_repeated": 4,
+                # ... the eight worker spans closing ...
+                "observe": 8,
+                # ... tweets processed / labeled (this stream is all
+                # labelled) and the broadcast decode.
+                "inc": 3,
+            }
+            stages = engine.metrics.histogram(
+                "tweet_stage_seconds", engine="microbatch", stage="extract"
+            )
+            assert stages.count == size
+            assert stages.sum == pytest.approx(stages.max * size)
 
 
 class TestProcessStitching:

@@ -301,24 +301,21 @@ class TestInstanceBlock:
     @settings(max_examples=30, deadline=None)
     def test_columns_parallel_to_instances(self, xs, ys):
         instances = _instances(xs, ys)
-        block = InstanceBlock(instances)
+        block = InstanceBlock(
+            [inst.x for inst in instances],
+            [inst.y for inst in instances],
+            [inst.timestamp for inst in instances],
+            [inst.tweet_id for inst in instances],
+        )
         assert len(block) == len(instances)
-        assert block.xs == [inst.x for inst in instances]
-        assert block.ys == [inst.y for inst in instances]
-        assert [b for b in block] == instances
-        assert block.labeled().instances == [
-            inst for inst in instances if inst.y is not None
-        ]
-
-    @given(xs=rows, ys=labels)
-    @settings(max_examples=30, deadline=None)
-    def test_with_xs_preserves_metadata(self, xs, ys):
-        block = InstanceBlock(_instances(xs, ys))
-        replaced = block.with_xs([tuple(0.0 for _ in x) for x in block.xs])
-        assert replaced.ys == block.ys
-        assert all(all(v == 0.0 for v in x) for x in replaced.xs)
-        with pytest.raises(ValueError):
-            block.with_xs(block.xs + [(0.0,) * N_FEATURES])
+        assert block.failure is None
+        matrix = block.matrix()
+        if instances:
+            assert matrix.tolist() == [list(x) for x in block.xs]
+            assert block.rows_for(True) is matrix
+        else:
+            assert matrix is None and block.rows_for(True) == []
+        assert block.rows_for(False) is block.xs
 
 
 class TestFusedExtractionAcrossTiers:

@@ -152,6 +152,30 @@ def batch_size(engine, result):
 '''
 
 
+TELEMETRY_OFFENDING = '''
+def process(self, block):
+    for x in block:
+        self.stage_hist.observe(0.1)
+        if x:
+            self.m_labeled.inc()
+    for index, outcome in enumerate(block):
+        self.partition_hist.observe_repeated(outcome, 1)
+'''
+
+TELEMETRY_CLEAN = '''
+def process(self, block):
+    """.observe() per row in a docstring is fine."""
+    n_labeled = 0
+    for x in block:
+        n_labeled += bool(x)
+    while block:
+        block = block[1:]
+    self.stage_hist.observe_repeated(0.1, len(block))
+    self.m_labeled.inc(n_labeled)
+    self.partition_hist.observe_many(o for o in block)
+'''
+
+
 def _messages(source: str, filename: str):
     return [
         message
@@ -234,6 +258,26 @@ def test_dataclasses_replace_flagged_under_streamml_only():
     assert all("dataclasses.replace" in m for m in messages)
     assert _messages(STREAMML_OFFENDING, "src/repro/data/tweet.py") == []
     assert _messages(STREAMML_CLEAN, "src/repro/streamml/instance.py") == []
+
+
+def test_per_row_telemetry_flagged_in_the_block_modules_only():
+    for filename in (
+        "src/repro/core/pipeline.py", "src/repro/engine/microbatch.py"
+    ):
+        messages = _messages(TELEMETRY_OFFENDING, filename)
+        assert messages == [
+            ".observe() inside a for loop (book once per block, after "
+            "the loop)",
+            ".inc() inside a for loop (book once per block, after the "
+            "loop)",
+            ".observe_repeated() inside a for loop (book once per block, "
+            "after the loop)",
+        ]
+        assert _messages(TELEMETRY_CLEAN, filename) == []
+    for filename in (
+        "src/repro/engine/sequential.py", "src/repro/serve/server.py"
+    ):
+        assert _messages(TELEMETRY_OFFENDING, filename) == []
 
 
 def test_clean_snippet_passes():

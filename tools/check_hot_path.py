@@ -60,6 +60,14 @@ two patterns that are harmless elsewhere are throughput bugs there:
   and builds a kwargs dict before calling the same constructor, twice
   the cost of calling it directly (``Instance.with_*``).
 
+* in ``core/pipeline.py`` and ``engine/microbatch.py``: a metric
+  ``.observe(`` / ``.observe_repeated(`` / ``.inc(`` call inside a
+  ``for`` loop body — both engines book the per-tweet stages once per
+  block (one ``observe_repeated`` per stage, one ``inc`` per counter,
+  DESIGN.md §9 "Histogram amortisation"); a booking per row puts the
+  registry back on the per-tweet path. Sum inside the loop, book after
+  it (``Histogram.observe_many`` for distinct values).
+
 * anywhere under ``src/repro`` outside ``engine/``: ``isinstance(...,
   MicroBatchEngine | SequentialEngine)`` — the supervisor and the CLI
   drive the ``Engine`` protocol (``repro.engine.protocol``, DESIGN.md
@@ -245,6 +253,31 @@ def _dataclass_replace_offenses(
             )
 
 
+#: The modules whose loops must not book telemetry per row.
+BLOCK_TELEMETRY_FILES = (("core", "pipeline.py"), ("engine", "microbatch.py"))
+TELEMETRY_METHODS = {"observe", "observe_repeated", "inc"}
+
+
+def _per_row_telemetry_offenses(
+    tree: ast.AST,
+) -> Iterator[Tuple[int, int, str]]:
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.AsyncFor)):
+            continue
+        for node in ast.walk(loop):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in TELEMETRY_METHODS
+            ):
+                yield (
+                    node.lineno,
+                    node.col_offset,
+                    f".{node.func.attr}() inside a for loop (book once "
+                    "per block, after the loop)",
+                )
+
+
 def find_hot_path_offenses(
     source: str, filename: str = ""
 ) -> Iterator[Tuple[int, int, str]]:
@@ -258,7 +291,8 @@ def find_hot_path_offenses(
     memo and the scan runs in C); the asyncio
     stream layer and per-response labelled metric lookups are banned
     in a ``serve/`` directory, ``dataclasses.replace`` in a
-    ``streamml/`` directory.
+    ``streamml/`` directory, and metric bookings inside ``for`` loops
+    in :data:`BLOCK_TELEMETRY_FILES`.
     """
     tree = ast.parse(source)
     parts = Path(filename).parts
@@ -269,6 +303,8 @@ def find_hot_path_offenses(
         yield from _serve_offenses(tree)
     if "streamml" in parts:
         yield from _dataclass_replace_offenses(tree)
+    if parts[-2:] in BLOCK_TELEMETRY_FILES:
+        yield from _per_row_telemetry_offenses(tree)
     # re.compile is only an offense inside a function body; module-level
     # compiles are exactly the fix this lint wants.
     function_nodes = [
