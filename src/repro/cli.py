@@ -755,7 +755,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     # they stay pipeable under any --log-level / --log-json setting.
     out = sys.stdout
     try:
-        for tweet in read_jsonl(args.input):
+        for record in read_jsonl(args.input):
+            tweet = record.parse()
             instance = extractor.extract(tweet, update_bow=False)
             predicted = model.predict_one(instance.x)
             out.write(json.dumps({

@@ -12,9 +12,9 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.streamml.instance import ClassifiedInstance
+from repro.streamml.instance import ClassifiedBlock, ClassifiedInstance
 
 
 class AlertAction(enum.Enum):
@@ -117,33 +117,35 @@ class AlertManager:
         return alert
 
     def process_batch(
-        self,
-        classified_with_users: Iterable[
-            Tuple[ClassifiedInstance, Optional[str]]
-        ],
+        self, block: ClassifiedBlock, user_ids: Sequence[Optional[str]]
     ) -> List[Alert]:
         """Process a micro-batch drain of classified instances.
 
-        The micro-batch engine hands over each batch's unlabeled
-        instances in one call; the non-alerting majority is rejected
-        with a single membership test before paying the per-alert path.
-        Returns the alerts raised for this batch, in offer order.
+        The micro-batch engine hands over each partition's unlabeled
+        rows as one columnar block (``user_ids[i]`` wrote row ``i``).
+        The non-alerting majority is rejected on the predicted-class and
+        confidence columns; only a row that raises an alert becomes a
+        :class:`ClassifiedInstance`. Returns the alerts raised, in order.
         """
         aggressive = self.policy.aggressive_classes
-        process = self.process
+        min_confidence = self.policy.min_confidence
+        probas = block.probas
         raised: List[Alert] = []
-        for classified, user_id in classified_with_users:
-            if classified.predicted not in aggressive:
-                continue
-            alert = process(classified, user_id=user_id)
-            if alert is not None:
-                raised.append(alert)
+        for row, predicted in enumerate(block.predicted):
+            if (
+                predicted in aggressive
+                and probas[row, predicted] >= min_confidence
+            ):
+                alert = self.process(block.classified(row), user_ids[row])
+                raised.append(alert)  # type: ignore[arg-type]
         return raised
 
     def _maybe_escalate(
         self, user_id: str, timestamp: float, action: AlertAction
     ) -> AlertAction:
-        history = self._user_history.setdefault(user_id, deque())
+        history = self._user_history.get(user_id)
+        if history is None:
+            history = self._user_history[user_id] = deque()
         history.append(timestamp)
         cutoff = timestamp - self.policy.history_window
         while history and history[0] < cutoff:

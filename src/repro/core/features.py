@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     FrozenSet,
@@ -32,12 +33,15 @@ from typing import (
 
 from repro.core.adaptive_bow import AdaptiveBagOfWords, FixedBagOfWords
 from repro.core.preprocessing import preprocess_tokens, raw_word_tokens
-from repro.data.tweet import Tweet
+from repro.data.tweet import Tweet, TweetItem, TweetLine
 from repro.streamml.instance import Instance, InstanceBlock
 from repro.text.analysis import analyze
 from repro.text.lexicons import SWEAR_WORDS
 from repro.text.sentiment import SentimentAnalyzer
 from repro.text.tokenizer import tokenize
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.obs.metrics import MetricsRegistry
 
 #: Feature order. The first 16 are the paper's features (Fig. 5); the
 #: 17th is the (adaptive or fixed) bag-of-words match count.
@@ -186,53 +190,68 @@ class FeatureExtractor:
             self._deobfuscator = Deobfuscator()
         self._sentiment = SentimentAnalyzer()
 
-    def extract(self, tweet: Tweet, update_bow: bool = True) -> Instance:
-        """Extract the full feature vector.
+    def extract(self, tweet: TweetItem, update_bow: bool = True) -> Instance:
+        """Extract the full feature vector (of a record's parsed tweet).
 
         When the tweet is labeled and ``update_bow`` is true, the tweet
         also updates the adaptive BoW's rolling statistics (training
         path of Fig. 1).
         """
+        if type(tweet) is TweetLine:
+            tweet = tweet.tweet
         x, label = self._features(tweet, update_bow)
         # Positional: keyword binding costs ~0.5 us a tweet.
         return Instance(x, label, 1.0, tweet.created_at, tweet.tweet_id)
 
     def extract_many(
         self,
-        tweets: Sequence[Tweet],
+        tweets: Sequence[TweetItem],
         validate: Optional[Callable[[Tweet], None]] = None,
+        metrics: Optional["MetricsRegistry"] = None,
     ) -> InstanceBlock:
         """Extract a run of tweets into one :class:`InstanceBlock`.
 
-        Rows are extracted in order through :meth:`extract`'s body, so
-        each labeled tweet updates the BoW before the next row counts
-        its matches, exactly as row-by-row :meth:`extract` calls would.
+        The engines' one parse site: each :class:`TweetLine` is parsed
+        here (null-text repairs counted in ``metrics``). Rows are
+        extracted in order through :meth:`extract`'s body, so each
+        labeled tweet updates the BoW before the next row counts its
+        matches, exactly as row-by-row :meth:`extract` calls would.
         ``validate`` (e.g. ``validate_tweet``) runs before each row. The
         first row that fails ends the block: the block holds the rows
-        before it and ``block.failure`` is ``(stage, exception)`` for
-        ``tweets[len(block)]``; no later tweet is touched.
+        before it and ``block.failure`` is ``(stage, exception,
+        tweet_id)`` for ``tweets[len(block)]`` (stage ``"parse"`` —
+        ``tweet_id`` is then ``None`` — ``"validate"`` or
+        ``"extract"``); no later tweet is touched.
         """
         features = self._features
         xs: List[Tuple[float, ...]] = []
         ys: List[Optional[int]] = []
         timestamps: List[float] = []
         tweet_ids: List[Optional[str]] = []
+        user_ids: List[Optional[str]] = []
+        tweet = None
         stage = "extract"
         failure = None
         try:
             for tweet in tweets:
+                if type(tweet) is TweetLine:
+                    stage = "parse"
+                    tweet = tweet.parse(metrics)
                 if validate is not None:
                     stage = "validate"
                     validate(tweet)
-                    stage = "extract"
+                stage = "extract"
                 x, label = features(tweet, True)
                 xs.append(x)
                 ys.append(label)
                 timestamps.append(tweet.created_at)
                 tweet_ids.append(tweet.tweet_id)
+                user_ids.append(tweet.user.user_id)
         except Exception as exc:
-            failure = (stage, exc)
-        block = InstanceBlock(xs, ys, timestamps, tweet_ids)
+            # A record that did not parse has no id to read.
+            failed = None if stage == "parse" else tweet
+            failure = (stage, exc, getattr(failed, "tweet_id", None))
+        block = InstanceBlock(xs, ys, timestamps, tweet_ids, user_ids)
         block.failure = failure
         return block
 

@@ -17,10 +17,14 @@ its block in one ``predict_proba_many``. Telemetry is booked once per
 block. :meth:`AggressionDetectionPipeline.process` is the block of one,
 on the row kernels.
 
+A JSONL record (:class:`~repro.data.tweet.TweetLine`) is parsed in the
+extract loop, so both engines share one parse site and a micro-batch
+driver never parses a line.
+
 Poison-input quarantine: when constructed with a
 :class:`~repro.reliability.deadletter.DeadLetterQueue`, the fallible
-per-tweet stages (validation and extraction; a row that passes them is
-17 finite floats) run under a try/except; a failing tweet is routed to
+per-tweet stages (parsing, validation and extraction; a row that passes
+them is 17 finite floats) run under a try/except; a failing tweet is routed to
 the dead-letter queue with its failing stage and traceback and the
 stream keeps flowing (degraded skip-and-count) — until the
 failure-rate circuit breaker opens, at which point the run fails
@@ -51,7 +55,7 @@ from repro.core.features import (
 )
 from repro.core.normalization import Normalizer, make_normalizer
 from repro.core.sampling import BoostedRandomSampler
-from repro.data.tweet import Tweet
+from repro.data.tweet import Tweet, TweetItem
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.reliability.deadletter import (
     CircuitBreaker,
@@ -59,7 +63,12 @@ from repro.reliability.deadletter import (
     validate_tweet,
 )
 from repro.streamml.base import StreamClassifier, argmax
-from repro.streamml.instance import ClassifiedInstance, Instance, InstanceBlock
+from repro.streamml.instance import (
+    ClassifiedBlock,
+    ClassifiedInstance,
+    Instance,
+    InstanceBlock,
+)
 
 Row = Tuple[float, ...]
 
@@ -89,10 +98,10 @@ class BlockStages:
 
     The one per-tweet stage sequence of both engines. A subclass sets
     the attributes below, calls :meth:`_init_stages`, and supplies
-    ``_predict(block, xs, tweets, t_start, out)`` — predict and collect
-    one normalized block, book its own stages, return how many rows
-    are labeled — and ``_quarantine(tweet, stage, exc)`` for a
-    poisoned row. Each stage is booked once per block: one
+    ``_predict(block, xs, t_start, out)`` — predict and collect one
+    normalized block, book its own stages, return how many rows are
+    labeled — and ``_quarantine(tweet_id, stage, exc)`` for a poisoned
+    row. Each stage is booked once per block: one
     ``observe_repeated`` per stage histogram and one ``inc`` per
     counter, whatever the block's size.
     """
@@ -142,14 +151,14 @@ class BlockStages:
 
     def process_block(
         self,
-        tweets: Sequence[Tweet],
+        tweets: Sequence[TweetItem],
         out: Optional[List[ClassifiedInstance]] = None,
     ) -> None:
         """Run ``tweets`` through every stage, in stream order.
 
-        A row that fails validation or extraction cuts the block: the
-        rows before it run every stage, then the row is quarantined (or
-        its error raised), then the rest follows as the next block.
+        A row that fails to parse, validate or extract cuts the block:
+        the rows before it run every stage, then the row is quarantined
+        (or its error raised), then the rest follows as the next block.
         ``out``, when given, receives one classified instance per
         processed row.
         """
@@ -162,20 +171,20 @@ class BlockStages:
                 t_extract = perf_counter()
                 xs = self._normalize(block)
                 t_normalize = perf_counter()
-                n_labeled = self._predict(block, xs, tweets, t_normalize, out)
+                n_labeled = self._predict(block, xs, t_normalize, out)
                 self._book(
                     n, n_labeled, t_extract - t_start, t_normalize - t_extract
                 )
             if block.failure is None:
                 return
-            stage, exc = block.failure
+            stage, exc, tweet_id = block.failure
             if not self.quarantines:
                 raise exc
-            self._quarantine(tweets[n], stage, exc)
+            self._quarantine(tweet_id, stage, exc)
             tweets = tweets[n + 1:]
 
-    def _extract(self, tweets: Sequence[Tweet], validate) -> InstanceBlock:
-        return self.extractor.extract_many(tweets, validate)
+    def _extract(self, tweets: Sequence[TweetItem], validate) -> InstanceBlock:
+        return self.extractor.extract_many(tweets, validate, self.metrics)
 
     def _normalize(self, block: InstanceBlock) -> List[Row]:
         """Observe-then-transform the block; a block of one takes the
@@ -310,7 +319,7 @@ class AggressionDetectionPipeline(BlockStages):
     # Per-tweet processing
     # ------------------------------------------------------------------
 
-    def process(self, tweet: Tweet) -> Optional[ClassifiedInstance]:
+    def process(self, tweet: TweetItem) -> Optional[ClassifiedInstance]:
         """Run one tweet through the full pipeline: a block of one.
 
         Labeled tweets: extract → normalize → predict (prequential test)
@@ -334,7 +343,6 @@ class AggressionDetectionPipeline(BlockStages):
         self,
         block: InstanceBlock,
         xs: List[Row],
-        tweets: Sequence[Tweet],
         t_start: float,
         out: Optional[List[ClassifiedInstance]],
     ) -> int:
@@ -351,8 +359,8 @@ class AggressionDetectionPipeline(BlockStages):
         n_labeled = 0
         predict_s = learn_s = alert_s = 0.0
         t = t_start
-        for x, y, timestamp, tweet_id, tweet in zip(
-            xs, block.ys, block.timestamps, block.tweet_ids, tweets
+        for x, y, timestamp, tweet_id, user_id in zip(
+            xs, block.ys, block.timestamps, block.tweet_ids, block.user_ids
         ):
             proba = predict(x)
             t_predicted = perf_counter()
@@ -371,7 +379,7 @@ class AggressionDetectionPipeline(BlockStages):
                 add_unlabeled(predicted)
                 classified = ClassifiedInstance(instance, predicted, proba)
                 if predicted in aggressive:
-                    alert_manager.process(classified, tweet.user.user_id)
+                    alert_manager.process(classified, user_id)
                 offer(classified)
                 if out is not None:
                     out.append(classified)
@@ -392,30 +400,30 @@ class AggressionDetectionPipeline(BlockStages):
         return n_labeled
 
     def drain_unlabeled(
-        self, unlabeled: Sequence[Tuple[ClassifiedInstance, Optional[str]]]
+        self, block: ClassifiedBlock, user_ids: Sequence[Optional[str]]
     ) -> None:
         """Alert on and sample classified unlabeled tweets in one call.
 
         The batched form of a block's unlabeled tail, for a driver whose
-        partitions already classified the tweets: takes
-        ``(classified, user_id)`` pairs in stream order.
+        partitions already classified the tweets: one columnar block in
+        stream order and the user id of each row.
         """
         before = self.alert_manager.n_alerts
-        self.alert_manager.process_batch(unlabeled)
-        self.sampler.offer_many(classified for classified, _ in unlabeled)
+        self.alert_manager.process_batch(block, user_ids)
+        self.sampler.offer_many(block)
         if self.alert_manager.n_alerts > before:
             self._m_alerts.inc(self.alert_manager.n_alerts - before)
 
-    def _quarantine(self, tweet: Tweet, stage: str, exc: Exception) -> None:
+    def _quarantine(
+        self, tweet_id: Optional[str], stage: str, exc: Exception
+    ) -> None:
         """Route a poison tweet to the dead-letter queue; maybe trip."""
         assert self.dead_letters is not None
         self.n_quarantined += 1
         self.metrics.counter(
             "tweets_quarantined_total", engine=self.engine_label, stage=stage
         ).inc()
-        self.dead_letters.add_failure(
-            getattr(tweet, "tweet_id", None), stage, exc
-        )
+        self.dead_letters.add_failure(tweet_id, stage, exc)
         if self.breaker is not None:
             self.breaker.record(True)
             self.breaker.check()
@@ -436,7 +444,7 @@ class AggressionDetectionPipeline(BlockStages):
     # Stream processing
     # ------------------------------------------------------------------
 
-    def process_stream(self, tweets: Iterable[Tweet]) -> PipelineResult:
+    def process_stream(self, tweets: Iterable[TweetItem]) -> PipelineResult:
         """Run the pipeline over a tweet stream and summarize."""
         for tweet in tweets:
             self.process(tweet)
@@ -473,7 +481,7 @@ class AggressionDetectionPipeline(BlockStages):
 
 
 def run_pipeline(
-    tweets: Iterable[Tweet], config: Optional[PipelineConfig] = None
+    tweets: Iterable[TweetItem], config: Optional[PipelineConfig] = None
 ) -> PipelineResult:
     """One-shot convenience: build a pipeline and process a stream."""
     pipeline = AggressionDetectionPipeline(config)

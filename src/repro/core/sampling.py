@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.streamml.instance import ClassifiedInstance
+from repro.streamml.instance import ClassifiedBlock, ClassifiedInstance
 
 
 class BoostedRandomSampler:
@@ -51,29 +51,37 @@ class BoostedRandomSampler:
 
     def offer(self, classified: ClassifiedInstance) -> None:
         """Consider one classified instance for the reservoir."""
-        self.n_offered += 1
-        weight = 1.0
-        if classified.predicted in self.aggressive_classes:
-            weight = self.boost
-            self.n_aggressive_offered += 1
-        # A-Res key: u^(1/w) keeps the top-k keys as a weighted sample.
-        key = self._rng.random() ** (1.0 / weight)
-        self._counter += 1
+        key = self._draw(classified.predicted)
         entry = (key, self._counter, classified)
         if len(self._heap) < self.capacity:
             heapq.heappush(self._heap, entry)
         elif key > self._heap[0][0]:
             heapq.heapreplace(self._heap, entry)
 
-    def offer_many(self, classified: Iterable[ClassifiedInstance]) -> None:
-        """Offer a whole micro-batch drain to the reservoir.
+    def offer_many(self, block: ClassifiedBlock) -> None:
+        """Offer a micro-batch drain's rows, ``==`` :meth:`offer` per
+        row; a row becomes a :class:`ClassifiedInstance` only if it
+        enters the reservoir."""
+        heap = self._heap
+        for row, predicted in enumerate(block.predicted):
+            key = self._draw(predicted)
+            if len(heap) < self.capacity or key > heap[0][0]:
+                entry = (key, self._counter, block.classified(row))
+                if len(heap) < self.capacity:
+                    heapq.heappush(heap, entry)
+                else:
+                    heapq.heapreplace(heap, entry)
 
-        Equivalent to calling :meth:`offer` per instance in order (the
-        reservoir stays deterministic for a fixed seed and offer order).
-        """
-        offer = self.offer
-        for item in classified:
-            offer(item)
+    def _draw(self, predicted: int) -> float:
+        """Count one offer and draw its key."""
+        self.n_offered += 1
+        weight = 1.0
+        if predicted in self.aggressive_classes:
+            weight = self.boost
+            self.n_aggressive_offered += 1
+        self._counter += 1
+        # A-Res key: u^(1/w) keeps the top-k keys as a weighted sample.
+        return self._rng.random() ** (1.0 / weight)
 
     def sample(self) -> List[ClassifiedInstance]:
         """Current reservoir contents (unordered)."""

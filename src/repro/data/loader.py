@@ -23,7 +23,7 @@ from typing import (
     Union,
 )
 
-from repro.data.tweet import Tweet
+from repro.data.tweet import Tweet, TweetLine
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.obs.metrics import MetricsRegistry
@@ -33,12 +33,13 @@ PathLike = Union[str, Path]
 
 @dataclass
 class IngestStats:
-    """Counters for what ingest sanitization had to repair.
+    """Counters for what ingest read and had to repair.
 
     Real Twitter payloads occasionally carry ``"text": null`` (deleted
     or withheld content); rather than letting ``None`` propagate into
     the feature extractor, ingest normalizes it to the empty string and
-    counts the repair here so operators can monitor feed quality.
+    counts the repair so operators can monitor feed quality (here for
+    in-memory streams; a JSONL record is repaired where it is parsed).
     """
 
     n_read: int = 0
@@ -63,28 +64,13 @@ def sanitize_tweet(tweet: Tweet, stats: Optional[IngestStats] = None) -> Tweet:
 
 
 def sanitize_stream(
-    tweets: Iterable[Tweet],
-    stats: Optional[IngestStats] = None,
-    metrics: Optional["MetricsRegistry"] = None,
+    tweets: Iterable[Tweet], stats: Optional[IngestStats] = None
 ) -> Iterator[Tweet]:
-    """Lazily sanitize a stream, counting reads and repairs.
-
-    Pass a :class:`~repro.obs.metrics.MetricsRegistry` to also publish
-    the counts as ``ingest_reads_total`` / ``ingest_null_text_total``.
-    """
-    m_read = m_null = None
-    if metrics is not None:
-        m_read = metrics.counter("ingest_reads_total")
-        m_null = metrics.counter("ingest_null_text_total")
+    """Lazily sanitize an in-memory stream, counting reads and repairs."""
     for tweet in tweets:
         if stats is not None:
             stats.n_read += 1
-        if m_read is not None:
-            m_read.inc()
-        repaired = sanitize_tweet(tweet, stats)
-        if m_null is not None and repaired is not tweet:
-            m_null.inc()
-        yield repaired
+        yield sanitize_tweet(tweet, stats)
 
 
 def write_jsonl(tweets: Iterable[Tweet], path: PathLike) -> int:
@@ -102,22 +88,30 @@ def read_jsonl(
     path: PathLike,
     stats: Optional[IngestStats] = None,
     metrics: Optional["MetricsRegistry"] = None,
-) -> Iterator[Tweet]:
-    """Lazily read tweets from a JSONL file (blank lines skipped).
+) -> Iterator[TweetLine]:
+    """Lazily read a JSONL file as unparsed
+    :class:`~repro.data.tweet.TweetLine` records (blank lines skipped).
 
-    Null ``text`` fields are normalized to the empty string; pass an
-    :class:`IngestStats` to count how many lines needed that repair,
-    and/or a :class:`~repro.obs.metrics.MetricsRegistry` to publish the
-    same counts as ``ingest_reads_total`` / ``ingest_null_text_total``.
+    A bad byte is read with ``surrogateescape``, so it costs its line
+    at parse, not the stream. Pass an :class:`IngestStats` and/or a
+    :class:`~repro.obs.metrics.MetricsRegistry` to count the reads
+    (``ingest_reads_total``; the parse counts null-text repairs in
+    ``ingest_null_text_total``, registered here).
     """
-    def lines() -> Iterator[Tweet]:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    yield Tweet.from_json_line(line)
-
-    return sanitize_stream(lines(), stats=stats, metrics=metrics)
+    m_read = None
+    if metrics is not None:
+        m_read = metrics.counter("ingest_reads_total")
+        metrics.counter("ingest_null_text_total")
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, line in enumerate(handle, 1):
+            line = line.strip()
+            if not line:
+                continue
+            if stats is not None:
+                stats.n_read += 1
+            if m_read is not None:
+                m_read.inc()
+            yield TweetLine(line, lineno)
 
 
 def strip_labels(tweets: Iterable[Tweet]) -> Iterator[Tweet]:

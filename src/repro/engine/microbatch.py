@@ -51,8 +51,10 @@ driver encodes each micro-batch's partitions once into a pooled
 shared-memory :class:`~repro.engine.runners.TweetBlock`, and every
 partition task carries only an O(1) ``(segment, offset, length)``
 descriptor — N partitions no longer cost N tweet-list pickles through
-the pool's task pipe. Partition outputs ship compact aggregates on the
-way back (SLR locals reduce to a weights/bias/count triple; per-tweet
+the pool's task pipe. JSONL records pickle to their raw lines, which
+the partitions parse: the driver never parses a line. Partition outputs
+ship compact aggregates on the way back (SLR locals reduce to a
+weights/bias/count triple; unlabeled rows travel as columns; per-tweet
 stage telemetry is only measured and shipped when worker telemetry is
 on).
 
@@ -107,7 +109,7 @@ from repro.core.evaluation import ConfusionMatrix
 from repro.core.features import DegradeTier, FeatureExtractor, LabelEncoder
 from repro.core.normalization import Normalizer
 from repro.core.pipeline import AggressionDetectionPipeline, BlockStages
-from repro.data.tweet import Tweet
+from repro.data.tweet import TweetItem
 from repro.engine.runners import (
     OUTCOME_TIMED_OUT,
     OUTCOME_WORKER_LOST,
@@ -134,7 +136,12 @@ from repro.obs.tracing import (
 )
 from repro.reliability.deadletter import DeadLetterQueue, DeadLetterRecord
 from repro.streamml.base import StreamClassifier, argmax
-from repro.streamml.instance import ClassifiedInstance, Instance, InstanceBlock
+from repro.streamml.instance import (
+    ClassifiedBlock,
+    ClassifiedInstance,
+    Instance,
+    InstanceBlock,
+)
 from repro.streamml.slr import StreamingLogisticRegression
 from repro.text.lexicons import SWEAR_WORDS
 
@@ -209,8 +216,8 @@ class _PartitionOutput:
 
     All fields are either fixed-size aggregates (model, BoW delta,
     confusion matrix, normalizer statistics, counters) or the batch's
-    unlabeled instances destined for the driver-side alert/sample
-    drain. Raw feature vectors never leave the partition.
+    unlabeled rows, as columns, destined for the driver-side
+    alert/sample drain. Raw feature vectors never leave the partition.
 
     ``local_model`` is either a trained local classifier (tree/ensemble
     structure copies, plain clones) or an :class:`_SLRDelta` — the
@@ -223,7 +230,9 @@ class _PartitionOutput:
     local_normalizer: Normalizer
     n_labeled: int
     n_unlabeled: int
-    unlabeled: List[Tuple[ClassifiedInstance, Optional[str]]]
+    # The unlabeled rows (None when there are none) and their user ids.
+    unlabeled: Optional[ClassifiedBlock]
+    unlabeled_users: Sequence[Optional[str]]
     # (tweet_id, stage, error, traceback) per quarantined tweet; the
     # driver folds these into its dead-letter queue.
     poisoned: List[Tuple[Optional[str], str, str, str]] = field(
@@ -299,7 +308,7 @@ class _BatchState:
     n_tweets: int
     batch_tier: DegradeTier
     broadcast: StateBroadcast
-    partitions: List[List[Tweet]]
+    partitions: List[List[TweetItem]]
     block: TweetBlock
     started: float
     future: Optional["Future[_ExecBundle]"] = None
@@ -475,6 +484,7 @@ class _PartitionTask:
         local_normalizer = stages.local_normalizer
         local_normalizer.n_transformed = seen.n_transformed - base_transformed
         local_normalizer.n_clipped = seen.n_clipped - base_clipped
+        unlabeled, unlabeled_users = stages.unlabeled_columns()
         return _PartitionOutput(
             local_model=_compact_local_model(local_model),
             bow_delta=bow_delta,
@@ -482,7 +492,8 @@ class _PartitionTask:
             local_normalizer=local_normalizer,
             n_labeled=stages.n_labeled,
             n_unlabeled=stages.n_unlabeled,
-            unlabeled=stages.unlabeled,
+            unlabeled=unlabeled,
+            unlabeled_users=unlabeled_users,
             poisoned=stages.poisoned,
             # metrics snapshot is taken by __call__ *after* the root
             # span closes, so worker span durations ship back too.
@@ -527,12 +538,13 @@ class _PartitionStages(BlockStages):
             self._stage_hists = dict.fromkeys(self.STAGES, _NULL_HIST)
         self.stats = ConfusionMatrix(extractor.encoder.n_classes)
         self.labeled: List[Instance] = []
-        self.unlabeled: List[Tuple[ClassifiedInstance, Optional[str]]] = []
+        # (x, proba, predicted, timestamp, tweet_id, user_id) per row.
+        self.unlabeled: List[Tuple[Any, ...]] = []
         # (tweet_id, stage, error, traceback) per quarantined tweet; the
         # driver folds these into its dead-letter queue.
         self.poisoned: List[Tuple[Optional[str], str, str, str]] = []
 
-    def _extract(self, tweets: Sequence[Tweet], validate) -> InstanceBlock:
+    def _extract(self, tweets: Sequence[TweetItem], validate) -> InstanceBlock:
         with _maybe_span(self.tracer, "extract"):
             return super()._extract(tweets, validate)  # op #1 (extract)
 
@@ -547,7 +559,6 @@ class _PartitionStages(BlockStages):
         self,
         block: InstanceBlock,
         xs: List[Tuple[float, ...]],
-        tweets: Sequence[Tweet],
         t_start: float,
         out: Optional[List[ClassifiedInstance]],
     ) -> int:
@@ -559,22 +570,19 @@ class _PartitionStages(BlockStages):
             labeled = self.labeled
             unlabeled = self.unlabeled
             n_labeled = 0
-            for x, proba, y, timestamp, tweet_id, tweet in zip(
+            for x, proba, y, timestamp, tweet_id, user_id in zip(
                 xs, probas, block.ys, block.timestamps, block.tweet_ids,
-                tweets,
+                block.user_ids,
             ):
                 predicted = argmax(proba)
-                instance = Instance(x, y, 1.0, timestamp, tweet_id)
                 if y is not None:
                     n_labeled += 1
                     stats.add(y, predicted)  # op #5
-                    labeled.append(instance)  # op #2 (filter)
+                    # op #2 (filter)
+                    labeled.append(Instance(x, y, 1.0, timestamp, tweet_id))
                 else:
                     unlabeled.append(
-                        (
-                            ClassifiedInstance(instance, predicted, proba),
-                            tweet.user.user_id,
-                        )
+                        (x, proba, predicted, timestamp, tweet_id, user_id)
                     )
             n = len(xs)
             self._stage_hists["predict"].observe_repeated(predict_s / n, n)
@@ -584,13 +592,24 @@ class _PartitionStages(BlockStages):
         """The local model's one ``learn_many`` over the partition."""
         self._stage_hists["learn"].observe_repeated(seconds / n, n)
 
-    def _quarantine(self, tweet: Tweet, stage: str, exc: Exception) -> None:
+    def unlabeled_columns(
+        self,
+    ) -> Tuple[Optional[ClassifiedBlock], Sequence[Optional[str]]]:
+        """The unlabeled rows as one columnar block, and their user ids."""
+        if not self.unlabeled:
+            return None, ()
+        xs, probas, predicted, timestamps, ids, users = zip(*self.unlabeled)
+        return ClassifiedBlock(xs, probas, predicted, timestamps, ids), users
+
+    def _quarantine(
+        self, tweet_id: Optional[str], stage: str, exc: Exception
+    ) -> None:
         self.metrics.counter(
             "tweets_quarantined_total", engine="microbatch", stage=stage
         ).inc()
         self.poisoned.append(
             (
-                getattr(tweet, "tweet_id", None),
+                tweet_id,
                 stage,
                 f"{type(exc).__name__}: {exc}",
                 "".join(
@@ -740,8 +759,8 @@ class EngineResult:
 
 
 def _round_robin_partitions(
-    tweets: Sequence[Tweet], n_partitions: int
-) -> List[List[Tweet]]:
+    tweets: Sequence[TweetItem], n_partitions: int
+) -> List[List[TweetItem]]:
     """Split a batch into ``n_partitions`` round-robin partitions.
 
     Round-robin (rather than contiguous chunks) mirrors Spark's random
@@ -750,10 +769,7 @@ def _round_robin_partitions(
     """
     if n_partitions < 1:
         raise ValueError("n_partitions must be >= 1")
-    partitions: List[List[Tweet]] = [[] for _ in range(n_partitions)]
-    for index, tweet in enumerate(tweets):
-        partitions[index % n_partitions].append(tweet)
-    return partitions
+    return [list(tweets[i::n_partitions]) for i in range(n_partitions)]
 
 
 class MicroBatchEngine:
@@ -1229,7 +1245,7 @@ class MicroBatchEngine:
             "partitions": partition_nodes,
         }
 
-    def _prepare_batch(self, tweets: Sequence[Tweet]) -> _BatchState:
+    def _prepare_batch(self, tweets: Sequence[TweetItem]) -> _BatchState:
         """Snapshot everything a batch needs before execution starts.
 
         Runs on the driver thread (it reads mutable engine state: tier,
@@ -1491,8 +1507,10 @@ class MicroBatchEngine:
 
         with self._tracer.span("drain") as span_drain:
             for output in outputs:
-                if output.unlabeled:
-                    pipeline.drain_unlabeled(output.unlabeled)
+                if output.unlabeled is not None:
+                    pipeline.drain_unlabeled(
+                        output.unlabeled, output.unlabeled_users
+                    )
 
         timings = StageTimings(
             partition_execute=(
@@ -1573,7 +1591,7 @@ class MicroBatchEngine:
             self.breaker.check()
         return result
 
-    def process_batch(self, tweets: Sequence[Tweet]) -> MicroBatchResult:
+    def process_batch(self, tweets: Sequence[TweetItem]) -> MicroBatchResult:
         """Run one micro-batch through the Fig. 2 dataflow, synchronously.
 
         Raises:
@@ -1608,7 +1626,7 @@ class MicroBatchEngine:
         self._merge_batch(state)
         return self._finalize_batch(state)
 
-    def process_chunk(self, tweets: Sequence[Tweet]) -> float:
+    def process_chunk(self, tweets: Sequence[TweetItem]) -> float:
         """Run one chunk as one micro-batch; returns its elapsed seconds.
 
         Synchronous by default (:meth:`process_batch`); a pipelined
@@ -1626,7 +1644,7 @@ class MicroBatchEngine:
     # ------------------------------------------------------------------
 
     def submit_batch(
-        self, tweets: Sequence[Tweet]
+        self, tweets: Sequence[TweetItem]
     ) -> Optional[MicroBatchResult]:
         """Pipelined submission: launch this batch, finalize the last.
 
@@ -1752,7 +1770,7 @@ class MicroBatchEngine:
         state.block.close()
         self._pipeline_fill.set(0)
 
-    def run(self, tweets: Iterable[Tweet]) -> EngineResult:
+    def run(self, tweets: Iterable[TweetItem]) -> EngineResult:
         """Discretize a stream into micro-batches and process them all.
 
         ``run`` may be called repeatedly (state carries over between
@@ -1770,7 +1788,7 @@ class MicroBatchEngine:
         """
         start = time.perf_counter()
         try:
-            batch: List[Tweet] = []
+            batch: List[TweetItem] = []
             for tweet in tweets:
                 batch.append(tweet)
                 if len(batch) >= self.batch_size:

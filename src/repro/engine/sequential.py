@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import AggressionDetectionPipeline, PipelineResult
-from repro.data.tweet import Tweet
+from repro.data.tweet import TweetItem
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer, stage_seconds_by_stage
 from repro.reliability.deadletter import DeadLetterQueue
@@ -151,7 +151,7 @@ class SequentialEngine:
         }
 
     def _consume(
-        self, span_name: str, tweets: Iterable[Tweet]
+        self, span_name: str, tweets: Iterable[TweetItem]
     ) -> Tuple[int, float]:
         """Run ``tweets`` through the pipeline under one driver span,
         :data:`BLOCK_TWEETS` at a time.
@@ -175,7 +175,7 @@ class SequentialEngine:
         assert span.duration is not None
         return count, span.duration
 
-    def process_chunk(self, tweets: Iterable[Tweet]) -> float:
+    def process_chunk(self, tweets: Iterable[TweetItem]) -> float:
         """Process one chunk of the stream; returns its elapsed seconds.
 
         The stream supervisor drives the engine through this method so
@@ -211,7 +211,7 @@ class SequentialEngine:
             stage_seconds=self._stage_totals(),
         )
 
-    def run(self, tweets: Iterable[Tweet]) -> SequentialRunResult:
+    def run(self, tweets: Iterable[TweetItem]) -> SequentialRunResult:
         """Process the whole stream, one block at a time."""
         _, seconds = self._consume("run", tweets)
         return SequentialRunResult(
@@ -221,7 +221,7 @@ class SequentialEngine:
         )
 
     def measure_throughput(
-        self, tweets: Iterable[Tweet], warmup: int = 1000
+        self, tweets: Iterable[TweetItem], warmup: int = 1000
     ) -> float:
         """Steady-state tweets/second after a warm-up prefix."""
         iterator = iter(tweets)

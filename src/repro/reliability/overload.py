@@ -195,9 +195,8 @@ class BoundedIngestQueue:
             )
 
     def _append(self, entry: QueueEntry) -> None:
-        (self._labeled if entry.tweet.is_labeled else self._unlabeled).append(
-            entry
-        )
+        side = self._labeled if entry.tweet.is_labeled() else self._unlabeled
+        side.append(entry)
 
     # -- offer / drain ---------------------------------------------------
 
@@ -217,7 +216,7 @@ class BoundedIngestQueue:
         shed: Optional[QueueEntry] = None
         if len(self) < self.capacity:
             self._append(entry)
-        elif tweet.is_labeled:
+        elif tweet.is_labeled():
             # Labeled tweets are never shed: model training must not
             # starve during a burst (§V-E's mixture guarantees labeled
             # traffic is a small fraction of the firehose).

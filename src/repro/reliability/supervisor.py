@@ -7,11 +7,11 @@ engines:
 
 * it drives any engine (micro-batch or sequential) over a tweet
   stream chunk by chunk;
-* it validates tweets at ingest, quarantining structurally corrupt
-  ones into a dead-letter queue *before* batch assembly — so the
-  surviving clean tweets form exactly the same batches a fault-free
-  run over the clean subset would see (the chaos equivalence tests
-  assert this);
+* it parses JSONL records and validates tweets at ingest, quarantining
+  unparseable lines and structurally corrupt tweets into a dead-letter
+  queue *before* batch assembly — so the surviving clean tweets form
+  exactly the same batches a fault-free run over the clean subset
+  would see (the chaos equivalence tests assert this);
 * every ``checkpoint_every`` chunks it atomically writes the complete
   engine state plus its own cursor to ``checkpoint_dir``;
 * :meth:`StreamSupervisor.resume` rebuilds the supervisor from the
@@ -56,7 +56,7 @@ from repro.core.checkpoint import (
     engine_from_dict,
     engine_to_dict,
 )
-from repro.data.tweet import Tweet
+from repro.data.tweet import Tweet, TweetItem, TweetLine
 from repro.engine.protocol import Engine
 from repro.engine.runners import Runner
 from repro.obs.console import OpsConsole
@@ -69,7 +69,6 @@ from repro.reliability.deadletter import (
     CircuitBreaker,
     CircuitOpenError,
     DeadLetterQueue,
-    PoisonTweetError,
     StreamHealth,
     validate_tweet,
 )
@@ -291,7 +290,8 @@ class StreamSupervisor:
         self.metrics = engine.metrics
         self._m_consumed = self.metrics.counter("tweets_consumed_total")
         self._m_checkpoints = self.metrics.counter("checkpoints_total")
-        self._m_ingest_quarantined = self.metrics.counter(
+        # Registered up front: every checkpoint carries it.
+        self.metrics.counter(
             "tweets_quarantined_total",
             engine=engine.kind,
             stage="ingest-validate",
@@ -640,7 +640,7 @@ class StreamSupervisor:
             return controller.batch_size
         return self.chunk_size
 
-    def run(self, tweets: Iterable[Tweet]) -> SupervisedRun:
+    def run(self, tweets: Iterable[TweetItem]) -> SupervisedRun:
         """Supervise the engine over the stream (resuming if mid-way).
 
         Replays nothing twice: if this supervisor was resumed from a
@@ -660,8 +660,9 @@ class StreamSupervisor:
             else _ChunkBuffer()
         )
         try:
-            for tweet in self._remaining(tweets):
-                if not self._admit(tweet):
+            for item in self._remaining(tweets):
+                tweet = self._admit(item)
+                if tweet is None:
                     continue
                 buffer.offer(tweet)
                 while len(buffer) >= self._current_chunk_size():
@@ -678,7 +679,7 @@ class StreamSupervisor:
 
     def run_timed(
         self,
-        arrivals: Iterable[Tuple[Tweet, float]],
+        arrivals: Iterable[Tuple[TweetItem, float]],
         service_time_s: Optional[
             Union[float, Dict[int, float]]
         ] = None,
@@ -728,9 +729,10 @@ class StreamSupervisor:
             self.engine.controller = None
             self.engine.apply(controller)
         try:
-            for tweet, arrival_s in self._remaining(arrivals):
+            for item, arrival_s in self._remaining(arrivals):
                 self._catch_up(arrival_s, service_time_s, controller)
-                if self._admit(tweet):
+                tweet = self._admit(item)
+                if tweet is not None:
                     queue.offer(tweet, arrival_s=arrival_s)
             # Stream exhausted: drain the remaining backlog.
             while len(queue):
@@ -820,22 +822,31 @@ class StreamSupervisor:
         self.recorder.event("crash", error=repr(exc))
         self.recorder.auto_dump("crash")
 
-    def _admit(self, tweet: Tweet) -> bool:
-        """Consume one tweet: advance the cursor, count it, validate it.
+    def _admit(self, item: TweetItem) -> Optional[Tweet]:
+        """Consume one item: advance the cursor, count it, parse it if
+        it is a JSONL record, validate it.
 
-        Quarantines and returns False on poison.
+        Returns the tweet, or ``None`` once it is quarantined (stage
+        ``"ingest-parse"`` or ``"ingest-validate"``).
         """
         self._cursor += 1
         self._m_consumed.inc()
+        stage, tweet_id = "ingest-parse", None
         try:
-            validate_tweet(tweet)
-        except PoisonTweetError as exc:
+            if type(item) is TweetLine:
+                item = item.parse(self.metrics)
+            stage = "ingest-validate"
+            tweet_id = getattr(item, "tweet_id", None)
+            validate_tweet(item)
+        except ValueError as exc:  # a line that is not a tweet, or poison
             self._n_poisoned += 1
-            self._m_ingest_quarantined.inc()
-            tweet_id = getattr(tweet, "tweet_id", None)
+            self.metrics.counter(
+                "tweets_quarantined_total", engine=self.engine.kind,
+                stage=stage,
+            ).inc()
             self.dead_letters.add_failure(
                 tweet_id,
-                "ingest-validate",
+                stage,
                 exc,
                 with_traceback=False,
             )
@@ -846,7 +857,7 @@ class StreamSupervisor:
                 self.telemetry.event(
                     "quarantine",
                     tweet_id=tweet_id,
-                    stage="ingest-validate",
+                    stage=stage,
                     error=f"{type(exc).__name__}: {exc}",
                 )
             if self.breaker is not None:
@@ -867,10 +878,10 @@ class StreamSupervisor:
                             n_events=self.breaker.n_events,
                         )
                     raise
-            return False
+            return None
         if self.breaker is not None:
             self.breaker.record(False)
-        return True
+        return item
 
     def _process_chunk(
         self,

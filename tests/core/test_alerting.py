@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.alerting import Alert, AlertAction, AlertManager, AlertPolicy
-from repro.streamml.instance import ClassifiedInstance, Instance
+from repro.streamml.instance import (
+    ClassifiedBlock,
+    ClassifiedInstance,
+    Instance,
+)
 
 
 def _classified(predicted, confidence, timestamp=0.0, tweet_id="t1"):
@@ -30,6 +34,18 @@ class TestAlertPolicy:
         assert policy.action_for(0.95) is AlertAction.REMOVE_TWEET
 
 
+def _columns(items):
+    """``(classified, user_id)`` pairs as a columnar block + user ids."""
+    block = ClassifiedBlock(
+        [c.instance.x for c, _ in items],
+        [c.proba for c, _ in items],
+        [c.predicted for c, _ in items],
+        [c.instance.timestamp for c, _ in items],
+        [c.instance.tweet_id for c, _ in items],
+    )
+    return block, [user_id for _, user_id in items]
+
+
 class TestProcessBatch:
     def test_batch_matches_per_instance_processing(self):
         items = [
@@ -37,7 +53,7 @@ class TestProcessBatch:
             for i in range(4)
         ] + [(_classified(0, 0.99), "u2"), (_classified(1, 0.3), "u3")]
         batched = AlertManager()
-        raised = batched.process_batch(items)
+        raised = batched.process_batch(*_columns(items))
         one_by_one = AlertManager()
         for classified, user_id in items:
             one_by_one.process(classified, user_id=user_id)
@@ -46,18 +62,21 @@ class TestProcessBatch:
             a.action for a in one_by_one.alerts
         ]
         assert batched.suspended_users == one_by_one.suspended_users
+        assert batched.alerts == one_by_one.alerts
 
     def test_returns_only_raised_alerts(self):
         manager = AlertManager()
         raised = manager.process_batch(
-            [(_classified(0, 0.9), None), (_classified(1, 0.9), None)]
+            *_columns(
+                [(_classified(0, 0.9), None), (_classified(1, 0.9), None)]
+            )
         )
         assert len(raised) == 1
         assert raised[0].predicted_class == 1
 
     def test_empty_batch(self):
         manager = AlertManager()
-        assert manager.process_batch([]) == []
+        assert manager.process_batch(*_columns([])) == []
         assert manager.n_alerts == 0
 
 

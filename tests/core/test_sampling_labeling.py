@@ -9,7 +9,11 @@ import pytest
 from repro.core.labeling import LabelingQueue, OracleLabeler
 from repro.core.sampling import BoostedRandomSampler
 from repro.data.tweet import Tweet, UserProfile
-from repro.streamml.instance import ClassifiedInstance, Instance
+from repro.streamml.instance import (
+    ClassifiedBlock,
+    ClassifiedInstance,
+    Instance,
+)
 
 
 def _classified(predicted, tweet_id="t"):
@@ -76,7 +80,15 @@ class TestBoostedRandomSampler:
             for i in range(500)
         ]
         batched = BoostedRandomSampler(capacity=20, seed=9)
-        batched.offer_many(items)
+        batched.offer_many(
+            ClassifiedBlock(
+                [item.instance.x for item in items],
+                [item.proba for item in items],
+                [item.predicted for item in items],
+                [item.instance.timestamp for item in items],
+                [item.instance.tweet_id for item in items],
+            )
+        )
         one_by_one = BoostedRandomSampler(capacity=20, seed=9)
         for item in items:
             one_by_one.offer(item)
@@ -84,6 +96,8 @@ class TestBoostedRandomSampler:
         assert [item.instance.tweet_id for item in batched.sample()] == [
             item.instance.tweet_id for item in one_by_one.sample()
         ]
+        assert batched._heap == one_by_one._heap
+        assert batched.n_aggressive_offered == one_by_one.n_aggressive_offered
 
 
 def _tweet(tweet_id, label=None):

@@ -25,7 +25,7 @@ class TestFirehoseWorkload:
         workload = FirehoseWorkload(n_unlabeled=600, n_labeled=200, seed=5)
         tweets = list(workload.stream())
         assert len(tweets) == 800
-        labeled = sum(1 for t in tweets if t.is_labeled)
+        labeled = sum(1 for t in tweets if t.is_labeled())
         assert labeled == 200
 
     def test_timestamp_order(self):
@@ -50,7 +50,7 @@ class TestFirehoseWorkload:
         workload = FirehoseWorkload(n_unlabeled=50, n_labeled=0)
         tweets = list(workload.stream())
         assert len(tweets) == 50
-        assert all(not t.is_labeled for t in tweets)
+        assert all(not t.is_labeled() for t in tweets)
 
     def test_pipeline_consumes_mix(self):
         from repro.core.config import PipelineConfig

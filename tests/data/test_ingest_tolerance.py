@@ -12,6 +12,7 @@ from repro.data.loader import (
 )
 from repro.data.synthetic import AbusiveDatasetGenerator
 from repro.data.tweet import Tweet
+from repro.obs.metrics import MetricsRegistry
 from repro.reliability import corrupt_tweet
 
 
@@ -53,11 +54,14 @@ class TestReadJsonl:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(payload) + "\n")
         stats = IngestStats()
-        loaded = list(read_jsonl(path, stats))
+        # The reader counts reads; the parse repairs and counts the
+        # null text where the record is processed.
+        registry = MetricsRegistry()
+        loaded = [record.parse(registry) for record in read_jsonl(path, stats)]
         assert len(loaded) == 6
         assert loaded[-1].text == ""
         assert stats.n_read == 6
-        assert stats.n_null_text == 1
+        assert registry.total("ingest_null_text_total") == 1
         assert all(isinstance(t.text, str) for t in loaded)
 
     def test_missing_text_key_defaults_to_empty(self):

@@ -35,7 +35,7 @@ class TestJsonl:
         path = tmp_path / "tweets.jsonl"
         original = _tweets(25)
         assert write_jsonl(original, path) == 25
-        loaded = list(read_jsonl(path))
+        loaded = [record.parse() for record in read_jsonl(path)]
         assert loaded == original
 
     def test_blank_lines_skipped(self, tmp_path):
@@ -49,7 +49,7 @@ class TestJsonl:
         path = tmp_path / "synth.jsonl"
         original = AbusiveDatasetGenerator(n_tweets=100, seed=1).generate_list()
         write_jsonl(original, path)
-        assert list(read_jsonl(path)) == original
+        assert [record.parse() for record in read_jsonl(path)] == original
 
 
 class TestStreamComposition:

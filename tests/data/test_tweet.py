@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
-from repro.data.tweet import SECONDS_PER_DAY, Tweet, UserProfile
+from repro.data.tweet import SECONDS_PER_DAY, Tweet, TweetLine, UserProfile
+from repro.obs.metrics import MetricsRegistry
 
 
 @pytest.fixture()
@@ -66,9 +68,9 @@ class TestTweet:
         assert "label" not in tweet.to_json()
 
     def test_is_labeled(self, tweet):
-        assert tweet.is_labeled
+        assert tweet.is_labeled()
         tweet.label = None
-        assert not tweet.is_labeled
+        assert not tweet.is_labeled()
 
     def test_day_index(self, tweet):
         assert tweet.day_index(stream_start=1000.0) == 10
@@ -77,3 +79,53 @@ class TestTweet:
         parsed = json.loads(tweet.to_json_line())
         assert parsed["id_str"] == "abc"
         assert parsed["user"]["screen_name"] == "sample"
+
+
+class TestTweetLine:
+    def test_parse_is_the_tweet_written(self, tweet):
+        assert TweetLine(tweet.to_json_line(), 3).parse() == tweet
+
+    def test_pickles_to_its_line_alone(self, tweet):
+        record = TweetLine(tweet.to_json_line(), 3)
+        assert record.user.user_id == "99"  # parses and keeps the tweet
+        copy = pickle.loads(pickle.dumps(record))
+        assert (copy.line, copy.lineno, copy._tweet) == (record.line, 3, None)
+        assert pickle.dumps(record) == pickle.dumps(TweetLine(record.line, 3))
+
+    def test_attribute_reads_delegate_to_one_parse(self, tweet, monkeypatch):
+        record = TweetLine(tweet.to_json_line())
+        calls = []
+        parse = TweetLine.parse
+        monkeypatch.setattr(
+            TweetLine, "parse", lambda self: calls.append(1) or parse(self)
+        )
+        assert (record.text, record.tweet_id) == ("hello world", "abc")
+        assert record.is_labeled()
+        assert calls == [1]
+
+    def test_null_text_is_repaired_and_counted_per_parse(self, tweet):
+        payload = tweet.to_json()
+        payload["text"] = None
+        record = TweetLine(json.dumps(payload))
+        registry = MetricsRegistry()
+        assert record.parse(registry).text == ""
+        assert record.text == ""
+        assert registry.total("ingest_null_text_total") == 1
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"id_str": "1", "text": "trunc',
+            "[1,2,3]",
+            '"just a string"',
+            # A byte that is not UTF-8, as the reader decodes it.
+            b'{"id_str": "1", "text": "caf\\xff"}'.decode(
+                "utf-8", "surrogateescape"
+            ),
+            '{"id_str": "1", "created_at": "yesterday"}',
+            '{"id_str": "1", "user": null}',
+        ],
+    )
+    def test_a_line_that_is_not_a_tweet_names_its_number(self, line):
+        with pytest.raises(ValueError, match="^JSONL line 12: "):
+            TweetLine(line, 12).parse()

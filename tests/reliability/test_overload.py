@@ -119,7 +119,7 @@ class TestBoundedIngestQueue:
             if index % 100 == 99:  # server far slower than the burst
                 survivors.extend(queue.drain(20))
         survivors.extend(queue.drain(len(queue)))
-        kept_labeled = [t for t in survivors if t.is_labeled]
+        kept_labeled = [t for t in survivors if t.is_labeled()]
         assert len(kept_labeled) == len(labeled)
         assert queue.n_shed > 0
 

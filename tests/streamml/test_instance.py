@@ -6,7 +6,11 @@ import dataclasses
 
 import pytest
 
-from repro.streamml.instance import ClassifiedInstance, Instance
+from repro.streamml.instance import (
+    ClassifiedBlock,
+    ClassifiedInstance,
+    Instance,
+)
 
 
 class TestInstance:
@@ -95,3 +99,31 @@ class TestClassifiedInstance:
     def test_confidence_without_proba(self):
         inst = Instance(x=(0.0,))
         assert ClassifiedInstance(inst, predicted=0).confidence == 0.0
+
+
+class TestClassifiedBlock:
+    def test_rows_come_back_equal_and_typed_as_collected(self):
+        rows = [
+            ClassifiedInstance(
+                Instance((0.1 * i, 1.0 / 3.0, -2.5e-7), None, 1.0,
+                         1.5e9 + i, f"t{i}"),
+                i % 3,
+                (0.2, 1.0 / 3.0, 0.8 - 1.0 / 3.0),
+            )
+            for i in range(5)
+        ]
+        block = ClassifiedBlock(
+            [r.instance.x for r in rows],
+            [r.proba for r in rows],
+            [r.predicted for r in rows],
+            [r.instance.timestamp for r in rows],
+            [r.instance.tweet_id for r in rows],
+        )
+        assert len(block.predicted) == 5
+        for i, row in enumerate(rows):
+            rebuilt = block.classified(i)
+            assert rebuilt == row
+            assert type(rebuilt.proba) is tuple
+            assert {type(v) for v in rebuilt.proba + rebuilt.instance.x} == {
+                float
+            }

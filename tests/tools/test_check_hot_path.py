@@ -284,6 +284,89 @@ def test_clean_snippet_passes():
     assert _messages(CLEAN, "src/repro/text/lexicons.py") == []
 
 
+LAZY_TWEET = '''
+from dataclasses import dataclass, field
+
+
+class _Lazy:
+    def __get__(self, obj, owner):
+        return 0
+
+
+@dataclass
+class UserProfile:
+    user_id: str
+    followers_count = _Lazy()
+
+    def __getattribute__(self, name):
+        return object.__getattribute__(self, name)
+
+
+@dataclass
+class Tweet:
+    tweet_id: str
+    user: UserProfile = field(default_factory=lambda: UserProfile("0"))
+
+    def __getattr__(self, name):
+        return None
+
+    @property
+    def text(self):
+        return ""
+
+    @text.setter
+    def text(self, value):
+        pass
+
+
+class TweetLine:
+    def __getattr__(self, name):
+        return None
+
+    @property
+    def lazy(self):
+        return None
+'''
+
+PLAIN_TWEET = '''
+from dataclasses import dataclass, field
+
+
+@dataclass
+class Tweet:
+    tweet_id: str
+    label: str = None
+    user: object = field(default_factory=dict)
+
+    def is_labeled(self):
+        return self.label is not None
+'''
+
+
+def test_lazy_tweet_fields_flagged_in_the_tweet_module_only():
+    messages = _messages(LAZY_TWEET, "src/repro/data/tweet.py")
+    assert messages == [
+        "class-level descriptor on UserProfile (keep the field a plain "
+        "dataclass field)",
+        "__getattribute__ on UserProfile (every field read would pay it; "
+        "keep the tweet plain)",
+        "__getattr__ on Tweet (every field read would pay it; keep the "
+        "tweet plain)",
+        "property on Tweet (a field read through a descriptor; keep the "
+        "field plain)",
+        "property on Tweet (a field read through a descriptor; keep the "
+        "field plain)",
+    ]
+    # The record may delegate; other modules are not the rule's concern.
+    assert _messages(PLAIN_TWEET, "src/repro/data/tweet.py") == []
+    assert _messages(LAZY_TWEET, "src/repro/data/loader.py") == []
+
+
+def test_the_tweet_module_is_a_default_root():
+    assert "src/repro/data/tweet.py" in check_hot_path.DEFAULT_ROOTS
+    assert check_hot_path.check_tree(ROOT / "src/repro/data/tweet.py") == []
+
+
 def test_the_tree_is_clean():
     for root in check_hot_path.DEFAULT_ROOTS:
         assert check_hot_path.check_tree(ROOT / root) == []

@@ -68,6 +68,18 @@ two patterns that are harmless elsewhere are throughput bugs there:
   registry back on the per-tweet path. Sum inside the loop, book after
   it (``Histogram.observe_many`` for distinct values).
 
+* in ``data/tweet.py``, inside ``class Tweet`` or ``class
+  UserProfile``: ``__getattr__`` / ``__getattribute__``, ``@property``
+  (or ``cached_property``, a ``.setter``), or a class-level descriptor
+  (a class attribute bound to a call other than ``dataclasses.field``).
+  Every stage reads tweet fields, so they stay plain dataclass fields:
+  measured on CPython 3.11, a ``__getattr__`` on ``Tweet`` made every
+  field read 85–101 ns instead of 15.6 ns (a lazy-``Tweet`` prototype
+  lost 15 % on ``train_mb``), and per-field properties or descriptors
+  55 ns instead of 11 ns (that prototype lost 6 % on ``train_seq``).
+  Laziness belongs to the JSONL record, ``TweetLine``, which may
+  delegate attribute reads to its parsed tweet.
+
 * anywhere under ``src/repro`` outside ``engine/``: ``isinstance(...,
   MicroBatchEngine | SequentialEngine)`` — the supervisor and the CLI
   drive the ``Engine`` protocol (``repro.engine.protocol``, DESIGN.md
@@ -79,8 +91,8 @@ false-positive, and exits non-zero listing any offending call sites.
 
 Usage: python tools/check_hot_path.py [root ...]
        (default: src/repro/core src/repro/text src/repro/streamml
-       src/repro/engine src/repro/serve, and src/repro for the
-       engine-contract rule)
+       src/repro/engine src/repro/serve src/repro/data/tweet.py, and
+       src/repro for the engine-contract rule)
 """
 
 from __future__ import annotations
@@ -96,6 +108,7 @@ DEFAULT_ROOTS = (
     "src/repro/streamml",
     "src/repro/engine",
     "src/repro/serve",
+    "src/repro/data/tweet.py",
 )
 
 #: The one module allowed to attach shared-memory segments.
@@ -253,6 +266,55 @@ def _dataclass_replace_offenses(
             )
 
 
+#: The plain records every stage reads fields off (``data/tweet.py``).
+PLAIN_RECORD_CLASSES = {"Tweet", "UserProfile"}
+SLOW_ATTRIBUTE_HOOKS = {"__getattr__", "__getattribute__"}
+SLOW_FIELD_DECORATORS = {"property", "cached_property", "setter", "getter"}
+
+
+def _is_field_spec(node: ast.expr) -> bool:
+    """``field(...)`` / ``dataclasses.field(...)``: a dataclass field
+    default, not a descriptor."""
+    return isinstance(node, ast.Call) and _decorator_name(node) == "field"
+
+
+def _plain_record_offenses(
+    tree: ast.AST,
+) -> Iterator[Tuple[int, int, str]]:
+    for cls in ast.walk(tree):
+        if not (
+            isinstance(cls, ast.ClassDef)
+            and cls.name in PLAIN_RECORD_CLASSES
+        ):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name in SLOW_ATTRIBUTE_HOOKS:
+                    yield (
+                        node.lineno,
+                        node.col_offset,
+                        f"{node.name} on {cls.name} (every field read "
+                        "would pay it; keep the tweet plain)",
+                    )
+                for decorator in node.decorator_list:
+                    if _decorator_name(decorator) in SLOW_FIELD_DECORATORS:
+                        yield (
+                            decorator.lineno,
+                            decorator.col_offset,
+                            f"property on {cls.name} (a field read "
+                            "through a descriptor; keep the field plain)",
+                        )
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                value = node.value
+                if isinstance(value, ast.Call) and not _is_field_spec(value):
+                    yield (
+                        node.lineno,
+                        node.col_offset,
+                        f"class-level descriptor on {cls.name} (keep "
+                        "the field a plain dataclass field)",
+                    )
+
+
 #: The modules whose loops must not book telemetry per row.
 BLOCK_TELEMETRY_FILES = (("core", "pipeline.py"), ("engine", "microbatch.py"))
 TELEMETRY_METHODS = {"observe", "observe_repeated", "inc"}
@@ -291,8 +353,9 @@ def find_hot_path_offenses(
     memo and the scan runs in C); the asyncio
     stream layer and per-response labelled metric lookups are banned
     in a ``serve/`` directory, ``dataclasses.replace`` in a
-    ``streamml/`` directory, and metric bookings inside ``for`` loops
-    in :data:`BLOCK_TELEMETRY_FILES`.
+    ``streamml/`` directory, metric bookings inside ``for`` loops
+    in :data:`BLOCK_TELEMETRY_FILES`, and attribute hooks, properties
+    and descriptors on the plain tweet records in ``data/tweet.py``.
     """
     tree = ast.parse(source)
     parts = Path(filename).parts
@@ -305,6 +368,8 @@ def find_hot_path_offenses(
         yield from _dataclass_replace_offenses(tree)
     if parts[-2:] in BLOCK_TELEMETRY_FILES:
         yield from _per_row_telemetry_offenses(tree)
+    if parts[-2:] == ("data", "tweet.py"):
+        yield from _plain_record_offenses(tree)
     # re.compile is only an offense inside a function body; module-level
     # compiles are exactly the fix this lint wants.
     function_nodes = [
@@ -414,7 +479,8 @@ def check_tree(
 ) -> List[str]:
     """Offending ``path:line:col: message`` strings under ``root``."""
     failures = []
-    for path in sorted(root.rglob("*.py")):
+    paths = [root] if root.is_file() else sorted(root.rglob("*.py"))
+    for path in paths:
         source = path.read_text(encoding="utf-8")
         for line, col, message in find(source, str(path)):
             failures.append(f"{path}:{line}:{col}: {message}")
