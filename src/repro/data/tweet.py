@@ -10,13 +10,17 @@ A JSONL file is read as :class:`TweetLine` records, parsed where the
 tweet is processed. ``Tweet`` and ``UserProfile`` stay plain: every
 stage reads their fields, and on CPython 3.11 a ``__getattr__`` makes a
 16 ns field read 85–101 ns, a property 55 ns
-(``tools/check_hot_path.py`` keeps both out). Only the record is lazy.
+(``tools/check_hot_path.py`` keeps both out). Only the record is lazy:
+it delegates the few ``Tweet`` attributes its callers read, each by its
+own read-only property, so such a read costs one property call, not a
+``__getattr__`` miss (~1 µs).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -147,6 +151,15 @@ class Tweet:
         return cls.from_json(payload)
 
 
+def _delegate(name: str) -> property:
+    """A read-only ``Tweet.<name>`` of the record's parsed tweet."""
+    read = attrgetter(name)
+    return property(
+        lambda self: read(self._tweet or self.tweet),
+        doc=f"``Tweet.{name}`` of the parsed line.",
+    )
+
+
 class TweetLine:
     """One JSONL line and its 1-based line number, not yet parsed.
 
@@ -154,8 +167,10 @@ class TweetLine:
     to its line and number alone, so a micro-batch block ships raw
     lines, and :meth:`parse` — called per row by the feature extractor
     or the supervisor's ingest check — turns it into a :class:`Tweet`.
-    Other callers may read tweet attributes off the record: the line is
-    parsed once, on first use, and kept (:attr:`tweet`).
+    Other callers (the ledger's layer probes, scripts) may read
+    ``tweet_id``, ``text``, ``user``, ``label`` and ``is_labeled`` off
+    the record, one read-only property each, or anything else off
+    :attr:`tweet`: the line is parsed once, on first use, and kept.
     """
 
     __slots__ = ("line", "lineno", "_tweet")
@@ -194,10 +209,11 @@ class TweetLine:
             self._tweet = self.parse()
         return self._tweet
 
-    def __getattr__(self, name: str) -> Any:
-        if name.startswith("__"):
-            raise AttributeError(name)
-        return getattr(self.tweet, name)
+    tweet_id = _delegate("tweet_id")
+    text = _delegate("text")
+    user = _delegate("user")
+    label = _delegate("label")
+    is_labeled = _delegate("is_labeled")
 
 
 #: One item of a tweet stream: an in-memory tweet or a JSONL record.

@@ -2,11 +2,17 @@
 
 One :class:`Connection` per accepted socket, driven by ``add_reader`` /
 ``add_writer`` callbacks — no stream reader/writer pair, no transport,
-no Task per connection::
+no Task per connection — and registered only when it has to wait::
 
-    sniff -> frame -> route -> reply -> close         (HTTP: one request)
-               ^                  `--> next line      (JSONL: persistent)
+    read at accept -> sniff -> frame -> route -> reply -> close  (HTTP)
+                                 ^                  `--> next line (JSONL)
 
+*read at accept*: one non-blocking ``recv`` before anything is
+registered. A complete request already buffered is answered and closed
+inside the accept callback; the socket never reaches the selector.
+Anything else — nothing yet, a partial frame, an unsent tail, a request
+that waits, a JSONL session that stays open — is registered and read on
+readiness through the same callback; a reset closes quietly.
 *sniff*: first non-blank byte ``{`` means JSONL, anything else HTTP.
 *frame*: a JSONL line ends at ``\\n`` (the last one may end at EOF); an
 HTTP head ends at the first blank line (CRLF or bare LF) and is followed
@@ -128,20 +134,21 @@ class Connection:
         self.draining = False  # the next reply is the last (server drain)
         self.partial_since: Optional[float] = None  # for sweep_stalled
         self.task: Optional["asyncio.Task[None]"] = None
-        self.reading, self.writing = True, False  # selector registrations
+        self.reading, self.writing = False, False  # selector registrations
         peers.add(self)
-        loop.add_reader(self.fd, self._readable)
+        self._readable()  # read at accept: registered only if it must wait
 
     def _readable(self) -> None:
         try:
             data = self.sock.recv(65536)  # type: ignore[union-attr]
         except (BlockingIOError, InterruptedError):
-            return
+            data = None  # nothing yet (at accept: register and wait)
         except OSError:  # reset by peer
             self.close()
             return
-        self.buf += data
-        self.eof = not data
+        if data is not None:
+            self.buf += data
+            self.eof = not data
         self._pump()
 
     def _writable(self) -> None:

@@ -103,6 +103,14 @@ class TestTweetLine:
         assert record.is_labeled()
         assert calls == [1]
 
+    def test_delegation_is_explicit_per_field(self, tweet):
+        assert "__getattr__" not in vars(TweetLine)
+        record = TweetLine(tweet.to_json_line())
+        with pytest.raises(AttributeError):
+            record.created_at  # not delegated: read it off record.tweet
+        assert record._tweet is None  # a miss parses nothing
+        assert record.tweet.created_at == tweet.created_at
+
     def test_null_text_is_repaired_and_counted_per_parse(self, tweet):
         payload = tweet.to_json()
         payload["text"] = None

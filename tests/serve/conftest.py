@@ -14,7 +14,7 @@ import json
 import socket
 import threading
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import pytest
 
@@ -214,9 +214,15 @@ def read_lines(sock: socket.socket, n: int) -> list:
     return data.split(b"\n")[:n]
 
 
-def exchange(port: int, request: bytes, half_close: bool = False) -> bytes:
-    """Send ``request`` on a fresh connection; return the full reply."""
+def exchange(
+    port: int, request: bytes, half_close: bool = False,
+    before_send: Optional[Callable[[socket.socket], None]] = None,
+) -> bytes:
+    """Send ``request`` on a fresh connection; return the full reply.
+    ``before_send(sock)``, if given, runs between connect and send."""
     with raw_connect(port) as sock:
+        if before_send is not None:
+            before_send(sock)
         sock.sendall(request)
         if half_close:
             sock.shutdown(socket.SHUT_WR)

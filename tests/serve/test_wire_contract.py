@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import json
 import re
 import socket
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Iterator
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 import pytest
 
@@ -113,70 +114,108 @@ def _serve(root: Path, payload: Any, **kwargs: Any) -> Iterator[ServerThread]:
         yield thread
 
 
-def _jsonl(port: int, lines: list, tail: bytes = b"") -> bytes:
+def _jsonl(
+    port: int, lines: list, tail: bytes = b"",
+    before_send: Optional[Callable[[socket.socket], None]] = None,
+) -> bytes:
     """One session: all ``lines`` newline-terminated, then ``tail``
     (no newline) and a half-close; everything answered until EOF."""
     with raw_connect(port) as sock:
+        if before_send is not None:
+            before_send(sock)
         sock.sendall(b"".join(line + b"\n" for line in lines) + tail)
         sock.shutdown(socket.SHUT_WR)
         return read_to_eof(sock)
 
 
-def run_script(payload: Dict[str, Any], scratch: Path) -> Dict[str, str]:
-    """The fixed script; returns ``{probe name: masked reply}``."""
+def _clients(
+    server: ServerThread, after_accept: bool
+) -> Tuple[Callable[..., bytes], Callable[..., bytes]]:
+    """``exchange`` and ``_jsonl`` bound to ``server``'s port. With
+    ``after_accept`` each sends only once the server holds the
+    connection registered on its selector, which forces the path that
+    waits for readiness; without, the request is usually already
+    buffered when the server accepts and is answered at accept."""
+    hook = None
+    if after_accept:
+        def hook(sock: socket.socket) -> None:
+            name = sock.getsockname()
+            assert wait_until(lambda: server.call(
+                lambda: any(
+                    conn.reading and _peer(conn) == name
+                    for conn in server.server._connections
+                )
+            )), "server never registered the connection"
+
+    return (
+        functools.partial(exchange, server.port, before_send=hook),
+        functools.partial(_jsonl, server.port, before_send=hook),
+    )
+
+
+def _peer(conn: Any) -> Any:
+    try:
+        return conn.sock.getpeername()
+    except OSError:  # reset, or closed meanwhile
+        return None
+
+
+def run_script(
+    payload: Dict[str, Any], scratch: Path, after_accept: bool = False
+) -> Dict[str, str]:
+    """The fixed script; returns ``{probe name: masked reply}``. With
+    ``after_accept`` every exchange and session sends only once the
+    server holds its connection registered (see :func:`_clients`)."""
     out: Dict[str, bytes] = {}
     classify = b'{"text":"you are horrible and stupid"}'
 
     with _serve(scratch / "main", payload) as server:
-        port = server.port
-        out["metrics_first"] = exchange(port, http("GET", "/metrics"))
-        out["classify"] = exchange(port, http("POST", "/classify", classify))
-        out["explain"] = exchange(port, http(
+        ask, session = _clients(server, after_accept)
+        out["metrics_first"] = ask(http("GET", "/metrics"))
+        out["classify"] = ask(http("POST", "/classify", classify))
+        out["explain"] = ask(http(
             "POST", "/explain",
             b'{"tweet":{"id_str":"42","text":"stupid idiot"}}',
             Content_Type="application/json",
         ))
-        out["health"] = exchange(port, http("GET", "/health"))
-        out["root_is_health"] = exchange(port, http("GET", "/"))
-        out["ready"] = exchange(port, http("GET", "/ready"))
-        out["query_stripped"] = exchange(port, http("GET", "/ready?verbose=1"))
-        out["lf_only_head"] = exchange(
-            port,
+        out["health"] = ask(http("GET", "/health"))
+        out["root_is_health"] = ask(http("GET", "/"))
+        out["ready"] = ask(http("GET", "/ready"))
+        out["query_stripped"] = ask(http("GET", "/ready?verbose=1"))
+        out["lf_only_head"] = ask(
             b"POST /classify HTTP/1.1\nHost: wire\nContent-Length: "
             + str(len(classify)).encode() + b"\n\n" + classify,
         )
-        out["bad_json"] = exchange(port, http("POST", "/classify", b"{nope"))
-        out["bad_utf8"] = exchange(port, http("POST", "/classify", b'{"text":"\xff"}'))
-        out["non_object"] = exchange(port, http("POST", "/classify", b"[1,2]"))
-        out["missing_text"] = exchange(
-            port, http("POST", "/classify", b'{"no_text":true}')
+        out["bad_json"] = ask(http("POST", "/classify", b"{nope"))
+        out["bad_utf8"] = ask(http("POST", "/classify", b'{"text":"\xff"}'))
+        out["non_object"] = ask(http("POST", "/classify", b"[1,2]"))
+        out["missing_text"] = ask(
+            http("POST", "/classify", b'{"no_text":true}')
         )
-        out["empty_text"] = exchange(port, http("POST", "/classify", b'{"text":""}'))
-        out["tweet_not_object"] = exchange(
-            port, http("POST", "/classify", b'{"tweet":7}')
+        out["empty_text"] = ask(http("POST", "/classify", b'{"text":""}'))
+        out["tweet_not_object"] = ask(
+            http("POST", "/classify", b'{"tweet":7}')
         )
-        out["malformed_request_line"] = exchange(port, b"GARBAGE\r\n\r\n")
-        out["not_found"] = exchange(port, http("GET", "/nope"))
-        out["not_found_post_body"] = exchange(port, http("POST", "/nope", b"{nope"))
-        out["method_not_allowed"] = exchange(port, http("GET", "/classify"))
-        out["bytes_after_request_ignored"] = exchange(
-            port, http("GET", "/ready") + http("GET", "/health")
+        out["malformed_request_line"] = ask(b"GARBAGE\r\n\r\n")
+        out["not_found"] = ask(http("GET", "/nope"))
+        out["not_found_post_body"] = ask(http("POST", "/nope", b"{nope"))
+        out["method_not_allowed"] = ask(http("GET", "/classify"))
+        out["bytes_after_request_ignored"] = ask(
+            http("GET", "/ready") + http("GET", "/health")
         )
-        out["negative_content_length"] = exchange(
-            port,
+        out["negative_content_length"] = ask(
             b"POST /classify HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
         )
-        out["nonnumeric_content_length"] = exchange(
-            port,
+        out["nonnumeric_content_length"] = ask(
             b"POST /classify HTTP/1.1\r\ncontent-length : abc\r\n\r\n",
         )
-        out["half_close_after_request"] = exchange(
-            port, http("POST", "/classify", classify), half_close=True
+        out["half_close_after_request"] = ask(
+            http("POST", "/classify", classify), half_close=True
         )
-        out["deadline_ms"] = exchange(port, http(
+        out["deadline_ms"] = ask(http(
             "POST", "/classify", b'{"text":"hurry","deadline_ms":0.001}'
         ))
-        out["jsonl_session"] = _jsonl(port, [
+        out["jsonl_session"] = session([
             b'{"op":"classify","tweet":{"id_str":"7","text":"hello"}}',
             b'{"op":"explain","text":"stupid idiot"}',
             b'{"text":"op defaults to classify"}',
@@ -190,32 +229,33 @@ def run_script(payload: Dict[str, Any], scratch: Path) -> Dict[str, str]:
         ], tail=b'{"op":"classify","text":"no newline at eof"}')
         # Which replies count as requests (405 and the malformed
         # request line do not) is visible here.
-        out["health_after"] = exchange(port, http("GET", "/health"))
+        out["health_after"] = ask(http("GET", "/health"))
 
     with _serve(scratch / "fresh", payload) as server:
-        out["jsonl_metrics_first"] = _jsonl(server.port, [b'{"op":"metrics"}'])
+        ask, session = _clients(server, after_accept)
+        out["jsonl_metrics_first"] = session([b'{"op":"metrics"}'])
 
     with _serve(scratch / "empty", None) as server:
-        port = server.port
-        out["no_snapshot_classify"] = exchange(
-            port, http("POST", "/classify", classify)
+        ask, session = _clients(server, after_accept)
+        out["no_snapshot_classify"] = ask(
+            http("POST", "/classify", classify)
         )
-        out["no_snapshot_ready"] = exchange(port, http("GET", "/ready"))
-        out["no_snapshot_health"] = exchange(port, http("GET", "/health"))
-        out["no_snapshot_jsonl"] = _jsonl(
-            port, [b'{"op":"classify","text":"hi"}', b'{"op":"ready"}']
+        out["no_snapshot_ready"] = ask(http("GET", "/ready"))
+        out["no_snapshot_health"] = ask(http("GET", "/health"))
+        out["no_snapshot_jsonl"] = session(
+            [b'{"op":"classify","text":"hi"}', b'{"op":"ready"}']
         )
 
     with _serve(scratch / "breaker", payload) as server:
-        port = server.port
+        ask, session = _clients(server, after_accept)
         breaker = server.server.breakers["classify"]
         server.call(lambda: [breaker.record(True) for _ in range(64)])
-        out["circuit_open"] = exchange(port, http("POST", "/classify", classify))
-        out["circuit_open_jsonl"] = _jsonl(
-            port, [b'{"op":"classify","text":"hi"}']
+        out["circuit_open"] = ask(http("POST", "/classify", classify))
+        out["circuit_open_jsonl"] = session(
+            [b'{"op":"classify","text":"hi"}']
         )
-        out["circuit_other_endpoint"] = exchange(
-            port, http("POST", "/explain", classify)
+        out["circuit_other_endpoint"] = ask(
+            http("POST", "/explain", classify)
         )
 
     # Overload: one slot, no waiting room, the slot's holder stalled.
@@ -225,15 +265,16 @@ def run_script(payload: Dict[str, Any], scratch: Path) -> Dict[str, str]:
         max_inflight=1, queue_capacity=0, chaos_hook=stall,
     ) as server:
         port = server.port
+        ask, session = _clients(server, after_accept)
         admission = server.server.admission
         with raw_connect(port) as holder:
             holder.sendall(http("POST", "/classify", classify))
             assert wait_until(lambda: server.call(lambda: admission.inflight) == 1)
-            out["overloaded"] = exchange(port, http("POST", "/classify", classify))
-            out["overloaded_jsonl"] = _jsonl(
-                port, [b'{"op":"explain","text":"hi"}', b'{"op":"health"}']
+            out["overloaded"] = ask(http("POST", "/classify", classify))
+            out["overloaded_jsonl"] = session(
+                [b'{"op":"explain","text":"hi"}', b'{"op":"health"}']
             )
-            out["health_while_stalled"] = exchange(port, http("GET", "/health"))
+            out["health_while_stalled"] = ask(http("GET", "/health"))
             release.set()
             out["stalled_then_answered"] = read_to_eof(holder)
 
@@ -270,6 +311,13 @@ def replies(tmp_path_factory) -> Dict[str, str]:
     return run_script(small_payload(), tmp_path_factory.mktemp("wire"))
 
 
+@pytest.fixture(scope="module")
+def replies_after_accept(tmp_path_factory) -> Dict[str, str]:
+    return run_script(
+        small_payload(), tmp_path_factory.mktemp("wire"), after_accept=True
+    )
+
+
 GOLDEN: Dict[str, str] = (
     json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     if GOLDEN_PATH.exists() else {}
@@ -283,6 +331,13 @@ def test_script_and_golden_cover_the_same_probes(replies):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_reply_is_byte_identical_to_the_parent(replies, name):
     assert replies[name] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_reply_sent_after_accept_is_byte_identical(replies_after_accept, name):
+    """The same bytes when every request waits for readiness instead of
+    being read at accept."""
+    assert replies_after_accept[name] == GOLDEN[name]
 
 
 def test_jsonl_session_answers_every_line_in_order(replies):
