@@ -32,13 +32,10 @@ from typing import (
 )
 
 from repro.core.adaptive_bow import AdaptiveBagOfWords, FixedBagOfWords
-from repro.core.preprocessing import preprocess_tokens, raw_word_tokens
 from repro.data.tweet import Tweet, TweetItem, TweetLine
 from repro.streamml.instance import Instance, InstanceBlock
 from repro.text.analysis import analyze
 from repro.text.lexicons import SWEAR_WORDS
-from repro.text.sentiment import SentimentAnalyzer
-from repro.text.tokenizer import tokenize
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.obs.metrics import MetricsRegistry
@@ -188,7 +185,6 @@ class FeatureExtractor:
             from repro.text.deobfuscate import Deobfuscator
 
             self._deobfuscator = Deobfuscator()
-        self._sentiment = SentimentAnalyzer()
 
     def extract(self, tweet: TweetItem, update_bow: bool = True) -> Instance:
         """Extract the full feature vector (of a record's parsed tweet).
@@ -262,20 +258,12 @@ class FeatureExtractor:
         tier = self.tier
         want_pos = tier < DegradeTier.NO_POS
         want_sentiment = tier < DegradeTier.TEXT_ONLY
-        text = tweet.text
-        raw_tokens = tokenize(text)
         (
             n_hashtags, n_urls, n_uppercase, lower_words, total_word_chars,
             n_sentences, n_adjectives, n_adverbs, n_verbs, n_swear,
             positive, negative,
         ) = analyze(
-            text,
-            raw_tokens,
-            preprocess_tokens(raw_tokens) if self.preprocessing
-            else raw_word_tokens(raw_tokens),
-            want_pos,
-            want_sentiment,
-            self._sentiment,
+            tweet.text, None, self.preprocessing, want_pos, want_sentiment
         )
         n_words = len(lower_words)
         if self._deobfuscator is not None and want_sentiment:

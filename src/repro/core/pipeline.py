@@ -107,8 +107,9 @@ class BlockStages:
     """
 
     #: Quantile-sketch sampling for the per-tweet stage histograms:
-    #: count/sum stay exact per tweet, the P² sketches ingest every 8th
-    #: observation.
+    #: count/sum stay exact per tweet, the P² sketches ingest a block's
+    #: mean once when the block crosses an 8-row boundary (a block of
+    #: one: every 8th tweet).
     STAGE_SKETCH_EVERY = 8
     #: The per-tweet stages those histograms time, in pipeline order.
     STAGES: Tuple[str, ...] = ("extract", "normalize", "predict")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.text.lexicons import TWITTER_ABBREVIATIONS  # noqa: F401  (re-export)
-from repro.text.tokenizer import Token, TokenType, tokenize
+from repro.text.tokenizer import Token, tokenize
 
 
 def preprocess_tokens(tokens: Sequence[Token]) -> List[Token]:
@@ -37,11 +37,7 @@ def raw_word_tokens(tokens: Sequence[Token]) -> List[Token]:
 
     Everything except pure punctuation is treated as a word-ish token,
     so URLs, hashtags, mentions, and numbers pollute the word-level
-    features exactly as skipping the cleaning step would.
+    features exactly as skipping the cleaning step would. One ``view``
+    flag read per token, like :func:`preprocess_tokens`.
     """
-    return [
-        token
-        for token in tokens
-        if token.type
-        not in (TokenType.PUNCTUATION, TokenType.EMOTICON, TokenType.SYMBOL)
-    ]
+    return [token for token in tokens if token.view]

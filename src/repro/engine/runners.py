@@ -280,12 +280,6 @@ def new_broadcast_key(prefix: str = "broadcast") -> str:
     return f"{prefix}-{os.getpid()}-{next(_BROADCAST_IDS)}"
 
 
-def clear_broadcast_cache() -> None:
-    """Drop all worker-resident broadcast state (test isolation hook)."""
-    with _BROADCAST_LOCK:
-        _BROADCAST_CACHE.clear()
-
-
 def broadcast_cache_size() -> int:
     """Number of broadcast keys currently cached in this process."""
     with _BROADCAST_LOCK:

@@ -140,10 +140,11 @@ class Histogram:
         """Fold ``n`` observations of one ``value`` in one call.
 
         For a cost measured once per block and booked per row (the
-        amortised share). ``count``, ``min``/``max`` and the sketch
-        cadence are what ``n`` :meth:`observe` calls would leave;
-        ``sum`` grows by ``value * n`` — one rounding instead of ``n``
-        (DESIGN.md §9 "Histogram amortisation").
+        amortised share). ``count`` and ``min``/``max`` are what ``n``
+        :meth:`observe` calls would leave; ``sum`` grows by
+        ``value * n`` — one rounding instead of ``n``. The sketches get
+        ``value`` once if the call crosses a cadence boundary: a block
+        is one sample (DESIGN.md §9 "Histogram amortisation").
         """
         if n <= 0:
             return
@@ -157,10 +158,9 @@ class Histogram:
         if since < self.sketch_every:
             self._since_sketch = since
             return
-        feeds, self._since_sketch = divmod(since, self.sketch_every)
-        for _ in range(feeds):
-            for sketch in self._sketches:
-                sketch.update(value)
+        self._since_sketch = since % self.sketch_every
+        for sketch in self._sketches:
+            sketch.update(value)
 
     @property
     def mean(self) -> float:

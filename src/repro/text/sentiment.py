@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
 
 from repro.text.lexicons import sentiment_lexicon
 
@@ -84,49 +84,21 @@ class SentimentAnalyzer:
         """Score a tokenized text."""
         return SentimentScore(*self.strengths(tokens))
 
-    def strengths(
-        self, tokens: Iterable[Token], has_exclamation: bool = False
-    ) -> Tuple[int, int]:
+    def strengths(self, tokens: Iterable[Token]) -> Tuple[int, int]:
         """``(positive, negative)`` of a token stream, as plain ints.
 
-        The one scoring walk: the feature path reads the pair straight
-        off it, the ``score*`` methods wrap it in a
-        :class:`SentimentScore`. Non-word tokens only contribute their
-        exclamation marks — modifiers reach across them ("not, good") —
-        and every per-word fact (base strength, the previous word's
-        negator/booster role, shouting) is a field of the token's
-        record, so the walk touches no lexicon.
+        Read off the one text walk (:func:`repro.text.analysis.analyze`),
+        which holds the scoring rule: non-word tokens only contribute
+        their exclamation marks — modifiers reach across them ("not,
+        good") — and every per-word fact (base strength, the previous
+        word's negator/booster role, shouting) is a field of the
+        token's record, so the walk touches no lexicon.
         """
-        max_positive = 1
-        min_negative = -1
-        previous: Optional[Token] = None
-        for token in tokens:
-            if not token.is_word:
-                if "!" in token.text:
-                    has_exclamation = True
-                continue
-            strength = token.strength
-            if strength:
-                if previous is not None:
-                    if previous.negator:
-                        strength = -strength
-                    elif previous.boost:
-                        delta = previous.boost
-                        strength += delta if strength > 0 else -delta
-                if token.is_uppercase_word:
-                    strength += 1 if strength > 0 else -1
-                if strength > 0:
-                    if strength > max_positive:
-                        max_positive = min(strength, 5)
-                elif strength < min_negative:
-                    min_negative = max(strength, -5)
-            previous = token
-        if has_exclamation:
-            if max_positive > -min_negative and max_positive < 5:
-                max_positive += 1
-            elif -min_negative > max_positive and min_negative > -5:
-                min_negative -= 1
-        return max_positive, min_negative
+        # Imported here: analysis sits above the tokenizer, which
+        # builds its records from this module's word strengths.
+        from repro.text.analysis import analyze
+
+        return analyze("", tokens)[10:]
 
     def score(self, text: str) -> SentimentScore:
         """Tokenize and score raw text."""

@@ -1,19 +1,20 @@
-"""Tweet-aware tokenizer and the interned word records it hands out.
+"""Tweet-aware tokenizer and the interned token records it hands out.
 
 Splits raw tweet text into typed tokens: URLs, user mentions, hashtags,
 emoticons, words, numbers, and punctuation. Downstream consumers rely on
-the types — e.g. preprocessing removes URL/MENTION/HASHTAG tokens, the
-feature extractor counts them first, and the sentence splitter uses
-terminal punctuation.
+the types — e.g. preprocessing removes URL/MENTION/HASHTAG tokens and
+the feature extractor counts them first.
 
-A :class:`Token` is also the *record* of every per-type fact the feature
-path reads (lowercase form, POS tag, sentiment strength, ...), computed
+A :class:`Token` is also the *record* of every per-surface fact the
+feature path reads (lowercase form, POS tag, sentiment strength, the
+word views it belongs to, its sentence-terminator shape, ...), computed
 once in the constructor. Tweet vocabulary is Zipfian, so
-:func:`tokenize` interns word tokens by surface text in one bounded
+:func:`tokenize` interns tokens by surface text in one bounded
 module-level table, and the scan is two C loops: one ``findall`` for the
-surface strings, one ``map`` of them through the table. A repeated word
-costs one table read; only a miss runs Python (classify the surface,
-build its record).
+surface strings, one ``map`` of them through the table. A repeated
+surface costs one table read; only a miss runs Python (classify the
+surface, build its record). Every kind except URLs is stored — a URL
+is almost never repeated, so storing it would only evict words.
 
 The table is a pure cache — a record is a function of the surface string
 and the import-time lexicons only — so it is never part of a checkpoint,
@@ -63,17 +64,20 @@ class TokenType(enum.Enum):
 
 
 _WORD = TokenType.WORD
-_PUNCTUATION = TokenType.PUNCTUATION
+_URL_KIND = TokenType.URL
 _NUMBER = TokenType.NUMBER
+#: Kinds outside both word views (``Token.view`` 0).
+_NO_VIEW = (TokenType.PUNCTUATION, TokenType.EMOTICON, TokenType.SYMBOL)
 _NUMBER_TAG = PosTag.NUMBER
 _OTHER_TAG = PosTag.OTHER
 _NEGATIONS = negation_words()
 _BOOSTERS = booster_words()
-_fill = object.__setattr__
+_SENTENCE_TERMINATORS = re.compile(r"[.!?…]+")
+_TERMINATOR_CHARS = frozenset(".!?…")
 
 
 class Token:
-    """A token and the per-type facts the feature path reads off it.
+    """A token and the per-surface facts the feature path reads off it.
 
     Immutable, and compared/hashed by ``(text, type)`` only — every
     other field is derived from those two. The word facts stay at their
@@ -93,31 +97,57 @@ class Token:
         "strength",  # base sentiment strength in [-5, 5], 0 if unknown
         "negator",  # flips the polarity of the next sentiment word
         "boost",  # level added to the next sentiment word, 0 if none
+        "bang",  # "!" in text (a non-word's exclamation boosts sentiment)
+        "view",  # 2 kept word, 1 raw word view only, 0 in neither view
+        # The text's sentence terminator runs ([.!?…]+) as seen by one
+        # token; no token holds whitespace, so any other character is
+        # sentence content (DESIGN.md §9 "One-pass text analysis").
+        "head",  # starts with content, not with a terminator
+        "after",  # content fragments after its first terminator run
+        "closes",  # ends inside a terminator run
     )
 
-    def __init__(self, text: str, type: TokenType) -> None:
+    def __new__(cls, text: str, type: TokenType) -> "Token":
+        self = object.__new__(_Building)
         lower = text.lower()
-        _fill(self, "text", text)
-        _fill(self, "type", type)
-        _fill(self, "lower", lower)
-        _fill(self, "length", len(text))
-        _fill(self, "swear", lower in SWEAR_WORDS)
-        if type is _WORD:
-            _fill(self, "is_word", True)
-            _fill(self, "is_uppercase_word", len(text) >= 2 and text.isupper())
-            _fill(self, "kept", lower not in TWITTER_ABBREVIATIONS)
-            _fill(self, "pos", tag_lower_word(lower))
-            _fill(self, "strength", word_strength_lower(lower))
-            _fill(self, "negator", lower in _NEGATIONS)
-            _fill(self, "boost", _BOOSTERS.get(lower, 0))
+        if lower == text:
+            lower = text  # one string, not two, per lowercase record
+        self.text = text
+        self.type = type
+        self.lower = lower
+        self.length = len(text)
+        self.swear = lower in SWEAR_WORDS
+        self.bang = "!" in text
+        if _TERMINATOR_CHARS.isdisjoint(text):
+            self.head = True
+            self.after = 0
+            self.closes = False
         else:
-            _fill(self, "is_word", False)
-            _fill(self, "is_uppercase_word", False)
-            _fill(self, "kept", False)
-            _fill(self, "pos", _NUMBER_TAG if type is _NUMBER else _OTHER_TAG)
-            _fill(self, "strength", 0)
-            _fill(self, "negator", False)
-            _fill(self, "boost", 0)
+            fragments = _SENTENCE_TERMINATORS.split(text)
+            self.head = fragments[0] != ""
+            self.after = len(fragments) - 1 - fragments[1:].count("")
+            self.closes = fragments[-1] == ""
+        if type is _WORD:
+            kept = lower not in TWITTER_ABBREVIATIONS
+            self.is_word = True
+            self.is_uppercase_word = len(text) >= 2 and text.isupper()
+            self.kept = kept
+            self.view = 2 if kept else 1
+            self.pos = tag_lower_word(lower)
+            self.strength = word_strength_lower(lower)
+            self.negator = lower in _NEGATIONS
+            self.boost = _BOOSTERS.get(lower, 0)
+        else:
+            self.is_word = False
+            self.is_uppercase_word = False
+            self.kept = False
+            self.view = 0 if type in _NO_VIEW else 1
+            self.pos = _NUMBER_TAG if type is _NUMBER else _OTHER_TAG
+            self.strength = 0
+            self.negator = False
+            self.boost = 0
+        self.__class__ = cls
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Token is immutable (tried to set {name!r})")
@@ -138,6 +168,19 @@ class Token:
 
     def __reduce__(self):
         return (Token, (self.text, self.type))
+
+
+class _Building:
+    """A :class:`Token` while ``Token.__new__`` fills it.
+
+    The same slots without the write guard, so each field is one plain
+    store instead of one ``object.__setattr__`` call. Two classes with
+    equal ``__slots__`` share a layout, so the finished record's
+    ``__class__`` can then become ``Token``, which refuses every later
+    write.
+    """
+
+    __slots__ = Token.__slots__
 
 
 _EMOTICONS = (
@@ -182,8 +225,6 @@ _TYPE_BY_GROUP = {
     index: TokenType[name] for name, index in _TOKEN_PATTERN.groupindex.items()
 }
 
-_SENTENCE_TERMINATORS = re.compile(r"[.!?…]+")
-
 # The scan: the same alternatives with their names dropped, inside one
 # capturing group, so ``findall`` returns the surface strings from a
 # single C loop. The leading ``\s*`` skips inter-token whitespace inside
@@ -212,17 +253,16 @@ def remember(memo: dict, key: str, value):
 class _WordTable(dict):
     """Surface text → token; a miss classifies the surface and builds it.
 
-    Words and punctuation runs (a closed alphabet no word can start
-    with, so the two never share a key) are stored under the
-    :func:`remember` rule. URLs, mentions, hashtags and numbers are
-    unbounded by nature and are built per occurrence, as are the rare
-    emoticons and symbols — they take this miss path every time.
+    Every kind but URLs is stored under the :func:`remember` rule. A
+    record is a function of its surface and the scan contract gives a
+    surface exactly one kind, so no two kinds share a key. URLs are
+    built per occurrence: they take this miss path every time.
     """
 
     def __missing__(self, surface: str) -> Token:
         kind = _TYPE_BY_GROUP[_TOKEN_PATTERN.match(surface).lastindex]
         token = Token(surface, kind)
-        if kind is _WORD or kind is _PUNCTUATION:
+        if kind is not _URL_KIND:
             remember(self, surface, token)
         return token
 
@@ -234,8 +274,8 @@ _record = _WORD_TABLE.__getitem__
 def tokenize(text: str) -> List[Token]:
     """Tokenize tweet text into typed tokens.
 
-    Word and punctuation tokens are shared instances from the interned
-    table — treat every token as read-only (they enforce it).
+    Tokens are shared instances from the interned table — treat every
+    token as read-only (they enforce it).
     """
     return list(map(_record, _surfaces(text.rstrip())))
 
@@ -253,16 +293,3 @@ def split_sentences(text: str) -> List[str]:
     """
     parts = _SENTENCE_TERMINATORS.split(text)
     return [part.strip() for part in parts if part.strip()]
-
-
-def count_sentences(text: str) -> int:
-    """Number of sentences :func:`split_sentences` would return.
-
-    Feature extraction only needs the count, so this skips building the
-    stripped fragment list.
-    """
-    count = 0
-    for part in _SENTENCE_TERMINATORS.split(text):
-        if part and not part.isspace():
-            count += 1
-    return count

@@ -11,6 +11,7 @@ from repro.core.pipeline import AggressionDetectionPipeline, run_pipeline
 from repro.data.loader import strip_labels
 from repro.data.synthetic import AbusiveDatasetGenerator
 from repro.obs.metrics import Counter, Histogram
+from repro.streamml.stats import P2Quantile
 
 
 class TestProcessing:
@@ -218,3 +219,36 @@ class TestTelemetryBudget:
         assert hists["extract"].count == 1500 + size
         assert hists["learn"].count == 1500 + size // 2
         assert hists["alert"].count == size // 2
+
+    def test_a_block_feeds_each_stage_sketch_once(
+        self, small_stream, monkeypatch
+    ):
+        # A 128-row block is one sketch sample per stage histogram: one
+        # P² update per quantile, not one per quantile per 8 rows (48).
+        pipeline = AggressionDetectionPipeline(PipelineConfig(n_classes=2))
+        pipeline.process_stream(small_stream[:1500])
+        hists = pipeline._stage_hists
+        owner = {
+            id(sketch): stage
+            for stage, hist in hists.items()
+            for sketch in hist._sketches
+        }
+        updates = collections.Counter()
+        update = P2Quantile.update
+
+        def counting(sketch, value):
+            updates[owner.get(id(sketch), "other")] += 1
+            update(sketch, value)
+
+        monkeypatch.setattr(P2Quantile, "update", counting)
+        tweets = small_stream[1500:1628]
+        mixed = [
+            labeled if index % 4 else unlabeled
+            for index, (labeled, unlabeled) in enumerate(
+                zip(tweets, strip_labels(tweets))
+            )
+        ]
+        pipeline.process_block(mixed)
+        del updates["other"]
+        assert dict(updates) == {stage: 3 for stage in hists}
+        assert all(len(hist._sketches) == 3 for hist in hists.values())

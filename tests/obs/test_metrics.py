@@ -93,23 +93,30 @@ class TestHistogram:
     @pytest.mark.parametrize("sketch_every", [1, 8])
     def test_observe_repeated_matches_a_loop_of_observes(self, sketch_every):
         # Interleaved with plain observes so the sketch cadence has to
-        # carry its remainder across calls in both directions.
+        # carry its remainder across calls in both directions. The exact
+        # fields and the cadence are a loop's; the sketches get the
+        # booked value once per call that crosses a cadence boundary.
         schedule = [(0.25, 3), (0.5, 0), (0.125, 21), (2.0, 1), (0.75, 500)]
         looped = Histogram(sketch_every=sketch_every)
         booked = Histogram(sketch_every=sketch_every)
+        sketched = []
         for value, n in schedule:
+            if n and looped._since_sketch + n >= sketch_every:
+                sketched.append(value)
             for _ in range(n):
                 looped.observe(value)
+            if looped._since_sketch + 1 >= sketch_every:
+                sketched.append(1.5)
             looped.observe(1.5)
             booked.observe_repeated(value, n)
             booked.observe(1.5)
         assert booked.count == looped.count == 525 + len(schedule)
         assert (booked.min, booked.max) == (looped.min, looped.max)
         assert booked._since_sketch == looped._since_sketch
-        assert booked.quantile_estimates() == looped.quantile_estimates()
-        assert [s.count for s in booked._sketches] == [
-            s.count for s in looped._sketches
-        ]
+        reference = Histogram()
+        reference.observe_many(sketched)
+        assert booked.quantile_estimates() == reference.quantile_estimates()
+        assert [s.count for s in booked._sketches] == [len(sketched)] * 3
         # One rounding per call instead of n: the block's measured total.
         assert booked.sum == pytest.approx(looped.sum, rel=1e-12)
 

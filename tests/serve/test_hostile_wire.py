@@ -56,8 +56,10 @@ def body_of(reply: bytes) -> bytes:
     return reply.partition(b"\r\n\r\n")[2]
 
 
-def open_fds() -> int:
-    return len(os.listdir("/proc/self/fd"))
+def open_fds(thread: ServerThread) -> int:
+    """Descriptors in this process, counted on the server's loop: there
+    no snapshot poll can be holding its manifest open mid-read."""
+    return thread.call(lambda: len(os.listdir("/proc/self/fd")))
 
 
 @pytest.fixture
@@ -281,7 +283,7 @@ class TestSlowAndVanishingReaders:
         _inflate_metrics(served, 6_000_000)
         exchange(served.port, post(b"/classify", CLASSIFY))  # warm up
         assert wait_until(lambda: n_connections(served) == 0)
-        baseline = open_fds()
+        baseline = open_fds(served)
         # RST in the middle of a reply too big for the socket buffers.
         for _ in range(5):
             sock = raw_connect(served.port)
@@ -297,7 +299,7 @@ class TestSlowAndVanishingReaders:
             for _ in range(50):
                 raw_connect(served.port).close()
             assert wait_until(lambda: n_connections(served) == 0, 10.0)
-        assert open_fds() == baseline
+        assert open_fds(served) == baseline
         assert status_of(exchange(served.port, post(b"/classify", CLASSIFY))) == 200
 
 
@@ -355,7 +357,7 @@ class TestHandlerBugs:
     ):
         exchange(served.port, b"GET /health HTTP/1.1\r\n\r\n")
         assert wait_until(lambda: n_connections(served) == 0)
-        baseline = open_fds()
+        baseline = open_fds(served)
 
         def broken(*args):
             raise RuntimeError("handler bug")
@@ -367,7 +369,7 @@ class TestHandlerBugs:
         line = exchange(served.port, b'{"op":"classify","text":"x"}\n')
         assert json.loads(line) == {"error": "internal error", "status": 500}
         assert wait_until(lambda: n_connections(served) == 0)
-        assert open_fds() == baseline
+        assert open_fds(served) == baseline
 
 
 #: Well-formed JSON, wrongly typed fields: the client's error.
@@ -478,6 +480,12 @@ class TestDescriptorExhaustion:
                 sock.sendall(b'{"op":"ready"}\n')
             # Two are accepted; the third accept hits EMFILE and the
             # listener pauses until a session ends and frees a slot.
+            # The clients live in this process, below the limit: closing
+            # one before that accept would hand the server its slot (and
+            # a server-side slot on EOF), and the listener may have run
+            # before the last clients connected, so end no session until
+            # the pause is in.
+            wait_until(lambda: bool(pauses))
             replies = []
             for sock in clients:
                 replies += read_lines(sock, 1)

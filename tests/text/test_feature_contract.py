@@ -35,6 +35,7 @@ from repro.data.sarcasm import SarcasmDatasetGenerator
 from repro.data.synthetic import AbusiveDatasetGenerator
 from repro.data.tweet import Tweet, UserProfile
 from repro.text import lexicons
+from repro.text.analysis import analyze
 from repro.text.tokenizer import tokenize
 
 GOLDEN_PATH = Path(__file__).with_name("golden_features.json")
@@ -272,6 +273,19 @@ class TestNaiveReference:
         tweet = Tweet(tweet_id="t", text=text, created_at=0.0)
         got = extractor.extract(tweet).x[5:]
         assert got == naive_features(text, preprocessing, _BOW)
+
+    @given(
+        text=st.one_of(
+            _TEXTS, st.text(alphabet=" .!?…a3@#:)x/w.\n,", max_size=30)
+        )
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_sentence_count_equals_the_regex_split(self, text):
+        # wordsPerSentence hides the count when the view is empty, so
+        # the token-derived count is pinned on its own.
+        assert analyze(text)[5] == len(
+            [p for p in re.split(r"[.!?…]+", text) if p.strip()]
+        )
 
     def test_probes_equal_the_naive_loops(self):
         for preprocessing in (True, False):

@@ -106,12 +106,38 @@ class TestWordTable:
         assert tokens[1].is_uppercase_word and tokens[1].strength < 0
         assert tokens[3].negator and not tokens[6].kept
 
-    def test_only_words_and_punctuation_are_interned(self):
+    def test_every_kind_but_urls_is_interned(self):
         tokenizer._WORD_TABLE.clear()
         tokenize("hello, @someone #tag http://t.co/x 42 3.14 :) ☃ bye!")
         kinds = {t.type for t in tokenizer._WORD_TABLE.values()}
-        assert kinds == {TokenType.WORD, TokenType.PUNCTUATION}
-        assert set(tokenizer._WORD_TABLE) == {"hello", ",", "bye", "!"}
+        assert kinds == set(TokenType) - {TokenType.URL}
+        assert set(tokenizer._WORD_TABLE) == {
+            "hello", ",", "@someone", "#tag", "42", "3.14", ":)", "☃",
+            "bye", "!",
+        }
+
+    def test_a_unique_surface_storm_stays_bounded(self, monkeypatch):
+        # Every tweet brings a mention, a hashtag and a number never seen
+        # before: the table fills, clears and refills, and never holds a
+        # URL or a record that differs from a freshly built one.
+        monkeypatch.setattr(tokenizer, "WORD_TABLE_LIMIT", 64)
+        table = tokenizer._WORD_TABLE
+        table.clear()
+        clears = 0
+        for i in range(400):
+            before = len(table)
+            tokens = tokenize(
+                f"@user{i} you are SO stupid #tag{i} http://t.co/{i} {i}.5!"
+            )
+            clears += len(table) < before
+            assert len(table) <= tokenizer.WORD_TABLE_LIMIT
+            assert not any(t.type is TokenType.URL for t in table.values())
+            for token in tokens:
+                fresh = Token(token.text, token.type)
+                for field in Token.__slots__:
+                    assert getattr(token, field) == getattr(fresh, field)
+        assert clears >= 15
+        assert f"@user{i}" in table and f"#tag{i}" in table
 
     def test_shared_tokens_refuse_mutation(self):
         token = tokenize("hello")[0]

@@ -13,14 +13,13 @@ context* with ``_TOKEN_PATTERN.match``. Five pins:
     same time bounds;
 (b) classification is context-free: every surface, matched on its own,
     is consumed whole by the alternative that produced it in context;
-(c) the table keeps its rule (only WORD/PUNCTUATION stored, nothing
+(c) the table keeps its rule (every kind but URL stored, nothing
     longer than ``MAX_INTERNED_LENGTH``, clear-on-full, clearing changes
     no result);
 (d) threads racing on a cleared table agree with a serial run;
 (e) the cost is what the design says, counted not timed: a warm table
-    builds no ``Token`` and runs no classifying match for words and
-    punctuation, and exactly one of each per occurrence of the kinds
-    that are never stored.
+    builds no ``Token`` and runs no classifying match for any stored
+    kind, and exactly one of each per URL occurrence (never stored).
 """
 
 from __future__ import annotations
@@ -203,21 +202,28 @@ class TestContextFreeClassification:
 
 
 class TestTableRule:
-    def test_only_words_and_punctuation_up_to_the_length_bound(self):
+    def test_every_kind_but_urls_up_to_the_length_bound(self):
         table = tokenizer._WORD_TABLE
         table.clear()
         long_word = "a" * (tokenizer.MAX_INTERNED_LENGTH + 1)
         edge_word = "b" * tokenizer.MAX_INTERNED_LENGTH
         long_bangs = "!" * (tokenizer.MAX_INTERNED_LENGTH + 1)
-        for text in corpus() + [f"{long_word} {edge_word} {long_bangs} ok"]:
+        edge_mention = "@" + "c" * (tokenizer.MAX_INTERNED_LENGTH - 1)
+        long_tag = "#" + "d" * tokenizer.MAX_INTERNED_LENGTH
+        texts = corpus() + [
+            f"{long_word} {edge_word} {long_bangs} ok",
+            f"{edge_mention} {long_tag} http://t.co/x :) ☃ 42",
+        ]
+        for text in texts:
             tokenize(text)
-        assert {t.type for t in table.values()} == {
-            TokenType.WORD, TokenType.PUNCTUATION
+        assert {t.type for t in table.values()} == set(TokenType) - {
+            TokenType.URL
         }
         assert all(key == token.text for key, token in table.items())
         assert max(map(len, table)) == tokenizer.MAX_INTERNED_LENGTH
-        assert edge_word in table and "ok" in table
+        assert edge_word in table and "ok" in table and edge_mention in table
         assert long_word not in table and long_bangs not in table
+        assert long_tag not in table and "http://t.co/x" not in table
 
     def test_clear_on_full(self, monkeypatch):
         monkeypatch.setattr(tokenizer, "WORD_TABLE_LIMIT", 5)
@@ -310,17 +316,24 @@ def counts(monkeypatch) -> _Counts:
 
 class TestCountedCost:
     WORDS_AND_PUNCTUATION = "you are NOT a good person, are you?! no... (really)"
-    NEVER_STORED = (
-        "http://t.co/x", "www.example.com", "@someone", "#tag", "42", "3.14",
-        ":)", "xD", "☃", "&",
-    )
+    STORED = "@someone #tag 42 3.14 :) xD ☃ &"
+    NEVER_STORED = ("http://t.co/x", "www.example.com", "https://a.b/c?d=1")
 
     def test_a_warm_table_builds_nothing_for_words_and_punctuation(self, counts):
+        self._builds_nothing_warm(self.WORDS_AND_PUNCTUATION, counts)
+
+    def test_a_warm_table_builds_nothing_for_the_other_stored_kinds(
+        self, counts
+    ):
+        self._builds_nothing_warm(self.STORED, counts)
+
+    @staticmethod
+    def _builds_nothing_warm(text: str, counts: _Counts) -> None:
         tokenizer._WORD_TABLE.clear()
-        first = tokenize(self.WORDS_AND_PUNCTUATION)
+        first = tokenize(text)
         distinct = len({token.text for token in first})
         assert counts == _Counts(tokens=distinct, matches=distinct)
-        again = tokenize(self.WORDS_AND_PUNCTUATION)
+        again = tokenize(text)
         assert counts == _Counts(tokens=distinct, matches=distinct)
         assert all(a is b for a, b in zip(first, again))
 

@@ -241,6 +241,41 @@ def test_finditer_is_flagged_on_the_text_path_only():
     assert _messages(SCAN_OFFENDING, "src/repro/core/explain.py") == []
 
 
+EXTRA_PASSES = '''
+from repro.core.preprocessing import preprocess_tokens, raw_word_tokens
+from repro.text.tokenizer import count_sentences, tokenize
+
+
+def features(self, text, raw):
+    view = preprocess_tokens(raw) if self.preprocessing else raw_word_tokens(raw)
+    positive, negative = self._sentiment.strengths(raw)
+    return view, count_sentences(text), positive, negative
+'''
+
+ONE_WALK = '''
+from repro.text.analysis import analyze
+
+
+def features(self, text):
+    """No preprocess_tokens( or .strengths( here: a docstring is no call."""
+    return analyze(text, None, self.preprocessing)
+'''
+
+
+def test_second_text_passes_flagged_in_the_extractor_only():
+    messages = _messages(EXTRA_PASSES, "src/repro/core/features.py")
+    assert sorted(m.split("(")[0] for m in messages) == [
+        "count_sentences", "preprocess_tokens", "raw_word_tokens",
+        "strengths",
+    ]
+    assert all("one walk" in m for m in messages)
+    assert _messages(ONE_WALK, "src/repro/core/features.py") == []
+    for filename in (
+        "src/repro/core/preprocessing.py", "src/repro/text/analysis.py"
+    ):
+        assert _messages(EXTRA_PASSES, filename) == []
+
+
 def test_stream_layer_and_labelled_count_lookups_flagged_in_serve():
     messages = _messages(SERVE_OFFENDING, "src/repro/serve/server.py")
     assert sum("start_server" in m for m in messages) == 1

@@ -45,6 +45,13 @@ two patterns that are harmless elsewhere are throughput bugs there:
   the token scan is one one-group ``findall`` plus one table ``map``
   (DESIGN.md §9 "One-pass text analysis").
 
+* in ``core/features.py``: a call to ``preprocess_tokens(``,
+  ``raw_word_tokens(``, ``count_sentences(`` or ``.strengths(`` — the
+  extractor hands the raw tokens to ``text.analysis.analyze``, whose one
+  walk reads the word view, the sentence count and both sentiment
+  strengths off the token records (DESIGN.md §9 "One-pass text
+  analysis"); each of those calls is another pass over the tweet.
+
 * under ``src/repro/serve``: ``asyncio.start_server`` /
   ``asyncio.open_connection`` / ``StreamReader`` / ``StreamWriter`` —
   the wire path is one selector-driven connection object on raw
@@ -215,6 +222,32 @@ def _finditer_offenses(tree: ast.AST) -> Iterator[Tuple[int, int, str]]:
             )
 
 
+#: Second passes over a tweet's tokens, banned from the extractor.
+EXTRA_TEXT_PASSES = {
+    "preprocess_tokens", "raw_word_tokens", "count_sentences", "strengths",
+}
+
+
+def _extra_text_pass_offenses(
+    tree: ast.AST,
+) -> Iterator[Tuple[int, int, str]]:
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (
+            func.attr if isinstance(func, ast.Attribute)
+            else func.id if isinstance(func, ast.Name) else ""
+        )
+        if name in EXTRA_TEXT_PASSES:
+            yield (
+                node.lineno,
+                node.col_offset,
+                f"{name}() in the extractor (a second pass over the "
+                "tokens; analyze() reads it off the one walk)",
+            )
+
+
 #: The asyncio stream layer, banned from the serving wire path.
 SERVE_BANNED_NAMES = {
     "start_server", "open_connection", "StreamReader", "StreamWriter",
@@ -350,7 +383,8 @@ def find_hot_path_offenses(
     an ``engine/`` directory only in :data:`PICKLE_ALLOWED_FILES`, and
     memo decorators and ``finditer`` loops are banned in a ``text/``
     directory and in ``core/features.py`` (there the record is the
-    memo and the scan runs in C); the asyncio
+    memo and the scan runs in C), and second passes over the tokens in
+    ``core/features.py``; the asyncio
     stream layer and per-response labelled metric lookups are banned
     in a ``serve/`` directory, ``dataclasses.replace`` in a
     ``streamml/`` directory, metric bookings inside ``for`` loops
@@ -362,6 +396,8 @@ def find_hot_path_offenses(
     if "text" in parts or parts[-2:] == ("core", "features.py"):
         yield from _memo_decorator_offenses(tree)
         yield from _finditer_offenses(tree)
+    if parts[-2:] == ("core", "features.py"):
+        yield from _extra_text_pass_offenses(tree)
     if "serve" in parts:
         yield from _serve_offenses(tree)
     if "streamml" in parts:
