@@ -1,45 +1,21 @@
-"""Analysis utilities: distributions, separation measures, run reports.
+"""Analysis utilities: alert thresholds and run reports.
 
-Backs the paper's exploratory analysis (§IV-B, Fig. 4): per-class
-feature distributions, histogram/PDF estimation, distribution-distance
-and class-separation measures, plus terminal-friendly rendering and
-markdown run reports used by the examples and benchmarks.
+Precision/recall operating points for choosing an alert threshold, plus
+terminal-friendly rendering and the markdown run report ``repro run
+--report`` writes.
 """
 
-from repro.analysis.distributions import (
-    FeatureSummary,
-    histogram,
-    ks_statistic,
-    pdf_points,
-    separation_auc,
-    summarize_by_class,
-)
-from repro.analysis.reporting import (
-    ascii_chart,
-    compare_results,
-    render_run_report,
-)
+from repro.analysis.reporting import ascii_chart, render_run_report
 from repro.analysis.thresholds import (
     OperatingPoint,
-    average_precision,
     pr_curve,
-    threshold_for_budget,
     threshold_for_precision,
 )
 
 __all__ = [
-    "FeatureSummary",
-    "histogram",
-    "ks_statistic",
-    "pdf_points",
-    "separation_auc",
-    "summarize_by_class",
     "ascii_chart",
-    "compare_results",
     "render_run_report",
     "OperatingPoint",
-    "average_precision",
     "pr_curve",
-    "threshold_for_budget",
     "threshold_for_precision",
 ]

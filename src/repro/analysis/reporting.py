@@ -2,13 +2,12 @@
 
 Turns :class:`~repro.core.pipeline.PipelineResult` objects into
 human-readable artifacts — an ASCII sparkline/chart for metric curves,
-a markdown report for a single run, and a comparison table across runs
-(the shape the paper's figures summarize).
+and a markdown report for a single run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.core.pipeline import PipelineResult
 
@@ -66,25 +65,3 @@ def render_run_report(result: PipelineResult, title: str = "Run report") -> str:
         lines.append(ascii_chart(curve))
         lines.append("```")
     return "\n".join(lines)
-
-
-def compare_results(
-    results: Dict[str, PipelineResult],
-    metrics: Sequence[str] = ("accuracy", "precision", "recall", "f1"),
-) -> str:
-    """Markdown comparison table across named runs."""
-    if not results:
-        raise ValueError("need at least one result")
-    header = "| run | " + " | ".join(metrics) + " |"
-    divider = "|---|" + "---|" * len(metrics)
-    rows: List[str] = [header, divider]
-    for name, result in results.items():
-        cells = " | ".join(
-            f"{result.metrics[m]:.4f}" for m in metrics
-        )
-        rows.append(f"| {name} | {cells} |")
-    best_f1 = max(results.items(), key=lambda kv: kv[1].metrics.get("f1", 0.0))
-    rows.append("")
-    rows.append(f"best F1: **{best_f1[0]}** "
-                f"({best_f1[1].metrics.get('f1', 0.0):.4f})")
-    return "\n".join(rows)

@@ -4,7 +4,7 @@ Moderation teams have finite capacity, so the alert confidence
 threshold (§III-A) is an operating point: higher thresholds send fewer,
 more precise alerts. This module computes the precision-recall curve of
 "aggressive" alerts over a scored validation stream and selects
-thresholds for a target precision or a review-budget constraint.
+the threshold that meets a target precision.
 """
 
 from __future__ import annotations
@@ -114,39 +114,3 @@ def threshold_for_precision(
     if not candidates:
         return None
     return max(candidates, key=lambda p: p.recall)
-
-
-def threshold_for_budget(
-    classified: Sequence[ClassifiedInstance],
-    max_alerts: int,
-    aggressive_classes: Tuple[int, ...] = (1,),
-) -> OperatingPoint:
-    """Best-recall operating point within a review budget."""
-    if max_alerts < 1:
-        raise ValueError("max_alerts must be >= 1")
-    points = pr_curve(classified, aggressive_classes)
-    affordable = [p for p in points if p.n_alerts <= max_alerts]
-    if not affordable:
-        # Even the strictest threshold over-fires; take it anyway.
-        return points[-1]
-    return max(affordable, key=lambda p: p.recall)
-
-
-def average_precision(
-    classified: Sequence[ClassifiedInstance],
-    aggressive_classes: Tuple[int, ...] = (1,),
-) -> float:
-    """Area under the precision-recall curve (step interpolation)."""
-    points = pr_curve(classified, aggressive_classes)
-    # At each recall level keep the best achievable precision (several
-    # thresholds can reach the same recall), then step-integrate.
-    best_at_recall: dict = {}
-    for point in points:
-        existing = best_at_recall.get(point.recall, 0.0)
-        best_at_recall[point.recall] = max(existing, point.precision)
-    area = 0.0
-    previous_recall = 0.0
-    for recall in sorted(best_at_recall):
-        area += (recall - previous_recall) * best_at_recall[recall]
-        previous_recall = recall
-    return area

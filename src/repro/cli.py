@@ -119,10 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--batch-size", type=_positive_int, default=5000,
                      help="tweets per micro-batch (default 5000)")
     run.add_argument("--runner", default="serial",
-                     choices=("serial", "threads", "processes"),
+                     choices=("serial", "processes"),
                      help="micro-batch partition executor (default serial)")
     run.add_argument("--workers", type=_positive_int, default=None,
-                     help="pool size for --runner threads/processes "
+                     help="worker processes for --runner processes "
                      "(default: --partitions)")
     run.add_argument("--pipeline", action="store_true",
                      help="double-buffer micro-batches: overlap the "

@@ -23,12 +23,11 @@ from repro.core.normalization import (
     make_normalizer,
 )
 from repro.core.pipeline import AggressionDetectionPipeline, PipelineResult
-from repro.core.preprocessing import preprocess, preprocess_tokens
+from repro.core.preprocessing import preprocess_tokens
 from repro.core.sampling import BoostedRandomSampler
 from repro.core.sessions import (
     Session,
     SessionDetectionPipeline,
-    SlidingWindowAssigner,
     TumblingWindowAssigner,
 )
 
@@ -56,11 +55,9 @@ __all__ = [
     "make_normalizer",
     "AggressionDetectionPipeline",
     "PipelineResult",
-    "preprocess",
     "preprocess_tokens",
     "BoostedRandomSampler",
     "Session",
     "SessionDetectionPipeline",
-    "SlidingWindowAssigner",
     "TumblingWindowAssigner",
 ]

@@ -169,26 +169,6 @@ class AdaptiveBagOfWords:
     # Distributed merge support
     # ------------------------------------------------------------------
 
-    def fresh_delta(self) -> "AdaptiveBagOfWords":
-        """An empty-statistics copy sharing the current word list.
-
-        Partition workers update deltas; the driver absorbs them and
-        runs maintenance centrally (word-list changes stay driver-side,
-        mirroring the global-model update of Fig. 2).
-        """
-        delta = AdaptiveBagOfWords(
-            seed_words=self.words,
-            update_interval=10 ** 9,  # never self-maintain on workers
-            decay=self.decay,
-            add_min_count=self.add_min_count,
-            add_ratio=self.add_ratio,
-            remove_min_count=self.remove_min_count,
-            remove_ratio=self.remove_ratio,
-            min_word_length=self.min_word_length,
-        )
-        delta.seed = set(self.seed)
-        return delta
-
     def absorb(self, delta: "AdaptiveBagOfWords") -> None:
         """Fold a partition delta's raw counts into this instance."""
         for word, count in delta._aggressive_counts.items():

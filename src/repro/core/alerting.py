@@ -155,10 +155,6 @@ class AlertManager:
             return AlertAction.SUSPEND_USER
         return action
 
-    def is_suspended(self, user_id: str) -> bool:
-        """Whether a user has been auto-suspended."""
-        return user_id in self.suspended_users
-
     @property
     def n_alerts(self) -> int:
         """Total alerts raised."""

@@ -545,12 +545,6 @@ def save_pipeline(pipeline: AggressionDetectionPipeline, path: PathLike) -> int:
     return atomic_write_json(path, pipeline_to_dict(pipeline))
 
 
-def load_pipeline(path: PathLike) -> AggressionDetectionPipeline:
-    """Load a checkpoint written by :func:`save_pipeline`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return pipeline_from_dict(payload)
-
-
 def _rng_state_to_json(state) -> List[Any]:
     version, internal, gauss_next = state
     return [version, list(internal), gauss_next]
@@ -604,11 +598,15 @@ def engine_from_dict(payload: Dict[str, Any], **wiring: Any) -> "Engine":
     engine's own pipeline.
     """
     kind = payload["engine"]
+    if "pipeline" not in payload:
+        raise SerializationError(
+            f"{kind} engine state has no 'pipeline' section: the flat "
+            "micro-batch checkpoint layout (written before both engines "
+            "kept their state in one pipeline) is no longer read"
+        )
     if kind == "microbatch":
         from repro.engine.microbatch import MicroBatchEngine
 
-        if "pipeline" not in payload:
-            payload = _microbatch_payload_from_flat(payload)
         engine: Any = MicroBatchEngine(
             config_from_dict(payload["pipeline"]["config"]),
             n_partitions=int(payload["n_partitions"]),
@@ -632,36 +630,6 @@ def engine_from_dict(payload: Dict[str, Any], **wiring: Any) -> "Engine":
         raise SerializationError(f"unknown engine kind {kind!r}")
     restore_pipeline(engine.pipeline, payload["pipeline"])
     return engine
-
-
-def _microbatch_payload_from_flat(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Micro-batch engine state from the previous (flat) payload.
-
-    Kept one format back so existing checkpoints resume: the flat
-    layout held the pipeline's sections at the top level, the
-    cumulative confusion matrix in place of an evaluator, and the
-    retry count among the counters.
-    """
-    config = config_from_dict(payload["config"])
-    evaluator = _evaluator_to_dict(
-        PrequentialEvaluator(
-            n_classes=config.n_classes,
-            window=config.evaluation_window,
-            record_every=config.record_every,
-        )
-    )
-    evaluator["cumulative"] = payload["cumulative"]
-    sections = ("config", "model", "normalizer", "bag_of_words",
-                "counters", "alerting", "sampler")
-    return dict(
-        payload,
-        pipeline=dict(
-            {key: payload[key] for key in sections},
-            checkpoint_version=CHECKPOINT_VERSION,
-            evaluator=evaluator,
-        ),
-        n_retries=payload["counters"]["n_retries"],
-    )
 
 
 def _batch_result_to_dict(batch: "MicroBatchResult") -> Dict[str, Any]:

@@ -262,17 +262,3 @@ class PrequentialEvaluator:
     def curve(self, metric: str = "f1") -> List[Tuple[int, float]]:
         """The (n_seen, metric) time series for plotting."""
         return [(p.n_seen, getattr(p, metric)) for p in self.history]
-
-
-def holdout_metrics(
-    true_labels: Sequence[int],
-    predicted_labels: Sequence[int],
-    n_classes: int,
-) -> ConfusionMatrix:
-    """Confusion matrix for a batch of (true, predicted) pairs."""
-    if len(true_labels) != len(predicted_labels):
-        raise ValueError("label sequences must have equal length")
-    matrix = ConfusionMatrix(n_classes)
-    for true, predicted in zip(true_labels, predicted_labels):
-        matrix.add(true, predicted)
-    return matrix

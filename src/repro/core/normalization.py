@@ -155,12 +155,6 @@ class Normalizer(abc.ABC):
         for x in xs:
             self.observe(x)
 
-    def transform_many(
-        self, xs: Sequence[Sequence[float]]
-    ) -> List[Tuple[float, ...]]:
-        """Scale a batch of rows with the current statistics."""
-        return [self.transform(x) for x in xs]
-
     def observe_and_transform_many(
         self, xs: Sequence[Sequence[float]]
     ) -> List[Tuple[float, ...]]:
@@ -237,40 +231,6 @@ class MinMaxNormalizer(Normalizer):
                     tracker.min = value
                 if value > tracker.max:
                     tracker.max = value
-
-    def transform_many(
-        self, xs: Sequence[Sequence[float]]
-    ) -> List[Tuple[float, ...]]:
-        # No observation in between, so the per-feature bounds are
-        # batch constants: hoist them once instead of re-deriving the
-        # range per row.
-        bounds = [
-            (tracker.min, tracker.range)
-            if tracker.count > 0 and tracker.range > 0
-            else None
-            for tracker in self._trackers
-        ]
-        out: List[Tuple[float, ...]] = []
-        n_clipped = 0
-        for x in xs:
-            self._check(x)
-            self.n_transformed += len(x)
-            row = []
-            for bound, value in zip(bounds, x):
-                if bound is None:
-                    row.append(0.0)
-                else:
-                    scaled = (value - bound[0]) / bound[1]
-                    if scaled < 0.0:
-                        n_clipped += 1
-                        scaled = 0.0
-                    elif scaled > 1.0:
-                        n_clipped += 1
-                        scaled = 1.0
-                    row.append(scaled)
-            out.append(tuple(row))
-        self.n_clipped += n_clipped
-        return out
 
     def observe_and_transform_many(
         self, xs: Sequence[Sequence[float]]
@@ -622,16 +582,6 @@ class MinMaxNoOutliersNormalizer(Normalizer):
         if not self._folded:
             self._pairs = None
 
-    def transform_many(
-        self, xs: Sequence[Sequence[float]]
-    ) -> List[Tuple[float, ...]]:
-        X = _as_matrix(xs, self.n_features)
-        if X is None:
-            return super().transform_many(xs)
-        out: List[Tuple[float, ...]] = []
-        self._scale_into(X, out)
-        return out
-
     def observe_and_transform_many(
         self, xs: Sequence[Sequence[float]]
     ) -> List[Tuple[float, ...]]:
@@ -693,29 +643,6 @@ class ZScoreNormalizer(Normalizer):
             self.observed += 1
             for stats, value in zip(stats_list, x):
                 stats.update(value)
-
-    def transform_many(
-        self, xs: Sequence[Sequence[float]]
-    ) -> List[Tuple[float, ...]]:
-        # Pure transform: mean/std are batch constants per feature.
-        moments = []
-        for stats in self._stats:
-            std = stats.std
-            if stats.count < 2 or std <= 0:
-                moments.append(None)
-            else:
-                moments.append((stats.mean, std))
-        out: List[Tuple[float, ...]] = []
-        for x in xs:
-            self._check(x)
-            out.append(
-                tuple(
-                    0.0 if moment is None
-                    else (value - moment[0]) / moment[1]
-                    for moment, value in zip(moments, x)
-                )
-            )
-        return out
 
     def observe_and_transform_many(
         self, xs: Sequence[Sequence[float]]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.text.lexicons import TWITTER_ABBREVIATIONS  # noqa: F401  (re-export)
-from repro.text.tokenizer import Token, tokenize
+from repro.text.tokenizer import Token
 
 
 def preprocess_tokens(tokens: Sequence[Token]) -> List[Token]:
@@ -25,11 +25,6 @@ def preprocess_tokens(tokens: Sequence[Token]) -> List[Token]:
     per token; the flag is computed when the token's record is built.
     """
     return [token for token in tokens if token.kept]
-
-
-def preprocess(text: str) -> str:
-    """Clean raw tweet text into a whitespace-condensed word string."""
-    return " ".join(token.text for token in preprocess_tokens(tokenize(text)))
 
 
 def raw_word_tokens(tokens: Sequence[Token]) -> List[Token]:

@@ -58,12 +58,6 @@ class Session:
     n_labeled_aggressive: int
     features: Tuple[float, ...]
 
-    @property
-    def predicted_aggressive_fraction(self) -> float:
-        if self.n_tweets == 0:
-            return 0.0
-        return self.n_predicted_aggressive / self.n_tweets
-
     def true_label(self, bullying_threshold: float) -> Optional[int]:
         """1 if the labeled tweets make this a bullying session."""
         if self.n_labeled == 0:
@@ -137,80 +131,6 @@ class TumblingWindowAssigner:
         )
         self._open.clear()
         return remaining
-
-    @property
-    def n_open(self) -> int:
-        return len(self._open)
-
-
-class SlidingWindowAssigner(TumblingWindowAssigner):
-    """Per-user event-time *sliding* windows.
-
-    Each tweet lands in every window of length ``window_size`` whose
-    start is a multiple of ``slide`` and that covers the tweet's
-    timestamp — so each tweet belongs to ``window_size / slide``
-    overlapping windows. With ``slide == window_size`` this degrades to
-    the tumbling behaviour.
-    """
-
-    def __init__(
-        self,
-        window_size: float,
-        slide: float,
-        allowed_lateness: float = 0.0,
-    ) -> None:
-        super().__init__(window_size, allowed_lateness)
-        if slide <= 0 or slide > window_size:
-            raise ValueError("need 0 < slide <= window_size")
-        self.slide = slide
-
-    def _window_index(self, timestamp: float) -> int:
-        return int(timestamp // self.slide)
-
-    def _covering_indices(self, timestamp: float) -> List[int]:
-        last = int(timestamp // self.slide)
-        first = int((timestamp - self.window_size) // self.slide) + 1
-        return [k for k in range(max(first, 0), last + 1)]
-
-    def add(
-        self, user_id: str, classified: ClassifiedInstance
-    ) -> List[_OpenWindow]:
-        timestamp = classified.instance.timestamp
-        new_watermark = max(self.watermark, timestamp - self.allowed_lateness)
-        assigned = False
-        for index in self._covering_indices(timestamp):
-            window_start = index * self.slide
-            window_end = window_start + self.window_size
-            if window_end <= self.watermark:
-                continue
-            key = (user_id, index)
-            window = self._open.get(key)
-            if window is None:
-                window = _OpenWindow(
-                    user_id=user_id,
-                    window_start=window_start,
-                    window_end=window_end,
-                )
-                self._open[key] = window
-            window.classified.append(classified)
-            assigned = True
-        if not assigned:
-            self.n_late_dropped += 1
-        self.watermark = new_watermark
-        return self._close_expired()
-
-    def _close_expired(self) -> List[_OpenWindow]:
-        closed = [
-            window
-            for window in self._open.values()
-            if window.window_end <= self.watermark
-        ]
-        for window in closed:
-            del self._open[
-                (window.user_id, int(window.window_start // self.slide))
-            ]
-        closed.sort(key=lambda w: (w.window_end, w.user_id))
-        return closed
 
 
 SESSION_FEATURE_NAMES: Tuple[str, ...] = (
@@ -288,8 +208,8 @@ class SessionDetectionPipeline:
         session_model: streaming classifier over session features
             (defaults to a Hoeffding Tree).
         min_session_tweets: ignore windows with fewer tweets.
-        window_assigner: custom assigner (e.g.
-            :class:`SlidingWindowAssigner`); overrides ``window_size``.
+        window_assigner: custom assigner (a
+            :class:`TumblingWindowAssigner`); overrides ``window_size``.
     """
 
     def __init__(

@@ -21,7 +21,6 @@ from repro.data.firehose import FirehoseWorkload
 from repro.data.loader import (
     interleave_streams,
     read_jsonl,
-    split_by_day,
     write_jsonl,
 )
 from repro.data.offensive import OffensiveDatasetGenerator
@@ -39,7 +38,6 @@ __all__ = [
     "FirehoseWorkload",
     "interleave_streams",
     "read_jsonl",
-    "split_by_day",
     "write_jsonl",
     "OffensiveDatasetGenerator",
     "SarcasmDatasetGenerator",

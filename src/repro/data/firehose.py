@@ -12,7 +12,7 @@ For overload experiments the workload can also be *timed*:
 :class:`ArrivalSchedule` assigns each tweet a simulated arrival
 timestamp — uniform, Poisson, or bursty (square-wave rate modulation,
 the shape of real aggression spikes around events) — and
-:meth:`FirehoseWorkload.timed_stream` yields ``(tweet, arrival_s)``
+``schedule.assign(workload.stream())`` yields ``(tweet, arrival_s)``
 pairs ready for closed-loop replay through a bounded ingest queue.
 """
 
@@ -171,10 +171,6 @@ class FirehoseWorkload:
         self.drift = drift
         self.ingest_stats = IngestStats()
 
-    @property
-    def total_tweets(self) -> int:
-        return self.n_unlabeled + self.n_labeled
-
     def labeled_stream(self) -> Iterator[Tweet]:
         """The labeled training stream."""
         if self.n_labeled == 0:
@@ -214,18 +210,3 @@ class FirehoseWorkload:
             self.labeled_stream(), self.unlabeled_stream()
         )
         return sanitize_stream(merged, self.ingest_stats)
-
-    def timed_stream(
-        self, schedule: ArrivalSchedule
-    ) -> Iterator[Tuple[Tweet, float]]:
-        """The workload with simulated arrival timestamps attached.
-
-        Yields ``(tweet, arrival_s)`` in arrival order — the input to
-        :meth:`~repro.reliability.supervisor.StreamSupervisor.run_timed`
-        and :func:`~repro.engine.replay.replay_closed_loop`.
-        """
-        return schedule.assign(self.stream())
-
-    def labeled_fraction(self) -> float:
-        """Share of the workload that is labeled."""
-        return self.n_labeled / self.total_tweets

@@ -19,7 +19,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Union,
 )
 
@@ -137,16 +136,6 @@ def interleave_streams(*streams: Iterable[Tweet]) -> Iterator[Tweet]:
     return heapq.merge(*streams, key=lambda t: t.created_at)
 
 
-def split_by_day(
-    tweets: Iterable[Tweet], stream_start: float
-) -> Dict[int, List[Tweet]]:
-    """Group tweets by 0-based collection day relative to ``stream_start``."""
-    days: Dict[int, List[Tweet]] = {}
-    for tweet in tweets:
-        days.setdefault(tweet.day_index(stream_start), []).append(tweet)
-    return days
-
-
 def take(stream: Iterable[Tweet], n: int) -> List[Tweet]:
     """First ``n`` tweets of a stream."""
     result: List[Tweet] = []
@@ -155,12 +144,3 @@ def take(stream: Iterable[Tweet], n: int) -> List[Tweet]:
             break
         result.append(tweet)
     return result
-
-
-def class_histogram(tweets: Sequence[Tweet]) -> Dict[str, int]:
-    """Count tweets per label ("unlabeled" bucket for missing labels)."""
-    histogram: Dict[str, int] = {}
-    for tweet in tweets:
-        key = tweet.label if tweet.label is not None else "unlabeled"
-        histogram[key] = histogram.get(key, 0) + 1
-    return histogram

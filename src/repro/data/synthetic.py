@@ -441,14 +441,6 @@ class AbusiveDatasetGenerator:
         )
 
 
-def to_binary_label(label: str) -> str:
-    """Map the 3-class label to the 2-class problem's labels.
-
-    "abusive" and "hateful" merge into "aggressive" (§V-A).
-    """
-    return "normal" if label == "normal" else "aggressive"
-
-
 def _poisson(rng: random.Random, rate: float) -> int:
     if rate <= 0:
         return 0

@@ -30,7 +30,6 @@ from repro.engine.replay import (
     ChaosReport,
     LatencyReport,
     OverloadReport,
-    StepClock,
     StreamReplayer,
     model_state_digest,
     replay_closed_loop,
@@ -40,7 +39,6 @@ from repro.engine.runners import (
     PartitionError,
     ProcessPoolRunner,
     SerialRunner,
-    ThreadPoolRunner,
     TransientWorkerError,
     is_transient_error,
     make_runner,
@@ -59,7 +57,6 @@ __all__ = [
     "ChaosReport",
     "LatencyReport",
     "OverloadReport",
-    "StepClock",
     "StreamReplayer",
     "model_state_digest",
     "replay_closed_loop",
@@ -67,7 +64,6 @@ __all__ = [
     "PartitionError",
     "ProcessPoolRunner",
     "SerialRunner",
-    "ThreadPoolRunner",
     "TransientWorkerError",
     "is_transient_error",
     "make_runner",

@@ -782,10 +782,10 @@ class MicroBatchEngine:
         batch_size: tweets per micro-batch.
         runner: partition executor. Either a :class:`Runner` instance —
             which the *caller* owns and must close — or a string spec
-            ("serial", "threads", "processes"), in which case the engine
-            builds the runner itself, owns it, and closes it in
-            :meth:`close` (or on context-manager exit). Defaults to an
-            engine-owned :class:`SerialRunner`.
+            ("serial", "processes"), in which case the engine builds
+            the runner itself, owns it, and closes it in :meth:`close`
+            (or on context-manager exit). Defaults to an engine-owned
+            :class:`SerialRunner`.
         n_workers: pool size when ``runner`` is a string spec
             (defaults to ``n_partitions``).
         retry_policy: when set, partitions that fail *transiently*
@@ -1394,7 +1394,7 @@ class MicroBatchEngine:
         state.block.close()
         outputs = bundle.outputs
         # One encode per batch (the payload is cached across retries);
-        # serial/threads runners never pickle, so the field stays None.
+        # the serial runner never pickles, so the field stays None.
         broadcast = state.broadcast
         if broadcast.encode_seconds is not None:
             self.metrics.histogram(

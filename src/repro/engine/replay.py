@@ -40,29 +40,6 @@ from repro.reliability.overload import BoundedIngestQueue, OverloadController
 from repro.streamml.stats import percentile
 
 
-class StepClock:
-    """Deterministic fake clock: advances a fixed step per reading.
-
-    Injected in place of ``time.perf_counter`` to make replay
-    measurements a pure function of call count — tests that assert on
-    service rates or ``find_max_stable_rate`` become reproducible on
-    any host. Each *pair* of readings (start, stop) around a processed
-    tweet yields exactly ``step_s`` of simulated service time.
-    """
-
-    def __init__(self, step_s: float = 0.001, start_s: float = 0.0) -> None:
-        if step_s <= 0:
-            raise ValueError("step_s must be positive")
-        self.step_s = step_s
-        self.now_s = start_s
-        self.n_reads = 0
-
-    def __call__(self) -> float:
-        self.n_reads += 1
-        self.now_s += self.step_s
-        return self.now_s
-
-
 @dataclass
 class LatencyReport:
     """Latency distribution of one replay."""
@@ -111,9 +88,8 @@ class StreamReplayer:
             percentiles over the full sample — the registry view is for
             export alongside the rest of the run's telemetry.
         clock: timing source for measured service times (defaults to
-            ``time.perf_counter``). Inject a :class:`StepClock` to make
-            measured replays — and therefore
-            :meth:`find_max_stable_rate` — fully deterministic.
+            ``time.perf_counter``). Inject a fake clock to make measured
+            replays fully deterministic.
     """
 
     def __init__(
@@ -189,27 +165,6 @@ class StreamReplayer:
             max_queue_depth=max_queue_depth,
         )
 
-    def find_max_stable_rate(
-        self,
-        tweets: Sequence[Tweet],
-        rates: Sequence[float],
-        latency_budget_s: float,
-    ) -> Optional[float]:
-        """Largest offered rate whose p95 latency fits the budget.
-
-        Rates are probed in increasing order against fresh replays of
-        the same recorded stream; returns ``None`` if even the smallest
-        rate misses the budget.
-        """
-        best: Optional[float] = None
-        for rate in sorted(rates):
-            report = self.replay(list(tweets), rate)
-            if report.p95_latency_s <= latency_budget_s:
-                best = rate
-            else:
-                break
-        return best
-
 
 @dataclass
 class OverloadReport:
@@ -239,13 +194,6 @@ class OverloadReport:
         if self.n_offered == 0:
             return 0.0
         return self.n_shed / self.n_offered
-
-    @property
-    def mean_rate_hz(self) -> float:
-        """Processed tweets per simulated second (``nan`` if untimed)."""
-        if self.makespan_s <= 0:
-            return float("nan")
-        return self.n_processed / self.makespan_s
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-safe summary (CI smoke output, bench records)."""

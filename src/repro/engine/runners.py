@@ -1,15 +1,15 @@
-"""Partition-task executors: serial, thread pool, process pool.
+"""Partition-task executors: serial and process pool.
 
 A runner executes a list of zero-argument callables (one per data
 partition) and reports one outcome per task, in order
 (:meth:`Runner.run_with_deadline`, the one method a backend
 implements; :meth:`Runner.run` returns the results or raises the first
-failure). ``SerialRunner`` is the reference; ``ThreadPoolRunner``
-overlaps partitions on threads (limited
-by the GIL for pure-Python stages, included for API parity and for
-I/O-bound sources); ``ProcessPoolRunner`` achieves real multi-core
-execution at the price of pickling the task closures, mirroring
-Spark's executor processes.
+failure). ``SerialRunner`` is the reference; ``ProcessPoolRunner``
+achieves real multi-core execution at the price of pickling the task
+closures, mirroring Spark's executor processes. There is no thread
+runner: partitions are pure Python, so threads serialise on the GIL
+(they measured slower than the serial runner) and, unlike a worker
+process, a hung thread cannot be reclaimed.
 
 A task that raises is re-raised as :class:`PartitionError` carrying the
 partition index, so failures in pooled workers stay attributable. The
@@ -60,7 +60,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -85,7 +84,7 @@ R = TypeVar("R")
 
 Task = Callable[[], R]
 
-RUNNER_KINDS = ("serial", "threads", "processes")
+RUNNER_KINDS = ("serial", "processes")
 
 
 class TransientWorkerError(RuntimeError):
@@ -152,13 +151,6 @@ OUTCOME_OK = "ok"
 OUTCOME_FAILED = "failed"
 OUTCOME_TIMED_OUT = "timed_out"
 OUTCOME_WORKER_LOST = "worker_lost"
-
-TASK_OUTCOMES = (
-    OUTCOME_OK,
-    OUTCOME_FAILED,
-    OUTCOME_TIMED_OUT,
-    OUTCOME_WORKER_LOST,
-)
 
 #: How often the deadline loop re-checks futures, the clock, and the
 #: speculation trigger. Small enough that deadlines land within ~50ms,
@@ -366,7 +358,7 @@ class StateBroadcast:
     broadcast object to every partition task. Four properties make
     this cheap:
 
-    * **Serial/thread runners** never pickle the task, so
+    * **The serial runner** never pickles the task, so
       :meth:`value` returns the live payload object directly — tasks
       must treat it as read-only (they already must, since sibling
       partitions share it).
@@ -422,7 +414,7 @@ class StateBroadcast:
     def encode_seconds(self) -> Optional[float]:
         """Seconds spent pickling the payload (driver side, once per
         version); ``None`` until :meth:`_encode` has run — i.e. under
-        serial/thread runners, where the payload is never encoded."""
+        the serial runner, where the payload is never encoded."""
         return self._encode_seconds
 
     @property
@@ -618,7 +610,7 @@ class SegmentPool:
 class TweetSlice:
     """One partition's tweets, resolvable driver- or worker-side.
 
-    Driver-side (serial/thread runners, where tasks are never pickled)
+    Driver-side (the serial runner, where tasks are never pickled)
     the slice wraps the live partition list and :meth:`resolve` returns
     it unchanged. Under a process runner the driver encodes the whole
     batch once into a :class:`TweetBlock` and each slice pickles to an
@@ -730,9 +722,8 @@ class TweetBlock:
     def live(cls, partitions: Sequence[list]) -> "TweetBlock":
         """A no-transport block: slices wrap the live partition lists.
 
-        Used with runners that never pickle their tasks (serial,
-        threads) — resolution is a pointer dereference and ``n_bytes``
-        stays 0.
+        Used with runners that never pickle their tasks (serial) —
+        resolution is a pointer dereference and ``n_bytes`` stays 0.
         """
         return cls([TweetSlice(live=list(p)) for p in partitions], 0, None, None)
 
@@ -825,8 +816,8 @@ class Runner(abc.ABC):
     def evict_broadcast(self, key: str) -> None:
         """Forget a dead broadcaster's cached payload everywhere.
 
-        The default covers in-process execution (serial/thread runners
-        share this process's cache); pool-backed runners additionally
+        The default covers in-process execution (the serial runner
+        shares this process's cache); pool-backed runners additionally
         ship eviction tasks to their workers.
         """
         evict_broadcast(key)
@@ -875,77 +866,6 @@ class SerialRunner(Runner):
                     )
                 )
         return RunReport(outcomes=outcomes)
-
-
-class ThreadPoolRunner(Runner):
-    """Runs tasks on a shared thread pool."""
-
-    def __init__(self, n_threads: int = 4) -> None:
-        if n_threads < 1:
-            raise ValueError("n_threads must be >= 1")
-        self.n_threads = n_threads
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.n_threads)
-        return self._pool
-
-    def run_with_deadline(
-        self,
-        tasks: Sequence[Task],
-        deadline_s: Optional[float] = None,
-        speculate_after: Optional[float] = None,
-    ) -> RunReport:
-        """Threaded variant: enforces the deadline, never speculates.
-
-        Threads cannot be killed, so a timed-out task keeps running in
-        the background — safe because partition tasks are pure — and
-        its eventual result is discarded. Speculating a duplicate onto
-        the same GIL would only slow the straggler down further, so
-        ``speculate_after`` is validated but ignored.
-        """
-        _validate_deadline_args(deadline_s, speculate_after)
-        pool = self._ensure_pool()
-        started = time.perf_counter()
-        futures: Dict[Future, int] = {
-            pool.submit(_run_task, item): item[0]
-            for item in enumerate(tasks)
-        }
-        outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
-        done, pending = wait(list(futures), timeout=deadline_s)
-        for future in done:
-            index = futures[future]
-            duration = time.perf_counter() - started
-            try:
-                result = future.result()
-            except PartitionError as exc:
-                outcomes[index] = TaskOutcome(
-                    index, OUTCOME_FAILED, error=exc, duration_s=duration
-                )
-            else:
-                outcomes[index] = TaskOutcome(
-                    index, OUTCOME_OK, result=result, duration_s=duration
-                )
-        for future in pending:
-            index = futures[future]
-            future.cancel()
-            outcomes[index] = TaskOutcome(
-                index,
-                OUTCOME_TIMED_OUT,
-                error=PartitionError(
-                    index,
-                    f"partition exceeded {deadline_s:.3f}s deadline",
-                    transient=True,
-                ),
-                duration_s=time.perf_counter() - started,
-            )
-        return RunReport(outcomes=[o for o in outcomes if o is not None])
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
 
 
 class ProcessPoolRunner(Runner):
@@ -1267,11 +1187,9 @@ class ProcessPoolRunner(Runner):
 
 
 def make_runner(kind: str, n_workers: int = 4) -> Runner:
-    """Build a runner from a string spec ("serial"/"threads"/"processes")."""
+    """Build a runner from a string spec ("serial"/"processes")."""
     if kind == "serial":
         return SerialRunner()
-    if kind == "threads":
-        return ThreadPoolRunner(n_threads=n_workers)
     if kind == "processes":
         return ProcessPoolRunner(n_processes=n_workers)
     raise ValueError(

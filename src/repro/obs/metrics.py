@@ -82,10 +82,6 @@ class Gauge:
         """Adjust the gauge relative to its current value (0 if unset)."""
         self.value = (self.value or 0.0) + amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        """Adjust the gauge downward."""
-        self.inc(-amount)
-
 
 class Histogram:
     """Streaming distribution summary without stored samples.
@@ -184,10 +180,6 @@ class Histogram:
             if sketch.quantile == q:
                 return sketch.value
         raise KeyError(f"histogram does not track quantile {q}")
-
-    def quantile_estimates(self) -> Dict[float, Optional[float]]:
-        """All tracked quantile estimates, keyed by quantile point."""
-        return {s.quantile: s.value for s in self._sketches}
 
 
 class MetricsSnapshot:
@@ -483,11 +475,6 @@ class MetricsRegistry:
         """A gauge child's value (``None`` when unset or missing)."""
         child = self._gauges.get((name, _label_key(labels)))
         return None if child is None else child.value
-
-    def histogram_sum(self, name: str, **labels: str) -> float:
-        """A histogram child's exact sum (0 when it does not exist)."""
-        child = self._histograms.get((name, _label_key(labels)))
-        return 0.0 if child is None else child.sum
 
     def total(self, name: str, **label_filter: str) -> float:
         """Sum a counter family across children matching the filter.

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Union
+from typing import Any, Deque, Dict, Optional, Union
 
 PathLike = Union[str, Path]
 
@@ -66,10 +66,6 @@ class FlightRecorder:
         payload.update(fields)
         self._seq += 1
         self._ring.append(payload)
-
-    def events(self) -> List[Dict[str, Any]]:
-        """The buffered events, oldest first (a copy)."""
-        return list(self._ring)
 
     def dump(self, path: PathLike, reason: str = "manual") -> int:
         """Write the ring to ``path`` as JSONL; returns the byte size.

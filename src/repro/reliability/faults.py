@@ -116,15 +116,6 @@ class FaultInjector:
             return True
         return self.rate > 0.0 and self._rng.random() < self.rate
 
-    def build_error(self, call_index: int, partition_index: int) -> Exception:
-        """The exception an injected ``error``-kind failure raises."""
-        message = (
-            f"injected fault: call {call_index}, partition {partition_index}"
-        )
-        if self.transient:
-            return TransientWorkerError(message)
-        return RuntimeError(message)
-
     def build_action(
         self, call_index: int, partition_index: int
     ) -> "_FaultAction":
@@ -148,7 +139,7 @@ class _FaultAction:
 
     ``driver_pid`` is captured at build time: the process-level kinds
     (``worker_kill``/``worker_hang``) check it before acting, so a task
-    executed in the driver's own process (serial/thread runners, or a
+    executed in the driver's own process (the serial runner, or a
     fork-sharing edge case) degrades to a transient error instead of
     killing or stalling the driver.
     """
@@ -188,26 +179,17 @@ class _InjectedTask:
 
     The decision is made driver-side (so the injector RNG is consumed
     deterministically regardless of runner kind); the wrapper carries
-    only the verdict across the process boundary. ``error`` is the
-    legacy immediate-raise form; ``action`` covers the full
-    :data:`FAULT_KINDS` vocabulary.
+    only the verdict (``None``: run the task untouched) across the
+    process boundary.
     """
 
-    def __init__(
-        self,
-        task: Task,
-        error: Optional[Exception],
-        action: Optional[_FaultAction] = None,
-    ) -> None:
+    def __init__(self, task: Task, action: Optional[_FaultAction]) -> None:
         self.task = task
-        self.error = error
         self.action = action
 
     def __call__(self) -> object:
         if self.action is not None:
             self.action.apply()
-        elif self.error is not None:
-            raise self.error
         return self.task()
 
 
@@ -252,7 +234,7 @@ class FaultInjectingRunner(Runner):
                 action = self.injector.build_action(
                     call_index, partition_index
                 )
-            wrapped.append(_InjectedTask(task, None, action))
+            wrapped.append(_InjectedTask(task, action))
         return wrapped
 
     def run_with_deadline(

@@ -8,8 +8,8 @@ which for an alerting pipeline is indistinguishable from failing. This
 module defines the explicit overload behavior instead:
 
 * :class:`BoundedIngestQueue` — a capacity-bounded ingest buffer with
-  watermark-based backpressure signals and explicit, metric-counted
-  shedding policies (``drop-oldest``, ``drop-newest``, ``sample``).
+  backpressure watermarks and explicit, metric-counted shedding
+  policies (``drop-oldest``, ``drop-newest``, ``sample``).
   Labeled tweets are always retained (unlabeled traffic is shed first),
   so model training never starves during a burst. The policy decision
   itself, :func:`evicts_oldest`, is shared with serving admission.
@@ -106,11 +106,10 @@ class BoundedIngestQueue:
             is admitted anyway — the only, explicitly-counted soft
             spot, sized by the labeled fraction, never the firehose).
         policy: shedding policy name (one of :data:`SHED_POLICIES`).
-        high_watermark: backlog fraction above which
-            :attr:`backpressure` asserts.
-        low_watermark: backlog fraction below which the queue reports
-            headroom (:attr:`has_headroom`) — the overload controller's
-            recovery gate.
+        high_watermark: backlog fraction at or above which the
+            overload controller counts a batch as pressured.
+        low_watermark: backlog fraction at or below which the overload
+            controller may recover — its recovery gate.
         sample_keep: keep-probability for the ``sample`` policy.
         seed: RNG seed for ``sample`` (state serializes).
         metrics: optional registry for ``overload_shed_total{policy}``
@@ -176,16 +175,6 @@ class BoundedIngestQueue:
     def depth_fraction(self) -> float:
         """Backlog relative to capacity (may exceed 1 on soft-admits)."""
         return len(self) / self.capacity
-
-    @property
-    def backpressure(self) -> bool:
-        """Whether the backlog is above the high watermark."""
-        return self.depth_fraction >= self.high_watermark
-
-    @property
-    def has_headroom(self) -> bool:
-        """Whether the backlog is below the low watermark."""
-        return self.depth_fraction <= self.low_watermark
 
     def _publish_depth(self) -> None:
         if self.metrics is not None:

@@ -624,10 +624,6 @@ class StreamSupervisor:
             logger.info("graceful stop requested; draining in-flight work")
         self._stop_requested = True
 
-    @property
-    def stop_requested(self) -> bool:
-        return self._stop_requested
-
     def _current_chunk_size(self) -> int:
         """Chunk size for the next engine call.
 
@@ -697,8 +693,8 @@ class StreamSupervisor:
 
         Args:
             arrivals: timestamped stream, non-decreasing ``arrival_s``
-                (e.g. :meth:`~repro.data.firehose.FirehoseWorkload.
-                timed_stream`).
+                (e.g. :meth:`~repro.data.firehose.ArrivalSchedule.
+                assign`).
             service_time_s: per-tweet service-time model. ``None``
                 advances the simulated clock by each chunk's *measured*
                 elapsed time (realistic mode). A float — or a dict

@@ -76,10 +76,6 @@ class ServingModel:
 
     # -- deadline-aware tier choice ------------------------------------
 
-    def tier_cost_estimate(self, tier: DegradeTier) -> Optional[float]:
-        """Current EWMA cost estimate for one tier (None = unobserved)."""
-        return self._tier_cost_s[tier]
-
     def choose_tier(self, budget_s: Optional[float]) -> DegradeTier:
         """Cheapest-necessary tier for the remaining budget.
 

@@ -108,9 +108,8 @@ def payload_from_source(source: Any) -> Dict[str, Any]:
 def payload_from_checkpoint(path: PathLike) -> Dict[str, Any]:
     """Snapshot payload extracted from a supervisor/pipeline checkpoint.
 
-    Accepts a supervisor checkpoint (``engine`` section, either engine,
-    the micro-batch one also in its previous flat layout) or a bare
-    pipeline checkpoint.
+    Accepts a supervisor checkpoint (``engine`` section with its
+    ``pipeline`` state, either engine) or a bare pipeline checkpoint.
     """
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     section = raw.get("engine", raw)

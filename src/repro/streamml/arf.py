@@ -282,16 +282,6 @@ class AdaptiveRandomForest(StreamClassifier):
         """Attempt deferred splits on every member tree (driver side)."""
         return sum(m.tree.attempt_deferred_splits() for m in self.members)
 
-    @property
-    def total_warnings(self) -> int:
-        """Total warning signals raised across the ensemble's lifetime."""
-        return sum(m.n_warnings for m in self.members)
-
-    @property
-    def total_drifts(self) -> int:
-        """Total drift-triggered tree replacements."""
-        return sum(m.n_drifts for m in self.members)
-
 
 def _as_subspace(
     tree: HoeffdingTree, template: _SubspaceHoeffdingTree

@@ -17,7 +17,7 @@ averages weight vectors, ARF merges tree statistics per member).
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.streamml.instance import Instance
 
@@ -103,52 +103,3 @@ class StreamClassifier(abc.ABC):
             n = len(votes)
             return tuple(1.0 / n for _ in range(n))
         return tuple([v / total for v in votes])
-
-
-class ClassifierSnapshot:
-    """Serializable description of a model, for broadcast-size accounting.
-
-    The engine uses ``estimate_size_bytes`` to model the cost of
-    distributing the global model across the cluster after each
-    micro-batch (the paper notes the serialized model is < 1 MB).
-    """
-
-    def __init__(self, payload: Dict[str, object]) -> None:
-        self.payload = payload
-
-    def estimate_size_bytes(self) -> int:
-        """Rough serialized size estimate of the payload."""
-        return _estimate_size(self.payload)
-
-
-def _estimate_size(obj: object) -> int:
-    """Recursively estimate the serialized size of plain data structures."""
-    if obj is None:
-        return 1
-    if isinstance(obj, bool):
-        return 1
-    if isinstance(obj, (int, float)):
-        return 8
-    if isinstance(obj, str):
-        return len(obj.encode("utf-8"))
-    if isinstance(obj, (list, tuple)):
-        return 8 + sum(_estimate_size(v) for v in obj)
-    if isinstance(obj, dict):
-        return 8 + sum(
-            _estimate_size(k) + _estimate_size(v) for k, v in obj.items()
-        )
-    return 64
-
-
-def merge_all(models: List[StreamClassifier]) -> Optional[StreamClassifier]:
-    """Merge a list of per-partition models into a single global model.
-
-    Returns ``None`` for an empty list. The first model is used as the
-    accumulator; the rest are folded into it left to right.
-    """
-    if not models:
-        return None
-    accumulator = models[0]
-    for model in models[1:]:
-        accumulator.merge(model)
-    return accumulator

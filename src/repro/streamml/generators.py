@@ -6,8 +6,6 @@ detectors independently of the tweet domain:
 * :class:`SEAGenerator` — the classic SEA concepts stream (Street &
   Kim, 2001): three uniform features, label = (f1 + f2 <= θ), with θ
   switching between predefined concepts;
-* :class:`STAGGERGenerator` — the STAGGER concepts (Schlimmer &
-  Granger, 1986) over categorical attributes encoded one-hot;
 * :class:`DriftStream` — wraps any two generators with an abrupt or
   gradual (sigmoid-probability) transition at a chosen position.
 
@@ -62,48 +60,6 @@ class SEAGenerator:
             if self.noise > 0 and rng.random() < self.noise:
                 label = 1 - label
             yield Instance(x=x, y=label, timestamp=float(count))
-            count += 1
-
-
-class STAGGERGenerator:
-    """STAGGER concepts over (size, color, shape), one-hot encoded.
-
-    Concepts: 0 = (small and red), 1 = (green or circle),
-    2 = (medium or large).
-    """
-
-    N_VALUES = 3  # each attribute takes 3 values
-
-    def __init__(self, concept: int = 0, seed: int = 1) -> None:
-        if not 0 <= concept <= 2:
-            raise ValueError(f"concept must be in [0, 2], got {concept}")
-        self.concept = concept
-        self.seed = seed
-
-    def _label(self, size: int, color: int, shape: int) -> int:
-        if self.concept == 0:
-            return int(size == 0 and color == 0)  # small and red
-        if self.concept == 1:
-            return int(color == 1 or shape == 0)  # green or circle
-        return int(size in (1, 2))  # medium or large
-
-    def generate(self, n: Optional[int] = None) -> Iterator[Instance]:
-        """Yield ``n`` instances (infinite when ``n`` is None)."""
-        rng = random.Random(self.seed)
-        count = 0
-        while n is None or count < n:
-            size = rng.randrange(self.N_VALUES)
-            color = rng.randrange(self.N_VALUES)
-            shape = rng.randrange(self.N_VALUES)
-            x = [0.0] * (3 * self.N_VALUES)
-            x[size] = 1.0
-            x[self.N_VALUES + color] = 1.0
-            x[2 * self.N_VALUES + shape] = 1.0
-            yield Instance(
-                x=tuple(x),
-                y=self._label(size, color, shape),
-                timestamp=float(count),
-            )
             count += 1
 
 

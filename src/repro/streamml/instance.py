@@ -66,10 +66,6 @@ class Instance:
         """Number of features in the vector."""
         return len(self.x)
 
-    def with_label(self, y: int) -> "Instance":
-        """Return a copy of this instance carrying label ``y``."""
-        return Instance(self.x, y, self.weight, self.timestamp, self.tweet_id)
-
     def with_weight(self, weight: float) -> "Instance":
         """Return a copy of this instance with sample weight ``weight``."""
         return Instance(self.x, self.y, weight, self.timestamp, self.tweet_id)
@@ -95,13 +91,6 @@ class ClassifiedInstance:
     instance: Instance
     predicted: int
     proba: Tuple[float, ...] = field(default_factory=tuple)
-
-    @property
-    def is_correct(self) -> Optional[bool]:
-        """True/False if the instance was labeled, else ``None``."""
-        if self.instance.y is None:
-            return None
-        return self.instance.y == self.predicted
 
     @property
     def confidence(self) -> float:

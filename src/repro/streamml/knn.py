@@ -94,8 +94,3 @@ class KNNClassifier(StreamClassifier):
         self.instances_seen += other.instances_seen
         for item in other._window:
             self._window.append(item)
-
-    @property
-    def window_fill(self) -> int:
-        """Labeled instances currently retained."""
-        return len(self._window)

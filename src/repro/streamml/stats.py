@@ -44,21 +44,9 @@ class RunningStats:
         return max(self._m2 / self.count, 0.0)
 
     @property
-    def sample_variance(self) -> float:
-        """Unbiased sample variance (0 when fewer than two observations)."""
-        if self.count <= 1:
-            return 0.0
-        return max(self._m2 / (self.count - 1), 0.0)
-
-    @property
     def std(self) -> float:
         """Population standard deviation."""
         return math.sqrt(self.variance)
-
-    @property
-    def sample_std(self) -> float:
-        """Sample standard deviation."""
-        return math.sqrt(self.sample_variance)
 
     def merge(self, other: "RunningStats") -> "RunningStats":
         """Return a new RunningStats equal to processing both inputs."""
@@ -160,9 +148,9 @@ class P2Quantile:
 
         Histograms call this on hot per-tweet paths, so the
         marker-adjustment loop binds the marker lists to locals and
-        inlines :meth:`_parabolic`/:meth:`_linear` — the arithmetic and
-        branch order are identical to the textbook form those helper
-        methods keep.
+        inlines the textbook parabolic and linear marker formulas (Jain
+        & Chlamtac, 1985) in their published arithmetic and branch
+        order.
         """
         self.count += 1
         initial = self._initial
@@ -235,18 +223,6 @@ class P2Quantile:
                     q[i] = q_i + sign * (q[j] - q_i) / (n[j] - n_i)
                 n[i] = n_i + sign
 
-    def _parabolic(self, i: int, sign: float) -> float:
-        n, q = self._n, self._q
-        term1 = sign / (n[i + 1] - n[i - 1])
-        term2 = (n[i] - n[i - 1] + sign) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-        term3 = (n[i + 1] - n[i] - sign) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        return q[i] + term1 * (term2 + term3)
-
-    def _linear(self, i: int, sign: float) -> float:
-        n, q = self._n, self._q
-        j = i + int(sign)
-        return q[i] + sign * (q[j] - q[i]) / (n[j] - n[i])
-
     @property
     def value(self) -> Optional[float]:
         """Current quantile estimate (``None`` until any data arrives)."""
@@ -311,41 +287,6 @@ class P2Quantile:
 
     def __repr__(self) -> str:
         return f"P2Quantile(q={self.quantile}, value={self.value})"
-
-
-class ExponentialMovingStats:
-    """Exponentially weighted mean/variance for rolling word statistics.
-
-    The adaptive bag-of-words keeps one of these per (word, class-group)
-    pair so that word frequencies adapt to recent behaviour rather than
-    the full history.
-    """
-
-    __slots__ = ("alpha", "mean", "_var", "count")
-
-    def __init__(self, alpha: float = 0.01) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self.mean = 0.0
-        self._var = 0.0
-        self.count = 0
-
-    def update(self, value: float) -> None:
-        """Fold one observation with exponential decay."""
-        self.count += 1
-        if self.count == 1:
-            self.mean = value
-            self._var = 0.0
-            return
-        delta = value - self.mean
-        self.mean += self.alpha * delta
-        self._var = (1 - self.alpha) * (self._var + self.alpha * delta * delta)
-
-    @property
-    def std(self) -> float:
-        """Exponentially weighted standard deviation."""
-        return math.sqrt(max(self._var, 0.0))
 
 
 def percentile(values: Sequence[float], q: float) -> float:

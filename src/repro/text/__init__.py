@@ -13,7 +13,6 @@ from repro.text.lexicons import (
     sentiment_lexicon,
     swear_words,
 )
-from repro.text.pos import PosTagger
 from repro.text.sentiment import SentimentAnalyzer, SentimentScore
 from repro.text.tokenizer import Token, TokenType, tokenize
 
@@ -22,7 +21,6 @@ __all__ = [
     "negation_words",
     "sentiment_lexicon",
     "swear_words",
-    "PosTagger",
     "SentimentAnalyzer",
     "SentimentScore",
     "Token",

@@ -109,13 +109,6 @@ class Deobfuscator:
                 return form
         return word.lower()
 
-    def is_disguised_match(self, word: str) -> bool:
-        """True if the word matches only after deobfuscation."""
-        lower = word.lower()
-        if lower in self.vocabulary:
-            return False
-        return self.deobfuscate(word) != lower
-
     def count_matches(self, words: Sequence[str]) -> int:
         """Vocabulary hits including disguised forms."""
         return sum(

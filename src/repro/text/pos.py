@@ -17,12 +17,8 @@ closely enough for the feature distributions in Fig. 4c.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, List, Sequence
 
 from repro.text import lexicons
-
-if TYPE_CHECKING:
-    from repro.text.tokenizer import Token
 
 
 class PosTag(enum.Enum):
@@ -89,27 +85,3 @@ def _tag_by_suffix(lower: str) -> PosTag:
         if lower.endswith(suffix) and len(lower) > len(suffix) + 2:
             return PosTag.VERB
     return PosTag.NOUN
-
-
-class PosTagger:
-    """Tags word tokens with coarse POS categories."""
-
-    def tag_word(self, word: str) -> PosTag:
-        """Tag a single word (case-insensitive)."""
-        return tag_lower_word(word.lower())
-
-    def tag_tokens(self, tokens: Sequence[Token]) -> List[PosTag]:
-        """Tag a token sequence; non-word tokens get NUMBER/OTHER."""
-        return [token.pos for token in tokens]
-
-    def tag_text(self, text: str) -> List[PosTag]:
-        """Tokenize and tag raw text."""
-        # Imported here: the tokenizer builds its word records from
-        # this module's cascade, so it sits above us at import time.
-        from repro.text.tokenizer import tokenize
-
-        return self.tag_tokens(tokenize(text))
-
-    def count(self, text: str, tag: PosTag) -> int:
-        """Count occurrences of one POS tag in raw text."""
-        return sum(1 for t in self.tag_text(text) if t is tag)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Sequence, Tuple
 
 from repro.text.lexicons import sentiment_lexicon
 
@@ -36,19 +36,6 @@ class SentimentScore:
 
     positive: int
     negative: int
-
-    @property
-    def net(self) -> int:
-        """positive + negative: overall polarity in [-4, 4]."""
-        return self.positive + self.negative
-
-    @property
-    def is_negative(self) -> bool:
-        return -self.negative > self.positive
-
-    @property
-    def is_positive(self) -> bool:
-        return self.positive > -self.negative
 
 
 def _squeeze_repeats(word: str) -> str:
@@ -75,10 +62,6 @@ def word_strength_lower(lower: str) -> int:
 
 class SentimentAnalyzer:
     """Scores short texts on the SentiStrength [-5, 5] dual scale."""
-
-    def word_strength(self, word: str) -> int:
-        """Base strength of a word (0 if not in the lexicon)."""
-        return word_strength_lower(word.lower())
 
     def score_tokens(self, tokens: Sequence[Token]) -> SentimentScore:
         """Score a tokenized text."""
@@ -112,9 +95,3 @@ class SentimentAnalyzer:
 
 def _clamp(strength: int) -> int:
     return max(-5, min(5, strength))
-
-
-def score_many(texts: Sequence[str]) -> List[SentimentScore]:
-    """Score a batch of texts with a shared analyzer."""
-    analyzer = SentimentAnalyzer()
-    return [analyzer.score(text) for text in texts]

@@ -283,13 +283,3 @@ def tokenize(text: str) -> List[Token]:
 def words(text: str) -> List[str]:
     """Lowercased word tokens only."""
     return [t.lower for t in tokenize(text) if t.type is _WORD]
-
-
-def split_sentences(text: str) -> List[str]:
-    """Split text into sentences on terminal punctuation.
-
-    Empty fragments are dropped; text without terminators is a single
-    sentence.
-    """
-    parts = _SENTENCE_TERMINATORS.split(text)
-    return [part.strip() for part in parts if part.strip()]

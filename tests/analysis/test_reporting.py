@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.reporting import ascii_chart, compare_results, render_run_report
+from repro.analysis.reporting import ascii_chart, render_run_report
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import run_pipeline
 
@@ -64,20 +64,3 @@ class TestRunReport:
         report = render_run_report(results["HT"])
         f1 = results["HT"].metrics["f1"]
         assert f"{f1:.4f}" in report
-
-
-class TestCompareResults:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            compare_results({})
-
-    def test_table_rows(self, results):
-        table = compare_results(results)
-        assert "| HT |" in table
-        assert "| SLR |" in table
-        assert "best F1:" in table
-
-    def test_best_is_max(self, results):
-        table = compare_results(results)
-        best = max(results, key=lambda k: results[k].metrics["f1"])
-        assert f"**{best}**" in table

@@ -6,12 +6,7 @@ import random
 
 import pytest
 
-from repro.analysis.thresholds import (
-    average_precision,
-    pr_curve,
-    threshold_for_budget,
-    threshold_for_precision,
-)
+from repro.analysis.thresholds import pr_curve, threshold_for_precision
 from repro.streamml.instance import ClassifiedInstance, Instance
 
 
@@ -93,33 +88,6 @@ class TestThresholdSelection:
         assert threshold_for_precision(
             _noisy_set(flip=0.5), target_precision=0.999
         ) is None
-
-    def test_budget_constraint(self):
-        data = _noisy_set()
-        point = threshold_for_budget(data, max_alerts=50)
-        assert point.n_alerts <= 50
-
-    def test_budget_invalid(self):
-        with pytest.raises(ValueError):
-            threshold_for_budget(_perfect_set(), max_alerts=0)
-
-    def test_budget_smaller_than_min_alerts(self):
-        point = threshold_for_budget(_perfect_set(), max_alerts=1)
-        assert point.n_alerts >= 1  # strictest point returned
-
-
-class TestAveragePrecision:
-    def test_perfect_is_one(self):
-        assert average_precision(_perfect_set()) == pytest.approx(1.0)
-
-    def test_bounds(self):
-        ap = average_precision(_noisy_set())
-        assert 0.0 < ap <= 1.0
-
-    def test_noisier_scores_lower_ap(self):
-        clean = average_precision(_noisy_set(flip=0.05))
-        noisy = average_precision(_noisy_set(flip=0.4))
-        assert clean > noisy
 
 
 class TestEndToEnd:

@@ -1,11 +1,10 @@
-"""Tests for the batch random forest and batch logistic regression."""
+"""Tests for the batch random forest."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.batchml.logistic_regression import BatchLogisticRegression
 from repro.batchml.random_forest import BatchRandomForest
 
 
@@ -68,50 +67,3 @@ class TestRandomForest:
         b = BatchRandomForest(n_classes=2, n_trees=5, random_state=7).fit(X, y)
         probe = X[:20]
         assert np.array_equal(a.predict(probe), b.predict(probe))
-
-
-class TestBatchLogisticRegression:
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            BatchLogisticRegression(n_classes=1)
-        with pytest.raises(ValueError):
-            BatchLogisticRegression(n_classes=2, learning_rate=0)
-
-    def test_learns_linear_data(self):
-        rng = np.random.RandomState(4)
-        X, y = _data(2000, rng)
-        Xt, yt = _data(500, rng)
-        model = BatchLogisticRegression(n_classes=2).fit(X, y)
-        assert (model.predict(Xt) == yt).mean() > 0.9
-
-    def test_three_class(self):
-        rng = np.random.RandomState(5)
-        y = rng.randint(0, 3, size=2000)
-        X = rng.randn(2000, 2)
-        X[:, 0] += y * 3.0
-        model = BatchLogisticRegression(n_classes=3).fit(X, y)
-        assert (model.predict(X) == y).mean() > 0.85
-
-    def test_proba_rows_sum_to_one(self):
-        rng = np.random.RandomState(6)
-        X, y = _data(300, rng)
-        model = BatchLogisticRegression(n_classes=2).fit(X, y)
-        assert np.allclose(model.predict_proba(X[:5]).sum(axis=1), 1.0)
-
-    def test_standardization_handles_scale(self):
-        rng = np.random.RandomState(7)
-        X, y = _data(1500, rng)
-        X_scaled = X * np.array([1e4, 1e-3, 1.0, 1.0])
-        model = BatchLogisticRegression(n_classes=2).fit(X_scaled, y)
-        assert (model.predict(X_scaled) == y).mean() > 0.9
-
-    def test_early_stopping(self):
-        rng = np.random.RandomState(8)
-        X, y = _data(500, rng)
-        model = BatchLogisticRegression(n_classes=2, max_iter=500, tol=1e-3)
-        model.fit(X, y)
-        assert model.n_iterations_run < 500
-
-    def test_predict_before_fit(self):
-        with pytest.raises(RuntimeError):
-            BatchLogisticRegression(n_classes=2).predict(np.zeros((1, 2)))

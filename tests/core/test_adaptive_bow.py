@@ -107,17 +107,17 @@ class TestAdaptation:
 
 
 class TestDistributedMerge:
-    def test_fresh_delta_shares_words(self):
-        bow = AdaptiveBagOfWords(seed_words=["alpha"])
-        delta = bow.fresh_delta()
-        assert "alpha" in delta
-        assert delta._aggressive_tweets == 0
 
     def test_absorb_combines_counts(self):
         bow = AdaptiveBagOfWords(
             seed_words=["seed"], update_interval=10 ** 9, add_min_count=8
         )
-        deltas = [bow.fresh_delta() for _ in range(2)]
+        # Each partition's delta, built the way the micro-batch
+        # partitions build theirs: the driver's words, no maintenance.
+        deltas = [
+            AdaptiveBagOfWords(seed_words=bow.words, update_interval=10 ** 9)
+            for _ in range(2)
+        ]
         for delta in deltas:
             for _ in range(30):
                 delta.update(["emergent"], is_aggressive=True)

@@ -9,7 +9,6 @@ import pytest
 from repro.core.checkpoint import (
     engine_from_dict,
     engine_to_dict,
-    load_pipeline,
     normalizer_from_dict,
     normalizer_to_dict,
     pipeline_from_dict,
@@ -274,7 +273,7 @@ class TestFiles:
         path = tmp_path / "checkpoint.json"
         size = save_pipeline(pipeline, path)
         assert size > 0
-        restored = load_pipeline(path)
+        restored = pipeline_from_dict(json.loads(path.read_text()))
         assert restored.config.n_classes == 3
         assert restored.n_processed == 800
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.core.evaluation import (
     ConfusionMatrix,
     PrequentialEvaluator,
-    holdout_metrics,
 )
 
 pairs = st.lists(
@@ -192,13 +191,3 @@ class TestPrequentialEvaluator:
             PrequentialEvaluator(n_classes=2, window=0)
         with pytest.raises(ValueError):
             PrequentialEvaluator(n_classes=2, record_every=0)
-
-
-class TestHoldout:
-    def test_basic(self):
-        matrix = holdout_metrics([0, 1, 1], [0, 1, 0], n_classes=2)
-        assert matrix.accuracy == pytest.approx(2 / 3)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            holdout_metrics([0], [0, 1], n_classes=2)

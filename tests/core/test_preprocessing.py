@@ -4,11 +4,15 @@ from __future__ import annotations
 
 from repro.core.preprocessing import (
     TWITTER_ABBREVIATIONS,
-    preprocess,
     preprocess_tokens,
     raw_word_tokens,
 )
 from repro.text.tokenizer import TokenType, tokenize
+
+
+def preprocess(text: str) -> str:
+    """The kept word view of ``text``, space-joined."""
+    return " ".join(token.text for token in preprocess_tokens(tokenize(text)))
 
 
 class TestPreprocess:

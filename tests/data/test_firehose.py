@@ -18,8 +18,8 @@ class TestFirehoseWorkload:
 
     def test_total_and_fraction(self):
         workload = FirehoseWorkload(n_unlabeled=900, n_labeled=100)
-        assert workload.total_tweets == 1000
-        assert workload.labeled_fraction() == pytest.approx(0.1)
+        assert workload.n_unlabeled + workload.n_labeled == 1000
+        assert len(list(workload.stream())) == 1000
 
     def test_stream_mix(self):
         workload = FirehoseWorkload(n_unlabeled=600, n_labeled=200, seed=5)
@@ -130,7 +130,7 @@ class TestArrivalSchedule:
     def test_timed_stream_pairs_every_tweet(self):
         workload = FirehoseWorkload(n_unlabeled=80, n_labeled=20, seed=5)
         schedule = ArrivalSchedule(rate_hz=100.0, seed=2)
-        pairs = list(workload.timed_stream(schedule))
+        pairs = list(schedule.assign(workload.stream()))
         assert len(pairs) == 100
         arrivals = [arrival for _, arrival in pairs]
         assert all(b >= a for a, b in zip(arrivals, arrivals[1:]))

@@ -84,7 +84,8 @@ class TestFirehoseIngest:
     def test_workload_stream_is_sanitized_and_counted(self):
         workload = FirehoseWorkload(n_unlabeled=50, n_labeled=50, seed=2)
         tweets = list(workload.stream())
-        assert len(tweets) == workload.total_tweets
-        assert workload.ingest_stats.n_read == workload.total_tweets
+        total = workload.n_unlabeled + workload.n_labeled
+        assert len(tweets) == total
+        assert workload.ingest_stats.n_read == total
         assert workload.ingest_stats.n_null_text == 0
         assert all(isinstance(t.text, str) for t in tweets)

@@ -5,16 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.data.loader import (
-    class_histogram,
     interleave_streams,
     read_jsonl,
-    split_by_day,
     strip_labels,
     take,
     write_jsonl,
 )
 from repro.data.synthetic import AbusiveDatasetGenerator
-from repro.data.tweet import SECONDS_PER_DAY, Tweet, UserProfile
+from repro.data.tweet import Tweet, UserProfile
 
 
 def _tweets(n, start=0.0, label="normal"):
@@ -79,27 +77,5 @@ class TestStreamComposition:
         merged = interleave_streams(infinite())
         assert take(merged, 3)[2].created_at == 2.0
 
-    def test_split_by_day(self):
-        tweets = [
-            Tweet(
-                tweet_id=str(i), text="x",
-                created_at=i * SECONDS_PER_DAY + 100.0,
-                user=UserProfile(user_id="0"),
-            )
-            for i in range(4)
-        ]
-        days = split_by_day(tweets, stream_start=0.0)
-        assert sorted(days) == [0, 1, 2, 3]
-        assert all(len(v) == 1 for v in days.values())
-
     def test_take_short_stream(self):
         assert len(take(iter(_tweets(3)), 10)) == 3
-
-    def test_class_histogram(self):
-        tweets = _tweets(2, label="normal") + _tweets(1, label="abusive")
-        tweets.append(
-            Tweet(tweet_id="u", text="x", created_at=0.0,
-                  user=UserProfile(user_id="0"))
-        )
-        histogram = class_histogram(tweets)
-        assert histogram == {"normal": 2, "abusive": 1, "unlabeled": 1}

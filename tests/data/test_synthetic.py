@@ -15,7 +15,6 @@ from repro.data.synthetic import (
     PAPER_TOTAL,
     AbusiveDatasetGenerator,
     DriftConfig,
-    to_binary_label,
 )
 from repro.data.vocab import emerging_insults
 from repro.text.lexicons import SWEAR_WORDS
@@ -129,16 +128,16 @@ class TestCalibration:
         assert means["hateful"] > means["normal"]
 
     def test_words_per_sentence_ordering(self, stream):
-        from repro.text.tokenizer import split_sentences
+        from repro.text.analysis import analyze
 
         groups = _by_label(stream)
 
         def wps(tweets):
             values = []
             for t in tweets:
-                sentences = split_sentences(t.text)
-                if sentences:
-                    values.append(len(words(t.text)) / len(sentences))
+                n_sentences = analyze(t.text)[5]
+                if n_sentences:
+                    values.append(len(words(t.text)) / n_sentences)
             return statistics.mean(values)
 
         # Paper: normal 16.66 > hateful 15.93 > abusive 12.66.
@@ -183,10 +182,6 @@ class TestDrift:
 
 
 class TestBinaryMapping:
-    def test_to_binary_label(self):
-        assert to_binary_label("normal") == "normal"
-        assert to_binary_label("abusive") == "aggressive"
-        assert to_binary_label("hateful") == "aggressive"
 
     def test_generate_days_partition(self):
         gen = AbusiveDatasetGenerator(n_tweets=1000, seed=4)

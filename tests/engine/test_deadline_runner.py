@@ -7,7 +7,7 @@ batch" into per-partition fault domains: every task gets a
 attempt (first finisher wins), and a dead worker breaks only the
 *pool* — completed siblings keep their results and only the unresolved
 partitions are re-run against a rebuilt pool. These tests pin that
-contract on all three runner kinds, plus the shared-memory hygiene
+contract on both runner kinds, plus the shared-memory hygiene
 guarantee: a worker killed mid-batch never strands a broadcast
 segment.
 """
@@ -34,7 +34,6 @@ from repro.engine.runners import (
     RunReport,
     SerialRunner,
     TaskOutcome,
-    ThreadPoolRunner,
     TransientWorkerError,
     live_segment_names,
 )
@@ -172,25 +171,6 @@ class TestSerialOutcomes:
             runner.run_with_deadline(
                 [_Return(1)], deadline_s=1.0, speculate_after=1.5
             )
-
-
-class TestThreadDeadline:
-    def test_timeout_classifies_straggler_and_keeps_siblings(self):
-        with ThreadPoolRunner(n_threads=2) as runner:
-            report = runner.run_with_deadline(
-                [_Return("fast"), _Sleep(0.6, "slow")], deadline_s=0.15
-            )
-            fast, slow = report.outcomes
-            assert fast.ok and fast.result == "fast"
-            assert slow.status == OUTCOME_TIMED_OUT
-            assert slow.retryable
-            assert slow.error is not None and slow.error.transient
-            assert "deadline" in slow.error.message
-
-    def test_no_deadline_behaves_like_run(self):
-        with ThreadPoolRunner(n_threads=2) as runner:
-            report = runner.run_with_deadline([_Return(1), _Return(2)])
-            assert report.ok and report.results() == [1, 2]
 
 
 class TestProcessDeadline:

@@ -16,7 +16,6 @@ from repro.engine.microbatch import (
     _round_robin_partitions,
 )
 from repro.engine.replay import model_state_digest
-from repro.engine.runners import ThreadPoolRunner
 from repro.reliability.deadletter import DeadLetterQueue
 from repro.reliability.faults import corrupting_stream, corruption_mask
 from repro.streamml.serialize import model_to_dict
@@ -326,17 +325,3 @@ class TestAdaptiveBow:
         )
         engine.run(medium_stream)
         assert len(engine.bag_of_words) > 347
-
-
-class TestThreadedExecution:
-    def test_thread_runner_same_shape(self, small_stream):
-        with ThreadPoolRunner(n_threads=4) as runner:
-            engine = MicroBatchEngine(
-                PipelineConfig(n_classes=2),
-                n_partitions=4,
-                batch_size=500,
-                runner=runner,
-            )
-            result = engine.run(small_stream)
-        assert result.n_processed == len(small_stream)
-        assert 0.0 <= result.metrics["f1"] <= 1.0

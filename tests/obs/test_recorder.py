@@ -15,9 +15,9 @@ class TestRing:
         for i in range(5):
             recorder.event("tick", n=i)
         assert len(recorder) == 3
-        assert [e["n"] for e in recorder.events()] == [2, 3, 4]
+        assert [e["n"] for e in list(recorder._ring)] == [2, 3, 4]
         # Sequence numbers keep counting across evictions.
-        assert [e["seq"] for e in recorder.events()] == [2, 3, 4]
+        assert [e["seq"] for e in list(recorder._ring)] == [2, 3, 4]
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
@@ -26,7 +26,7 @@ class TestRing:
     def test_sink_compatible_event_signature(self):
         recorder = FlightRecorder()
         recorder.event("slo_alert", slo="shed_fraction", state="firing")
-        (entry,) = recorder.events()
+        (entry,) = list(recorder._ring)
         assert entry["event"] == "slo_alert"
         assert entry["slo"] == "shed_fraction"
 

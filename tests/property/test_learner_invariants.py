@@ -9,6 +9,7 @@ and merging is count-conserving.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -93,7 +94,7 @@ class TestTrainingContract:
     @settings(max_examples=20, deadline=None)
     def test_single_class_data_predicts_that_class(self, data):
         model = HoeffdingTree(n_classes=2, grace_period=10)
-        forced = [inst.with_label(1) for inst in data]
+        forced = [dataclasses.replace(inst, y=1) for inst in data]
         model.learn_many(forced)
         assert model.predict_one(forced[0].x) == 1
 

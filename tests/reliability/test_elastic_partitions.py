@@ -304,7 +304,7 @@ class TestCrashResumeElastic:
             seed=5,
         )
         arrivals = list(
-            itertools.islice(workload.timed_stream(schedule), 2400)
+            itertools.islice(schedule.assign(workload.stream()), 2400)
         )
 
         baseline_sup, baseline_engine = build(tmp_path / "base")

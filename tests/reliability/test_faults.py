@@ -108,8 +108,11 @@ class TestFaultInjector:
     def test_build_error_transient_flag(self):
         transient = FaultInjector(schedule={0: [0]}, transient=True)
         fatal = FaultInjector(schedule={0: [0]}, transient=False)
-        assert isinstance(transient.build_error(0, 0), TransientWorkerError)
-        assert not is_transient_error(fatal.build_error(0, 0))
+        with pytest.raises(TransientWorkerError):
+            transient.build_action(0, 0).apply()
+        with pytest.raises(RuntimeError) as excinfo:
+            fatal.build_action(0, 0).apply()
+        assert not is_transient_error(excinfo.value)
 
 
 class TestFaultInjectingRunner:

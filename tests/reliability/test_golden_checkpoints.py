@@ -1,18 +1,22 @@
-"""Supervisor checkpoints written one layout back still resume and serve.
+"""Supervisor checkpoints written by earlier code still resume and serve.
 
 ``golden_checkpoint_sequential.json`` and
 ``golden_checkpoint_microbatch.json`` are supervisor checkpoints cut
-mid-stream (cursor 200 of a 400-tweet stream, chunks of 50) by the code
-from before the micro-batch engine kept its detector state in an
-:class:`~repro.core.pipeline.AggressionDetectionPipeline`; the
-micro-batch one carries the flat engine layout of that time. Resuming
-either must finish exactly where an uninterrupted run of today's code
+mid-stream (cursor 200 of a 400-tweet stream, chunks of 50). Both keep
+the engine's detector state in the nested layout: an ``engine`` section
+holding one :class:`~repro.core.pipeline.AggressionDetectionPipeline`
+payload under ``pipeline``. The sequential file dates from the commit
+that introduced that layout; the micro-batch file was rewritten in it
+when the flat micro-batch layout stopped being read. Resuming either
+must finish exactly where an uninterrupted run of today's code
 finishes — final metrics, alert list and model digest — and either must
-still extract into a snapshot the serving store verifies.
+still extract into a snapshot the serving store verifies. A flat
+section is refused with a :class:`SerializationError` that says so.
 
-The files pin a layout one format back, so do not regenerate them. They
-were written by ``PYTHONPATH=src:. python
-tests/reliability/test_golden_checkpoints.py`` at that earlier commit.
+The files are contracts with the code that wrote them, so do not
+regenerate them against the code under test. They were written by
+``PYTHONPATH=src:. python tests/reliability/test_golden_checkpoints.py``
+at the earlier commit.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from repro.engine.sequential import SequentialEngine
 from repro.reliability.supervisor import CHECKPOINT_FILENAME, StreamSupervisor
 from repro.serve.model import ServingModel
 from repro.serve.snapshot import SnapshotStore, payload_from_checkpoint
+from repro.streamml.serialize import SerializationError
 
 ENGINE_KINDS = ("sequential", "microbatch")
 N_TWEETS = 400
@@ -96,12 +101,15 @@ def write_goldens() -> None:
             )
 
 
-def test_goldens_are_cut_mid_stream_in_the_previous_layout():
+def test_goldens_are_cut_mid_stream_in_the_nested_layout():
     sequential, microbatch = (
         json.loads(golden_path(kind).read_text()) for kind in ENGINE_KINDS
     )
     assert sequential["cursor"] == microbatch["cursor"] == 200
-    assert "pipeline" not in microbatch["engine"]
+    for golden, kind in zip((sequential, microbatch), ENGINE_KINDS):
+        assert golden["engine"]["engine"] == kind
+        assert "config" in golden["engine"]["pipeline"]
+        assert "config" not in golden["engine"]
 
 
 @pytest.mark.parametrize("kind", ENGINE_KINDS)
@@ -139,16 +147,19 @@ def test_golden_still_serves(kind, tmp_path):
     assert model.classify(_stream()[0])["predicted"]
 
 
-def test_flat_microbatch_layout_drops_the_retired_fast_math_key(
-    with_retired_fast_math,
-):
-    section = json.loads(golden_path("microbatch").read_text())["engine"]
-    plain = engine_from_dict(section)
-    retired = engine_from_dict(with_retired_fast_math(section, True))
-    assert retired.config == plain.config
-    assert model_state_digest(retired.model) == model_state_digest(
-        plain.model
-    )
+def test_flat_microbatch_layout_is_refused_by_name(tmp_path):
+    checkpoint = json.loads(golden_path("microbatch").read_text())
+    section = checkpoint["engine"]
+    # The flat layout: the pipeline's sections at the engine's top level.
+    flat = {key: value for key, value in section.items() if key != "pipeline"}
+    flat.update(section["pipeline"])
+    checkpoint["engine"] = flat
+    (tmp_path / CHECKPOINT_FILENAME).write_text(json.dumps(checkpoint))
+    with pytest.raises(SerializationError) as excinfo:
+        StreamSupervisor.resume(tmp_path)
+    assert "flat micro-batch checkpoint layout" in str(excinfo.value)
+    assert "no longer read" in str(excinfo.value)
+    assert "KeyError" not in str(excinfo.value)
 
 
 if __name__ == "__main__":

@@ -138,12 +138,13 @@ class TestBoundedIngestQueue:
         )
         for tweet in _unlabeled(6):
             queue.offer(tweet)
-        assert not queue.backpressure and not queue.has_headroom
+        assert queue.low_watermark < queue.depth_fraction
+        assert queue.depth_fraction < queue.high_watermark
         for tweet in _unlabeled(2, seed=12):
             queue.offer(tweet)
-        assert queue.backpressure
+        assert queue.depth_fraction >= queue.high_watermark
         queue.drain(4)
-        assert queue.has_headroom
+        assert queue.depth_fraction <= queue.low_watermark
 
     @pytest.mark.parametrize("policy", ["drop-oldest", "drop-newest", "sample"])
     def test_accounting_invariant(self, policy):
@@ -381,7 +382,7 @@ class TestSupervisedOverload:
             seed=5,
         )
         return list(
-            itertools.islice(workload.timed_stream(schedule), n)
+            itertools.islice(schedule.assign(workload.stream()), n)
         )
 
     def test_open_loop_queue_is_transparent_when_not_overloaded(self):

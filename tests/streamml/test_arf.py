@@ -97,7 +97,7 @@ class TestDriftAdaptation:
             for i in _stream(800, rng, flip=True)
         )
         assert correct / 800 > 0.70
-        assert forest.total_drifts + forest.total_warnings >= 1
+        assert sum(m.n_drifts + m.n_warnings for m in forest.members) >= 1
 
     def test_drift_detection_can_be_disabled(self):
         rng = random.Random(5)
@@ -106,8 +106,8 @@ class TestDriftAdaptation:
         )
         forest.learn_many(list(_stream(2000, rng)))
         forest.learn_many(list(_stream(2000, rng, flip=True)))
-        assert forest.total_drifts == 0
-        assert forest.total_warnings == 0
+        assert sum(m.n_drifts for m in forest.members) == 0
+        assert sum(m.n_warnings for m in forest.members) == 0
 
 
 class TestMergeProtocol:

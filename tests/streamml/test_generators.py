@@ -1,4 +1,4 @@
-"""Tests for the SEA/STAGGER generators and the drift wrapper."""
+"""Tests for the SEA generator and the drift wrapper."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from repro.streamml import HoeffdingTree
-from repro.streamml.generators import DriftStream, SEAGenerator, STAGGERGenerator
+from repro.streamml.generators import DriftStream, SEAGenerator
 
 
 class TestSEAGenerator:
@@ -45,32 +45,6 @@ class TestSEAGenerator:
             tree.predict_one(i.x) == i.y for i in test
         ) / len(test)
         assert accuracy > 0.9
-
-
-class TestSTAGGERGenerator:
-    def test_invalid_concept(self):
-        with pytest.raises(ValueError):
-            STAGGERGenerator(concept=3)
-
-    def test_one_hot_encoding(self):
-        for instance in STAGGERGenerator().generate(100):
-            assert len(instance.x) == 9
-            assert sum(instance.x[:3]) == 1.0
-            assert sum(instance.x[3:6]) == 1.0
-            assert sum(instance.x[6:]) == 1.0
-
-    def test_concept_semantics(self):
-        # Concept 0: small and red -> size one-hot index 0, color index 0.
-        for instance in STAGGERGenerator(concept=0, seed=2).generate(300):
-            expected = int(instance.x[0] == 1.0 and instance.x[3] == 1.0)
-            assert instance.y == expected
-
-    def test_learnable(self):
-        tree = HoeffdingTree(n_classes=2, grace_period=50)
-        tree.learn_many(list(STAGGERGenerator(concept=1, seed=3).generate(3000)))
-        test = list(STAGGERGenerator(concept=1, seed=4).generate(500))
-        accuracy = sum(tree.predict_one(i.x) == i.y for i in test) / len(test)
-        assert accuracy > 0.95
 
 
 class TestDriftStream:

@@ -30,14 +30,6 @@ class TestInstance:
     def test_n_features(self):
         assert Instance(x=(1.0, 2.0)).n_features == 2
 
-    def test_with_label_preserves_fields(self):
-        base = Instance(x=(1.0,), timestamp=5.0, tweet_id="t")
-        labeled = base.with_label(2)
-        assert labeled.y == 2
-        assert labeled.timestamp == 5.0
-        assert labeled.tweet_id == "t"
-        assert base.y is None  # original untouched
-
     def test_with_weight(self):
         inst = Instance(x=(1.0,), y=0).with_weight(3.0)
         assert inst.weight == 3.0
@@ -47,7 +39,6 @@ class TestInstance:
         inst = Instance(x=(1.0, 2.0), y=1).with_features([9, 8])
         assert inst.x == (9.0, 8.0)
         assert inst.y == 1
-
 
     @pytest.mark.parametrize(
         "base",
@@ -59,7 +50,6 @@ class TestInstance:
     )
     def test_copies_equal_dataclasses_replace_field_for_field(self, base):
         copies = [
-            (base.with_label(1), dataclasses.replace(base, y=1)),
             (base.with_weight(4.0), dataclasses.replace(base, weight=4.0)),
             (base.with_features((9.0, 8.0)), dataclasses.replace(base, x=(9.0, 8.0))),
             (base.with_features([9, 8]), dataclasses.replace(base, x=[9, 8])),
@@ -82,14 +72,6 @@ class TestInstance:
 
 
 class TestClassifiedInstance:
-    def test_correctness_labeled(self):
-        inst = Instance(x=(0.0,), y=1)
-        assert ClassifiedInstance(inst, predicted=1).is_correct is True
-        assert ClassifiedInstance(inst, predicted=0).is_correct is False
-
-    def test_correctness_unlabeled_is_none(self):
-        inst = Instance(x=(0.0,))
-        assert ClassifiedInstance(inst, predicted=0).is_correct is None
 
     def test_confidence(self):
         inst = Instance(x=(0.0,))

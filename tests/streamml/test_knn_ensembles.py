@@ -51,7 +51,7 @@ class TestKNN:
         model = KNNClassifier(n_classes=2, window_size=100)
         rng = random.Random(1)
         model.learn_many(_stream(500, rng))
-        assert model.window_fill == 100
+        assert len(model._window) == 100
 
     def test_forgets_old_concept(self):
         rng = random.Random(2)
@@ -79,7 +79,7 @@ class TestKNN:
         a.learn_one(Instance(x=(0.0,), y=0))
         b.learn_one(Instance(x=(1.0,), y=1))
         a.merge(b)
-        assert a.window_fill == 2
+        assert len(a._window) == 2
         assert a.instances_seen == 2
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.streamml.base import ClassifierSnapshot, merge_all
 from repro.streamml.instance import Instance
 from repro.streamml.majority import MajorityClassClassifier, NoChangeClassifier
 
@@ -50,32 +49,3 @@ class TestNoChange:
         b.learn_one(Instance(x=(0.0,), y=1))
         a.merge(b)
         assert a.predict_one((0.0,)) == 1
-
-
-class TestMergeAll:
-    def test_empty_list(self):
-        assert merge_all([]) is None
-
-    def test_merges_left_to_right(self):
-        models = []
-        for label in (0, 1, 1):
-            m = MajorityClassClassifier(n_classes=2)
-            m.learn_one(Instance(x=(0.0,), y=label))
-            models.append(m)
-        merged = merge_all(models)
-        assert merged is models[0]
-        assert merged.predict_one((0.0,)) == 1
-
-
-class TestClassifierSnapshot:
-    def test_size_estimation_scales(self):
-        small = ClassifierSnapshot({"w": [0.0] * 10})
-        large = ClassifierSnapshot({"w": [0.0] * 1000})
-        assert large.estimate_size_bytes() > small.estimate_size_bytes()
-
-    def test_model_broadcast_under_1mb(self):
-        # The paper notes the serialized global model stays < 1 MB.
-        snapshot = ClassifierSnapshot(
-            {"weights": [[0.1] * 17 for _ in range(3)], "bias": [0.0] * 3}
-        )
-        assert snapshot.estimate_size_bytes() < 1_000_000

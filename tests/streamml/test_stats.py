@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 import statistics
 
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.streamml.stats import (
-    ExponentialMovingStats,
     P2Quantile,
     RunningMinMax,
     RunningStats,
@@ -44,7 +42,6 @@ class TestRunningStats:
             stats.update(v)
         assert stats.mean == pytest.approx(statistics.mean(values))
         assert stats.variance == pytest.approx(statistics.pvariance(values))
-        assert stats.sample_variance == pytest.approx(statistics.variance(values))
 
     def test_weighted_update_equals_repeats(self):
         weighted = RunningStats()
@@ -174,26 +171,6 @@ class TestP2Quantile:
             low.update(v)
             high.update(v)
         assert low.value < high.value
-
-
-class TestExponentialMovingStats:
-    def test_first_value_sets_mean(self):
-        ems = ExponentialMovingStats(alpha=0.1)
-        ems.update(10.0)
-        assert ems.mean == 10.0
-        assert ems.std == 0.0
-
-    def test_tracks_level_shift(self):
-        ems = ExponentialMovingStats(alpha=0.2)
-        for _ in range(200):
-            ems.update(0.0)
-        for _ in range(200):
-            ems.update(10.0)
-        assert ems.mean == pytest.approx(10.0, abs=0.1)
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            ExponentialMovingStats(alpha=0.0)
 
 
 class TestPercentile:

@@ -72,11 +72,24 @@ class TestRunAndClassify:
         model_path = tmp_path / "mb_model.json"
         assert main([
             "run", str(dataset), "--engine", "microbatch",
-            "--runner", "threads", "--workers", "2",
+            "--runner", "processes", "--workers", "2",
             "--save-model", str(model_path),
         ]) == 0
         assert model_path.exists()
         assert "model saved" in capsys.readouterr().out
+
+    def test_thread_runner_is_a_usage_error(self, dataset, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "run", str(dataset), "--engine", "microbatch",
+                "--runner", "threads",
+            ])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'threads'" in capsys.readouterr().err
+        run = build_parser()._subparsers._group_actions[0].choices["run"]
+        options = {a.dest: a for a in run._actions}
+        assert options["runner"].choices == ("serial", "processes")
+        assert "thread" not in options["workers"].help
 
     def test_save_and_classify(self, dataset, tmp_path, capsys):
         model_path = tmp_path / "model.json"

@@ -1,7 +1,9 @@
 """Documentation-coverage meta-tests.
 
 Every public module, class, and function in the library must carry a
-docstring — enforced here so the guarantee survives future edits.
+docstring — enforced here so the guarantee survives future edits — and
+every name a module lists in ``__all__`` must exist on it, so deleting
+a definition cannot leave a dangling re-export behind.
 """
 
 from __future__ import annotations
@@ -30,6 +32,16 @@ MODULES = _public_modules()
 def test_module_has_docstring(module_name):
     module = importlib.import_module(module_name)
     assert module.__doc__ and module.__doc__.strip(), module_name
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_all_names_resolve(module_name):
+    module = importlib.import_module(module_name)
+    missing = [
+        name for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert not missing, f"{module_name}.__all__ names missing: {missing}"
 
 
 def _method_documented(cls, method_name) -> bool:

@@ -50,11 +50,11 @@ class TestDeobfuscator:
 
     def test_already_canonical(self, deobfuscator):
         assert deobfuscator.deobfuscate("idiot") == "idiot"
-        assert not deobfuscator.is_disguised_match("idiot")
 
     def test_disguised_match_flag(self, deobfuscator):
-        assert deobfuscator.is_disguised_match("1d1ot")
-        assert not deobfuscator.is_disguised_match("table")
+        # A disguised vocabulary word resolves; an innocent one is kept.
+        assert deobfuscator.deobfuscate("1d1ot") == "idiot"
+        assert deobfuscator.deobfuscate("table") == "table"
 
     def test_count_matches(self, deobfuscator):
         words = ["you", "sh1t", "idiot", "m0ron", "day"]

@@ -1,79 +1,84 @@
-"""Tests for the POS tagger."""
+"""Tests for the POS tagger, read where the feature path reads it: the
+``pos`` field of each token record."""
 
 from __future__ import annotations
 
-import pytest
+from repro.text.pos import PosTag
+from repro.text.tokenizer import tokenize
 
-from repro.text.pos import PosTag, PosTagger
+
+def _tag_word(word: str) -> PosTag:
+    (token,) = tokenize(word)
+    return token.pos
 
 
-@pytest.fixture(scope="module")
-def tagger() -> PosTagger:
-    return PosTagger()
+def _tag_text(text: str) -> list:
+    return [token.pos for token in tokenize(text)]
 
 
 class TestLexiconTags:
-    def test_adjective(self, tagger):
-        assert tagger.tag_word("good") is PosTag.ADJECTIVE
+    def test_adjective(self):
+        assert _tag_word("good") is PosTag.ADJECTIVE
 
-    def test_adverb(self, tagger):
-        assert tagger.tag_word("really") is PosTag.ADVERB
+    def test_adverb(self):
+        assert _tag_word("really") is PosTag.ADVERB
 
-    def test_verb(self, tagger):
-        assert tagger.tag_word("running") is PosTag.VERB
+    def test_verb(self):
+        assert _tag_word("running") is PosTag.VERB
 
-    def test_pronoun(self, tagger):
-        assert tagger.tag_word("they") is PosTag.PRONOUN
+    def test_pronoun(self):
+        assert _tag_word("they") is PosTag.PRONOUN
 
-    def test_determiner(self, tagger):
-        assert tagger.tag_word("the") is PosTag.DETERMINER
+    def test_determiner(self):
+        assert _tag_word("the") is PosTag.DETERMINER
 
-    def test_preposition(self, tagger):
-        assert tagger.tag_word("between") is PosTag.PREPOSITION
+    def test_preposition(self):
+        assert _tag_word("between") is PosTag.PREPOSITION
 
-    def test_conjunction(self, tagger):
-        assert tagger.tag_word("because") is PosTag.CONJUNCTION
+    def test_conjunction(self):
+        assert _tag_word("because") is PosTag.CONJUNCTION
 
-    def test_case_insensitive(self, tagger):
-        assert tagger.tag_word("GOOD") is PosTag.ADJECTIVE
+    def test_case_insensitive(self):
+        assert _tag_word("GOOD") is PosTag.ADJECTIVE
 
 
 class TestSuffixRules:
-    def test_ly_adverb(self, tagger):
-        assert tagger.tag_word("gracefully") is PosTag.ADVERB
+    def test_ly_adverb(self):
+        assert _tag_word("gracefully") is PosTag.ADVERB
 
-    def test_ous_adjective(self, tagger):
-        assert tagger.tag_word("hazardous") is PosTag.ADJECTIVE
+    def test_ous_adjective(self):
+        assert _tag_word("hazardous") is PosTag.ADJECTIVE
 
-    def test_ful_adjective(self, tagger):
-        assert tagger.tag_word("colorful") is PosTag.ADJECTIVE
+    def test_ful_adjective(self):
+        assert _tag_word("colorful") is PosTag.ADJECTIVE
 
-    def test_able_adjective(self, tagger):
-        assert tagger.tag_word("readable") is PosTag.ADJECTIVE
+    def test_able_adjective(self):
+        assert _tag_word("readable") is PosTag.ADJECTIVE
 
-    def test_ize_verb(self, tagger):
-        assert tagger.tag_word("optimize") is PosTag.VERB
+    def test_ize_verb(self):
+        assert _tag_word("optimize") is PosTag.VERB
 
-    def test_unknown_defaults_to_noun(self, tagger):
-        assert tagger.tag_word("flibbertigibbet") is PosTag.NOUN
+    def test_unknown_defaults_to_noun(self):
+        assert _tag_word("flibbertigibbet") is PosTag.NOUN
 
-    def test_short_unknown_is_other(self, tagger):
-        assert tagger.tag_word("zq") is PosTag.OTHER
+    def test_short_unknown_is_other(self):
+        assert _tag_word("zq") is PosTag.OTHER
 
 
 class TestTextTagging:
-    def test_numbers_tagged_num(self, tagger):
-        tags = tagger.tag_text("scored 42 points")
+    def test_numbers_tagged_num(self):
+        tags = _tag_text("scored 42 points")
         assert PosTag.NUMBER in tags
 
-    def test_non_words_tagged_other(self, tagger):
-        tags = tagger.tag_text("hello @alex!")
+    def test_non_words_tagged_other(self):
+        tags = _tag_text("hello @alex!")
         assert PosTag.OTHER in tags
 
-    def test_count(self, tagger):
+    def test_count(self):
         text = "the happy dog runs quickly and barks loudly"
-        assert tagger.count(text, PosTag.ADVERB) == 2
-        assert tagger.count(text, PosTag.ADJECTIVE) == 1
+        tags = _tag_text(text)
+        assert tags.count(PosTag.ADVERB) == 2
+        assert tags.count(PosTag.ADJECTIVE) == 1
 
-    def test_empty_text(self, tagger):
-        assert tagger.tag_text("") == []
+    def test_empty_text(self):
+        assert _tag_text("") == []

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.text.sentiment import SentimentAnalyzer, SentimentScore, score_many
+from repro.text.sentiment import SentimentAnalyzer
+from repro.text.tokenizer import tokenize
 
 
 @pytest.fixture(scope="module")
@@ -36,21 +37,17 @@ class TestPolarity:
     def test_positive_text(self, analyzer):
         score = analyzer.score("what a wonderful lovely day")
         assert score.positive >= 3
-        assert score.is_positive
+        assert score.positive > -score.negative
 
     def test_negative_text(self, analyzer):
         score = analyzer.score("you are a disgusting idiot")
         assert score.negative <= -3
-        assert score.is_negative
+        assert -score.negative > score.positive
 
     def test_mixed_text_keeps_both(self, analyzer):
         score = analyzer.score("the food was wonderful but the service was awful")
         assert score.positive >= 3
         assert score.negative <= -3
-
-    def test_net(self):
-        assert SentimentScore(positive=4, negative=-1).net == 3
-        assert SentimentScore(positive=1, negative=-4).net == -3
 
 
 class TestModifiers:
@@ -90,19 +87,17 @@ class TestModifiers:
         assert sworn.negative <= plain.negative
 
 
+def _strength(word: str) -> int:
+    (token,) = tokenize(word)
+    return token.strength
+
+
 class TestWordStrength:
-    def test_unknown_word_zero(self, analyzer):
-        assert analyzer.word_strength("zxqw") == 0
+    def test_unknown_word_zero(self):
+        assert _strength("zxqw") == 0
 
-    def test_known_word(self, analyzer):
-        assert analyzer.word_strength("love") > 0
+    def test_known_word(self):
+        assert _strength("love") > 0
 
-    def test_case_insensitive(self, analyzer):
-        assert analyzer.word_strength("LOVE") == analyzer.word_strength("love")
-
-
-class TestBatch:
-    def test_score_many(self):
-        scores = score_many(["great day", "awful day"])
-        assert scores[0].is_positive
-        assert scores[1].is_negative
+    def test_case_insensitive(self):
+        assert _strength("LOVE") == _strength("love")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.text.tokenizer import (
     Token,
     TokenType,
-    split_sentences,
     tokenize,
     words,
 )
@@ -92,19 +91,25 @@ class TestWords:
         assert result == ["good", "day"]
 
 
+def _n_sentences(text: str) -> int:
+    """The sentence count the feature path reads (one text walk)."""
+    from repro.text.analysis import analyze
+
+    return analyze(text)[5]
+
+
 class TestSplitSentences:
     def test_single_sentence(self):
-        assert split_sentences("hello world") == ["hello world"]
+        assert _n_sentences("hello world") == 1
 
     def test_multiple_terminators(self):
-        result = split_sentences("one. two! three?")
-        assert result == ["one", "two", "three"]
+        assert _n_sentences("one. two! three?") == 3
 
     def test_ellipsis_is_one_boundary(self):
-        assert split_sentences("wait... what") == ["wait", "what"]
+        assert _n_sentences("wait... what") == 2
 
     def test_empty(self):
-        assert split_sentences("") == []
+        assert _n_sentences("") == 0
 
 
 class TestRobustness:
