@@ -586,6 +586,32 @@ def engine_to_dict(engine: "Engine") -> Dict[str, Any]:
     return payload
 
 
+class RetiredLayoutError(SerializationError):
+    """A checkpoint in a layout this version no longer reads.
+
+    Not corruption: every file written in that layout fails the same
+    way, so a resumer stops on it instead of falling back to an older
+    file.
+    """
+
+
+def engine_pipeline_state(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The ``pipeline`` section of an engine's saved state.
+
+    Raises :class:`RetiredLayoutError` when it is missing: the flat
+    micro-batch layout kept the pipeline's sections at the engine's top
+    level, and it is no longer read.
+    """
+    if "pipeline" not in payload:
+        raise RetiredLayoutError(
+            f"{payload.get('engine')} engine state has no 'pipeline' "
+            "section: the flat micro-batch checkpoint layout (written "
+            "before both engines kept their state in one pipeline) is no "
+            "longer read"
+        )
+    return payload["pipeline"]
+
+
 def engine_from_dict(payload: Dict[str, Any], **wiring: Any) -> "Engine":
     """Rebuild the engine :func:`engine_to_dict` saved.
 
@@ -598,17 +624,12 @@ def engine_from_dict(payload: Dict[str, Any], **wiring: Any) -> "Engine":
     engine's own pipeline.
     """
     kind = payload["engine"]
-    if "pipeline" not in payload:
-        raise SerializationError(
-            f"{kind} engine state has no 'pipeline' section: the flat "
-            "micro-batch checkpoint layout (written before both engines "
-            "kept their state in one pipeline) is no longer read"
-        )
+    pipeline = engine_pipeline_state(payload)
     if kind == "microbatch":
         from repro.engine.microbatch import MicroBatchEngine
 
         engine: Any = MicroBatchEngine(
-            config_from_dict(payload["pipeline"]["config"]),
+            config_from_dict(pipeline["config"]),
             n_partitions=int(payload["n_partitions"]),
             batch_size=int(payload["batch_size"]),
             pipelined=bool(payload.get("pipelined", False)),
@@ -622,13 +643,13 @@ def engine_from_dict(payload: Dict[str, Any], **wiring: Any) -> "Engine":
         from repro.engine.sequential import SequentialEngine
 
         engine = SequentialEngine(
-            config_from_dict(payload["pipeline"]["config"]),
+            config_from_dict(pipeline["config"]),
             dead_letters=wiring.get("dead_letters"),
             max_poison_rate=wiring.get("max_poison_rate"),
         )
     else:
         raise SerializationError(f"unknown engine kind {kind!r}")
-    restore_pipeline(engine.pipeline, payload["pipeline"])
+    restore_pipeline(engine.pipeline, pipeline)
     return engine
 
 

@@ -208,8 +208,6 @@ class SessionDetectionPipeline:
         session_model: streaming classifier over session features
             (defaults to a Hoeffding Tree).
         min_session_tweets: ignore windows with fewer tweets.
-        window_assigner: custom assigner (a
-            :class:`TumblingWindowAssigner`); overrides ``window_size``.
     """
 
     def __init__(
@@ -220,16 +218,11 @@ class SessionDetectionPipeline:
         bullying_threshold: float = 0.5,
         session_model: Optional[StreamClassifier] = None,
         min_session_tweets: int = 2,
-        window_assigner: Optional[TumblingWindowAssigner] = None,
     ) -> None:
         if not 0.0 < bullying_threshold <= 1.0:
             raise ValueError("bullying_threshold must be in (0, 1]")
         self.tweet_pipeline = AggressionDetectionPipeline(config)
-        self.windows = (
-            window_assigner
-            if window_assigner is not None
-            else TumblingWindowAssigner(window_size, allowed_lateness)
-        )
+        self.windows = TumblingWindowAssigner(window_size, allowed_lateness)
         self.bullying_threshold = bullying_threshold
         self.session_model = (
             session_model if session_model is not None

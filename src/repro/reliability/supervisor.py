@@ -52,6 +52,7 @@ from typing import (
 )
 
 from repro.core.checkpoint import (
+    RetiredLayoutError,
     atomic_write_text,
     engine_from_dict,
     engine_to_dict,
@@ -441,7 +442,10 @@ class StreamSupervisor:
         ``checkpoint_corrupt_total``) and the next older candidate is
         tried — corrupt state costs recent progress, never the whole
         run. :class:`~repro.streamml.serialize.SerializationError` is
-        raised only when *no* retained file verifies.
+        raised when *no* retained file verifies, and at once on a file
+        in a retired layout
+        (:class:`~repro.core.checkpoint.RetiredLayoutError`), which is
+        not corruption.
 
         ``runner``, ``n_workers``, ``retry_policy``,
         ``partition_deadline_s`` and ``speculate`` wire a rebuilt
@@ -497,6 +501,8 @@ class StreamSupervisor:
                 )
                 resumed_from = candidate
                 break
+            except RetiredLayoutError:
+                raise
             except Exception as exc:
                 failures.append((candidate.name, exc))
         if supervisor is None:

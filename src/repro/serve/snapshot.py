@@ -36,9 +36,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.checkpoint import (
+    RetiredLayoutError,
     _bow_to_dict,
     atomic_write_text,
     config_to_dict,
+    engine_pipeline_state,
     normalizer_to_dict,
 )
 from repro.obs.logconfig import get_logger
@@ -109,14 +111,15 @@ def payload_from_checkpoint(path: PathLike) -> Dict[str, Any]:
     """Snapshot payload extracted from a supervisor/pipeline checkpoint.
 
     Accepts a supervisor checkpoint (``engine`` section with its
-    ``pipeline`` state, either engine) or a bare pipeline checkpoint.
+    ``pipeline`` state, either engine) or a bare pipeline checkpoint;
+    refuses the retired flat micro-batch layout as
+    :func:`~repro.core.checkpoint.engine_from_dict` does.
     """
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     section = raw.get("engine", raw)
-    if not isinstance(section, dict):
-        section = {}
-    section = section.get("pipeline", section)
     try:
+        if isinstance(section, dict) and section is not raw:
+            section = engine_pipeline_state(section)
         return {
             "snapshot_version": SNAPSHOT_VERSION,
             "config": section["config"],
@@ -124,10 +127,11 @@ def payload_from_checkpoint(path: PathLike) -> Dict[str, Any]:
             "normalizer": section["normalizer"],
             "bag_of_words": section["bag_of_words"],
         }
-    except KeyError as exc:
+    except RetiredLayoutError as exc:
+        raise SnapshotIntegrityError(f"checkpoint {path}: {exc}") from exc
+    except (KeyError, TypeError) as exc:
         raise SnapshotIntegrityError(
-            f"checkpoint {path} has no pipeline state "
-            f"(missing {exc.args[0]!r})"
+            f"checkpoint {path} has no pipeline state ({exc!r})"
         ) from exc
 
 

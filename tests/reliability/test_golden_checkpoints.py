@@ -11,7 +11,8 @@ when the flat micro-batch layout stopped being read. Resuming either
 must finish exactly where an uninterrupted run of today's code
 finishes — final metrics, alert list and model digest — and either must
 still extract into a snapshot the serving store verifies. A flat
-section is refused with a :class:`SerializationError` that says so.
+section is refused by name, both on resume (which does not fall back to
+an older file) and on snapshot extraction.
 
 The files are contracts with the code that wrote them, so do not
 regenerate them against the code under test. They were written by
@@ -28,7 +29,7 @@ from typing import List
 
 import pytest
 
-from repro.core.checkpoint import engine_from_dict
+from repro.core.checkpoint import RetiredLayoutError, engine_from_dict
 from repro.core.config import PipelineConfig
 from repro.data.loader import strip_labels
 from repro.data.synthetic import AbusiveDatasetGenerator
@@ -36,9 +37,17 @@ from repro.data.tweet import Tweet
 from repro.engine.microbatch import MicroBatchEngine
 from repro.engine.replay import model_state_digest
 from repro.engine.sequential import SequentialEngine
-from repro.reliability.supervisor import CHECKPOINT_FILENAME, StreamSupervisor
+from repro.reliability.supervisor import (
+    CHECKPOINT_FILENAME,
+    CHECKPOINT_HISTORY_PREFIX,
+    StreamSupervisor,
+)
 from repro.serve.model import ServingModel
-from repro.serve.snapshot import SnapshotStore, payload_from_checkpoint
+from repro.serve.snapshot import (
+    SnapshotIntegrityError,
+    SnapshotStore,
+    payload_from_checkpoint,
+)
 from repro.streamml.serialize import SerializationError
 
 ENGINE_KINDS = ("sequential", "microbatch")
@@ -154,12 +163,23 @@ def test_flat_microbatch_layout_is_refused_by_name(tmp_path):
     flat = {key: value for key, value in section.items() if key != "pipeline"}
     flat.update(section["pipeline"])
     checkpoint["engine"] = flat
-    (tmp_path / CHECKPOINT_FILENAME).write_text(json.dumps(checkpoint))
+    path = tmp_path / CHECKPOINT_FILENAME
+    path.write_text(json.dumps(checkpoint))
+    # A verifiable history file beside it: a retired layout is not
+    # corruption, so resume must not fall back to it.
+    shutil.copy(
+        golden_path("microbatch"),
+        tmp_path / f"{CHECKPOINT_HISTORY_PREFIX}00000004.json",
+    )
     with pytest.raises(SerializationError) as excinfo:
         StreamSupervisor.resume(tmp_path)
-    assert "flat micro-batch checkpoint layout" in str(excinfo.value)
-    assert "no longer read" in str(excinfo.value)
-    assert "KeyError" not in str(excinfo.value)
+    assert isinstance(excinfo.value, RetiredLayoutError)
+    with pytest.raises(SnapshotIntegrityError) as snapshot_excinfo:
+        payload_from_checkpoint(path)
+    for error in (excinfo.value, snapshot_excinfo.value):
+        assert "flat micro-batch checkpoint layout" in str(error)
+        assert "no longer read" in str(error)
+        assert "KeyError" not in str(error)
 
 
 if __name__ == "__main__":

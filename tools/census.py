@@ -31,9 +31,8 @@ on its way out, so code entered only inside workers is counted.
 
 Usage::
 
-    python tools/census.py --check             # static gate, seconds
-    python tools/census.py                     # dynamic census, minutes
-    python tools/census.py --surface run serve # some surface groups
+    python tools/census.py --check   # static gate, seconds
+    python tools/census.py           # dynamic census, minutes
 """
 
 from __future__ import annotations
@@ -563,13 +562,13 @@ def _surface_bench(work: Path, env: Dict[str, str]) -> None:
             path.write_bytes(data)
 
 
-SURFACE: Dict[str, Callable[[Path, Dict[str, str]], None]] = {
-    "run": _surface_run,
-    "serve": _surface_serve,
-    "examples": _surface_examples,
-    "ledger": _surface_ledger,
-    "bench": _surface_bench,
-}
+SURFACE: Tuple[Callable[[Path, Dict[str, str]], None], ...] = (
+    _surface_run,
+    _surface_serve,
+    _surface_examples,
+    _surface_ledger,
+    _surface_bench,
+)
 
 
 def _call(
@@ -587,13 +586,13 @@ def _call(
         )
 
 
-def run_surface(groups: Sequence[str], out_dir: Path) -> None:
-    """Run the chosen surface groups, traced, flushing into ``out_dir``."""
+def run_surface(out_dir: Path) -> None:
+    """Run the whole surface, traced, flushing into ``out_dir``."""
     env = traced_env(out_dir)
     work = out_dir / "work"
     work.mkdir(parents=True, exist_ok=True)
-    for group in groups:
-        SURFACE[group](work, env)
+    for group in SURFACE:
+        group(work, env)
 
 
 # ----------------------------------------------------------------------
@@ -660,14 +659,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="static gate: fail on a top-level definition "
                         "only tests name")
-    parser.add_argument("--surface", nargs="+", choices=tuple(SURFACE),
-                        default=list(SURFACE),
-                        help="surface groups to run (default: all)")
-    parser.add_argument("--out-dir", default=None,
-                        help="keep the traces here (default: a temp dir)")
-    parser.add_argument("--traces", default=None, metavar="DIR",
-                        help="report on the traces an earlier --out-dir "
-                        "run left, without running the surface")
     args = parser.parse_args(argv)
 
     if args.check:
@@ -679,10 +670,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1 if offenders else 0
 
     with tempfile.TemporaryDirectory(prefix="census-") as scratch:
-        out_dir = Path(args.traces or args.out_dir or scratch).resolve()
-        if args.traces is None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            run_surface(args.surface, out_dir)
+        out_dir = Path(scratch).resolve()
+        run_surface(out_dir)
         missed = unreached(definitions(SRC, ROOT), entered(out_dir), ROOT)
     product = named_by(ROOT, READER_DIRS, exclude=TEST_DIRS)
     print(report(classify(missed, product)))
