@@ -46,4 +46,4 @@ lint:
 
 clean:
 	find . -type d -name __pycache__ -exec rm -rf {} +
-	rm -rf .pytest_cache .hypothesis benchmarks/results
+	rm -rf .pytest_cache .hypothesis .bench_work/bench_results

@@ -25,7 +25,11 @@ import bench_util
 from repro.data.firehose import ArrivalSchedule
 from repro.data.loader import strip_labels
 from repro.data.synthetic import AbusiveDatasetGenerator
-from repro.reliability.overload import BoundedIngestQueue, OverloadController
+from repro.reliability.overload import (
+    BoundedIngestQueue,
+    OverloadController,
+    serve_backlog,
+)
 
 #: Per-tweet service seconds by degrade tier (FULL / NO_POS /
 #: TEXT_ONLY), divided across partitions.
@@ -81,16 +85,13 @@ def _replay(tweets, rate_hz, elastic):
         **kwargs,
     )
     rng = random.Random(10_000 + rate_hz)
-    server_free_s = 0.0
     n_processed = 0
     total_stragglers = 0
 
-    def service_batch(start_s):
+    def serve(start_s):
         nonlocal n_processed, total_stragglers
         fraction_before = queue.depth_fraction
         batch = queue.drain(controller.batch_size)
-        if not batch:
-            return start_s
         n_parts = (
             controller.n_partitions if elastic else N_PARTITIONS
         )
@@ -104,18 +105,15 @@ def _replay(tweets, rate_hz, elastic):
             queue_fraction=fraction_before,
             n_stragglers=n_stragglers,
         )
-        return start_s + duration
+        return duration
 
+    server_free_s = 0.0
     for tweet, arrival_s in schedule.assign(tweets):
-        while len(queue):
-            start_s = max(server_free_s, queue.peek_arrival() or 0.0)
-            if start_s >= arrival_s:
-                break
-            server_free_s = service_batch(start_s)
+        server_free_s = serve_backlog(
+            queue, server_free_s, serve, until_s=arrival_s
+        )
         queue.offer(tweet, arrival_s=arrival_s)
-    while len(queue):
-        start_s = max(server_free_s, queue.peek_arrival() or 0.0)
-        server_free_s = service_batch(start_s)
+    server_free_s = serve_backlog(queue, server_free_s, serve)
 
     return {
         "n_offered": queue.n_offered,

@@ -16,8 +16,11 @@ import bench_util
 from repro.data.firehose import ArrivalSchedule
 from repro.data.loader import strip_labels
 from repro.data.synthetic import AbusiveDatasetGenerator
-from repro.engine.replay import replay_closed_loop
-from repro.reliability.overload import BoundedIngestQueue, OverloadController
+from repro.reliability.overload import (
+    BoundedIngestQueue,
+    OverloadController,
+    serve_backlog,
+)
 
 #: Per-tweet service seconds by degrade tier (FULL / NO_POS /
 #: TEXT_ONLY), calibrated to the measured extractor cost split.
@@ -41,21 +44,46 @@ def _replay(tweets, rate_hz, degradation):
             min_batch_size=BATCH_SIZE // 4,
             queue=queue,
         )
-    return replay_closed_loop(
-        schedule.assign(tweets),
-        queue,
-        lambda batch: None,
-        controller=controller,
-        batch_size=BATCH_SIZE,
-        service_time_s=SERVICE_MODEL if degradation else SERVICE_MODEL[0],
-    )
+    n_processed = 0
+
+    def serve(start_s):
+        nonlocal n_processed
+        fraction_before = queue.depth_fraction
+        if controller is None:
+            batch = queue.drain(BATCH_SIZE)
+            duration = len(batch) * SERVICE_MODEL[0]
+        else:
+            batch = queue.drain(controller.batch_size)
+            duration = len(batch) * SERVICE_MODEL[int(controller.tier)]
+            controller.observe_batch(duration, queue_fraction=fraction_before)
+        n_processed += len(batch)
+        return duration
+
+    free_s = 0.0
+    for tweet, arrival_s in schedule.assign(tweets):
+        free_s = serve_backlog(queue, free_s, serve, until_s=arrival_s)
+        queue.offer(tweet, arrival_s=arrival_s)
+    serve_backlog(queue, free_s, serve)
+    return {
+        "n_offered": queue.n_offered,
+        "n_processed": n_processed,
+        "n_shed": queue.n_shed,
+        "shed_fraction": queue.n_shed / max(1, queue.n_offered),
+        "max_tier_reached": (
+            int(controller.max_tier_reached) if controller else 0
+        ),
+        "n_deadline_misses": (
+            controller.n_deadline_misses if controller else 0
+        ),
+        "max_queue_depth": queue.max_depth,
+    }
 
 
 def _max_stable(by_rate):
     stable = [
         rate
         for rate, report in by_rate.items()
-        if report.shed_fraction < STABLE_SHED_FRACTION
+        if report["shed_fraction"] < STABLE_SHED_FRACTION
     ]
     return max(stable) if stable else None
 
@@ -79,10 +107,10 @@ def test_fig16_overload_degradation(benchmark):
     rows = [
         [
             rate,
-            f"{fixed[rate].shed_fraction:.1%}",
-            f"{adaptive[rate].shed_fraction:.1%}",
-            adaptive[rate].max_tier_reached,
-            adaptive[rate].n_deadline_misses,
+            f"{fixed[rate]['shed_fraction']:.1%}",
+            f"{adaptive[rate]['shed_fraction']:.1%}",
+            adaptive[rate]["max_tier_reached"],
+            adaptive[rate]["n_deadline_misses"],
         ]
         for rate in RATES_HZ
     ]
@@ -105,18 +133,21 @@ def test_fig16_overload_degradation(benchmark):
     # absorbs a finite run's transient up to 1500/s, then shedding is
     # unavoidable for the fixed pipeline.
     assert max_fixed == 1500
-    assert fixed[2600].shed_fraction > 0.3
+    assert fixed[2600]["shed_fraction"] > 0.3
     # Degradation buys real headroom: a higher stable rate, and far
     # less shedding at every overloaded rate.
     assert max_adaptive > max_fixed
     for rate in RATES_HZ:
         if rate > max_fixed:
             assert (
-                adaptive[rate].shed_fraction
-                < 0.5 * fixed[rate].shed_fraction
+                adaptive[rate]["shed_fraction"]
+                < 0.5 * fixed[rate]["shed_fraction"]
             )
     # Both modes keep exact accounting at every rate.
     for by_rate in (fixed, adaptive):
         for report in by_rate.values():
-            assert report.n_offered == report.n_processed + report.n_shed
-            assert report.max_queue_depth <= QUEUE_CAPACITY
+            assert (
+                report["n_offered"]
+                == report["n_processed"] + report["n_shed"]
+            )
+            assert report["max_queue_depth"] <= QUEUE_CAPACITY

@@ -9,9 +9,8 @@ normalized), which Fig. 5 reports.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -221,17 +220,6 @@ class BatchDecisionTree:
         if self._importances is None:
             raise RuntimeError("fit() must be called first")
         return self._importances
-
-    @property
-    def depth(self) -> int:
-        """Actual depth of the induced tree."""
-
-        def walk(node: Optional[_TreeNode]) -> int:
-            if node is None or node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self._root)
 
 
 def instances_to_arrays(

@@ -79,11 +79,3 @@ class GridSearch:
         if not self.results:
             raise RuntimeError("run() must be called first")
         return max(self.results, key=lambda r: r.score)
-
-    def top(self, k: int) -> List[GridResult]:
-        """The k best results, descending by score."""
-        return sorted(self.results, key=lambda r: r.score, reverse=True)[:k]
-
-    def table(self) -> List[Dict[str, Any]]:
-        """All results as plain dicts (for reporting)."""
-        return [dict(r.params, score=r.score) for r in self.results]

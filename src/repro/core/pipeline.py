@@ -44,7 +44,7 @@ from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.adaptive_bow import AdaptiveBagOfWords, FixedBagOfWords
-from repro.core.alerting import Alert, AlertManager, AlertPolicy
+from repro.core.alerting import AlertManager, AlertPolicy
 from repro.core.config import PipelineConfig, create_model
 from repro.core.evaluation import MetricsPoint, PrequentialEvaluator
 from repro.core.features import (
@@ -474,11 +474,6 @@ class AggressionDetectionPipeline(BlockStages):
             bow_size_history=bow_history,
             n_quarantined=self.n_quarantined,
         )
-
-    @property
-    def alerts(self) -> List[Alert]:
-        """All alerts raised so far."""
-        return self.alert_manager.alerts
 
 
 def run_pipeline(

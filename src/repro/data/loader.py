@@ -17,7 +17,6 @@ from typing import (
     Dict,
     Iterable,
     Iterator,
-    List,
     Optional,
     Union,
 )
@@ -134,13 +133,3 @@ def interleave_streams(*streams: Iterable[Tweet]) -> Iterator[Tweet]:
     merge is lazy (heap-based), so arbitrarily long streams are fine.
     """
     return heapq.merge(*streams, key=lambda t: t.created_at)
-
-
-def take(stream: Iterable[Tweet], n: int) -> List[Tweet]:
-    """First ``n`` tweets of a stream."""
-    result: List[Tweet] = []
-    for tweet in stream:
-        if len(result) >= n:
-            break
-        result.append(tweet)
-    return result

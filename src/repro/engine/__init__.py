@@ -9,8 +9,8 @@ re-implements that execution model:
 
 * :mod:`repro.engine.protocol` — :class:`Engine`, the contract both
   engines implement and the supervisor and CLI drive;
-* :mod:`repro.engine.runners` — serial, thread-pool, and process-pool
-  partition executors;
+* :mod:`repro.engine.runners` — serial and process-pool partition
+  executors;
 * :mod:`repro.engine.microbatch` — the micro-batch engine wiring the
   Fig. 2 dataflow over the pipeline stages;
 * :mod:`repro.engine.sequential` — MOA-like single-threaded execution;
@@ -28,11 +28,7 @@ from repro.engine.microbatch import (
 from repro.engine.protocol import Engine
 from repro.engine.replay import (
     ChaosReport,
-    LatencyReport,
-    OverloadReport,
-    StreamReplayer,
     model_state_digest,
-    replay_closed_loop,
     run_chaos_scenario,
 )
 from repro.engine.runners import (
@@ -55,11 +51,7 @@ __all__ = [
     "MicroBatchResult",
     "StageTimings",
     "ChaosReport",
-    "LatencyReport",
-    "OverloadReport",
-    "StreamReplayer",
     "model_state_digest",
-    "replay_closed_loop",
     "run_chaos_scenario",
     "PartitionError",
     "ProcessPoolRunner",

@@ -662,14 +662,6 @@ class StageTimings:
             "drain": self.drain,
         }
 
-    def accumulate(self, other: "StageTimings") -> None:
-        """Add another batch's timings into this accumulator."""
-        self.partition_execute += other.partition_execute
-        self.model_merge += other.model_merge
-        self.bow_absorb += other.bow_absorb
-        self.normalizer_merge += other.normalizer_merge
-        self.drain += other.drain
-
     @classmethod
     def from_registry(
         cls, registry: MetricsRegistry, engine: str = "microbatch"

@@ -1,327 +1,23 @@
-"""Stream replay and end-to-end latency measurement.
+"""Model digests and the deterministic chaos scenario.
 
-"Real-time" detection is a latency claim, not just a throughput claim:
-an alert is only useful if it fires moments after the tweet is posted.
-This module replays a recorded tweet stream against the pipeline at a
-configurable arrival rate — in *simulated* time by default, so tests
-and benches stay fast and deterministic — and tracks per-tweet
-detection latency (arrival → classified) plus queueing behaviour when
-the offered rate exceeds the pipeline's service rate.
+:func:`model_state_digest` hashes a model's full serialized state, so
+two runs can be compared bit for bit (the chaos suite and the perf
+ledger both check digests). :func:`run_chaos_scenario` drives a
+micro-batch run through a seeded storm of partition faults and reports
+whether it healed to the fault-free digest.
 
-The simulation is a simple single-server queue fed by the arrival
-process: each tweet needs ``service_time`` seconds of pipeline compute
-(measured, or supplied), waits behind earlier tweets, and its latency
-is (completion - arrival). This is exactly the back-pressure behaviour
-a single-node deployment exhibits, and it shows the crossover where a
-configuration stops being real-time (utilization >= 1).
+The simulated single server that the overload and latency experiments
+replay against is :func:`repro.reliability.overload.serve_backlog`.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.data.tweet import Tweet
-from repro.obs.metrics import MetricsRegistry
-from repro.reliability.overload import BoundedIngestQueue, OverloadController
-from repro.streamml.stats import percentile
 
-
-@dataclass
-class LatencyReport:
-    """Latency distribution of one replay."""
-
-    n_tweets: int
-    offered_rate: float
-    service_rate: float
-    mean_latency_s: float
-    p50_latency_s: float
-    p95_latency_s: float
-    p99_latency_s: float
-    max_latency_s: float
-    max_queue_depth: int
-
-    @property
-    def utilization(self) -> float:
-        """Offered load relative to capacity (>= 1 means unstable).
-
-        ``nan`` when the service rate is unmeasured (zero or ``nan``):
-        a report with no timing information must not claim either
-        stability or overload.
-        """
-        if math.isnan(self.service_rate) or self.service_rate <= 0:
-            return float("nan")
-        return self.offered_rate / self.service_rate
-
-    @property
-    def is_real_time(self) -> bool:
-        """Whether the queue is stable (latency does not grow unboundedly)."""
-        return self.utilization < 1.0
-
-
-class StreamReplayer:
-    """Replays tweets at a fixed rate against a per-tweet processor.
-
-    Args:
-        process: callable invoked once per tweet (the pipeline's
-            ``process``); its measured cost defines the service rate
-            unless ``service_time_s`` is given.
-        service_time_s: fixed per-tweet service time for the queueing
-            simulation; ``None`` measures each call with a wall clock.
-        metrics: optional registry; each replay records its simulated
-            latencies into ``replay_latency_seconds`` and measured
-            service times into ``replay_service_seconds`` histograms.
-            The :class:`LatencyReport` itself always uses exact sorted
-            percentiles over the full sample — the registry view is for
-            export alongside the rest of the run's telemetry.
-        clock: timing source for measured service times (defaults to
-            ``time.perf_counter``). Inject a fake clock to make measured
-            replays fully deterministic.
-    """
-
-    def __init__(
-        self,
-        process: Callable[[Tweet], object],
-        service_time_s: Optional[float] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> None:
-        self.process = process
-        self.service_time_s = service_time_s
-        self.metrics = metrics
-        self.clock = clock
-
-    def replay(
-        self,
-        tweets: Iterable[Tweet],
-        arrival_rate: float,
-    ) -> LatencyReport:
-        """Replay a stream arriving at ``arrival_rate`` tweets/second.
-
-        Time is simulated: tweet *i* arrives at ``i / arrival_rate``;
-        the single server processes tweets FIFO, each costing its
-        (measured or fixed) service time. Latency is completion minus
-        arrival.
-        """
-        if arrival_rate <= 0:
-            raise ValueError("arrival_rate must be positive")
-        latencies: List[float] = []
-        service_times: List[float] = []
-        server_free_at = 0.0
-        max_queue_depth = 0
-        # Non-decreasing: one FIFO server finishes jobs in arrival order.
-        completions: List[float] = []
-        for index, tweet in enumerate(tweets):
-            arrival = index / arrival_rate
-            if self.service_time_s is None:
-                started = self.clock()
-                self.process(tweet)
-                service = self.clock() - started
-            else:
-                self.process(tweet)
-                service = self.service_time_s
-            service_times.append(service)
-            start = max(arrival, server_free_at)
-            completion = start + service
-            server_free_at = completion
-            latencies.append(completion - arrival)
-            completions.append(completion)
-            # Queue depth at this arrival: completed jobs leave.
-            queue_depth = len(completions) - bisect_right(completions, arrival)
-            max_queue_depth = max(max_queue_depth, queue_depth)
-        if not latencies:
-            raise ValueError("cannot replay an empty stream")
-        if self.metrics is not None:
-            latency_hist = self.metrics.histogram("replay_latency_seconds")
-            service_hist = self.metrics.histogram("replay_service_seconds")
-            for latency, service in zip(latencies, service_times):
-                latency_hist.observe(latency)
-                service_hist.observe(service)
-        mean_service = sum(service_times) / len(service_times)
-        return LatencyReport(
-            n_tweets=len(latencies),
-            offered_rate=arrival_rate,
-            service_rate=(
-                1.0 / mean_service if mean_service > 0 else float("nan")
-            ),
-            mean_latency_s=sum(latencies) / len(latencies),
-            p50_latency_s=percentile(latencies, 50),
-            p95_latency_s=percentile(latencies, 95),
-            p99_latency_s=percentile(latencies, 99),
-            max_latency_s=max(latencies),
-            max_queue_depth=max_queue_depth,
-        )
-
-
-@dataclass
-class OverloadReport:
-    """Outcome of one closed-loop (queue-fed) replay.
-
-    The accounting invariant every replay must satisfy:
-    ``n_offered == n_processed + n_shed`` (validation-quarantined
-    tweets, if any, are the caller's to add — this layer sees only
-    clean traffic).
-    """
-
-    n_offered: int
-    n_processed: int
-    n_shed: int
-    n_batches: int
-    max_queue_depth: int
-    max_backlog_fraction: float
-    n_deadline_misses: int
-    final_tier: int
-    max_tier_reached: int
-    makespan_s: float
-    queue_counters: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def shed_fraction(self) -> float:
-        """Share of offered traffic the queue shed."""
-        if self.n_offered == 0:
-            return 0.0
-        return self.n_shed / self.n_offered
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-safe summary (CI smoke output, bench records)."""
-        return {
-            "n_offered": self.n_offered,
-            "n_processed": self.n_processed,
-            "n_shed": self.n_shed,
-            "shed_fraction": self.shed_fraction,
-            "n_batches": self.n_batches,
-            "max_queue_depth": self.max_queue_depth,
-            "max_backlog_fraction": self.max_backlog_fraction,
-            "n_deadline_misses": self.n_deadline_misses,
-            "final_tier": self.final_tier,
-            "max_tier_reached": self.max_tier_reached,
-            "makespan_s": self.makespan_s,
-            "queue_counters": dict(self.queue_counters),
-        }
-
-
-def replay_closed_loop(
-    arrivals: Iterable[Tuple[Tweet, float]],
-    queue: BoundedIngestQueue,
-    process_batch: Callable[[List[Tweet]], object],
-    controller: Optional[OverloadController] = None,
-    batch_size: int = 500,
-    service_time_s: Optional[Union[float, Dict[int, float]]] = None,
-    clock: Callable[[], float] = time.perf_counter,
-) -> OverloadReport:
-    """Replay timestamped arrivals through a bounded queue, closed-loop.
-
-    A single simulated server drains the queue in batches while
-    arrivals accumulate: each ``(tweet, arrival_s)`` is offered at its
-    timestamp, and whenever the server is free before the next arrival
-    it drains up to the current batch size and "works" for the batch's
-    duration — measured via ``clock`` around ``process_batch``, or
-    modeled as ``len(batch) * service_time_s`` (a float, or a dict from
-    degrade-tier level to per-tweet seconds). Backlog therefore builds
-    exactly when the offered rate exceeds the service rate, which is
-    what exercises shedding and the overload controller.
-
-    With a ``controller``, each batch's (simulated) duration feeds
-    :meth:`~repro.reliability.overload.OverloadController.observe_batch`
-    and the next drain uses the controller's adjusted batch size; the
-    feature-tier decision is the *caller's* to apply inside
-    ``process_batch`` (engines attach the controller themselves — this
-    standalone loop is for benches and smoke tests).
-
-    Returns an :class:`OverloadReport`; ``queue`` is left drained.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    n_batches = 0
-    n_processed = 0
-    n_misses_before = (
-        controller.n_deadline_misses if controller is not None else 0
-    )
-    max_backlog_fraction = 0.0
-    server_free_s = 0.0
-
-    def current_batch_size() -> int:
-        return controller.batch_size if controller is not None else batch_size
-
-    def service_batch(start_s: float) -> float:
-        """Drain + process one batch; returns the new server-free time."""
-        nonlocal n_batches, n_processed
-        # Pressure is judged on the backlog the server *faced*, not the
-        # post-drain remainder — sampling after the drain would hide a
-        # queue that refills between batches.
-        fraction_before = queue.depth_fraction
-        batch = queue.drain(current_batch_size())
-        if not batch:
-            return start_s
-        if service_time_s is None:
-            t0 = clock()
-            process_batch(batch)
-            duration = clock() - t0
-        else:
-            process_batch(batch)
-            if isinstance(service_time_s, dict):
-                tier = int(controller.tier) if controller is not None else 0
-                per_tweet = service_time_s[tier]
-            else:
-                per_tweet = service_time_s
-            duration = len(batch) * per_tweet
-        n_batches += 1
-        n_processed += len(batch)
-        if controller is not None:
-            controller.observe_batch(
-                duration, queue_fraction=fraction_before
-            )
-        return start_s + duration
-
-    for tweet, arrival_s in arrivals:
-        # Let the server catch up on backlog it had time for.
-        while len(queue):
-            start_s = max(server_free_s, queue.peek_arrival() or 0.0)
-            if start_s >= arrival_s:
-                break
-            server_free_s = service_batch(start_s)
-        queue.offer(tweet, arrival_s=arrival_s)
-        max_backlog_fraction = max(max_backlog_fraction, queue.depth_fraction)
-    while len(queue):
-        start_s = max(server_free_s, queue.peek_arrival() or 0.0)
-        server_free_s = service_batch(start_s)
-    return OverloadReport(
-        n_offered=queue.n_offered,
-        n_processed=n_processed,
-        n_shed=queue.n_shed,
-        n_batches=n_batches,
-        max_queue_depth=queue.max_depth,
-        max_backlog_fraction=max_backlog_fraction,
-        n_deadline_misses=(
-            controller.n_deadline_misses - n_misses_before
-            if controller is not None
-            else 0
-        ),
-        final_tier=int(controller.tier) if controller is not None else 0,
-        max_tier_reached=(
-            int(controller.max_tier_reached) if controller is not None else 0
-        ),
-        makespan_s=server_free_s,
-        queue_counters=queue.as_counters(),
-    )
-
-
-# ----------------------------------------------------------------------
-# Deterministic chaos scenario (partition fault domains end to end)
-# ----------------------------------------------------------------------
 
 def model_state_digest(model: object) -> str:
     """Stable content hash of a model's full serialized state.

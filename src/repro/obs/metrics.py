@@ -174,13 +174,6 @@ class Histogram:
         """The quantile points this histogram estimates."""
         return tuple(s.quantile for s in self._sketches)
 
-    def quantile(self, q: float) -> Optional[float]:
-        """Current estimate for quantile ``q`` (``None`` if no data)."""
-        for sketch in self._sketches:
-            if sketch.quantile == q:
-                return sketch.value
-        raise KeyError(f"histogram does not track quantile {q}")
-
 
 class MetricsSnapshot:
     """Immutable, mergeable, picklable view of a registry's state.

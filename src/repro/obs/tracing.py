@@ -93,15 +93,6 @@ class WorkerTelemetry:
         """The captured spans nested as a tree (see :func:`span_tree`)."""
         return span_tree(self.spans)
 
-    def stage_seconds(self) -> Dict[str, float]:
-        """Per-stage seconds summed over the captured spans."""
-        totals: Dict[str, float] = {}
-        for record in self.spans:
-            totals[record.name] = (
-                totals.get(record.name, 0.0) + record.duration_s
-            )
-        return totals
-
 
 def span_tree(records: Iterable[SpanRecord]) -> List[Dict[str, Any]]:
     """Nest flat span records into parent→children dicts.
@@ -159,13 +150,6 @@ class Span:
         self.span_id = span_id
         self.started: Optional[float] = None
         self.duration: Optional[float] = None
-
-    @property
-    def path(self) -> str:
-        """Slash-joined ancestry, e.g. ``"batch/model_merge"``."""
-        if self.parent is None:
-            return self.name
-        return f"{self.parent.path}/{self.name}"
 
     def __enter__(self) -> "Span":
         self.tracer._push(self)

@@ -139,11 +139,6 @@ class DeadLetterQueue:
         """The retained records, oldest first."""
         return list(self._records)
 
-    @property
-    def n_dropped(self) -> int:
-        """Quarantined records evicted by the capacity bound."""
-        return self.n_total - len(self._records)
-
     def __len__(self) -> int:
         return len(self._records)
 

@@ -13,6 +13,9 @@ module defines the explicit overload behavior instead:
   Labeled tweets are always retained (unlabeled traffic is shed first),
   so model training never starves during a burst. The policy decision
   itself, :func:`evicts_oldest`, is shared with serving admission.
+* :func:`serve_backlog` — the one simulated single server that drains
+  such a queue in simulated time; the supervisor's closed-loop run and
+  the overload and latency benches all call it.
 * :class:`OverloadController` — watches queue depth and per-batch
   timings (``batch_seconds`` from the :mod:`repro.obs` registry) and
   adapts: it shrinks the engine's batch size within bounds, and when
@@ -40,10 +43,20 @@ cycles (the degrade tiers themselves live in
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.core.features import DegradeTier
 from repro.data.tweet import Tweet
@@ -379,6 +392,29 @@ class BoundedIngestQueue:
         return queue
 
 
+def serve_backlog(
+    queue: BoundedIngestQueue,
+    free_s: float,
+    serve: Callable[[float], float],
+    until_s: float = math.inf,
+) -> float:
+    """Run one simulated server over ``queue``'s backlog.
+
+    Each batch starts at max(server free, head arrival) and is served
+    only if it starts before ``until_s`` (the next arrival; the default
+    drains everything). ``serve(start_s)`` drains the caller's batch,
+    does or models its work and returns the batch's duration in
+    seconds; it must take at least the head entry. Returns the time the
+    server is next free.
+    """
+    while len(queue):
+        start_s = max(free_s, queue.peek_arrival() or 0.0)
+        if start_s >= until_s:
+            break
+        free_s = start_s + serve(start_s)
+    return free_s
+
+
 def _rng_state_to_json(state: Any) -> List[Any]:
     version, internal, gauss = state
     return [version, list(internal), gauss]
@@ -545,18 +581,6 @@ class OverloadController:
                 self.metrics.gauge("controller_n_partitions").set(
                     self.n_partitions
                 )
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any degradation (tier/batch/partition) is active."""
-        return (
-            self.tier != DegradeTier.FULL
-            or self.batch_size < self.max_batch_size
-            or (
-                self.n_partitions is not None
-                and self.n_partitions < self.max_partitions
-            )
-        )
 
     # -- observation -----------------------------------------------------
 

@@ -76,6 +76,7 @@ from repro.reliability.deadletter import (
 from repro.reliability.overload import (
     BoundedIngestQueue,
     OverloadController,
+    serve_backlog,
 )
 from repro.streamml.serialize import SerializationError
 
@@ -690,8 +691,8 @@ class StreamSupervisor:
 
         Each ``(tweet, arrival_s)`` pair is offered to the ingest queue
         at its (simulated) arrival time; whenever the simulated server
-        is free and backlog is waiting, a chunk is drained and
-        processed. Because the engine only consumes as fast as its
+        (:func:`~repro.reliability.overload.serve_backlog`) is free and
+        backlog is waiting, a chunk is drained and processed. Because the engine only consumes as fast as its
         (measured or modeled) service rate, a burst above capacity
         genuinely accumulates backlog, triggers shedding and drives the
         overload controller — the dynamics an open-loop ``run`` can
@@ -730,15 +731,24 @@ class StreamSupervisor:
             self._detached_controller = controller
             self.engine.controller = None
             self.engine.apply(controller)
+
+        def serve(start_s: float) -> float:
+            return self._timed_chunk(start_s, service_time_s, controller)
+
         try:
             for item, arrival_s in self._remaining(arrivals):
-                self._catch_up(arrival_s, service_time_s, controller)
+                # Catch up before admitting: a checkpoint written while
+                # catching up must not count this tweet in the cursor.
+                self._server_free_s = serve_backlog(
+                    queue, self._server_free_s, serve, until_s=arrival_s
+                )
                 tweet = self._admit(item)
                 if tweet is not None:
                     queue.offer(tweet, arrival_s=arrival_s)
             # Stream exhausted: drain the remaining backlog.
-            while len(queue):
-                self._timed_chunk(service_time_s, controller)
+            self._server_free_s = serve_backlog(
+                queue, self._server_free_s, serve
+            )
             self.write_checkpoint()
             return self._finish()
         except BaseException as exc:
@@ -760,42 +770,22 @@ class StreamSupervisor:
                 return
             yield item
 
-    def _catch_up(
-        self,
-        now_s: float,
-        service_time_s: Optional[Union[float, Dict[int, float]]],
-        controller: Optional[OverloadController],
-    ) -> None:
-        """Process backlog the simulated server had time for before ``now_s``."""
-        queue = self.ingest_queue
-        assert queue is not None
-        while len(queue):
-            start_s = max(self._server_free_s, queue.peek_arrival() or 0.0)
-            if start_s >= now_s:
-                break
-            self._timed_chunk(service_time_s, controller, start_s=start_s)
-
     def _timed_chunk(
         self,
+        start_s: float,
         service_time_s: Optional[Union[float, Dict[int, float]]],
         controller: Optional[OverloadController],
-        start_s: Optional[float] = None,
-    ) -> None:
-        """Drain one chunk, process it, advance the simulated clock."""
+    ) -> float:
+        """run_timed's ``serve``: drain one chunk, process it, return
+        its measured or modeled duration."""
         queue = self.ingest_queue
         assert queue is not None
-        if start_s is None:
-            start_s = max(
-                self._server_free_s, queue.peek_arrival() or 0.0
-            )
         # Judge pressure on the backlog the server faced, not the
         # post-drain remainder.
         fraction_before = queue.depth_fraction
         chunk = queue.drain(self._current_chunk_size())
-        if not chunk:
-            return
 
-        def settle(measured: float) -> None:
+        def settle(measured: float) -> float:
             duration = measured
             if service_time_s is not None:
                 tier_level = (
@@ -814,8 +804,9 @@ class StreamSupervisor:
                     )
                     self.engine.apply(controller)
             self._server_free_s = start_s + duration
+            return duration
 
-        self._process_chunk(chunk, settle)
+        return self._process_chunk(chunk, settle)
 
     def _record_crash(self, exc: BaseException) -> None:
         """Flight-record a dying run: the ring holds the lead-up."""
@@ -888,19 +879,20 @@ class StreamSupervisor:
     def _process_chunk(
         self,
         chunk: List[Tweet],
-        settle: Optional[Callable[[float], None]] = None,
-    ) -> None:
-        """The one per-chunk step of both runs.
+        settle: Optional[Callable[[float], float]] = None,
+    ) -> float:
+        """The one per-chunk step of both runs; returns its duration.
 
         The engine processes the chunk; ``settle`` (run_timed's clock
-        and controller bookkeeping) receives its elapsed seconds before
-        the per-chunk cadence runs, so a checkpoint written there sees
-        the chunk's final state.
+        and controller bookkeeping) turns its elapsed seconds into the
+        chunk's simulated duration before the per-chunk cadence runs,
+        so a checkpoint written there sees the chunk's final state.
         """
-        elapsed = self.engine.process_chunk(chunk)
+        duration = self.engine.process_chunk(chunk)
         if settle is not None:
-            settle(elapsed)
+            duration = settle(duration)
         self._after_chunk()
+        return duration
 
     def _after_chunk(self) -> None:
         """Per-chunk cadence: telemetry snapshots and checkpoints.

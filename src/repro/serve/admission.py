@@ -93,10 +93,6 @@ class AdmissionController:
     def inflight(self) -> int:
         return self._inflight
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self._waiters)
-
     def retry_after_s(self) -> float:
         """Backoff hint: expected time to drain the current line."""
         backlog = self._inflight + len(self._waiters) + 1

@@ -470,17 +470,6 @@ class HoeffdingTree(StreamClassifier):
     # Introspection
     # ------------------------------------------------------------------
 
-    @property
-    def depth(self) -> int:
-        """Current depth of the tree (0 for a single leaf)."""
-
-        def node_depth(node: _Node) -> int:
-            if isinstance(node, _SplitNode):
-                return 1 + max(node_depth(node.left), node_depth(node.right))
-            return 0
-
-        return node_depth(self._root)
-
     def leaves(self) -> List[_LeafNode]:
         """All leaf nodes, left to right."""
         result: List[_LeafNode] = []

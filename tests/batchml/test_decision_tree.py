@@ -60,7 +60,13 @@ class TestFitting:
         rng = np.random.RandomState(2)
         X, y = _gaussian_data(3000, rng)
         tree = BatchDecisionTree(n_classes=2, max_depth=2).fit(X, y)
-        assert tree.depth <= 2
+
+        def depth(node):
+            if node.is_leaf:
+                return 0
+            return 1 + max(depth(node.left), depth(node.right))
+
+        assert depth(tree._root) <= 2
 
     def test_min_samples_leaf(self):
         rng = np.random.RandomState(3)

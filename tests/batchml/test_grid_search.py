@@ -46,22 +46,10 @@ class TestGridSearch:
         search.run()
         assert len(search.results) == 4
 
-    def test_top_k(self):
-        search = GridSearch(evaluate=lambda p: p["x"], grid={"x": [5, 1, 3]})
-        search.run()
-        top = search.top(2)
-        assert [r.params["x"] for r in top] == [5, 3]
-
     def test_best_before_run(self):
         search = GridSearch(evaluate=lambda p: 0.0, grid={"x": [1]})
         with pytest.raises(RuntimeError):
             _ = search.best
-
-    def test_table(self):
-        search = GridSearch(evaluate=lambda p: p["x"] * 2.0, grid={"x": [1, 2]})
-        search.run()
-        table = search.table()
-        assert {"x": 1, "score": 2.0} in table
 
     def test_table1_streaming_grid(self):
         """Exercise the actual Table I HT grid on a tiny stream."""

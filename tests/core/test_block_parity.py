@@ -76,7 +76,7 @@ def _state(pipeline: AggressionDetectionPipeline):
         "digest": model_state_digest(pipeline.model),
         "history": list(pipeline.evaluator.history),
         "cumulative": pipeline.evaluator.cumulative.as_dict(),
-        "alerts": list(pipeline.alerts),
+        "alerts": list(pipeline.alert_manager.alerts),
         "sample": pipeline.sampler.sample(),
         "offered": pipeline.sampler.n_offered,
         "sketch": normalizer.sketch_state(),

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 
 from repro.data.loader import (
     interleave_streams,
     read_jsonl,
     strip_labels,
-    take,
     write_jsonl,
 )
 from repro.data.synthetic import AbusiveDatasetGenerator
@@ -75,7 +76,4 @@ class TestStreamComposition:
                 i += 1
 
         merged = interleave_streams(infinite())
-        assert take(merged, 3)[2].created_at == 2.0
-
-    def test_take_short_stream(self):
-        assert len(take(iter(_tweets(3)), 10)) == 3
+        assert list(islice(merged, 3))[2].created_at == 2.0

@@ -11,6 +11,7 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    HistogramState,
     MetricsRegistry,
     MetricsSnapshot,
 )
@@ -58,11 +59,11 @@ class TestHistogram:
     def test_empty_histogram_is_safe(self):
         hist = Histogram()
         assert math.isnan(hist.mean)
-        assert hist.quantile(0.5) is None
+        assert HistogramState.of(hist).quantile(0.5) is None
 
     def test_unknown_quantile_raises(self):
         with pytest.raises(KeyError):
-            Histogram().quantile(0.25)
+            HistogramState.of(Histogram()).quantile(0.25)
 
     def test_p2_quantiles_track_sorted_reference(self):
         rng = random.Random(17)
@@ -72,7 +73,7 @@ class TestHistogram:
             hist.observe(value)
         for q in (0.5, 0.95, 0.99):
             exact = percentile(samples, 100 * q)
-            estimate = hist.quantile(q)
+            estimate = HistogramState.of(hist).quantile(q)
             assert estimate == pytest.approx(exact, rel=0.15)
 
     def test_sketch_every_keeps_exact_fields_exact(self):
@@ -84,7 +85,9 @@ class TestHistogram:
         assert sampled.count == len(samples)
         assert sampled.sum == pytest.approx(sum(samples))
         # Uniform data: the thinned sketch stays close to the truth.
-        assert sampled.quantile(0.5) == pytest.approx(0.5, abs=0.08)
+        assert HistogramState.of(sampled).quantile(0.5) == pytest.approx(
+            0.5, abs=0.08
+        )
 
     def test_sketch_every_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -210,7 +213,7 @@ class TestSnapshotMergeRestore:
         assert merged.min == whole.min
         assert merged.max == whole.max
         # Count-weighted sketch merge: approximate but close.
-        assert merged.quantile(0.5) == pytest.approx(
+        assert HistogramState.of(merged).quantile(0.5) == pytest.approx(
             percentile(samples, 50), rel=0.2
         )
 

@@ -35,20 +35,20 @@ class TestSpans:
             with tracer.span("merge") as inner:
                 assert tracer.current is inner
                 assert inner.parent is outer
-                assert inner.path == "batch/merge"
+                assert inner.name == "merge"
             assert tracer.current is outer
         assert tracer.current is None
-        assert outer.path == "batch"
+        assert outer.parent is None and outer.name == "batch"
 
     def test_sibling_spans_share_parent(self):
         tracer = Tracer(MetricsRegistry())
-        with tracer.span("run"):
+        with tracer.span("run") as run:
             with tracer.span("a") as a:
                 pass
             with tracer.span("b") as b:
                 pass
-        assert a.path == "run/a"
-        assert b.path == "run/b"
+        assert a.parent is run and a.name == "a"
+        assert b.parent is run and b.name == "b"
 
     def test_duration_recorded_even_when_stage_raises(self):
         registry = MetricsRegistry()
@@ -151,7 +151,7 @@ class TestSpanTree:
 
 
 class TestWorkerTelemetry:
-    def test_tree_and_stage_seconds_views(self):
+    def test_tree_view(self):
         telemetry = WorkerTelemetry(
             spans=[
                 _record(1, None, "partition", duration=3.0),
@@ -164,9 +164,6 @@ class TestWorkerTelemetry:
         (root,) = telemetry.tree()
         assert root["name"] == "partition"
         assert len(root["children"]) == 2
-        assert telemetry.stage_seconds() == {
-            "partition": 3.0, "extract": 1.5
-        }
 
 
 class TestStageSecondsByStage:

@@ -42,7 +42,7 @@ class TestDeadLetterQueue:
         for i in range(5):
             queue.add_failure(f"t{i}", "validate", ValueError(str(i)))
         assert queue.n_total == 5
-        assert queue.n_dropped == 3
+        assert queue.n_total - len(queue) == 3
         assert [r.tweet_id for r in queue.records] == ["t3", "t4"]
 
     def test_capacity_drops_increment_metric(self):
@@ -53,7 +53,7 @@ class TestDeadLetterQueue:
         for i in range(5):
             queue.add_failure(f"t{i}", "validate", ValueError(str(i)))
         assert registry.counter_value("deadletter_dropped_total") == 3
-        assert queue.n_dropped == 3
+        assert queue.n_total - len(queue) == 3
 
     def test_capacity_drop_warns_exactly_once(self):
         # Spy on the module logger directly: CLI tests may have set

@@ -96,7 +96,6 @@ class TestActuatorLadder:
             (2, 2, 2),  # floor: holds
         ]
         assert controller.n_partition_resizes == 2
-        assert controller.degraded
 
     def test_recovery_restores_partitions_first(self):
         controller = _elastic()
@@ -122,7 +121,6 @@ class TestActuatorLadder:
             (6, 0, 8),
             (8, 0, 8),
         ]
-        assert not controller.degraded
         assert controller.n_partition_resizes == 4
 
     def test_without_partitions_ladder_is_unchanged(self):

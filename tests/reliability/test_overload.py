@@ -216,7 +216,7 @@ class TestOverloadController:
         controller.observe_batch(2.0, queue_fraction=0.0)  # miss
         controller.observe_batch(0.9, queue_fraction=0.0)  # neutral: resets
         controller.observe_batch(2.0, queue_fraction=0.0)  # miss again
-        assert controller.batch_size == 8 and not controller.degraded
+        assert controller.batch_size == 8 and controller.tier == 0
         controller.observe_batch(2.0, queue_fraction=0.0)  # 2nd consecutive
         assert controller.batch_size == 4
 

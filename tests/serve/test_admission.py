@@ -58,7 +58,7 @@ def test_zero_capacity_waiting_room_holds_no_one(policy):
         ]
         for _ in range(3):
             await asyncio.sleep(0)
-        depth = controller.queue_depth
+        depth = len(controller._waiters)
         for task in arrivals:
             task.cancel()
         results = await asyncio.gather(*arrivals, return_exceptions=True)

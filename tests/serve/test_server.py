@@ -6,6 +6,7 @@ import asyncio
 
 import pytest
 
+from repro.obs.metrics import HistogramState
 from repro.reliability.deadletter import PROBE_EVERY, CircuitBreaker
 from repro.serve.admission import AdmissionController, RequestShed
 from repro.serve.server import AggressionServer, tweet_from_payload
@@ -117,10 +118,12 @@ class TestJsonlProtocol:
                     "request_seconds", endpoint="health"
                 )
                 assert latency.count == every - 1
-                assert latency.quantile(0.99) is None  # sketches not fed yet
+                # The sketches are not fed yet.
+                assert HistogramState.of(latency).quantile(0.99) is None
                 await client.request({"op": "health"})
                 assert latency.count == every
-                assert 0.0 < latency.min <= latency.quantile(0.99) <= latency.max
+                p99 = HistogramState.of(latency).quantile(0.99)
+                assert 0.0 < latency.min <= p99 <= latency.max
                 assert latency.sum >= latency.max
             finally:
                 await client.close()
@@ -322,7 +325,7 @@ class TestAdmissionController:
             await controller.acquire()  # occupies the slot
             waiter = asyncio.create_task(controller.acquire())
             await asyncio.sleep(0)
-            assert controller.queue_depth == 1
+            assert len(controller._waiters) == 1
             # Room is full: the arrival evicts the queued waiter...
             arrival = asyncio.create_task(controller.acquire())
             with pytest.raises(RequestShed):

@@ -47,7 +47,7 @@ class TestConstruction:
     def test_starts_as_single_leaf(self):
         tree = HoeffdingTree(n_classes=2)
         assert tree.n_leaves == 1
-        assert tree.depth == 0
+        assert tree.n_split_nodes == 0
 
 
 class TestLearning:
@@ -98,7 +98,7 @@ class TestLearning:
         tree = HoeffdingTree(n_classes=2, max_depth=2, grace_period=50,
                              tie_threshold=0.2)
         tree.learn_many(list(_gaussian_stream(8000, rng, sep=4.0)))
-        assert tree.depth <= 2
+        assert max(leaf.depth for leaf in tree.leaves()) <= 2
 
     def test_prediction_before_training_is_uniform(self):
         tree = HoeffdingTree(n_classes=3)

@@ -91,7 +91,9 @@ class TestRoundTrip:
         restored = model_from_dict(model_to_dict(model))
         assert restored.n_leaves == model.n_leaves
         assert restored.n_split_nodes == model.n_split_nodes
-        assert restored.depth == model.depth
+        assert [leaf.depth for leaf in restored.leaves()] == [
+            leaf.depth for leaf in model.leaves()
+        ]
 
     def test_arf_counters_preserved(self):
         model = _train(

@@ -543,23 +543,14 @@ def _surface_bench(work: Path, env: Dict[str, str]) -> None:
     """Every paper-figure bench at 1 500 tweets, run once each.
 
     ``--benchmark-disable``: a measuring pytest-benchmark fixture
-    switches the profile hook off around the code it times. The
-    benches rewrite their committed tables under
-    ``benchmarks/results``; a small-size run must not, so the tables
-    are put back afterwards.
+    switches the profile hook off around the code it times. At this
+    size the benches write their tables under ``.bench_work``, never
+    over the committed ones.
     """
     env = dict(env, REPRO_BENCH_TWEETS="1500")
-    results = ROOT / "benchmarks" / "results"
-    before = {p: p.read_bytes() for p in results.glob("*")}
-    try:
-        for bench in sorted((ROOT / "benchmarks").glob("bench_*.py")):
-            _call([PY, "-m", "pytest", str(bench), "--benchmark-disable",
-                   "-q", "-p", "no:cacheprovider"], ROOT, env, check=False)
-    finally:
-        for path in set(results.glob("*")) - set(before):
-            path.unlink()
-        for path, data in before.items():
-            path.write_bytes(data)
+    for bench in sorted((ROOT / "benchmarks").glob("bench_*.py")):
+        _call([PY, "-m", "pytest", str(bench), "--benchmark-disable",
+               "-q", "-p", "no:cacheprovider"], ROOT, env, check=False)
 
 
 SURFACE: Tuple[Callable[[Path, Dict[str, str]], None], ...] = (
