@@ -93,8 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--tweets", type=int, default=10_000,
                           help="number of tweets (default 10000)")
     generate.add_argument("--seed", type=int, default=42)
-    generate.add_argument("--days", type=int, default=10,
-                          help="collection days (default 10)")
     generate.add_argument("--user-pool", type=int, default=None,
                           help="size of a recurring-author pool")
 
@@ -105,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--classes", type=int, choices=(2, 3), default=2)
     run.add_argument("--model", default="ht",
                      choices=("ht", "arf", "slr", "gnb", "majority"))
-    run.add_argument("--no-preprocessing", action="store_true")
     run.add_argument("--no-adaptive-bow", action="store_true")
     run.add_argument("--normalization", default="minmax_no_outliers",
                      choices=("minmax", "minmax_no_outliers", "zscore",
@@ -175,22 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
                      "— stragglers time out, lost workers trigger a "
                      "pool-only rebuild, and failed partitions retry "
                      "alone before being quarantined")
-    run.add_argument("--speculate", type=float, default=None,
-                     metavar="FRACTION",
-                     help="with --partition-deadline: launch a duplicate "
-                     "attempt for partitions still running past this "
-                     "fraction of the deadline, first result wins "
-                     "(e.g. 0.5)")
-    run.add_argument("--min-partitions", type=_positive_int, default=None,
-                     metavar="N",
-                     help="with --batch-deadline: let the overload "
-                     "controller shrink the partition count down to N "
-                     "under straggler pressure (default 1)")
-    run.add_argument("--max-partitions", type=_positive_int, default=None,
-                     metavar="N",
-                     help="with --batch-deadline: ceiling for elastic "
-                     "partition scale-up on recovery (default: "
-                     "--partitions)")
     run.add_argument("--arrival-rate", type=float, default=None,
                      metavar="HZ",
                      help="replay the stream closed-loop at this mean "
@@ -206,10 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="export run telemetry: JSONL snapshot/event "
                      "stream to FILE plus a Prometheus text exposition "
                      "to FILE.prom")
-    run.add_argument("--metrics-every", type=_positive_int, default=None,
-                     metavar="N",
-                     help="with --metrics-out: snapshot every N "
-                     "micro-batches/chunks (default: checkpoint cadence)")
     run.add_argument("--console", action="store_true",
                      help="redraw a one-screen ops console on stderr "
                      "after each chunk/batch: throughput, queue depth, "
@@ -218,11 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="keep a bounded in-memory ring of recent "
                      "telemetry and dump it to DIR as JSONL on "
                      "incidents (quarantine, pool rebuild, crash)")
-    run.add_argument("--keep-checkpoints", type=_positive_int, default=None,
-                     metavar="K",
-                     help="with --checkpoint-dir: retain the newest K "
-                     "chunk-stamped history checkpoints for corrupt-file "
-                     "fallback (default 3)")
     run.add_argument("--publish-snapshot", default=None, metavar="DIR",
                      help="publish a verified serving snapshot to the "
                      "store at DIR on every checkpoint, so a live "
@@ -239,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8423,
                        help="listen port; 0 picks a free one "
                        "(default 8423)")
-    serve.add_argument("--max-inflight", type=_positive_int, default=8,
-                       help="concurrent scoring requests (default 8)")
     serve.add_argument("--queue-capacity", type=_non_negative_int,
                        default=64,
                        help="admission waiting-room size; beyond it the "
@@ -250,21 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="who is shed when the waiting room is full "
                        "(default drop-newest; shed requests get 429 + "
                        "Retry-After)")
-    serve.add_argument("--request-deadline", type=float, default=0.05,
-                       metavar="SECONDS",
-                       help="default per-request latency budget; under "
-                       "pressure the feature pipeline degrades "
-                       "FULL -> NO_POS -> TEXT_ONLY instead of erroring "
-                       "(default 0.05; requests may override with "
-                       "'deadline_ms')")
     serve.add_argument("--poll-interval", type=float, default=0.25,
                        metavar="SECONDS",
                        help="snapshot-store poll cadence for hot swaps "
                        "(default 0.25)")
-    serve.add_argument("--drain-timeout", type=float, default=10.0,
-                       metavar="SECONDS",
-                       help="max wait for in-flight requests on "
-                       "SIGTERM before force-closing (default 10)")
     serve.add_argument("--metrics-out", default=None, metavar="FILE",
                        help="export serving telemetry: JSONL events to "
                        "FILE plus a Prometheus exposition to FILE.prom "
@@ -288,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="PATH",
                          help="supervisor checkpoint directory or a "
                          "checkpoint/pipeline JSON file to publish from")
-    publish.add_argument("--keep", type=_positive_int, default=5,
-                         help="snapshot versions to retain (default 5)")
     snapshot_list = snapshot_commands.add_parser(
         "list", help="list the verified versions in a store"
     )
@@ -316,7 +273,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     generator = AbusiveDatasetGenerator(
         n_tweets=args.tweets,
         seed=args.seed,
-        n_days=args.days,
         user_pool_size=args.user_pool,
     )
     count = write_jsonl(generator.generate(), args.output)
@@ -350,11 +306,8 @@ def _finalize_telemetry(
 
 def _run_flag_error(args: argparse.Namespace) -> Optional[str]:
     """The first invalid ``run`` flag combination, if any."""
-    elastic = args.min_partitions is not None or args.max_partitions is not None
     if args.resume and args.checkpoint_dir is None:
         return "--resume requires --checkpoint-dir"
-    if args.keep_checkpoints is not None and args.checkpoint_dir is None:
-        return "--keep-checkpoints requires --checkpoint-dir"
     if args.arrival_rate is not None and args.arrival_rate <= 0:
         return "--arrival-rate must be positive"
     if args.batch_deadline is not None and args.batch_deadline <= 0:
@@ -363,26 +316,6 @@ def _run_flag_error(args: argparse.Namespace) -> Optional[str]:
         return "--partition-deadline must be positive"
     if args.partition_deadline is not None and args.engine != "microbatch":
         return "--partition-deadline requires --engine microbatch"
-    if args.speculate is not None and args.partition_deadline is None:
-        return "--speculate requires --partition-deadline"
-    if args.speculate is not None and not 0.0 < args.speculate <= 1.0:
-        return "--speculate must be in (0, 1]"
-    if elastic and args.batch_deadline is None:
-        return ("--min-partitions/--max-partitions require --batch-deadline "
-                "(they bound the overload controller's elastic partition "
-                "actuator)")
-    if elastic and args.engine != "microbatch":
-        return "--min-partitions/--max-partitions require --engine microbatch"
-    if (
-        args.min_partitions is not None
-        and args.max_partitions is not None
-        and args.min_partitions > args.max_partitions
-    ):
-        return "--min-partitions must be <= --max-partitions"
-    if args.min_partitions is not None and args.min_partitions > args.partitions:
-        return "--min-partitions must be <= --partitions"
-    if args.max_partitions is not None and args.max_partitions < args.partitions:
-        return "--max-partitions must be >= --partitions"
     if args.pipeline and args.engine != "microbatch":
         return "--pipeline requires --engine microbatch"
     if args.report is not None and (args.engine != "sequential" or args.resume):
@@ -407,7 +340,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.obs.recorder import FlightRecorder
     from repro.obs.slo import SLOTracker, default_slos
     from repro.reliability import (
-        DEFAULT_KEEP_CHECKPOINTS,
         BoundedIngestQueue,
         DeadLetterQueue,
         OverloadController,
@@ -438,10 +370,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         dead_letters=dead_letters,
         max_poison_rate=args.max_poison_rate,
         telemetry=sink,
-        metrics_every=args.metrics_every,
         console=console,
         recorder=recorder,
-        keep_checkpoints=args.keep_checkpoints or DEFAULT_KEEP_CHECKPOINTS,
         snapshot_store=snapshot_store,
     )
     if args.resume:
@@ -453,14 +383,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             n_workers=args.workers,
             retry_policy=retry_policy,
             partition_deadline_s=args.partition_deadline,
-            speculate=args.speculate,
             **options,
         )
     else:
         config = PipelineConfig(
             n_classes=args.classes,
             model=args.model,
-            preprocessing=not args.no_preprocessing,
             adaptive_bow=not args.no_adaptive_bow,
             normalization=args.normalization,
         )
@@ -474,7 +402,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 retry_policy=retry_policy,
                 dead_letters=dead_letters,
                 partition_deadline_s=args.partition_deadline,
-                speculate=args.speculate,
                 recorder=recorder,
                 pipelined=args.pipeline,
             )
@@ -495,10 +422,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 telemetry=sink,
             )
             if args.batch_deadline is not None:
-                elastic = (
-                    args.min_partitions is not None
-                    or args.max_partitions is not None
-                )
                 engine.controller = OverloadController(
                     batch_deadline_s=args.batch_deadline,
                     batch_size=args.batch_size,
@@ -506,9 +429,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     metrics=engine.metrics,
                     telemetry=sink,
                     engine_label=engine.kind,
-                    n_partitions=args.partitions if elastic else None,
-                    min_partitions=args.min_partitions,
-                    max_partitions=args.max_partitions,
                 )
         supervisor = StreamSupervisor(
             engine,
@@ -613,18 +533,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     controller.n_deadline_misses, controller.n_degrades,
                     controller.n_recovers, controller.tier.name,
                     controller.max_tier_reached.name)
-        if controller.n_partitions is not None:
-            logger.info("elasticity    : %d partitions (bounds %d..%d, "
-                        "%d resizes, %d stragglers seen)",
-                        controller.n_partitions, controller.min_partitions,
-                        controller.max_partitions,
-                        controller.n_partition_resizes,
-                        controller.n_stragglers_seen)
     if args.partition_deadline is not None:
         logger.info("parallelism   : %d partition timeouts, "
-                    "%d speculative wins, %d pool rebuilds",
+                    "%d pool rebuilds",
                     health.n_partition_timeouts,
-                    health.n_speculative_wins,
                     registry.total("pool_rebuilds_total"))
     if run.stopped:
         logger.info("stopped       : graceful drain at cursor %d; "
@@ -687,12 +599,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store,
         host=args.host,
         port=args.port,
-        max_inflight=args.max_inflight,
         queue_capacity=args.queue_capacity,
         shed_policy=args.shed_policy,
-        default_deadline_s=args.request_deadline,
         poll_interval_s=args.poll_interval,
-        drain_timeout_s=args.drain_timeout,
         telemetry=sink,
         recorder=recorder,
     )
@@ -709,7 +618,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
-    from repro.serve.snapshot import SnapshotStore, payload_from_checkpoint
+    from repro.serve.snapshot import (
+        SnapshotIntegrityError,
+        SnapshotStore,
+        payload_from_checkpoint,
+    )
 
     if args.snapshot_command == "publish":
         from pathlib import Path
@@ -720,11 +633,13 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         if not source.exists():
             logger.error("error: checkpoint not found: %s", source)
             return 2
-        store = SnapshotStore(args.store, keep=args.keep)
-        info = store.publish(
-            payload_from_checkpoint(source),
-            meta={"source": str(source)},
-        )
+        try:
+            payload = payload_from_checkpoint(source)
+        except SnapshotIntegrityError as exc:
+            logger.error("error: %s", exc)
+            return 2
+        store = SnapshotStore(args.store)
+        info = store.publish(payload, meta={"source": str(source)})
         logger.info("published     : v%d (%d bytes, sha256 %s...) to %s",
                     info.version, info.n_bytes, info.sha256[:12],
                     args.store)

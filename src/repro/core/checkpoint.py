@@ -619,8 +619,8 @@ def engine_from_dict(payload: Dict[str, Any], **wiring: Any) -> "Engine":
     ``wiring`` is what a checkpoint cannot hold — pools and callbacks —
     so the resumer chooses it: ``dead_letters`` and ``max_poison_rate``
     for either engine, plus ``runner``, ``n_workers``, ``retry_policy``,
-    ``partition_deadline_s``, ``speculate`` and ``recorder`` for the
-    micro-batch engine. The saved pipeline state is loaded into the new
+    ``partition_deadline_s`` and ``recorder`` for the micro-batch
+    engine. The saved pipeline state is loaded into the new
     engine's own pipeline.
     """
     kind = payload["engine"]

@@ -53,6 +53,7 @@ import atexit
 import itertools
 import os
 import pickle
+import signal
 import threading
 import time
 from collections import OrderedDict
@@ -156,6 +157,36 @@ OUTCOME_WORKER_LOST = "worker_lost"
 #: speculation trigger. Small enough that deadlines land within ~50ms,
 #: large enough that polling is invisible next to partition work.
 _POLL_INTERVAL_S = 0.05
+
+#: How often a pool worker checks that the driver that forked it is
+#: still its parent.
+_ORPHAN_POLL_S = 0.25
+
+
+def _worker_init() -> None:
+    """Start-up of every pool worker: the driver owns its life.
+
+    SIGINT and SIGTERM are ignored, so a Ctrl-C or TERM sent to the
+    whole process group cannot kill a worker in the middle of the
+    driver's graceful drain (and the driver's own signal handlers,
+    inherited through fork, never run here). A daemon thread ends the
+    worker once its parent changes: the driver died without closing
+    the pool (SIGKILL, the OOM killer), and nothing else would.
+    ``PR_SET_PDEATHSIG`` would fire when the forking *thread* exits,
+    and a pipelined driver forks from a submit thread.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    parent = os.getppid()
+
+    def watch_parent() -> None:
+        while os.getppid() == parent:
+            time.sleep(_ORPHAN_POLL_S)
+        os._exit(1)
+
+    threading.Thread(
+        target=watch_parent, name="orphan-watch", daemon=True
+    ).start()
 
 
 @dataclass
@@ -929,7 +960,9 @@ class ProcessPoolRunner(Runner):
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             self._ensure_tracker_running()
-            self._pool = ProcessPoolExecutor(max_workers=self.n_processes)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.n_processes, initializer=_worker_init
+            )
         return self._pool
 
     def run_with_deadline(
@@ -1005,7 +1038,9 @@ class ProcessPoolRunner(Runner):
                 # unresolved ones — or give up on them past the budget.
                 pool_broken = False
                 in_flight.clear()
-                self.close()
+                # A surviving worker may still be busy; it ignores
+                # SIGTERM, so the pool is abandoned, not drained.
+                self._abandon_pool()
                 if rebuilds >= self.max_rebuilds_per_run:
                     for index in sorted(unresolved):
                         outcomes[index] = TaskOutcome(
@@ -1137,7 +1172,8 @@ class ProcessPoolRunner(Runner):
         """Tear down a pool whose workers may be hung (best effort).
 
         ``shutdown(wait=True)`` would block behind the hung task, so:
-        cancel what's queued, terminate the worker processes, and let
+        cancel what's queued, kill the worker processes (they ignore
+        SIGTERM, see :func:`_worker_init`), and let
         the next ``run`` build a fresh pool. Broadcast segments are
         driver-owned and survive untouched.
         """
@@ -1151,7 +1187,7 @@ class ProcessPoolRunner(Runner):
             pass
         for proc in processes:
             if proc.is_alive():
-                proc.terminate()
+                proc.kill()
         for proc in processes:
             proc.join(timeout=1.0)
 

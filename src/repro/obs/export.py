@@ -12,7 +12,7 @@ Two consumers, two formats:
   ``quantile`` labels plus ``_sum``/``_count``), so a scrape endpoint
   or textfile collector can serve the same registry.
 
-Wired into the CLI via ``--metrics-out`` / ``--metrics-every``.
+Wired into the CLI via ``--metrics-out``.
 """
 
 from __future__ import annotations

@@ -50,7 +50,6 @@ _EXPORTS = {
     "OverloadController": "repro.reliability.overload",
     "QueueEntry": "repro.reliability.overload",
     "SHED_POLICIES": "repro.reliability.overload",
-    "DEFAULT_KEEP_CHECKPOINTS": "repro.reliability.supervisor",
     "RetryPolicy": "repro.reliability.supervisor",
     "StreamSupervisor": "repro.reliability.supervisor",
     "SupervisedRun": "repro.reliability.supervisor",

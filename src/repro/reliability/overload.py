@@ -76,6 +76,14 @@ SHED_POLICIES = ("drop-oldest", "drop-newest", "sample")
 SAMPLE_KEEP = 0.5
 SHED_SEED = 29
 
+#: The controller's batch-size ladder: a pressured step multiplies the
+#: batch by ``SHRINK_FACTOR``, a recovery step by ``GROW_FACTOR`` (up to
+#: the initial size), and a batch is comfortable only when it ran within
+#: ``RECOVERY_HEADROOM`` of the deadline.
+SHRINK_FACTOR = 0.5
+GROW_FACTOR = 1.5
+RECOVERY_HEADROOM = 0.5
+
 
 def evicts_oldest(policy: str, rng: random.Random, keep: float) -> bool:
     """The shed decision for a full line, shared by both sides.
@@ -434,13 +442,15 @@ class OverloadController:
 
     * **pressure** (deadline missed, or backlog above the high
       watermark) for ``degrade_after`` consecutive batches first
-      *shrinks* the batch size (halving toward ``min_batch_size``), and
+      *shrinks* the batch size (by :data:`SHRINK_FACTOR` toward
+      ``min_batch_size``), and
       once the batch floor is reached steps the feature pipeline down
       one :class:`~repro.core.features.DegradeTier`;
-    * **comfort** (duration within ``recovery_headroom`` of the
+    * **comfort** (duration within :data:`RECOVERY_HEADROOM` of the
       deadline *and* backlog below the low watermark) for
       ``recover_after`` consecutive batches reverses one step —
-      restoring the tier first, then growing the batch back toward
+      restoring the tier first, then growing the batch back (by
+      :data:`GROW_FACTOR`) toward the initial ``batch_size``, kept as
       ``max_batch_size``.
 
     The two streak counters are the hysteresis guard: any batch that is
@@ -449,16 +459,12 @@ class OverloadController:
 
     Args:
         batch_deadline_s: soft per-batch deadline (seconds).
-        batch_size: initial (and recovery-target) batch size.
+        batch_size: initial batch size, and the ceiling for growth.
         min_batch_size: floor for shrinking (default ``batch_size//8``,
             at least 1).
-        max_batch_size: ceiling for growth (default ``batch_size``).
         degrade_after: consecutive pressured batches per degrade step.
         recover_after: consecutive comfortable batches per recovery
             step.
-        recovery_headroom: fraction of the deadline a batch must run
-            within to count as comfortable.
-        shrink_factor / grow_factor: batch resize multipliers.
         queue: optional :class:`BoundedIngestQueue`; when set,
             :meth:`observe_batch` reads its depth fraction by default.
         metrics: optional registry for the controller gauges/counters.
@@ -481,12 +487,8 @@ class OverloadController:
         batch_deadline_s: float,
         batch_size: int,
         min_batch_size: Optional[int] = None,
-        max_batch_size: Optional[int] = None,
         degrade_after: int = 2,
         recover_after: int = 3,
-        recovery_headroom: float = 0.5,
-        shrink_factor: float = 0.5,
-        grow_factor: float = 1.5,
         queue: Optional[BoundedIngestQueue] = None,
         metrics: Optional["MetricsRegistry"] = None,
         telemetry: Optional["TelemetrySink"] = None,
@@ -501,20 +503,10 @@ class OverloadController:
             raise ValueError("batch_size must be >= 1")
         if min_batch_size is None:
             min_batch_size = max(1, batch_size // 8)
-        if max_batch_size is None:
-            max_batch_size = batch_size
-        if not 1 <= min_batch_size <= batch_size <= max_batch_size:
-            raise ValueError(
-                "need 1 <= min_batch_size <= batch_size <= max_batch_size"
-            )
+        if not 1 <= min_batch_size <= batch_size:
+            raise ValueError("need 1 <= min_batch_size <= batch_size")
         if degrade_after < 1 or recover_after < 1:
             raise ValueError("degrade_after/recover_after must be >= 1")
-        if not 0.0 < recovery_headroom <= 1.0:
-            raise ValueError("recovery_headroom must be in (0, 1]")
-        if not 0.0 < shrink_factor < 1.0:
-            raise ValueError("shrink_factor must be in (0, 1)")
-        if grow_factor <= 1.0:
-            raise ValueError("grow_factor must be > 1")
         if n_partitions is None:
             if min_partitions is not None or max_partitions is not None:
                 raise ValueError(
@@ -538,12 +530,9 @@ class OverloadController:
         self.batch_deadline_s = batch_deadline_s
         self.batch_size = batch_size
         self.min_batch_size = min_batch_size
-        self.max_batch_size = max_batch_size
+        self.max_batch_size = batch_size
         self.degrade_after = degrade_after
         self.recover_after = recover_after
-        self.recovery_headroom = recovery_headroom
-        self.shrink_factor = shrink_factor
-        self.grow_factor = grow_factor
         self.queue = queue
         self.telemetry = telemetry
         self.engine_label = engine_label
@@ -617,7 +606,7 @@ class OverloadController:
         comfortable = (
             not missed
             and n_stragglers == 0
-            and batch_seconds <= self.batch_deadline_s * self.recovery_headroom
+            and batch_seconds <= self.batch_deadline_s * RECOVERY_HEADROOM
             and queue_fraction <= low
         )
         if pressured:
@@ -667,7 +656,7 @@ class OverloadController:
     def _degrade_step(self) -> None:
         if self.batch_size > self.min_batch_size:
             new_size = max(
-                self.min_batch_size, int(self.batch_size * self.shrink_factor)
+                self.min_batch_size, int(self.batch_size * SHRINK_FACTOR)
             )
             self._resize(new_size)
             return
@@ -728,7 +717,7 @@ class OverloadController:
                 self.max_batch_size,
                 max(
                     self.batch_size + 1,
-                    int(self.batch_size * self.grow_factor),
+                    int(self.batch_size * GROW_FACTOR),
                 ),
             )
             self._resize(new_size)
@@ -768,9 +757,6 @@ class OverloadController:
             "max_batch_size": self.max_batch_size,
             "degrade_after": self.degrade_after,
             "recover_after": self.recover_after,
-            "recovery_headroom": self.recovery_headroom,
-            "shrink_factor": self.shrink_factor,
-            "grow_factor": self.grow_factor,
             "engine_label": self.engine_label,
             "tier": int(self.tier),
             "max_tier_reached": int(self.max_tier_reached),
@@ -800,7 +786,14 @@ class OverloadController:
         metrics: Optional["MetricsRegistry"] = None,
         telemetry: Optional["TelemetrySink"] = None,
     ) -> "OverloadController":
-        """Rebuild a controller mid-episode (hysteresis included)."""
+        """Rebuild a controller mid-episode (hysteresis included).
+
+        The growth ceiling ``max_batch_size`` is the constructor's
+        ``batch_size``. Older payloads also carry ``recovery_headroom``,
+        ``shrink_factor`` and ``grow_factor``; nothing ever set them
+        off their defaults, which are now module constants, so they
+        are ignored.
+        """
         # Elastic-partition keys arrived with checkpoint v4; older
         # payloads simply have no partition actuator.
         max_parts = payload.get("max_partitions")
@@ -808,12 +801,8 @@ class OverloadController:
             batch_deadline_s=float(payload["batch_deadline_s"]),
             batch_size=int(payload["max_batch_size"]),
             min_batch_size=int(payload["min_batch_size"]),
-            max_batch_size=int(payload["max_batch_size"]),
             degrade_after=int(payload["degrade_after"]),
             recover_after=int(payload["recover_after"]),
-            recovery_headroom=float(payload["recovery_headroom"]),
-            shrink_factor=float(payload["shrink_factor"]),
-            grow_factor=float(payload["grow_factor"]),
             queue=queue,
             metrics=metrics,
             telemetry=telemetry,

@@ -432,7 +432,6 @@ class StreamSupervisor:
         n_workers: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
         partition_deadline_s: Optional[float] = None,
-        speculate: Optional[float] = None,
         **options: Any,
     ) -> "StreamSupervisor":
         """Rebuild a supervisor from the newest *verifiable* checkpoint.
@@ -448,9 +447,8 @@ class StreamSupervisor:
         (:class:`~repro.core.checkpoint.RetiredLayoutError`), which is
         not corruption.
 
-        ``runner``, ``n_workers``, ``retry_policy``,
-        ``partition_deadline_s`` and ``speculate`` wire a rebuilt
-        micro-batch engine (see
+        ``runner``, ``n_workers``, ``retry_policy`` and
+        ``partition_deadline_s`` wire a rebuilt micro-batch engine (see
         :func:`~repro.core.checkpoint.engine_from_dict`). ``options``
         are the constructor's keyword options, passed on unchanged
         (``dead_letters``, ``max_poison_rate`` and ``recorder`` reach
@@ -473,7 +471,6 @@ class StreamSupervisor:
             n_workers=n_workers,
             retry_policy=retry_policy,
             partition_deadline_s=partition_deadline_s,
-            speculate=speculate,
             dead_letters=options.get("dead_letters"),
             max_poison_rate=options.get("max_poison_rate"),
             recorder=options.get("recorder"),

@@ -202,7 +202,6 @@ class AggressionServer:
         metrics / telemetry / recorder / slos: observability wiring;
             a fresh registry and :func:`default_serve_slos` tracker by
             default.
-        slo_every: sample the SLO tracker every N responses.
         chaos_hook: optional ``async (endpoint) -> None`` awaited
             before scoring — the chaos suite's fault-injection seam
             (stalls, exceptions), never set in production.
@@ -213,6 +212,8 @@ class AggressionServer:
     #: stage histograms: count/sum/min/max stay exact per response, the
     #: three P² sketches (and so ``serve_latency_p99``) ingest every 8th.
     REQUEST_SKETCH_EVERY = 8
+    #: The SLO tracker samples the registry every this many responses.
+    SLO_EVERY = 32
 
     def __init__(
         self,
@@ -229,7 +230,6 @@ class AggressionServer:
         telemetry: Optional[Any] = None,
         recorder: Optional[FlightRecorder] = None,
         slos: Optional[SLOTracker] = None,
-        slo_every: int = 32,
         chaos_hook: Optional[Callable[[str], Awaitable[None]]] = None,
     ) -> None:
         self.store = store
@@ -246,7 +246,6 @@ class AggressionServer:
         self.slo_tracker = (
             slos if slos is not None else SLOTracker(default_serve_slos())
         )
-        self.slo_every = max(1, slo_every)
         self.chaos_hook = chaos_hook
         self.admission = AdmissionController(
             max_inflight=max_inflight,
@@ -733,7 +732,7 @@ class AggressionServer:
         self._responses_since_slo += 1
         if (
             self.slo_tracker is not None
-            and self._responses_since_slo >= self.slo_every
+            and self._responses_since_slo >= self.SLO_EVERY
         ):
             self._responses_since_slo = 0
             self.slo_tracker.observe(self.metrics)

@@ -115,7 +115,16 @@ def payload_from_checkpoint(path: PathLike) -> Dict[str, Any]:
     refuses the retired flat micro-batch layout as
     :func:`~repro.core.checkpoint.engine_from_dict` does.
     """
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise SnapshotIntegrityError(
+            f"checkpoint {path} is not JSON ({exc})"
+        ) from exc
+    if not isinstance(raw, dict):
+        raise SnapshotIntegrityError(
+            f"checkpoint {path} is not a JSON object"
+        )
     section = raw.get("engine", raw)
     try:
         if isinstance(section, dict) and section is not raw:

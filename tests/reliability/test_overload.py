@@ -206,10 +206,6 @@ class TestOverloadController:
             )
         with pytest.raises(ValueError):
             self._controller(degrade_after=0)
-        with pytest.raises(ValueError):
-            self._controller(shrink_factor=1.0)
-        with pytest.raises(ValueError):
-            self._controller(grow_factor=1.0)
 
     def test_hysteresis_requires_consecutive_pressure(self):
         controller = self._controller(degrade_after=2)
@@ -303,6 +299,34 @@ class TestOverloadController:
             controller.observe_batch(seconds, queue_fraction=0.0)
             restored.observe_batch(seconds, queue_fraction=0.0)
         assert restored.to_dict() == controller.to_dict()
+
+    def test_restores_a_payload_with_the_retired_ladder_keys(self):
+        # Written by the controller that still took recovery_headroom,
+        # shrink_factor and grow_factor as keywords (at their defaults):
+        # two shrinks, one degrade, one recovery.
+        parent = {
+            "batch_deadline_s": 1.0, "batch_size": 2, "min_batch_size": 2,
+            "max_batch_size": 8, "degrade_after": 1, "recover_after": 1,
+            "recovery_headroom": 0.5, "shrink_factor": 0.5,
+            "grow_factor": 1.5, "engine_label": "microbatch", "tier": 0,
+            "max_tier_reached": 1, "pressure_streak": 0,
+            "comfort_streak": 0, "n_batches": 4, "n_deadline_misses": 3,
+            "n_degrades": 1, "n_recovers": 1, "n_resizes": 2,
+            "polled_count": 0, "polled_sum": 0.0, "n_partitions": None,
+            "min_partitions": None, "max_partitions": None,
+            "n_partition_resizes": 0, "n_stragglers_seen": 0,
+        }
+        restored = OverloadController.from_dict(parent)
+        retired = {"recovery_headroom", "shrink_factor", "grow_factor"}
+        assert restored.to_dict() == {
+            k: v for k, v in parent.items() if k not in retired
+        }
+        # The growth ceiling survived: comfort grows 2 -> 3 -> 4 -> 6 -> 8.
+        sizes = []
+        for _ in range(5):
+            restored.observe_batch(0.1, queue_fraction=0.0)
+            sizes.append(restored.batch_size)
+        assert sizes == [3, 4, 6, 8, 8]
 
 
 class TestEngineControllerIntegration:

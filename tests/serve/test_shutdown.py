@@ -115,6 +115,42 @@ class TestServeSigterm:
                 proc.wait()
 
 
+class TestServeFlightRecorder:
+    def test_refused_snapshot_dumps_the_ring(
+        self, tmp_path, trained_payload
+    ):
+        """``serve --flight-recorder DIR``: a published version that
+        will not rebuild is refused, and the refusal dumps the ring."""
+        root = tmp_path / "store"
+        store = SnapshotStore(root)
+        store.publish(trained_payload)
+        dumps = tmp_path / "flight"
+        log = tmp_path / "serve.log"
+        proc = _spawn(
+            ["serve", str(root), "--port", "0", "--poll-interval", "0.05",
+             "--flight-recorder", str(dumps)],
+            log,
+        )
+        try:
+            assert _wait_for(lambda: _served_port(log) is not None)
+            store.publish(dict(trained_payload, model={"kind": "bogus"}))
+            assert _wait_for(lambda: any(dumps.glob("flight-*.jsonl")))
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=20) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        (dump,) = dumps.glob("flight-*.jsonl")
+        assert dump.name.endswith("snapshot_rejected.jsonl")
+        events = [
+            json.loads(line)
+            for line in dump.read_text(encoding="utf-8").splitlines()
+        ]
+        assert any(e.get("event") == "snapshot_rejected" for e in events)
+        assert "snapshot v2 refused" in log.read_text(encoding="utf-8")
+
+
 class TestRunSigterm:
     def test_training_run_drains_checkpoints_and_exits_zero(
         self, tmp_path

@@ -235,6 +235,117 @@ class TestSupervisedRun:
         assert "processed     : 399 tweets" in out
 
 
+class TestPartitionFaultDomains:
+    """``--partition-deadline`` and ``--flight-recorder`` on the CLI: a
+    1 µs deadline times every partition out, and each timed-out batch
+    is an incident the flight recorder dumps."""
+
+    ARGS = ["--engine", "microbatch", "--partitions", "2",
+            "--batch-size", "200", "--runner", "processes",
+            "--workers", "2", "--partition-deadline", "0.000001"]
+
+    @pytest.fixture()
+    def dataset(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        main(["generate", str(path), "--tweets", "600", "--seed", "3"])
+        return path
+
+    def test_partition_deadline_times_out_every_partition(
+        self, dataset, capsys
+    ):
+        assert main(["run", str(dataset)] + self.ARGS) == 0
+        out = capsys.readouterr().out
+        assert "parallelism   : 6 partition timeouts" in out
+        assert "quarantined   : 600 tweets" in out
+
+    def test_flight_recorder_dumps_each_incident(
+        self, dataset, tmp_path, capsys
+    ):
+        dumps = tmp_path / "flight"
+        assert main(["run", str(dataset), "--flight-recorder", str(dumps)]
+                    + self.ARGS) == 0
+        out = capsys.readouterr().out
+        written = sorted(p.name for p in dumps.glob("flight-*.jsonl"))
+        assert written
+        assert {name.split("-", 2)[2] for name in written} >= {
+            "quarantine.jsonl"
+        }
+        assert f"flight dumps  : {len(written)} written to {dumps}" in out
+        assert all(
+            json.loads(line)
+            for line in (dumps / written[0]).read_text().splitlines()
+        )
+
+
+class TestSnapshot:
+    @pytest.fixture()
+    def checkpoint_dir(self, tmp_path):
+        data = tmp_path / "data.jsonl"
+        main(["generate", str(data), "--tweets", "300", "--seed", "4"])
+        ckpt = tmp_path / "ckpt"
+        main(["run", str(data), "--checkpoint-dir", str(ckpt)])
+        return ckpt
+
+    def test_publish_from_checkpoint_dir_then_list(
+        self, checkpoint_dir, tmp_path, capsys
+    ):
+        store = tmp_path / "snaps"
+        capsys.readouterr()
+        for version in (1, 2):
+            assert main(["snapshot", "publish", str(store),
+                         "--from-checkpoint", str(checkpoint_dir)]) == 0
+            assert f"published     : v{version} (" in capsys.readouterr().out
+        assert main(["snapshot", "list", str(store)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["v1", "v2"]
+        assert lines[-1].endswith("(latest)")
+        assert "(latest)" not in lines[0]
+        assert str(checkpoint_dir / "checkpoint.json") in lines[0]
+
+    def test_list_of_an_empty_store(self, tmp_path, capsys):
+        assert main(["snapshot", "list", str(tmp_path / "none")]) == 0
+        assert "is empty" in capsys.readouterr().out
+
+    def _refused(self, tmp_path, capsys, source):
+        store = tmp_path / "snaps"
+        assert main(["snapshot", "publish", str(store),
+                     "--from-checkpoint", str(source)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not store.exists()
+        return err
+
+    def test_missing_checkpoint_is_refused(self, tmp_path, capsys):
+        err = self._refused(tmp_path, capsys, tmp_path / "nowhere")
+        assert "checkpoint not found" in err
+
+    @pytest.mark.parametrize("text, error", [
+        ("not json {", "is not JSON"),
+        ("[1, 2]", "is not a JSON object"),
+        ('{"something": "else"}', "has no pipeline state"),
+    ])
+    def test_bad_checkpoint_file_is_refused_in_one_line(
+        self, tmp_path, capsys, text, error
+    ):
+        source = tmp_path / "checkpoint.json"
+        source.write_text(text)
+        assert error in self._refused(tmp_path, capsys, source)
+
+    def test_flat_layout_is_refused_in_one_line(
+        self, checkpoint_dir, tmp_path, capsys
+    ):
+        checkpoint = json.loads(
+            (checkpoint_dir / "checkpoint.json").read_text()
+        )
+        engine = checkpoint["engine"]
+        engine.update(engine.pop("pipeline"))
+        source = tmp_path / "flat.json"
+        source.write_text(json.dumps(checkpoint))
+        capsys.readouterr()
+        err = self._refused(tmp_path, capsys, source)
+        assert "flat micro-batch checkpoint layout" in err
+
+
 class TestTelemetry:
     @pytest.fixture()
     def dataset(self, tmp_path):

@@ -4,10 +4,12 @@ Both views run on a throwaway package: the static gate on who names a
 definition, the dynamic census on what a traced program enters --
 including a function entered only inside a ``ProcessPoolRunner``
 worker, which leaves through ``os._exit`` without running ``atexit``.
+The flag gate runs on a throwaway parser.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import os
 import subprocess
@@ -44,6 +46,11 @@ def in_worker(x):
 class Named:
     def method(self):
         return self
+
+
+class Unrelated:
+    def method(self):
+        return 0
 '''
 
 DRIVER = '''
@@ -55,6 +62,7 @@ from repro.engine.runners import ProcessPoolRunner
 if __name__ == "__main__":
     pkg.mod.used_by_tool()
     pkg.mod.in_driver()
+    pkg.mod.Unrelated().method()
     with ProcessPoolRunner(n_processes=1) as runner:
         assert runner.run([functools.partial(pkg.mod.in_worker, 3)]) == [9]
 '''
@@ -85,8 +93,8 @@ def test_static_gate_lists_what_only_tests_name(tmp_path):
     root = _tree(tmp_path)
     offenders = census.static_offenders(root, root / "src", keep={})
     names = {d.qualname for d in offenders}
-    # ``in_worker``/``in_driver``/``used_by_tool`` are named by the tool,
-    # ``Named`` and ``only_test`` only by the test.
+    # ``in_worker``/``in_driver``/``used_by_tool``/``Unrelated`` are
+    # named by the tool, ``Named`` and ``only_test`` only by the test.
     assert names == {"Named", "only_test"}
     kept = census.static_offenders(
         root, root / "src", keep={"pkg.mod.Named": "a reason"}
@@ -116,9 +124,102 @@ def test_dynamic_census_counts_worker_only_code_as_reached(tmp_path):
     # Entered in the worker only: its trace came from another process.
     assert seen[key] and driver.pid not in seen[key]
 
-    groups = census.classify(
-        [d for d in defs if d.qualname in missed],
-        census.named_by(root, ("src", "tools"), exclude=("tests",)),
-        keep={},
-    )
+    product = census.named_by(root, ("src", "tools"), exclude=("tests",))
+    unreached = [d for d in defs if d.qualname in missed]
+    classes = [d for d in defs if d.kind == "class"]
+    groups = census.classify(unreached, product, keep={}, classes=classes)
+    # The tool calls ``.method()`` on ``Unrelated``, a name it spells;
+    # it never names ``Named``, so ``Named.method`` is no rare path.
     assert {d.qualname for d in groups["only tests"]} == missed
+    by_bare_name = census.classify(unreached, product, keep={})
+    assert {d.qualname for d in by_bare_name["rare path"]} == {
+        "Named.method"
+    }
+
+
+def test_a_method_is_a_rare_path_where_its_class_or_a_base_is_named(
+    tmp_path,
+):
+    root = tmp_path
+    for rel, text in {
+        "src/pkg/__init__.py": "",
+        "src/pkg/mod.py": MODULE,
+        "src/pkg/sub.py": (
+            "from pkg.mod import Named\n\n\nclass Child(Named):\n"
+            "    def method(self):\n        return 1\n"
+        ),
+        "tools/use.py": (
+            "from pkg.mod import Named\n\n\ndef f(x):\n"
+            "    return x.method()\n"
+        ),
+    }.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text))
+    defs = census.definitions(root / "src", root)
+    classes = [d for d in defs if d.kind == "class"]
+    missed = [d for d in defs if d.qualname.endswith(".method")]
+    groups = census.classify(
+        missed, census.named_by(root, ("src", "tools")), keep={},
+        classes=classes,
+    )
+    # ``use.py`` names ``Named``: its ``.method()`` may be either
+    # ``Named``'s or the subclass's; ``Unrelated`` it never names.
+    assert {d.name for d in groups["rare path"]} == {
+        "pkg.mod.Named.method", "pkg.sub.Child.method",
+    }
+    assert {d.name for d in groups["only tests"]} == {
+        "pkg.mod.Unrelated.method"
+    }
+
+
+def _parser():
+    parser = argparse.ArgumentParser(prog="tool")
+    parser.add_argument("--verbose", action="store_true")
+    commands = parser.add_subparsers(dest="command")
+    run = commands.add_parser("run")
+    run.add_argument("input")
+    run.add_argument("--fast", action="store_true")
+    run.add_argument("-n", "--count", type=int)
+    store = commands.add_parser("store").add_subparsers(dest="sub")
+    store.add_parser("push").add_argument("--force", action="store_true")
+    return parser
+
+
+def test_parser_flags_key_each_flag_by_its_subcommand():
+    assert census.parser_flags(_parser()) == [
+        ("", "--verbose"),
+        ("run", "--fast"),
+        ("run", "--count"),
+        ("store push", "--force"),
+    ]
+
+
+def test_flag_gate_fails_on_a_flag_no_check_sets(tmp_path):
+    for rel, text in {
+        "tests/test_run.py": 'main(["run", "x", "--count=3"])\n',
+        # Names the flag, not its subcommand: no check of ``run --fast``.
+        "tests/test_other.py": 'FLAGS = ["--fast"]\n',
+        # A comment or a variable name sets nothing.
+        "benchmarks/bench.py": "# run --fast\nfast = 1\n",
+        ".github/workflows/ci.yml": "run: tool store push --force\n",
+        "docs/usage.md": "tool run --fast --verbose\n",
+    }.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    pairs = census.parser_flags(_parser())
+    assert census.flag_offenders(pairs, tmp_path, keep={}) == [
+        ("", "--verbose"), ("run", "--fast"),
+    ]
+    kept = {("", "--verbose"): "a reason"}
+    assert census.flag_offenders(pairs, tmp_path, keep=kept) == [
+        ("run", "--fast"),
+    ]
+
+
+def test_every_kept_flag_is_a_real_flag_with_a_reason():
+    pairs = set(census.repro_flags())
+    for pair, reason in census.KEEP_FLAGS.items():
+        assert pair in pairs and reason.strip()
+    assert census.flag_offenders(sorted(pairs)) == []

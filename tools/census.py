@@ -9,8 +9,14 @@ Two views of one question, both stdlib only.
   ``benchmarks/``, ``examples/`` or ``tools/`` -- or sit in
   :data:`KEEP` with its reason. A name inside the definition's own
   body, an assignment target, an ``__init__.py`` re-export and an
-  ``__all__`` string do not count. Exits 1 and lists each offender
-  otherwise.
+  ``__all__`` string do not count. Every ``(subcommand, flag)`` pair
+  of ``repro``'s argument parser must be named -- both the subcommand
+  and the flag -- by one file under ``tests/``, ``benchmarks/`` or
+  ``examples/``, or by the CI workflow, or sit in :data:`KEEP_FLAGS`
+  with its reason: a flag nothing sets is a flag nothing checks. (This
+  file's own :data:`SURFACE` and the markdown docs do not count: they
+  run or describe a flag but check no effect.) Exits 1 and lists each
+  offender otherwise.
 * the default run (dynamic): runs the product surface
   (:data:`SURFACE`: ``repro run`` on both engines and runners with
   every model and the reliability flags, ``repro serve`` over HTTP and
@@ -20,7 +26,8 @@ Two views of one question, both stdlib only.
   every ``src/`` function and method that no process entered, with
   its line count, sorted by :func:`classify` into what only tests
   reach, what :data:`KEEP` holds (with its reason), dunder methods and
-  rare paths that product code calls.
+  rare paths that product code calls (a method only where the calling
+  file names its class or a base of it).
 
 The hook reaches every Python process the surface starts: it is a
 ``sitecustomize`` module on ``PYTHONPATH``, which children inherit.
@@ -41,6 +48,7 @@ import argparse
 import ast
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -57,6 +65,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 READER_DIRS = ("src", "benchmarks", "examples", "tools")
 TEST_DIRS = ("tests",)
+#: Where a CLI flag may be set with a check of its effect.
+FLAG_READERS = ("tests", "benchmarks", "examples", ".github/workflows/ci.yml")
 
 #: Definitions the census may not delete, keyed by dotted name (a key
 #: also covers everything defined inside it), each with its reason.
@@ -99,6 +109,14 @@ KEEP: Dict[str, str] = {
         "calibrated or deleted with `repro simulate` (ROADMAP item 7c)",
 }
 
+#: ``(subcommand, flag)`` pairs nothing under :data:`FLAG_READERS` sets,
+#: each with the reason it stays.
+KEEP_FLAGS: Dict[Tuple[str, str], str] = {
+    ("serve", "--host"):
+        "deployment address: which interface to bind is the operator's "
+        "choice, and every check binds the loopback default",
+}
+
 
 # ----------------------------------------------------------------------
 # Definitions and names
@@ -116,6 +134,7 @@ class Definition:
     kind: str           # "function", "class" or "constant"
     top_level: bool
     stub: bool          # body is a docstring / ... / pass / raise only
+    bases: Tuple[str, ...] = ()     # a class's base names, as written
 
     @property
     def name(self) -> str:
@@ -150,6 +169,14 @@ def _is_abstract(node: ast.AST) -> bool:
     )
 
 
+def _base_name(node: ast.expr) -> str:
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Subscript):  # Generic[T]
+        return _base_name(node.value)
+    return getattr(node, "id", "")
+
+
 def definitions(src: Path, root: Optional[Path] = None) -> List[Definition]:
     """Every def, class and top-level constant in the package under ``src``."""
     root = root or src
@@ -174,6 +201,8 @@ def definitions(src: Path, root: Optional[Path] = None) -> List[Definition]:
                         "class" if is_class else "function", top,
                         not is_class
                         and (_is_stub(node) or _is_abstract(node)),
+                        tuple(_base_name(b) for b in node.bases)
+                        if is_class else (),
                     ))
                     visit(node.body, qualname + ".", False)
                 elif top and isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -219,6 +248,7 @@ def _names_in(path: Path) -> List[Tuple[str, int]]:
 
 
 def _python_files(root: Path, dirs: Sequence[str]) -> Iterable[Path]:
+    """The ``.py`` files under each of ``dirs``; a named file as is."""
     for name in dirs:
         base = root / name
         if base.is_file():
@@ -271,6 +301,71 @@ def static_offenders(
         if not readers_of and kept(definition.name, keep) is None:
             offenders.append(definition)
     return offenders
+
+
+# ----------------------------------------------------------------------
+# Flags
+# ----------------------------------------------------------------------
+
+def parser_flags(
+    parser: argparse.ArgumentParser, command: str = ""
+) -> List[Tuple[str, str]]:
+    """``(subcommand, flag)`` for every optional argument of ``parser``.
+
+    The subcommand is the space-joined path (``"snapshot publish"``,
+    ``""`` at the top level); the flag is its longest option string.
+    """
+    pairs: List[Tuple[str, str]] = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                pairs += parser_flags(sub, f"{command} {name}".strip())
+        elif action.option_strings and not isinstance(
+            action, argparse._HelpAction
+        ):
+            pairs.append((command, max(action.option_strings, key=len)))
+    return pairs
+
+
+def _words(path: Path) -> Set[str]:
+    """The words a file can spell a command line with.
+
+    In Python, the words of its string constants; elsewhere, of the
+    whole text. ``--flag=value`` yields ``--flag``.
+    """
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".py":
+        text = "\n".join(
+            node.value for node in ast.walk(ast.parse(text, str(path)))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        )
+    return set(re.split(r"[\s\"'=,()\[\]]+", text))
+
+
+def flag_offenders(
+    pairs: Sequence[Tuple[str, str]],
+    root: Path = ROOT,
+    readers: Sequence[str] = FLAG_READERS,
+    keep: Dict[Tuple[str, str], str] = KEEP_FLAGS,
+) -> List[Tuple[str, str]]:
+    """Flag pairs no reader file names (both words) and none kept."""
+    files = [_words(path) for path in _python_files(root, readers)]
+    return [
+        (command, flag) for command, flag in pairs
+        if (command, flag) not in keep
+        and not any(
+            flag in words and set(command.split()) <= words
+            for words in files
+        )
+    ]
+
+
+def repro_flags() -> List[Tuple[str, str]]:
+    """:func:`parser_flags` of ``repro``'s own parser."""
+    sys.path.insert(0, str(SRC))
+    from repro.cli import build_parser
+
+    return parser_flags(build_parser())
 
 
 # ----------------------------------------------------------------------
@@ -471,21 +566,19 @@ def _run_commands() -> List[List[str]]:
                                         "--no-adaptive-bow"])
         commands.append(REPRO + base + mb + ["--normalization", norm])
     commands += [
-        REPRO + base + ["--no-preprocessing", "--report", "report.md",
+        REPRO + base + ["--report", "report.md",
                         "--metrics-out", "metrics.jsonl", "--console",
                         "--flight-recorder", "flight"],
         REPRO + base + mb + ["--runner", "serial", "--save-model",
                              "model.json", "--retries", "2",
-                             "--partition-deadline", "30",
-                             "--speculate", "0.5"],
+                             "--partition-deadline", "30"],
         REPRO + base + mb + ["--runner", "processes", "--workers", "2",
                              "--pipeline", "--checkpoint-dir", "ckpt-mb",
                              "--checkpoint-every", "1"],
         REPRO + base + mb + ["--runner", "processes", "--workers", "2",
                              "--checkpoint-dir", "ckpt-mb", "--resume"],
         REPRO + base + ["--checkpoint-dir", "ckpt", "--checkpoint-every",
-                        "1", "--keep-checkpoints", "2",
-                        "--publish-snapshot", "snaps"],
+                        "1", "--publish-snapshot", "snaps"],
         REPRO + base + ["--checkpoint-dir", "ckpt", "--resume"],
         REPRO + ["run", "hostile.jsonl", "--max-poison-rate", "0.05"],
         REPRO + ["run", "hostile.jsonl", "--max-poison-rate", "0.05"]
@@ -494,8 +587,6 @@ def _run_commands() -> List[List[str]]:
                         "20000", "--burst-factor", "3",
                         "--batch-deadline", "0.001"],
         REPRO + base + mb + ["--batch-deadline", "0.001",
-                             "--min-partitions", "1",
-                             "--max-partitions", "3",
                              "--queue-capacity", "300",
                              "--shed-policy", "sample"],
         REPRO + ["classify", "model.json", "data.jsonl", "--classes", "3"],
@@ -590,12 +681,40 @@ def run_surface(out_dir: Path) -> None:
 # Report
 # ----------------------------------------------------------------------
 
+def _lineage(
+    owner: Definition, by_name: Dict[str, List[Definition]]
+) -> Set[str]:
+    """``owner``'s name and its ``src/`` ancestors' names (``by_name``:
+    the classes under each leaf name)."""
+    names: Set[str] = set()
+    todo = [owner]
+    while todo:
+        c = todo.pop()
+        leaf = c.qualname.rsplit(".", 1)[-1]
+        if leaf not in names:
+            names.add(leaf)
+            todo.extend(k for base in c.bases for k in by_name.get(base, ()))
+    return names
+
+
 def _named_outside(
-    d: Definition, index: Dict[str, Set[Tuple[str, int]]]
+    d: Definition,
+    index: Dict[str, Set[Tuple[str, int]]],
+    owners: Set[str] = frozenset(),
 ) -> bool:
+    """Whether a line outside ``d``'s body names it.
+
+    For a method (``owners`` = its class and that class's ancestors) only a
+    line in the class's own file or in a file naming one of ``owners``
+    counts: a bare ``.close()`` elsewhere is some other class's.
+    """
     own = range(d.first_line, d.last_line + 1)
+    files = {d.path} | {
+        path for owner in owners for path, _ in index.get(owner, ())
+    }
     return any(
         not (path == d.path and line in own)
+        and (not owners or path in files)
         for path, line in index.get(d.qualname.rsplit(".", 1)[-1], ())
     )
 
@@ -604,26 +723,35 @@ def classify(
     missed: Sequence[Definition],
     product: Dict[str, Set[Tuple[str, int]]],
     keep: Dict[str, str] = KEEP,
+    classes: Sequence[Definition] = (),
 ) -> Dict[str, List[Definition]]:
     """Sort unreached functions into what to delete and what stays.
 
     * ``kept``: in :data:`KEEP`, with its reason;
     * ``protocol``: a dunder method, which the language calls;
     * ``rare path``: product code names it (an error, recovery or
-      shutdown branch the healthy surface never takes);
+      shutdown branch the healthy surface never takes) -- a method of
+      one of ``classes`` only where the naming file also names its
+      class or a base;
     * ``only tests``: nothing outside the tests names it -- delete it
       or keep it with a reason.
     """
     groups: Dict[str, List[Definition]] = {
         "only tests": [], "kept": [], "protocol": [], "rare path": [],
     }
+    owner_of = {c.name: c for c in classes}
+    by_name: Dict[str, List[Definition]] = {}
+    for c in classes:
+        by_name.setdefault(c.qualname.rsplit(".", 1)[-1], []).append(c)
     for d in missed:
         leaf = d.qualname.rsplit(".", 1)[-1]
+        owner = owner_of.get(d.name.rsplit(".", 1)[0])
+        owners = _lineage(owner, by_name) if owner else set()
         if kept(d.name, keep) is not None:
             group = "kept"
         elif leaf.startswith("__") and leaf.endswith("__"):
             group = "protocol"
-        elif _named_outside(d, product):
+        elif _named_outside(d, product, owners):
             group = "rare path"
         else:
             group = "only tests"
@@ -649,7 +777,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="static gate: fail on a top-level definition "
-                        "only tests name")
+                        "only tests name, or a CLI flag nothing sets")
     args = parser.parse_args(argv)
 
     if args.check:
@@ -658,14 +786,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{d.path}:{d.first_line}: {d.qualname} ({d.kind}, "
                   f"{d.n_lines} lines) is named only by tests; delete it "
                   "or add it to KEEP in tools/census.py with a reason")
-        return 1 if offenders else 0
+        flags = flag_offenders(repro_flags())
+        for command, flag in flags:
+            print(f"repro {command} {flag}: no test, bench, example or CI "
+                  "step sets it; check its effect, delete it, or add it "
+                  "to KEEP_FLAGS in tools/census.py with a reason")
+        return 1 if offenders or flags else 0
 
+    defs = definitions(SRC, ROOT)
     with tempfile.TemporaryDirectory(prefix="census-") as scratch:
         out_dir = Path(scratch).resolve()
         run_surface(out_dir)
-        missed = unreached(definitions(SRC, ROOT), entered(out_dir), ROOT)
+        missed = unreached(defs, entered(out_dir), ROOT)
     product = named_by(ROOT, READER_DIRS, exclude=TEST_DIRS)
-    print(report(classify(missed, product)))
+    classes = [d for d in defs if d.kind == "class"]
+    print(report(classify(missed, product, classes=classes)))
     return 0
 
 
