@@ -168,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--partition-deadline", type=float, default=None,
                      metavar="SECONDS",
                      help="per-partition execution deadline (microbatch "
-                     "engine): partitions are independent fault domains "
+                     "engine, --runner processes): partitions are "
+                     "independent fault domains "
                      "— stragglers time out, lost workers trigger a "
                      "pool-only rebuild, and failed partitions retry "
                      "alone before being quarantined")
@@ -316,6 +317,8 @@ def _run_flag_error(args: argparse.Namespace) -> Optional[str]:
         return "--partition-deadline must be positive"
     if args.partition_deadline is not None and args.engine != "microbatch":
         return "--partition-deadline requires --engine microbatch"
+    if args.partition_deadline is not None and args.runner != "processes":
+        return "--partition-deadline requires --runner processes"
     if args.pipeline and args.engine != "microbatch":
         return "--pipeline requires --engine microbatch"
     if args.report is not None and (args.engine != "sequential" or args.resume):

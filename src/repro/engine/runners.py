@@ -163,7 +163,7 @@ _POLL_INTERVAL_S = 0.05
 _ORPHAN_POLL_S = 0.25
 
 
-def _worker_init() -> None:
+def _worker_init(driver: int) -> None:
     """Start-up of every pool worker: the driver owns its life.
 
     SIGINT and SIGTERM are ignored, so a Ctrl-C or TERM sent to the
@@ -172,15 +172,17 @@ def _worker_init() -> None:
     inherited through fork, never run here). A daemon thread ends the
     worker once its parent changes: the driver died without closing
     the pool (SIGKILL, the OOM killer), and nothing else would.
+    ``driver`` is the driver's pid, taken before the fork: a driver
+    that dies before this runs has already handed the worker to another
+    parent, which ``os.getppid()`` here would mistake for the driver.
     ``PR_SET_PDEATHSIG`` would fire when the forking *thread* exits,
     and a pipelined driver forks from a submit thread.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    parent = os.getppid()
 
     def watch_parent() -> None:
-        while os.getppid() == parent:
+        while os.getppid() == driver:
             time.sleep(_ORPHAN_POLL_S)
         os._exit(1)
 
@@ -961,7 +963,8 @@ class ProcessPoolRunner(Runner):
         if self._pool is None:
             self._ensure_tracker_running()
             self._pool = ProcessPoolExecutor(
-                max_workers=self.n_processes, initializer=_worker_init
+                max_workers=self.n_processes, initializer=_worker_init,
+                initargs=(os.getpid(),),
             )
         return self._pool
 

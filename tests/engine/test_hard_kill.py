@@ -116,3 +116,30 @@ def test_sigkilled_driver_leaves_no_worker_and_no_segment(tmp_path):
             if _alive(pid):
                 os.kill(pid, signal.SIGKILL)
                 _wait_for(lambda: not _alive(pid), 2.0)
+
+
+def _initialised_worker(driver):
+    from repro.engine.runners import _worker_init
+
+    _worker_init(driver)
+    time.sleep(30)
+
+
+def test_worker_whose_driver_died_before_its_initializer_exits():
+    """The initializer compares the parent with the pid the driver
+    recorded before the fork: a worker whose driver is already gone
+    when it starts (here, a pid that is not its parent) leaves at
+    once instead of adopting its new parent as the driver."""
+    import multiprocessing
+
+    worker = multiprocessing.get_context("fork").Process(
+        target=_initialised_worker, args=(os.getpid() + 1_000_000,)
+    )
+    worker.start()
+    worker.join(timeout=5.0)
+    try:
+        assert worker.exitcode == 1
+    finally:
+        if worker.exitcode is None:
+            worker.kill()
+            worker.join()

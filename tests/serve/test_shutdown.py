@@ -115,6 +115,49 @@ class TestServeSigterm:
                 proc.wait()
 
 
+class TestServeMetricsOut:
+    def test_exit_writes_events_and_exposition(
+        self, tmp_path, published_store
+    ):
+        """``serve --metrics-out FILE``: the swap, the drain snapshot
+        and the drain land in FILE, and the exposition in FILE.prom."""
+        events_path = tmp_path / "serve-events.jsonl"
+        log = tmp_path / "serve.log"
+        proc = _spawn(
+            ["serve", str(published_store), "--port", "0",
+             "--metrics-out", str(events_path)],
+            log,
+        )
+        try:
+            assert _wait_for(lambda: _served_port(log) is not None)
+            with socket.create_connection(
+                ("127.0.0.1", _served_port(log)), timeout=5
+            ) as conn:
+                conn.sendall(
+                    b'{"op":"classify","tweet":{"text":"hello"}}\n'
+                )
+                assert json.loads(conn.makefile().readline())["status"] == 200
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=20) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        events = [
+            json.loads(line)
+            for line in events_path.read_text(encoding="utf-8").splitlines()
+        ]
+        assert [e["event"] for e in events] == [
+            "snapshot_swap", "snapshot", "drain_complete"
+        ]
+        assert events[-1]["n_requests"] == 1
+        counters = {c["name"] for c in events[1]["metrics"]["counters"]}
+        assert "requests_total" in counters
+        exposition = Path(f"{events_path}.prom").read_text(encoding="utf-8")
+        assert "# TYPE repro_requests_total counter" in exposition
+        assert "telemetry" in log.read_text(encoding="utf-8")
+
+
 class TestServeFlightRecorder:
     def test_refused_snapshot_dumps_the_ring(
         self, tmp_path, trained_payload

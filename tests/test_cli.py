@@ -102,6 +102,20 @@ class TestRunAndClassify:
         record = json.loads(lines[0])
         assert record["predicted"] in ("normal", "aggressive")
 
+    def test_classify_three_classes(self, dataset, tmp_path, capsys):
+        model_path = tmp_path / "model3.json"
+        assert main(["run", str(dataset), "--classes", "3",
+                     "--save-model", str(model_path)]) == 0
+        capsys.readouterr()
+        assert main(["classify", str(model_path), str(dataset),
+                     "--classes", "3"]) == 0
+        predicted = {
+            json.loads(line)["predicted"]
+            for line in capsys.readouterr().out.splitlines()
+        }
+        assert predicted <= {"normal", "abusive", "hateful"}
+        assert predicted - {"normal"}
+
 
 class TestSimulate:
     def test_default_projection(self, capsys):
@@ -132,11 +146,19 @@ class TestParser:
          "argument --max-poison-rate: must be in [0, 1]"),
         (["serve", "snaps", "--queue-capacity", "-1"],
          "argument --queue-capacity: must be >= 0"),
+        # Refused by ``run`` itself, before the input is opened.
+        (["run", "in.jsonl", "--partition-deadline", "1"],
+         "error: --partition-deadline requires --engine microbatch"),
+        (["run", "in.jsonl", "--engine", "microbatch",
+          "--partition-deadline", "1"],
+         "error: --partition-deadline requires --runner processes"),
     ])
     def test_bad_value_exits_2_with_one_line(self, argv, error, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
         err = capsys.readouterr().err
         assert err.splitlines()[-1].endswith(error)
         assert "Traceback" not in err
@@ -161,6 +183,26 @@ class TestParser:
             assert args.shed_policy == policy
         with pytest.raises(SystemExit):
             parser.parse_args(command + ["--shed-policy", "drop-random"])
+
+
+class TestServe:
+    def test_admission_flags_reach_the_server(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.serve.server import AggressionServer
+
+        seen = {}
+
+        async def serve_forever(server):
+            admission = server.admission
+            seen.update(capacity=admission.queue_capacity,
+                        policy=admission.policy)
+
+        monkeypatch.setattr(AggressionServer, "serve_forever", serve_forever)
+        assert main(["serve", str(tmp_path / "snaps"), "--port", "0",
+                     "--queue-capacity", "3",
+                     "--shed-policy", "drop-oldest"]) == 0
+        assert seen == {"capacity": 3, "policy": "drop-oldest"}
 
 
 class TestReport:
@@ -240,10 +282,6 @@ class TestPartitionFaultDomains:
     1 µs deadline times every partition out, and each timed-out batch
     is an incident the flight recorder dumps."""
 
-    ARGS = ["--engine", "microbatch", "--partitions", "2",
-            "--batch-size", "200", "--runner", "processes",
-            "--workers", "2", "--partition-deadline", "0.000001"]
-
     @pytest.fixture()
     def dataset(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -253,7 +291,12 @@ class TestPartitionFaultDomains:
     def test_partition_deadline_times_out_every_partition(
         self, dataset, capsys
     ):
-        assert main(["run", str(dataset)] + self.ARGS) == 0
+        assert main([
+            "run", str(dataset), "--engine", "microbatch",
+            "--partitions", "2", "--batch-size", "200",
+            "--runner", "processes", "--workers", "2",
+            "--partition-deadline", "0.000001",
+        ]) == 0
         out = capsys.readouterr().out
         assert "parallelism   : 6 partition timeouts" in out
         assert "quarantined   : 600 tweets" in out
@@ -262,8 +305,13 @@ class TestPartitionFaultDomains:
         self, dataset, tmp_path, capsys
     ):
         dumps = tmp_path / "flight"
-        assert main(["run", str(dataset), "--flight-recorder", str(dumps)]
-                    + self.ARGS) == 0
+        assert main([
+            "run", str(dataset), "--engine", "microbatch",
+            "--partitions", "2", "--batch-size", "200",
+            "--runner", "processes", "--workers", "2",
+            "--partition-deadline", "0.000001",
+            "--flight-recorder", str(dumps),
+        ]) == 0
         out = capsys.readouterr().out
         written = sorted(p.name for p in dumps.glob("flight-*.jsonl"))
         assert written

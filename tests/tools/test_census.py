@@ -126,15 +126,10 @@ def test_dynamic_census_counts_worker_only_code_as_reached(tmp_path):
 
     product = census.named_by(root, ("src", "tools"), exclude=("tests",))
     unreached = [d for d in defs if d.qualname in missed]
-    classes = [d for d in defs if d.kind == "class"]
-    groups = census.classify(unreached, product, keep={}, classes=classes)
+    groups = census.classify(unreached, defs, product, keep={})
     # The tool calls ``.method()`` on ``Unrelated``, a name it spells;
     # it never names ``Named``, so ``Named.method`` is no rare path.
     assert {d.qualname for d in groups["only tests"]} == missed
-    by_bare_name = census.classify(unreached, product, keep={})
-    assert {d.qualname for d in by_bare_name["rare path"]} == {
-        "Named.method"
-    }
 
 
 def test_a_method_is_a_rare_path_where_its_class_or_a_base_is_named(
@@ -157,11 +152,9 @@ def test_a_method_is_a_rare_path_where_its_class_or_a_base_is_named(
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(text))
     defs = census.definitions(root / "src", root)
-    classes = [d for d in defs if d.kind == "class"]
     missed = [d for d in defs if d.qualname.endswith(".method")]
     groups = census.classify(
-        missed, census.named_by(root, ("src", "tools")), keep={},
-        classes=classes,
+        missed, defs, census.named_by(root, ("src", "tools")), keep={}
     )
     # ``use.py`` names ``Named``: its ``.method()`` may be either
     # ``Named``'s or the subclass's; ``Unrelated`` it never names.
@@ -182,7 +175,9 @@ def _parser():
     run.add_argument("--fast", action="store_true")
     run.add_argument("-n", "--count", type=int)
     store = commands.add_parser("store").add_subparsers(dest="sub")
-    store.add_parser("push").add_argument("--force", action="store_true")
+    push = store.add_parser("push")
+    push.add_argument("--force", action="store_true")
+    push.add_argument("--count", type=int)
     return parser
 
 
@@ -192,29 +187,43 @@ def test_parser_flags_key_each_flag_by_its_subcommand():
         ("run", "--fast"),
         ("run", "--count"),
         ("store push", "--force"),
+        ("store push", "--count"),
     ]
 
 
 def test_flag_gate_fails_on_a_flag_no_check_sets(tmp_path):
     for rel, text in {
-        "tests/test_run.py": 'main(["run", "x", "--count=3"])\n',
-        # Names the flag, not its subcommand: no check of ``run --fast``.
-        "tests/test_other.py": 'FLAGS = ["--fast"]\n',
+        # One command: a list, or lists joined by ``+``.
+        "tests/test_run.py": (
+            'main(["run", "x"] + ["--count=3"])\n'
+            'main(["store", "push"])\n'
+        ),
+        # The subcommand and the flag in different commands of one
+        # file (and of one table): no check of ``run --fast``.
+        "tests/test_table.py": (
+            '@parametrize("argv", [["run", "x"], ["--fast"]])\n'
+            "def test(argv):\n    main(argv)\n"
+        ),
         # A comment or a variable name sets nothing.
         "benchmarks/bench.py": "# run --fast\nfast = 1\n",
-        ".github/workflows/ci.yml": "run: tool store push --force\n",
+        # A shell line goes on past a trailing backslash, not further.
+        ".github/workflows/ci.yml": (
+            "run: |\n  tool store push \\\n    --force\n"
+            "  tool store push\n  echo --count\n"
+        ),
         "docs/usage.md": "tool run --fast --verbose\n",
     }.items():
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     pairs = census.parser_flags(_parser())
+    # ``store push --count``: ``--count`` is named with ``run`` only.
     assert census.flag_offenders(pairs, tmp_path, keep={}) == [
-        ("", "--verbose"), ("run", "--fast"),
+        ("", "--verbose"), ("run", "--fast"), ("store push", "--count"),
     ]
     kept = {("", "--verbose"): "a reason"}
     assert census.flag_offenders(pairs, tmp_path, keep=kept) == [
-        ("run", "--fast"),
+        ("run", "--fast"), ("store push", "--count"),
     ]
 
 

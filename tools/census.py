@@ -10,10 +10,11 @@ Two views of one question, both stdlib only.
   :data:`KEEP` with its reason. A name inside the definition's own
   body, an assignment target, an ``__init__.py`` re-export and an
   ``__all__`` string do not count. Every ``(subcommand, flag)`` pair
-  of ``repro``'s argument parser must be named -- both the subcommand
-  and the flag -- by one file under ``tests/``, ``benchmarks/`` or
-  ``examples/``, or by the CI workflow, or sit in :data:`KEEP_FLAGS`
-  with its reason: a flag nothing sets is a flag nothing checks. (This
+  of ``repro``'s argument parser must be named -- the subcommand and
+  the flag in one command (:func:`_commands`) -- by a file under
+  ``tests/``, ``benchmarks/`` or ``examples/``, or by the CI workflow,
+  or sit in :data:`KEEP_FLAGS` with its reason: a flag nothing sets is
+  a flag nothing checks. (This
   file's own :data:`SURFACE` and the markdown docs do not count: they
   run or describe a flag but check no effect.) Exits 1 and lists each
   offender otherwise.
@@ -283,11 +284,10 @@ def kept(name: str, keep: Dict[str, str]) -> Optional[str]:
 def static_offenders(
     root: Path = ROOT,
     src: Path = SRC,
-    readers: Sequence[str] = READER_DIRS,
     keep: Dict[str, str] = KEEP,
 ) -> List[Definition]:
     """Top-level definitions nothing outside the tests names."""
-    index = named_by(root, readers, exclude=TEST_DIRS)
+    index = named_by(root, READER_DIRS, exclude=TEST_DIRS)
     offenders = []
     for definition in definitions(src, root):
         if not definition.top_level or definition.qualname.startswith("__"):
@@ -327,35 +327,84 @@ def parser_flags(
     return pairs
 
 
-def _words(path: Path) -> Set[str]:
-    """The words a file can spell a command line with.
+def _split(text: str) -> Set[str]:
+    """The words of ``text``; ``--flag=value`` yields ``--flag``."""
+    return set(re.split(r"[\s\"'=,()\[\]]+", text))
 
-    In Python, the words of its string constants; elsewhere, of the
-    whole text. ``--flag=value`` yields ``--flag``.
+
+def _literal_words(node: ast.AST) -> Set[str]:
+    """The words of one Python command literal's own strings.
+
+    A list, tuple or set's elements, a call's arguments, or both sides
+    of a ``+`` (``["run", p] + ["--fast"]`` is one command); a literal
+    nested anywhere else is a command of its own.
+    """
+    if isinstance(node, ast.BinOp):
+        parts = [node.left, node.right]
+    elif isinstance(node, ast.Call):
+        parts = node.args + [keyword.value for keyword in node.keywords]
+    else:
+        parts = node.elts
+    words: Set[str] = set()
+    for part in parts:
+        if isinstance(part, ast.Starred):
+            part = part.value
+        if isinstance(node, ast.BinOp) and isinstance(
+            part, (ast.BinOp, ast.List, ast.Tuple)
+        ):
+            words |= _literal_words(part)
+        elif isinstance(part, (ast.Constant, ast.JoinedStr)):
+            words |= set().union(*(
+                _split(c.value) for c in ast.walk(part)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            ))
+    return words
+
+
+def _commands(path: Path) -> List[Set[str]]:
+    """The word set of each command line a file can spell.
+
+    In Python, each list, tuple, set, call or ``+`` (see
+    :func:`_literal_words`); elsewhere, each logical line, with ``\\``
+    continuations and open brackets joined (a shell step, or Python
+    inlined in the YAML).
     """
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".py":
-        text = "\n".join(
-            node.value for node in ast.walk(ast.parse(text, str(path)))
-            if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        )
-    return set(re.split(r"[\s\"'=,()\[\]]+", text))
+        return [
+            _literal_words(node)
+            for node in ast.walk(ast.parse(text, str(path)))
+            if isinstance(node, (ast.List, ast.Tuple, ast.Set, ast.Call,
+                                 ast.BinOp))
+        ]
+    commands, lines, depth = [], [], 0
+    for line in text.splitlines():
+        lines.append(line)
+        depth = max(0, depth + sum(map(line.count, "([{"))
+                    - sum(map(line.count, ")]}")))
+        if depth == 0 and not line.rstrip().endswith("\\"):
+            commands.append(_split("\n".join(lines)))
+            lines = []
+    return commands + [_split("\n".join(lines))]
 
 
 def flag_offenders(
     pairs: Sequence[Tuple[str, str]],
     root: Path = ROOT,
-    readers: Sequence[str] = FLAG_READERS,
     keep: Dict[Tuple[str, str], str] = KEEP_FLAGS,
 ) -> List[Tuple[str, str]]:
-    """Flag pairs no reader file names (both words) and none kept."""
-    files = [_words(path) for path in _python_files(root, readers)]
+    """Flag pairs no command line under :data:`FLAG_READERS` names
+    (both the subcommand's words and the flag) and none kept."""
+    commands = [
+        words for path in _python_files(root, FLAG_READERS)
+        for words in _commands(path)
+    ]
     return [
         (command, flag) for command, flag in pairs
         if (command, flag) not in keep
         and not any(
             flag in words and set(command.split()) <= words
-            for words in files
+            for words in commands
         )
     ]
 
@@ -570,11 +619,11 @@ def _run_commands() -> List[List[str]]:
                         "--metrics-out", "metrics.jsonl", "--console",
                         "--flight-recorder", "flight"],
         REPRO + base + mb + ["--runner", "serial", "--save-model",
-                             "model.json", "--retries", "2",
-                             "--partition-deadline", "30"],
+                             "model.json", "--retries", "2"],
         REPRO + base + mb + ["--runner", "processes", "--workers", "2",
                              "--pipeline", "--checkpoint-dir", "ckpt-mb",
-                             "--checkpoint-every", "1"],
+                             "--checkpoint-every", "1",
+                             "--partition-deadline", "30"],
         REPRO + base + mb + ["--runner", "processes", "--workers", "2",
                              "--checkpoint-dir", "ckpt-mb", "--resume"],
         REPRO + base + ["--checkpoint-dir", "ckpt", "--checkpoint-every",
@@ -700,13 +749,14 @@ def _lineage(
 def _named_outside(
     d: Definition,
     index: Dict[str, Set[Tuple[str, int]]],
-    owners: Set[str] = frozenset(),
+    owners: Set[str],
 ) -> bool:
     """Whether a line outside ``d``'s body names it.
 
-    For a method (``owners`` = its class and that class's ancestors) only a
-    line in the class's own file or in a file naming one of ``owners``
-    counts: a bare ``.close()`` elsewhere is some other class's.
+    For a method (``owners`` = its class and that class's ancestors;
+    empty for a function) only a line in the class's own file or in a
+    file naming one of ``owners`` counts: a bare ``.close()`` elsewhere
+    is some other class's.
     """
     own = range(d.first_line, d.last_line + 1)
     files = {d.path} | {
@@ -721,24 +771,25 @@ def _named_outside(
 
 def classify(
     missed: Sequence[Definition],
+    defs: Sequence[Definition],
     product: Dict[str, Set[Tuple[str, int]]],
     keep: Dict[str, str] = KEEP,
-    classes: Sequence[Definition] = (),
 ) -> Dict[str, List[Definition]]:
-    """Sort unreached functions into what to delete and what stays.
+    """Sort unreached functions (``missed``, out of ``defs``) into what
+    to delete and what stays.
 
     * ``kept``: in :data:`KEEP`, with its reason;
     * ``protocol``: a dunder method, which the language calls;
     * ``rare path``: product code names it (an error, recovery or
-      shutdown branch the healthy surface never takes) -- a method of
-      one of ``classes`` only where the naming file also names its
-      class or a base;
+      shutdown branch the healthy surface never takes) -- a method only
+      where the naming file also names its class or a base;
     * ``only tests``: nothing outside the tests names it -- delete it
       or keep it with a reason.
     """
     groups: Dict[str, List[Definition]] = {
         "only tests": [], "kept": [], "protocol": [], "rare path": [],
     }
+    classes = [d for d in defs if d.kind == "class"]
     owner_of = {c.name: c for c in classes}
     by_name: Dict[str, List[Definition]] = {}
     for c in classes:
@@ -799,8 +850,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         run_surface(out_dir)
         missed = unreached(defs, entered(out_dir), ROOT)
     product = named_by(ROOT, READER_DIRS, exclude=TEST_DIRS)
-    classes = [d for d in defs if d.kind == "class"]
-    print(report(classify(missed, product, classes=classes)))
+    print(report(classify(missed, defs, product)))
     return 0
 
 
