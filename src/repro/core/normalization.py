@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import abc
 import math
+from bisect import insort_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
@@ -378,42 +379,39 @@ class MinMaxNoOutliersNormalizer(Normalizer):
         self._pending.clear()
         self._cold = None
 
-    def _cold_sorted(self):
-        """The pending rows, column-sorted, kept across cold-start rows.
+    def _cold_sorted(self) -> List[List[float]]:
+        """The pending rows' columns, each sorted, kept across cold rows.
 
         One row observed since the last call is inserted per column at
-        its ``searchsorted`` position; anything else (a bulk observe, a
-        restore) sorts the pending rows once. Either way the columns
-        hold the same values in the same order a full sort gives, so
-        every cold row reads the same quantiles, bit for bit.
+        its left ``bisect`` position (NaN sorts last); anything else (a
+        bulk observe, a restore) sorts the pending rows once. Either way
+        the columns hold the values in the order a full sort gives, so
+        every cold row reads the same quantiles, bit for bit. Plain
+        lists: a cold row is a few scalar inserts and reads, which cost
+        less than one numpy call each.
         """
         pending = self._pending
         cold = self._cold
         n = len(pending)
         if cold is None and n == 1:
-            cold = _np.empty((0, self.n_features))
-        if cold is not None and len(cold) == n - 1:
-            x = _np.asarray(pending[-1], dtype=_np.float64)
-            # Left insertion point per column; NaN sorts last.
-            at = _np.where(_np.isnan(x), n - 1, (cold < x).sum(axis=0))
-            rows = _np.arange(n)[:, None]
-            shifted = _np.empty((n, self.n_features))
-            shifted[:n - 1] = cold
-            below = rows < at
-            # Rows below the insertion point stay, the rest move down.
-            cold = _np.where(below, shifted, _np.roll(shifted, 1, axis=0))
-            cold[at, _np.arange(self.n_features)] = x
-        elif cold is None or len(cold) != n:
-            cold = _sorted_columns(pending)
+            cold = [[] for _ in range(self.n_features)]
+        if cold is not None and len(cold[0]) == n - 1:
+            for column, value in zip(cold, pending[-1]):
+                value = float(value)
+                if value != value:
+                    column.append(value)
+                else:
+                    insort_left(column, value)
+        elif cold is None or len(cold[0]) != n:
+            cold = _sorted_columns(pending).T.tolist()
         self._cold = cold
         return cold
 
     def _refresh_bounds(self) -> None:
-        if self._folded or not self._pending:
-            lo, hi, low, high = self._lo, self._hi, self._min, self._max
-        else:
-            # Cold start: the pending rows' exact quantiles.
-            lo, hi, low, high = self._summary(self._cold_sorted())
+        if not self._folded and self._pending:
+            self._refresh_cold_bounds()
+            return
+        lo, hi, low, high = self._lo, self._hi, self._min, self._max
         span = hi - lo
         degenerate = ~(span > 0)
         los = _np.where(degenerate, low, lo)
@@ -426,6 +424,42 @@ class MinMaxNoOutliersNormalizer(Normalizer):
                 los.tolist(), spans.tolist(), valid.tolist()
             )
         ]
+
+    def _refresh_cold_bounds(self) -> None:
+        """Cold start: scale against the pending rows' exact quantiles.
+
+        The scalar twin of the folded path's numpy expressions, the same
+        IEEE operation per value (:func:`_column_quantiles`'s
+        interpolation, then the degenerate-span fallback), so the pairs
+        are ``==`` what the array path computes.
+        """
+        columns = self._cold_sorted()
+        last = len(columns[0]) - 1
+        lo_position = self.lower_quantile * last
+        hi_position = self.upper_quantile * last
+        lo_at = int(lo_position)
+        hi_at = int(hi_position)
+        lo_fraction = lo_position - lo_at
+        hi_fraction = hi_position - hi_at
+        pairs: List[Optional[Tuple[float, float]]] = []
+        for column in columns:
+            lo = column[lo_at]
+            if lo_at < last:
+                lo += lo_fraction * (column[lo_at + 1] - lo)
+            hi = column[hi_at]
+            if hi_at < last:
+                hi += hi_fraction * (column[hi_at + 1] - hi)
+            span = hi - lo
+            if not span > 0:
+                lo = column[0]
+                span = column[-1] - lo
+            pairs.append((lo, span) if span > 0 else None)
+        self._pairs = pairs
+        los = [0.0 if pair is None else pair[0] for pair in pairs]
+        spans = _np.array(
+            [0.0 if pair is None else pair[1] for pair in pairs]
+        )
+        self._arrays = (_np.array(los), spans, spans > 0)
 
     def sketch_state(self) -> Dict[str, Any]:
         """JSON-ready sketch state (checkpoints, serve snapshots)."""

@@ -4,8 +4,9 @@
 implementation wiring all nine stages together. Labeled tweets follow
 the prequential path (predict → evaluate → update adaptive BoW → train);
 unlabeled tweets are predicted, alerted on, and offered to the boosted
-sampler. The distributed engine (:mod:`repro.engine`) runs the same
-stage logic partition-parallel.
+sampler. A labeled tweet's predict and train are one
+``StreamClassifier.test_then_train`` call. The distributed engine
+(:mod:`repro.engine`) runs the same stage logic partition-parallel.
 
 Both run one stage sequence over a *block* of tweets
 (:class:`BlockStages`): extract the block into one
@@ -347,10 +348,16 @@ class AggressionDetectionPipeline(BlockStages):
         t_start: float,
         out: Optional[List[ClassifiedInstance]],
     ) -> int:
-        """Prequential predict → evaluate → learn per row; an unlabeled
-        row goes to alerting and sampling instead of learning."""
+        """Prequential test-then-train → evaluate per labelled row; an
+        unlabeled row is predicted, then goes to alerting and sampling.
+
+        A labelled row is one ``test_then_train`` call, booked to the
+        ``learn`` stage with its evaluation; ``predict`` books the
+        unlabeled rows' predictions, spread over every row of the block,
+        so the stage sums still cover the block.
+        """
         predict = self.model.predict_proba_one
-        learn = self.model.learn_one
+        test_then_train = self.model.test_then_train
         add_labeled = self.evaluator.add_labeled
         add_unlabeled = self.evaluator.add_unlabeled
         alert_manager = self.alert_manager
@@ -363,29 +370,31 @@ class AggressionDetectionPipeline(BlockStages):
         for x, y, timestamp, tweet_id, user_id in zip(
             xs, block.ys, block.timestamps, block.tweet_ids, block.user_ids
         ):
+            instance = Instance(x, y, 1.0, timestamp, tweet_id)
+            if y is not None:
+                n_labeled += 1
+                proba = test_then_train(instance)
+                predicted = argmax(proba)
+                add_labeled(y, predicted)
+                if out is not None:
+                    out.append(ClassifiedInstance(instance, predicted, proba))
+                t_learned = perf_counter()
+                learn_s += t_learned - t
+                t = t_learned
+                continue
             proba = predict(x)
             t_predicted = perf_counter()
             predict_s += t_predicted - t
             predicted = argmax(proba)
-            instance = Instance(x, y, 1.0, timestamp, tweet_id)
-            if y is not None:
-                n_labeled += 1
-                add_labeled(y, predicted)
-                learn(instance)
-                if out is not None:
-                    out.append(ClassifiedInstance(instance, predicted, proba))
-                t = perf_counter()
-                learn_s += t - t_predicted
-            else:
-                add_unlabeled(predicted)
-                classified = ClassifiedInstance(instance, predicted, proba)
-                if predicted in aggressive:
-                    alert_manager.process(classified, user_id)
-                offer(classified)
-                if out is not None:
-                    out.append(classified)
-                t = perf_counter()
-                alert_s += t - t_predicted
+            add_unlabeled(predicted)
+            classified = ClassifiedInstance(instance, predicted, proba)
+            if predicted in aggressive:
+                alert_manager.process(classified, user_id)
+            offer(classified)
+            if out is not None:
+                out.append(classified)
+            t = perf_counter()
+            alert_s += t - t_predicted
         if alert_manager.n_alerts > alerts_before:
             self._m_alerts.inc(alert_manager.n_alerts - alerts_before)
         n = len(xs)

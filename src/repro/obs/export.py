@@ -128,7 +128,12 @@ METRIC_HELP: Dict[str, str] = {
     "partition_seconds": "Runner-observed seconds per partition task.",
     "stage_seconds": "Driver-observed seconds per engine stage.",
     "worker_stage_seconds": "Worker-observed seconds per partition stage.",
-    "tweet_stage_seconds": "Per-tweet seconds per pipeline stage.",
+    "tweet_stage_seconds": (
+        "Per-tweet seconds per pipeline stage. A labelled tweet's "
+        "predict-and-learn call books to learn; predict holds only the "
+        "unlabelled tweets' predictions, spread over every tweet of the "
+        "block."
+    ),
     "broadcast_encode_seconds": "Seconds pickling the batch broadcast.",
     "broadcast_decode_seconds": "Seconds decoding the broadcast per task.",
     "broadcast_decode_total": "Broadcast reads by resolution source.",

@@ -2,7 +2,9 @@
 
 Every streaming model in this package learns one instance at a time
 (``learn_one``), predicts class probabilities (``predict_proba_one``),
-and supports the two operations the distributed engine needs:
+does both for one labelled row of a prequential stream
+(``test_then_train``), and supports the two operations the distributed
+engine needs:
 
 * ``clone()`` — a fresh, untrained model with the same hyperparameters,
   used to spin up per-partition local models; and
@@ -48,6 +50,20 @@ class StreamClassifier(abc.ABC):
     @abc.abstractmethod
     def predict_proba_one(self, x: Sequence[float]) -> Tuple[float, ...]:
         """Return a probability per class (sums to 1)."""
+
+    def test_then_train(self, instance: Instance) -> Tuple[float, ...]:
+        """Predict a labelled row, then learn it; return the prediction.
+
+        The prequential step ("test-then-train"): the probabilities are
+        the ones :meth:`predict_proba_one` gives before the row is
+        learned. The default is exactly those two calls; an override
+        shares work between them (the Hoeffding tree sorts the row to
+        its leaf once) and MUST leave the same probabilities and the
+        same state, bit for bit.
+        """
+        proba = self.predict_proba_one(instance.x)
+        self.learn_one(instance)
+        return proba
 
     def predict_one(self, x: Sequence[float]) -> int:
         """Return the most probable class index."""

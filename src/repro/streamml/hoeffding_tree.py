@@ -237,7 +237,41 @@ class HoeffdingTree(StreamClassifier):
         label = self._check_labeled(instance)
         self.instances_seen += 1
         x = instance.x
+        self._learn_at(self._sort_to_leaf(x), x, label, instance.weight, None)
+
+    def test_then_train(self, instance: Instance) -> Tuple[float, ...]:
+        """One sort to the leaf and one naive-Bayes vote for both halves.
+
+        The vote that answers the prediction is the one the leaf's
+        adaptive counters score, when the leaf already holds statistics
+        of the row's width; otherwise the learning half votes as
+        :meth:`learn_one` does.
+        """
+        label = self._check_labeled(instance)
+        self.instances_seen += 1
+        x = instance.x
         leaf = self._sort_to_leaf(x)
+        votes = None
+        if self._answers_with_naive_bayes(leaf):
+            total = leaf.naive_bayes_weight(len(x))
+            if total > 0:
+                votes = leaf.table.votes(x, leaf.class_counts, total)
+        proba = self._normalize(
+            leaf.majority_votes() if votes is None else votes
+        )
+        self._learn_at(leaf, x, label, instance.weight, votes)
+        return proba
+
+    def _learn_at(
+        self,
+        leaf: _LeafNode,
+        x: Sequence[float],
+        label: int,
+        weight: float,
+        nb_votes: Optional[List[float]],
+    ) -> None:
+        """Learn one row at its leaf. ``nb_votes`` is the leaf's
+        naive-Bayes vote on ``x`` if the caller already has it."""
         table = leaf.table
         if table is None:
             table = leaf.table = GaussianTable(self.n_classes, len(x))
@@ -245,30 +279,26 @@ class HoeffdingTree(StreamClassifier):
             raise ValueError(
                 f"expected {table.n_features} features, got {len(x)}"
             )
-        self._update_adaptive_counters(leaf, x, label, instance.weight)
-        leaf.class_counts[label] += instance.weight
-        table.update(x, label, instance.weight)
+        counts = leaf.class_counts
+        if sum(counts) > 0:
+            # The adaptive counters: would each rule have been right?
+            if counts.index(max(counts)) == label:
+                leaf.mc_correct += weight
+            if nb_votes is None:
+                nb_votes = leaf.naive_bayes_votes(x)
+            if nb_votes.index(max(nb_votes)) == label:
+                leaf.nb_correct += weight
+        counts[label] += weight
+        table.update(x, label, weight)
         if self.defer_splits or not leaf.is_active:
             return
         if leaf.depth >= self.max_depth:
             leaf.is_active = False
             return
-        weight = leaf.total_weight
-        if weight - leaf.weight_at_last_attempt >= self.grace_period:
-            leaf.weight_at_last_attempt = weight
+        total = leaf.total_weight
+        if total - leaf.weight_at_last_attempt >= self.grace_period:
+            leaf.weight_at_last_attempt = total
             self._attempt_split(leaf)
-
-    def _update_adaptive_counters(
-        self, leaf: _LeafNode, x: Sequence[float], label: int, weight: float
-    ) -> None:
-        if leaf.total_weight <= 0:
-            return
-        mc_votes = leaf.majority_votes()
-        if mc_votes.index(max(mc_votes)) == label:
-            leaf.mc_correct += weight
-        nb_votes = leaf.naive_bayes_votes(x)
-        if nb_votes.index(max(nb_votes)) == label:
-            leaf.nb_correct += weight
 
     def _sort_to_leaf(self, x: Sequence[float]) -> _LeafNode:
         node = self._root

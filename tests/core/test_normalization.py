@@ -205,6 +205,51 @@ class TestMinMaxNoOutliers:
             assert normalizer.bounds == reference.bounds
             assert normalizer.transform(x) == reference.transform(x)
 
+    @staticmethod
+    def _array_cold_pairs(normalizer):
+        """The cold bounds as the folded path's numpy expressions give
+        them over a full sort of the pending rows, bit for bit."""
+        import numpy as np
+
+        from repro.core import normalization
+
+        ordered = normalization._sorted_columns(normalizer._pending)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            lo, hi, low, high = normalizer._summary(ordered)
+            span = hi - lo
+            degenerate = ~(span > 0)
+            los = np.where(degenerate, low, lo).tolist()
+            spans = np.where(degenerate, high - low, span).tolist()
+        return [
+            (a.hex(), b.hex()) if b > 0 else None for a, b in zip(los, spans)
+        ]
+
+    def test_cold_pairs_equal_the_array_expressions_with_nan_last(self):
+        """The scalar cold path is the numpy one, bit for bit: NaN sorts
+        last, ±inf, signed zeros, ties and int inputs included."""
+        rng = random.Random(8)
+        specials = (
+            float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 1e-300,
+        )
+        normalizer = MinMaxNoOutliersNormalizer(5)
+        for index in range(BLOCK_ROWS - 4):  # 3 more come in bulk
+            x = (
+                rng.choice(specials) if rng.random() < 0.2 else rng.gauss(0, 1),
+                float(rng.randint(0, 2)),
+                rng.choice((0.0, -0.0)),
+                rng.randint(-3, 3),
+                float("nan") if index % 3 else rng.uniform(-1, 1),
+            )
+            normalizer.observe_and_transform(x)
+            if index == 60:
+                normalizer.observe_many([(1.0, 2.0, -0.0, 4, 5.0)] * 3)
+                normalizer.transform(x)
+            pairs = [
+                None if pair is None else (pair[0].hex(), pair[1].hex())
+                for pair in normalizer._pairs
+            ]
+            assert pairs == self._array_cold_pairs(normalizer), index
+
     def test_at_most_one_full_sort_per_fold(self, monkeypatch):
         from repro.core import normalization
 

@@ -9,8 +9,9 @@ context* with ``_TOKEN_PATTERN.match``. Five pins:
     pattern it ran, copied verbatim from the commit before the scan
     moved into C, sharing no template with ``src/`` — yields the same
     ``(text, type)`` sequence on every generator, under
-    hypothesis-generated unicode and on the hostile probes, inside the
-    same time bounds;
+    hypothesis-generated unicode (text drawn with every whitespace code
+    point included, the table warm and cleared) and on the hostile
+    probes, inside the same time bounds;
 (b) classification is context-free: every surface, matched on its own,
     is consumed whole by the alternative that produced it in context;
 (c) the table keeps its rule (every kind but URL stored, nothing
@@ -129,6 +130,19 @@ _SCAN_TEXTS = st.one_of(
     ).map("".join),
 )
 
+#: Every code point ``str.isspace`` accepts.
+WHITESPACE = tuple(chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace())
+
+_SPACED_TEXTS = st.lists(
+    st.one_of(
+        st.sampled_from(TRICKY),
+        st.sampled_from(WHITESPACE),
+        st.text(max_size=6),
+        st.text(alphabet=st.sampled_from(WHITESPACE), min_size=1, max_size=3),
+    ),
+    max_size=12,
+).map("".join)
+
 
 class TestReferenceEquality:
     def test_generators_and_probes(self):
@@ -139,6 +153,22 @@ class TestReferenceEquality:
     @settings(max_examples=500, deadline=None)
     def test_hypothesis_unicode(self, text):
         assert pairs(text) == reference_tokenize(text)
+
+    @given(text=_SPACED_TEXTS, cold=st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_every_whitespace_code_point(self, text, cold):
+        if cold:
+            tokenizer._WORD_TABLE.clear()
+        assert pairs(text) == reference_tokenize(text)
+        assert pairs(text) == reference_tokenize(text)  # warm
+
+    def test_whitespace_runs_around_every_tricky_surface(self):
+        assert len(WHITESPACE) == 29
+        assert {"\x1c", "\x1f", "\x85", "\xa0", "\u3000"} <= set(WHITESPACE)
+        for blank in WHITESPACE:
+            for first in TRICKY:
+                text = f"{blank}{first}{blank}{first}x{blank * 2}"
+                assert pairs(text) == reference_tokenize(text), repr(text)
 
     @pytest.mark.parametrize("name", sorted(BACKTRACKING_PROBES))
     def test_hostile_probes_inside_the_time_bound(self, name):

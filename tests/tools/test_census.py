@@ -166,6 +166,31 @@ def test_a_method_is_a_rare_path_where_its_class_or_a_base_is_named(
     }
 
 
+def test_methods_product_code_reaches_without_naming_are_not_only_tests():
+    # wire.py calls ``refused`` through its duck-typed ``self.handler``,
+    # so the name sort cannot see the call: KEEP carries the reason.
+    # ``JsonFormatter.format`` is a logging callback: the surface runs a
+    # ``--log-json`` command, so the dynamic census enters it.
+    defs = census.definitions(census.SRC, ROOT)
+    refused = next(
+        d for d in defs
+        if d.name == "repro.serve.server.AggressionServer.refused"
+    )
+    product = census.named_by(
+        ROOT, census.READER_DIRS, exclude=census.TEST_DIRS
+    )
+    groups = census.classify([refused], defs, product)
+    assert groups["kept"] == [refused]
+    assert "handler" in census.kept(refused.name, census.KEEP)
+    assert any(
+        "--log-json" in command and "run" in command
+        for command in census._run_commands()
+    )
+    assert any(
+        d.name == "repro.obs.logconfig.JsonFormatter.format" for d in defs
+    )
+
+
 def _parser():
     parser = argparse.ArgumentParser(prog="tool")
     parser.add_argument("--verbose", action="store_true")

@@ -276,6 +276,48 @@ def test_second_text_passes_flagged_in_the_extractor_only():
         assert _messages(EXTRA_PASSES, filename) == []
 
 
+SEPARATE_LEARN = '''
+def _predict(self, xs, ys):
+    predict = self.model.predict_proba_one
+    for x, y in zip(xs, ys):
+        proba = predict(x)
+        if y is not None:
+            self.model.learn_one(Instance(x, y))
+
+
+def _predict_aliased(self, xs, ys):
+    predict = self.model.predict_proba_one
+    learn = self.model.learn_one
+    for x, y in zip(xs, ys):
+        proba = predict(x)
+        if y is not None:
+            learn(Instance(x, y))
+'''
+
+FUSED_LEARN = '''
+def _predict(self, xs, ys):
+    """No .learn_one( here: a docstring is no call."""
+    test_then_train = self.model.test_then_train
+    for x, y in zip(xs, ys):
+        if y is not None:
+            proba = test_then_train(Instance(x, y))
+'''
+
+
+def test_separate_learn_flagged_in_the_pipeline_only():
+    messages = _messages(SEPARATE_LEARN, "src/repro/core/pipeline.py")
+    assert messages == [
+        ".learn_one in the prequential loop (predict and learn a "
+        "labelled row in one test_then_train call)"
+    ] * 2
+    assert _messages(FUSED_LEARN, "src/repro/core/pipeline.py") == []
+    for filename in (
+        "src/repro/streamml/arf.py", "src/repro/core/sessions.py",
+        "src/repro/engine/microbatch.py",
+    ):
+        assert _messages(SEPARATE_LEARN, filename) == []
+
+
 def test_stream_layer_and_labelled_count_lookups_flagged_in_serve():
     messages = _messages(SERVE_OFFENDING, "src/repro/serve/server.py")
     assert sum("start_server" in m for m in messages) == 1

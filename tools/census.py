@@ -108,6 +108,9 @@ KEEP: Dict[str, str] = {
         "the sample-label loop is measured or cut as one (ROADMAP item 8)",
     "repro.engine.cluster":
         "calibrated or deleted with `repro simulate` (ROADMAP item 7c)",
+    "repro.serve.server.AggressionServer.refused":
+        "serve/wire.py calls it as `self.handler.refused(...)`: the wire "
+        "path imports no server class, so no product file names its owner",
 }
 
 #: ``(subcommand, flag)`` pairs nothing under :data:`FLAG_READERS` sets,
@@ -629,7 +632,10 @@ def _run_commands() -> List[List[str]]:
         REPRO + base + ["--checkpoint-dir", "ckpt", "--checkpoint-every",
                         "1", "--publish-snapshot", "snaps"],
         REPRO + base + ["--checkpoint-dir", "ckpt", "--resume"],
-        REPRO + ["run", "hostile.jsonl", "--max-poison-rate", "0.05"],
+        # --log-json: logging's callback JsonFormatter.format is
+        # entered only when a run formats its log lines as JSON.
+        REPRO + ["--log-json", "run", "hostile.jsonl",
+                 "--max-poison-rate", "0.05"],
         REPRO + ["run", "hostile.jsonl", "--max-poison-rate", "0.05"]
         + mb + ["--runner", "processes", "--workers", "2"],
         REPRO + base + ["--queue-capacity", "200", "--arrival-rate",

@@ -52,6 +52,12 @@ two patterns that are harmless elsewhere are throughput bugs there:
   strengths off the token records (DESIGN.md §9 "One-pass text
   analysis"); each of those calls is another pass over the tweet.
 
+* in ``core/pipeline.py``: ``.learn_one`` (called or aliased) — the
+  prequential loop predicts and learns a labelled row in one
+  ``test_then_train`` call (one sort to the leaf, one naive-Bayes vote;
+  DESIGN.md §9 "Classifier kernel"); a separate ``learn_one`` after the
+  prediction does that row's model work twice.
+
 * under ``src/repro/serve``: ``asyncio.start_server`` /
   ``asyncio.open_connection`` / ``StreamReader`` / ``StreamWriter`` —
   the wire path is one selector-driven connection object on raw
@@ -248,6 +254,18 @@ def _extra_text_pass_offenses(
             )
 
 
+def _separate_learn_offenses(tree: ast.AST) -> Iterator[Tuple[int, int, str]]:
+    # Any ``.learn_one`` read: a call, or a local alias bound for the loop.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "learn_one":
+            yield (
+                node.lineno,
+                node.col_offset,
+                ".learn_one in the prequential loop (predict and learn a "
+                "labelled row in one test_then_train call)",
+            )
+
+
 #: The asyncio stream layer, banned from the serving wire path.
 SERVE_BANNED_NAMES = {
     "start_server", "open_connection", "StreamReader", "StreamWriter",
@@ -383,8 +401,9 @@ def find_hot_path_offenses(
     an ``engine/`` directory only in :data:`PICKLE_ALLOWED_FILES`, and
     memo decorators and ``finditer`` loops are banned in a ``text/``
     directory and in ``core/features.py`` (there the record is the
-    memo and the scan runs in C), and second passes over the tokens in
-    ``core/features.py``; the asyncio
+    memo and the scan runs in C), second passes over the tokens in
+    ``core/features.py`` and ``learn_one`` reads in
+    ``core/pipeline.py``; the asyncio
     stream layer and per-response labelled metric lookups are banned
     in a ``serve/`` directory, ``dataclasses.replace`` in a
     ``streamml/`` directory, metric bookings inside ``for`` loops
@@ -398,6 +417,8 @@ def find_hot_path_offenses(
         yield from _finditer_offenses(tree)
     if parts[-2:] == ("core", "features.py"):
         yield from _extra_text_pass_offenses(tree)
+    if parts[-2:] == ("core", "pipeline.py"):
+        yield from _separate_learn_offenses(tree)
     if "serve" in parts:
         yield from _serve_offenses(tree)
     if "streamml" in parts:
